@@ -1,16 +1,18 @@
 """The execution engine: epochs at full speed, evidence checks at
 boundaries, rollback and instrumented replay when evidence turns up.
 
-Execution is divided into epochs. Each epoch starts with a byte-exact
-snapshot of the modeled writable memory plus machine, allocator,
-bitmap, quarantine, and file-position state. Events then run at full
-speed with no per-write checking. An epoch ends at an irrevocable
-external call, a modeled segfault, or the end of the trace; the
-detectors inspect state there. Corrupted canaries found at a free or
-an eviction end-run the boundary and trigger the same path
-immediately. On any evidence the engine restores the snapshot, arms
-watchpoints on the corrupted words, re-executes the epoch's events
-with call-site recording on, converts traps into reports, and resumes.
+Execution is divided into epochs. Each epoch starts with a snapshot
+of the modeled writable memory plus machine, allocator, bitmap,
+quarantine, and file-position state; the heap part is copy-on-write,
+saving each page on its first write, and restores it byte-exact.
+Events then run at full speed with no per-write checking. An epoch
+ends at an irrevocable external call, a modeled segfault, or the end
+of the trace; the detectors inspect state there. Corrupted canaries
+found at a free or an eviction end-run the boundary and trigger the
+same path immediately. On any evidence the engine restores the
+snapshot, arms watchpoints on the corrupted words, re-executes the
+epoch's events with call-site recording on, converts traps into
+reports, and resumes.
 
 Identical (trace, config) inputs produce identical outcomes: the
 allocator hands out addresses as a pure function of history, external
@@ -158,6 +160,9 @@ class Engine:
         self._extcall_by_id: dict[int, int] = {}
         self.epoch_end_hashes: list[str] = []
         self.replay_summaries: list[ReplaySummary] = []
+        # (cursor, words) per retirement this epoch; like the call log it
+        # survives rollback, so replay redoes each retirement where it happened
+        self._retirements: list[tuple[int, list[int]]] = []
 
         self.epochs_begun = 0
         self.epoch_index = -1
@@ -181,7 +186,7 @@ class Engine:
         """Hash of all state rollback must reproduce (fidelity checks)."""
         h = hashlib.sha256()
         h.update(len(self.image.heap).to_bytes(8, "little"))
-        h.update(self.image.heap)
+        h.update(self.image.heap_digest())
         h.update(self.image.globals)
         h.update(repr(sorted(self.registers.items())).encode())
         h.update(repr(tuple(self.call_stack)).encode())
@@ -230,6 +235,7 @@ class Engine:
         self.epoch_index = self.epochs_begun
         self.epochs_begun += 1
         self.snapshot = self._capture_snapshot()
+        self._retirements = []
 
     # -- main loop ----------------------------------------------------------
 
@@ -355,8 +361,15 @@ class Engine:
         self.syscalls.begin_replay()
         self.mode = Mode.REPLAY
         self.image.write_observer = self._observe_write
+        retirements = iter(self._retirements)
+        retirement = next(retirements, None)
         try:
-            while self.cursor < stop:
+            while True:
+                while retirement is not None and retirement[0] == self.cursor:
+                    self.overflow.retire_words(retirement[1])
+                    retirement = next(retirements, None)
+                if self.cursor >= stop:
+                    break
                 self._execute(self.events[self.cursor])
                 self.cursor += 1
         finally:
@@ -403,9 +416,9 @@ class Engine:
         for entry in evidence.reachable_freed:
             self.reports.append(reachable_freed_report(epoch, entry, site_log))
         # retire what was just reported so later boundaries stay quiet
-        self.overflow.retire_words(
-            [w for w, _, _ in evidence.overflow] + [item.word for item in evidence.uaf]
-        )
+        retired = [w for w, _, _ in evidence.overflow] + [item.word for item in evidence.uaf]
+        self.overflow.retire_words(retired)
+        self._retirements.append((self.cursor, retired))
         self.reported_evidence.update(p for p, _ in evidence.leaked)
         self.reported_evidence.update(e.payload for e in evidence.reachable_freed)
 

@@ -82,11 +82,8 @@ class ModeledFileTable:
     def reopen(self, fd: int) -> None:
         self.files[fd] = FileState()
 
-    def advance(self, fd: int, nbytes: int) -> int:
-        state = self._entry(fd)
-        prior = state.position
-        state.position += nbytes
-        return prior
+    def advance(self, fd: int, nbytes: int) -> None:
+        self._entry(fd).position += nbytes
 
     def set_position(self, fd: int, position: int) -> None:
         self._entry(fd).position = position
@@ -108,7 +105,6 @@ class ExtCallRecord:
     category: Category
     result: int
     args: tuple[str, ...]
-    revocation_note: int | None = None
 
 
 class SyscallModel:
@@ -122,7 +118,6 @@ class SyscallModel:
 
     def __init__(self):
         self.files = ModeledFileTable()
-        self.records: list[ExtCallRecord] = []
         self.recordables: list[ExtCallRecord] = []
         self.deferred: list[ExtCallRecord] = []
         self.replay_cursor = 0
@@ -157,25 +152,18 @@ class SyscallModel:
                 result = self.counter
                 self.counter += 1
             record = ExtCallRecord(event.id, name, category, result, event.call_args)
-            self.records.append(record)
             self.recordables.append(record)
             return result
 
         if category is Category.REVOCABLE:
             fd = self._int_arg(event, 0)
             nbytes = self._int_arg(event, 1, default=0)
-            prior = self.files.advance(fd, nbytes)
-            if not replay:
-                self.records.append(
-                    ExtCallRecord(event.id, name, category, nbytes, event.call_args, revocation_note=prior)
-                )
+            self.files.advance(fd, nbytes)
             return nbytes
 
         if category is Category.DEFERRABLE:
             if not replay:
-                record = ExtCallRecord(event.id, name, category, 0, event.call_args)
-                self.records.append(record)
-                self.deferred.append(record)
+                self.deferred.append(ExtCallRecord(event.id, name, category, 0, event.call_args))
             return 0
 
         raise AssertionError(f"irrevocable call reached handle(): {name}")
@@ -216,7 +204,6 @@ class SyscallModel:
         for record in self.deferred:
             if record.name == "close":
                 self.files.close(self._int_arg_record(record))
-        self.records = []
         self.recordables = []
         self.deferred = []
         self.replay_cursor = 0
@@ -235,7 +222,7 @@ class EpochSnapshot:
 
     epoch_index: int
     event_cursor: int
-    image: tuple[bytes, bytes]
+    image: tuple[dict[int, bytes], bytes, int]  # MemoryImage undo log, globals, heap length
     registers: dict[str, int]
     call_stack: tuple[str, ...]
     bindings: dict[str, int]

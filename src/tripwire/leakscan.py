@@ -5,15 +5,18 @@ eight-byte-aligned globals word: any value that resolves to a carved
 slot (interior addresses included) is treated as a reference. Marked
 live objects contribute every eight-byte-aligned word of their full
 payload capacity to the work queue. Freed objects are never scanned,
-but a freed object still sitting in quarantine gets its marked bit set
-when reached so the optional reachable-freed ("potential dangling
-pointer") report can pick it up. The sweep then reports every
-allocated-but-unmarked slot and clears all marked bits.
+but a freed object still sitting in quarantine is marked when reached
+so the optional reachable-freed ("potential dangling pointer") report
+can pick it up. The sweep then reports every allocated-but-unmarked
+slot and clears all marks.
+
+Marks are kept in a set outside modeled memory, so a mark and sweep
+write no heap page. A header whose in-band marked flag a program write
+has set still counts as marked, and the sweep still clears that flag.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,6 +43,7 @@ class LeakScanner:
         self.quarantine = quarantine
         self.heap_base = image.heap_base
         self.heap_end = image.heap_base + image.heap_size
+        self.marked: set[int] = set()  # payloads marked since the last sweep
 
     def _roots(self, registers: dict[str, int]) -> list[int]:
         roots = [v for v in registers.values() if self.heap_base <= v < self.heap_end]
@@ -49,10 +53,14 @@ class LeakScanner:
         return roots
 
     def mark(self, registers: dict[str, int]) -> None:
-        """BFS from the conservative root set, setting marked bits.
+        """BFS from the conservative root set, adding to the marked set.
 
-        Expects all marked bits clear (sweep leaves them that way).
+        Expects no marks (sweep leaves none).
         """
+        marked = self.marked
+        # carved slots lie inside the materialized heap, and payloads are
+        # word-aligned; the view is only read, so the heap cannot resize under it
+        heap_words = np.frombuffer(self.image.heap, dtype="<u8")
         pending = deque(self._roots(registers))
         while pending:
             value = pending.popleft()
@@ -60,17 +68,16 @@ class LeakScanner:
                 view = self.allocator.object_bounds(value)
             except NotAHeapObject:
                 continue
-            if view.marked:
+            if view.marked or view.payload in marked:
                 continue
             if not view.allocated:
                 if self.quarantine is not None and self.quarantine.entry_for(view.payload):
-                    self.allocator.set_marked(view.payload, True)
+                    marked.add(view.payload)
                 continue
-            self.allocator.set_marked(view.payload, True)
-            payload_bytes = self.image.read(view.payload, view.capacity)
-            for word in struct.unpack_from(f"<{view.capacity // 8}Q", payload_bytes):
-                if self.heap_base <= word < self.heap_end:
-                    pending.append(word)
+            marked.add(view.payload)
+            first = (view.payload - self.heap_base) >> 3
+            words = heap_words[first : first + (view.capacity >> 3)]
+            pending.extend(words[(words >= self.heap_base) & (words < self.heap_end)].tolist())
 
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> LeakEvidence:
         """Collect allocated-but-unmarked slots, then clear all marks.
@@ -80,13 +87,15 @@ class LeakScanner:
         reported again.
         """
         evidence = LeakEvidence()
+        marked = self.marked
         for view in self.allocator.carved_slots():
-            if view.allocated and not view.marked and view.payload not in suppress:
+            is_marked = view.marked or view.payload in marked
+            if view.allocated and not is_marked and view.payload not in suppress:
                 evidence.leaked.append((view.payload, view.requested))
             if (
                 dangling
                 and not view.allocated
-                and view.marked
+                and is_marked
                 and self.quarantine is not None
                 and view.payload not in suppress
             ):
@@ -95,16 +104,8 @@ class LeakScanner:
                     evidence.reachable_freed.append(entry)
             if view.marked:
                 self.allocator.set_marked(view.payload, False)
+        self.marked = set()
         evidence.leaked.sort()
         evidence.reachable_freed.sort(key=lambda e: e.payload)
         return evidence
 
-
-def record_leak_sites(leaked_payloads, site_log) -> dict[int, tuple[tuple[str, ...], int] | None]:
-    """Map each leaked payload to its last in-epoch allocation site.
-
-    Addresses with no malloc during the replayed epoch map to None,
-    meaning the object was allocated in a prior epoch and its site is
-    unknown.
-    """
-    return {addr: site_log.alloc_sites.get(addr) for addr in leaked_payloads}

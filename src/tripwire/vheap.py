@@ -16,12 +16,18 @@ free. Engine bookkeeping (chunk table, free lists, cursors) lives in
 ordinary Python objects and never occupies modeled heap addresses.
 
 The heap image is materialized lazily in chunk-sized steps: untouched
-tail space reads as zeros, and only the materialized prefix is copied
-by snapshots, keeping large default geometry cheap at small scale.
+tail space reads as zeros, keeping large default geometry cheap at
+small scale. Snapshots are copy-on-write at 4 KiB page granularity: a
+snapshot starts an undo log, and the first write to each page that
+existed at snapshot time saves that page's old bytes, so a snapshot and
+a restore cost in proportion to the pages the epoch wrote. A sha256
+digest is kept per page and recomputed only for pages written since
+it was last taken, so hashing the heap costs the same.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from .config import EngineConfig
@@ -43,6 +49,11 @@ _FLAG_MARKED = 2
 
 U64_MASK = (1 << 64) - 1
 
+PAGE_SHIFT = 12
+PAGE = 1 << PAGE_SHIFT
+DIGEST_BYTES = 32
+_ZERO_PAGE_DIGEST = hashlib.sha256(bytes(PAGE)).digest()
+
 
 def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
@@ -55,6 +66,8 @@ class MemoryImage:
     else raises SegfaultModel. Trace-driven writes pass internal=False so
     an observer installed by the engine (the replay watchpoint check) can
     see them; detector and header writes are internal and invisible to it.
+    Every heap write goes through write_fill, write_bytes or write_word,
+    which keep the undo log and the page digests current.
     """
 
     def __init__(self, config: EngineConfig):
@@ -67,6 +80,13 @@ class MemoryImage:
         self.globals = bytearray(self.globals_size)
         self.write_observer = None
         self.grow_hooks: list = []
+        # undo log of the latest snapshot: page index -> bytes at snapshot time
+        self._saved: dict[int, bytes] = {}
+        self._snap_len = 0
+        self._snap_pages = 0
+        # DIGEST_BYTES per page of the heap, and the pages whose digest is out of date
+        self._digests = bytearray()
+        self._stale: set[int] = set()
 
     @property
     def heap_prefix(self) -> int:
@@ -76,10 +96,61 @@ class MemoryImage:
         """Materialize the heap prefix up to nbytes, in chunk steps."""
         if nbytes <= len(self.heap):
             return
+        old = len(self.heap)
         target = -(-nbytes // self.chunk_size) * self.chunk_size
-        self.heap.extend(bytes(target - len(self.heap)))
+        self.heap.extend(bytes(target - old))
+        self._fit_digests(old)
         for hook in self.grow_hooks:
             hook(target)
+
+    def _fit_digests(self, old_len: int) -> None:
+        """Resize the digest table after the heap changed length from old_len.
+
+        Pages wholly added read as zeros; a page that was or now is cut
+        short by the end of the heap is re-digested.
+        """
+        new_len = len(self.heap)
+        pages = -(-new_len // PAGE)
+        if new_len > old_len:
+            if old_len % PAGE:
+                self._stale.add(old_len >> PAGE_SHIFT)
+            self._digests += _ZERO_PAGE_DIGEST * (pages - len(self._digests) // DIGEST_BYTES)
+        else:
+            del self._digests[pages * DIGEST_BYTES :]
+        if new_len % PAGE:
+            self._stale.add(pages - 1)
+
+    def _touch(self, off: int, length: int) -> None:
+        """Record a heap write of [off, off + length) before it happens.
+
+        Saves each page that existed at snapshot time on its first write
+        since, and marks every written page's digest out of date.
+        """
+        saved = self._saved
+        for page in range(off >> PAGE_SHIFT, ((off + length - 1) >> PAGE_SHIFT) + 1):
+            self._stale.add(page)
+            if page < self._snap_pages and page not in saved:
+                start = page << PAGE_SHIFT
+                saved[page] = bytes(self.heap[start : min(start + PAGE, self._snap_len)])
+
+    def heap_digest(self) -> bytes:
+        """The sha256 digest of every heap page, in page order.
+
+        Only pages written, restored or grown since the last call are
+        hashed again.
+        """
+        if self._stale:
+            digests, end = self._digests, len(self.heap)
+            with memoryview(self.heap) as view:
+                for page in self._stale:
+                    start = page << PAGE_SHIFT
+                    if start < end:
+                        at = page * DIGEST_BYTES
+                        digests[at : at + DIGEST_BYTES] = hashlib.sha256(
+                            view[start : start + PAGE]
+                        ).digest()
+            self._stale.clear()
+        return bytes(self._digests)
 
     def _locate(self, addr: int, length: int) -> tuple[bytearray | None, int]:
         if length < 0:
@@ -103,12 +174,14 @@ class MemoryImage:
             self.write_observer(addr, length)
         if buf is self.heap:
             self.ensure_heap(off + length)
+            self._touch(off, length)
         buf[off : off + length] = bytes([fill]) * length
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         buf, off = self._locate(addr, len(data))
         if buf is self.heap:
             self.ensure_heap(off + len(data))
+            self._touch(off, len(data))
         buf[off : off + len(data)] = data
 
     def read_word(self, addr: int) -> int:
@@ -120,17 +193,40 @@ class MemoryImage:
             self.write_observer(addr, 8)
         if buf is self.heap:
             self.ensure_heap(off + 8)
+            self._touch(off, 8)
         buf[off : off + 8] = (value & U64_MASK).to_bytes(8, "little")
 
-    def snapshot(self) -> tuple[bytes, bytes]:
-        return bytes(self.heap), bytes(self.globals)
+    def snapshot(self) -> tuple[dict[int, bytes], bytes, int]:
+        """Start a new undo log and copy the globals.
 
-    def restore(self, snap: tuple[bytes, bytes]) -> None:
-        heap, globs = snap
-        self.heap = bytearray(heap)
+        Returns (undo log, globals, heap length). The log fills as pages
+        are written and stays valid until the next snapshot.
+        """
+        self._saved = {}
+        self._snap_len = len(self.heap)
+        self._snap_pages = -(-self._snap_len // PAGE)
+        return self._saved, bytes(self.globals), self._snap_len
+
+    def restore(self, snap: tuple[dict[int, bytes], bytes, int]) -> None:
+        """Write the saved pages back and cut the heap to its snapshot length.
+
+        The undo log stays active, so the same snapshot can be restored
+        again later in the epoch.
+        """
+        saved, globs, length = snap
+        if saved is not self._saved:
+            raise ValueError("only the latest snapshot can be restored")
+        heap = self.heap
+        old = len(heap)
+        for page, data in saved.items():
+            start = page << PAGE_SHIFT
+            heap[start : start + len(data)] = data
+            self._stale.add(page)
+        del heap[length:]
+        self._fit_digests(old)
         self.globals = bytearray(globs)
         for hook in self.grow_hooks:
-            hook(len(self.heap))
+            hook(len(heap))
 
 
 @dataclass
@@ -316,9 +412,6 @@ class Allocator:
             for i in range(chunk.carved):
                 payload = chunk.base + i * chunk.stride + SLOT_OVERHEAD
                 yield self.object_bounds(payload)
-
-    def carved_heap_end(self) -> int:
-        return self.config.heap_base + len(self.chunks) * self.config.chunk_size
 
     # -- snapshot ---------------------------------------------------------
 

@@ -214,6 +214,16 @@ def _overflow_cases() -> list[Case]:
     t.ev("end")
     cases.append(Case("of_prior_epoch_alloc", t.text(), (("overflow", (bad,)),), (a,)))
 
+    t = TraceBuilder("overflow caught at free time, then a leak rolls the same epoch back again")
+    a = t.ev("malloc a 200")
+    bad = t.ev("write a 200 1 42")
+    t.ev("free a")
+    b = t.ev("malloc b 40")
+    t.ev("end")
+    cases.append(
+        Case("of_then_leak_same_epoch", t.text(), (("overflow", (bad,)), ("leak", (b,))), (a, b))
+    )
+
     return cases
 
 

@@ -117,6 +117,24 @@ def test_marks_cleared_after_sweep():
     assert not eng.allocator.object_bounds(a).marked
 
 
+def test_mark_and_sweep_write_no_heap_page():
+    eng = harness(dangling=True)
+    a = alloc(eng, 24)
+    b = alloc(eng, 4000)
+    lost = alloc(eng, 100)
+    freed = alloc(eng, 64)
+    free(eng, freed)
+    eng.image.write_word(a, b)
+    eng.image.write_word(eng.config.globals_base, a)
+    digest = eng.image.heap_digest()
+    undo_log, _, _ = eng.image.snapshot()
+    found = scan(eng, {"r0": freed}, dangling=True)
+    assert found.leaked == [(lost, 100)]
+    assert [e.payload for e in found.reachable_freed] == [freed]
+    assert undo_log == {}
+    assert eng.image.heap_digest() == digest
+
+
 def test_random_heaps_match_reachability_closure():
     rng = random.Random(2024)
     for _ in range(30):

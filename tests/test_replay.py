@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import pytest
+
 import tripwire as tw
-from tripwire.engine import Engine
+from tripwire.engine import Engine, Mode
+from tripwire.errors import ReplayDivergence
 from tripwire.replay import WatchpointSet
 from tripwire.reports import KIND_OVERFLOW, KIND_UAF
-from tripwire.trace import parse_trace
+from tripwire.trace import EventKind, parse_trace
 
 from conftest import small_config
 from oracles import stack_at_event
@@ -160,3 +163,34 @@ def test_unwatched_words_reported_without_attribution():
     (summary,) = eng.replay_summaries
     # the unwatched word is the highest by address order
     assert max(summary.unwatched_words) > max(summary.armed_words)
+
+
+def test_second_rollback_in_an_epoch_replays_the_retirement():
+    # the free-time rollback retires the corrupted word; the leak found at
+    # the end boundary rolls the same epoch back again, and that replay
+    # must clear the word's bit where the first rollback did
+    events = parse_trace("malloc a 200\nwrite a 200 1 42\nfree a\nmalloc b 40\nend\n")
+    eng = Engine(events, small_config())
+    out = eng.run()
+    overflow, leak = sorted(out.reports, key=lambda r: r.kind != "overflow")
+    assert overflow.kind == "overflow"
+    assert [eid for eid, _ in overflow.offending_events] == [1]
+    assert leak.kind == "leak" and leak.object_addr == out.alloc_sequence[1]
+    assert len(eng.replay_summaries) == 2
+
+
+def test_write_made_only_during_replay_is_a_divergence():
+    # the stray write lands on a page the epoch never wrote, so only an
+    # up-to-date page digest can tell the replayed heap apart
+    text = "malloc big 16000\nglobal 0 = big\ncall fork\nwrite big 0 8 11\nend\n"
+    eng = Engine(parse_trace(text), small_config(), force_rollback_epochs={1})
+    execute = eng._execute
+
+    def execute_with_stray_write(ev):
+        if eng.mode is Mode.REPLAY and ev.kind is EventKind.WRITE:
+            eng.image.write_fill(eng.bindings["big"] + 8192, 8, 0x5A)
+        return execute(ev)
+
+    eng._execute = execute_with_stray_write
+    with pytest.raises(ReplayDivergence):
+        eng.run()

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from tripwire.errors import (
     OversizeRequest,
     SegfaultModel,
 )
-from tripwire.vheap import Allocator, MemoryImage, next_pow2
+from tripwire.vheap import PAGE, Allocator, MemoryImage, next_pow2
 
 from conftest import small_config
 
@@ -228,3 +230,59 @@ def test_allocator_snapshot_restore_resumes_identically():
     tail1_again = [h1.allocate(s) for s in (24, 100, 9)]
     tail2 = [h2.allocate(s) for s in (24, 100, 9)]
     assert tail1 == tail1_again == tail2
+
+
+def page_digests(heap: bytes) -> bytes:
+    return b"".join(hashlib.sha256(heap[i : i + PAGE]).digest() for i in range(0, len(heap), PAGE))
+
+
+# one chunk size that is a multiple of the page size and one that is not,
+# so chunk edges fall both on and inside pages
+CHUNKS = (64 * 1024, 6160)
+_writes = st.tuples(
+    st.sampled_from(("fill", "bytes", "word")),
+    st.integers(min_value=0, max_value=3 * 64 * 1024 // PAGE),  # near this page edge
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=1, max_value=5000),
+    st.integers(min_value=0, max_value=255),
+)
+_steps = st.lists(st.one_of(_writes, st.just(("restore",)), st.just(("snapshot",))), max_size=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CHUNKS), st.integers(min_value=0, max_value=2), _steps)
+def test_undo_log_restores_like_a_full_copy_and_digests_stay_current(chunk, start_chunks, steps):
+    config = small_config(chunk_size=chunk, heap_size=64 * chunk, max_class=1024)
+    image = MemoryImage(config)
+    image.ensure_heap(start_chunks * chunk)
+    snap = image.snapshot()
+    reference = bytes(image.heap)
+    for step in steps:
+        if step[0] == "restore":
+            image.restore(snap)
+            assert bytes(image.heap) == reference
+        elif step[0] == "snapshot":
+            snap = image.snapshot()
+            reference = bytes(image.heap)
+        else:
+            kind, page, delta, length, value = step
+            addr = config.heap_base + max(0, page * PAGE + delta)
+            if kind == "fill":
+                image.write_fill(addr, length, value)
+            elif kind == "bytes":
+                image.write_bytes(addr, bytes((value + i) & 0xFF for i in range(length)))
+            else:
+                image.write_word(addr, value * 0x0101010101010101)
+        assert image.heap_digest() == page_digests(image.heap)
+    image.restore(snap)
+    assert bytes(image.heap) == reference
+    assert image.heap_digest() == page_digests(image.heap)
+
+
+def test_only_the_latest_snapshot_restores():
+    _, image, heap = make_heap()
+    heap.allocate(64)
+    old = image.snapshot()
+    image.snapshot()
+    with pytest.raises(ValueError):
+        image.restore(old)
