@@ -5,14 +5,33 @@ correct by construction (the builder counts events exactly the way the
 parser assigns ids). The rendered .trace files shipped under
 tests/traces/ are generated from these builders; a guard test keeps
 them in sync. Run `python tests/corpus.py` to re-render.
+
+`golden_digests.json` holds the sha256 of the CLI's standard output
+for every corpus trace under each flag set in GOLDEN_FLAGS; a test
+compares against it, so a refactor that changes any report text, JSON
+field or state hash fails tier-1. Run `python tests/corpus.py --golden`
+to regenerate it, only when an output change is intended.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
 from dataclasses import dataclass, field
 from pathlib import Path
 
 TRACES_DIR = Path(__file__).parent / "traces"
+GOLDEN_PATH = Path(__file__).parent / "golden_digests.json"
+
+# CLI flag sets whose standard output the golden digests pin, by name
+GOLDEN_FLAGS = {
+    "text": ("--output", "text", "--dump-state-hash"),
+    "json": ("--output", "json"),
+    "dangling": ("--dangling", "--quarantine-count", "2", "--max-watchpoints", "1", "--dump-state-hash"),
+}
 
 
 class TraceBuilder:
@@ -473,6 +492,29 @@ def render(directory: Path = TRACES_DIR) -> None:
         (directory / f"{case.name}.trace").write_text(case.text, encoding="utf-8")
 
 
+def stdout_digest(trace: Path, flags: tuple[str, ...]) -> str:
+    """sha256 of what `tripwire run TRACE FLAGS...` writes to standard output."""
+    from tripwire.cli import main
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        main(["run", str(trace), *flags])
+    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+def golden_digests(directory: Path = TRACES_DIR) -> dict[str, dict[str, str]]:
+    """{flag set name: {case name: stdout digest}} over the rendered traces."""
+    return {
+        name: {case.name: stdout_digest(directory / f"{case.name}.trace", flags) for case in ALL_CASES}
+        for name, flags in GOLDEN_FLAGS.items()
+    }
+
+
 if __name__ == "__main__":
-    render()
-    print(f"rendered {len(ALL_CASES)} traces to {TRACES_DIR}")
+    if sys.argv[1:] == ["--golden"]:
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+        GOLDEN_PATH.write_text(json.dumps(golden_digests(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {len(GOLDEN_FLAGS)} x {len(ALL_CASES)} digests to {GOLDEN_PATH}")
+    else:
+        render()
+        print(f"rendered {len(ALL_CASES)} traces to {TRACES_DIR}")

@@ -1,0 +1,29 @@
+"""Guards on the effectiveness corpus: rendered files, verdicts, output digests."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import tripwire as tw
+
+from corpus import ALL_CASES, GOLDEN_FLAGS, GOLDEN_PATH, TRACES_DIR, golden_digests
+
+
+def test_rendered_traces_match_the_builders():
+    on_disk = {p.name: p.read_text(encoding="utf-8") for p in TRACES_DIR.iterdir()}
+    assert on_disk == {f"{case.name}.trace": case.text for case in ALL_CASES}
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+def test_case_reports_match_expected(case):
+    out = tw.run_text(case.text, tw.EngineConfig())
+    got = sorted((r.kind, tuple(eid for eid, _ in r.offending_events)) for r in out.reports)
+    assert got == sorted(case.expected)
+
+
+def test_cli_output_matches_golden_digests():
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(GOLDEN_FLAGS)
+    assert golden_digests() == golden
