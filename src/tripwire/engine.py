@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import EngineConfig
 from .epoch import Category, EpochSnapshot, SyscallModel, classify
@@ -36,24 +36,10 @@ from .errors import (
     SegfaultModel,
 )
 from .leakscan import LeakScanner
-from .overflow import OverflowDetector
-from .quarantine import QuarantineEntry, QuarantineQueue, UafItem
-from .replay import (
-    SiteLog,
-    WatchpointSet,
-    leak_report,
-    overflow_report,
-    reachable_freed_report,
-    uaf_report,
-)
-from .reports import (
-    KIND_DOUBLE_FREE,
-    KIND_OVERFLOW,
-    KIND_SEGFAULT,
-    KIND_UAF,
-    ErrorReport,
-    sort_reports,
-)
+from .overflow import OverflowDetector, touches_partial
+from .quarantine import QuarantineEntry, QuarantineQueue
+from .replay import Evidence, WatchpointSet, build_reports
+from .reports import KIND_DOUBLE_FREE, KIND_SEGFAULT, ErrorReport, sort_reports
 from .trace import EventKind, TraceEvent, ValueExpr, parse_trace
 from .vheap import Allocator, MemoryImage, U64_MASK, next_pow2
 
@@ -66,23 +52,9 @@ class Mode(enum.Enum):
 @dataclass
 class Counters:
     writes: int = 0
-    # canary work done on the normal-mode write path; stays zero by design
-    normal_write_checks: int = 0
     replay_watch_checks: int = 0
     allocations: int = 0
     frees: int = 0
-
-
-@dataclass
-class _Evidence:
-    # (corrupted word, owning payload, owning requested size)
-    overflow: list[tuple[int, int | None, int | None]] = field(default_factory=list)
-    uaf: list[UafItem] = field(default_factory=list)
-    leaked: list[tuple[int, int]] = field(default_factory=list)
-    reachable_freed: list[QuarantineEntry] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.overflow or self.uaf or self.leaked or self.reachable_freed)
 
 
 @dataclass(frozen=True)
@@ -135,7 +107,6 @@ class Engine:
         self.quarantine = (
             QuarantineQueue(
                 self.config,
-                self.image,
                 self.allocator,
                 self.overflow,
                 fill_enabled=self.config.detector_enabled("uaf"),
@@ -168,7 +139,9 @@ class Engine:
         self.epoch_index = -1
         self.snapshot: EpochSnapshot | None = None
         self._wps: WatchpointSet | None = None
-        self._site_log: SiteLog | None = None
+        # payload -> (stack, event id) of its latest allocation or free, kept during replay
+        self._alloc_sites: dict[int, tuple[tuple[str, ...], int]] = {}
+        self._free_sites: dict[int, tuple[tuple[str, ...], int]] = {}
         self._replay_alloc_count = 0
         self._current_event: TraceEvent | None = None
         self._ran = False
@@ -206,7 +179,6 @@ class Engine:
 
     def _capture_snapshot(self) -> EpochSnapshot:
         return EpochSnapshot(
-            epoch_index=self.epoch_index,
             event_cursor=self.cursor,
             image=self.image.snapshot(),
             registers=dict(self.registers),
@@ -319,8 +291,8 @@ class Engine:
         self._begin_epoch()
         return False
 
-    def _collect_evidence(self) -> _Evidence:
-        evidence = _Evidence()
+    def _collect_evidence(self) -> Evidence:
+        evidence = Evidence()
         if self.config.detector_enabled("overflow") or self.config.detector_enabled("uaf"):
             words = self.overflow.epoch_scan()
             if self.quarantine is not None and self.quarantine.fill_enabled:
@@ -343,7 +315,7 @@ class Engine:
 
     # -- rollback and replay -----------------------------------------------
 
-    def _rollback_and_replay(self, evidence: _Evidence, stop: int, orig_hash: str) -> None:
+    def _rollback_and_replay(self, evidence: Evidence, stop: int, orig_hash: str) -> None:
         """Restore the epoch snapshot and re-execute events up to stop.
 
         stop is exclusive: the epoch-end path passes the boundary event's
@@ -351,12 +323,11 @@ class Engine:
         detecting event's index + 1 so the free itself replays too.
         """
         resume_cursor = self.cursor
-        words = [(w, KIND_OVERFLOW) for (w, _, _) in evidence.overflow]
-        words += [(item.word, KIND_UAF) for item in evidence.uaf]
         self._restore_snapshot(self.snapshot)
-        wps, unwatched = WatchpointSet.arm(words, self.config.max_watchpoints)
+        wps, unwatched = WatchpointSet.arm(evidence.canary_words(), self.config.max_watchpoints)
         self._wps = wps
-        self._site_log = SiteLog()
+        self._alloc_sites = {}
+        self._free_sites = {}
         self._replay_alloc_count = 0
         self.syscalls.begin_replay()
         self.mode = Mode.REPLAY
@@ -390,7 +361,7 @@ class Engine:
                 replay_start=self.snapshot.event_cursor,
                 replay_stop=stop,
                 armed_words=tuple(sorted(wps.traps)),
-                unwatched_words=tuple(w for w, _ in unwatched),
+                unwatched_words=tuple(unwatched),
                 trap_count=sum(len(t) for t in wps.traps.values()),
                 orig_hash=orig_hash,
                 post_hash=post_hash,
@@ -398,25 +369,13 @@ class Engine:
             )
         )
         self._wps = None
-        self._site_log = None
 
-    def _emit_replay_reports(self, evidence: _Evidence) -> None:
-        epoch = self.epoch_index
-        site_log = self._site_log
-        for word, owner, size in evidence.overflow:
-            self.reports.append(
-                overflow_report(epoch, word, owner, size, self._wps.traps.get(word), site_log)
-            )
-        for item in evidence.uaf:
-            self.reports.append(
-                uaf_report(epoch, item, self._wps.traps.get(item.word), site_log)
-            )
-        for payload, requested in evidence.leaked:
-            self.reports.append(leak_report(epoch, payload, requested, site_log))
-        for entry in evidence.reachable_freed:
-            self.reports.append(reachable_freed_report(epoch, entry, site_log))
+    def _emit_replay_reports(self, evidence: Evidence) -> None:
+        self.reports += build_reports(
+            self.epoch_index, evidence, self._wps.traps, self._alloc_sites, self._free_sites
+        )
         # retire what was just reported so later boundaries stay quiet
-        retired = [w for w, _, _ in evidence.overflow] + [item.word for item in evidence.uaf]
+        retired = evidence.canary_words()
         self.overflow.retire_words(retired)
         self._retirements.append((self.cursor, retired))
         self.reported_evidence.update(p for p, _ in evidence.leaked)
@@ -444,24 +403,15 @@ class Engine:
             view = self.allocator.object_bounds(word)
         except NotAHeapObject:
             return False
-        end = addr + length
-
-        def overlaps(lo: int, hi: int) -> bool:
-            return lo < hi and addr < hi and lo < end
-
-        # partial interior canaries: filled but untracked bytes
-        if self.config.detector_enabled("overflow"):
-            tail = view.payload + min((view.requested + 7) & ~7, view.capacity)
-            if overlaps(view.payload + view.requested, tail):
-                return True
-        # partial tail of a quarantined prefix
-        if self.quarantine is not None and self.quarantine.fill_enabled:
-            entry = self.quarantine.entry_for(view.payload)
-            if entry is not None:
-                fill = self.quarantine.prefix_len(entry)
-                if overlaps(view.payload + (fill & ~7), view.payload + fill):
-                    return True
-        return False
+        # the partial words of the canary regions: filled but untracked bytes
+        if self.config.detector_enabled("overflow") and touches_partial(
+            view.payload + view.requested, view.payload + view.capacity, addr, length
+        ):
+            return True
+        if self.quarantine is None or not self.quarantine.fill_enabled:
+            return False
+        entry = self.quarantine.entry_for(view.payload)
+        return entry is not None and touches_partial(*self.quarantine.region(entry), addr, length)
 
     # -- event dispatch ------------------------------------------------------
 
@@ -474,7 +424,7 @@ class Engine:
         self.extcall_results.append((ev.id, ev.call_name, result))
         self._extcall_by_id[ev.id] = result
 
-    def _execute(self, ev: TraceEvent) -> _Evidence | None:
+    def _execute(self, ev: TraceEvent) -> Evidence | None:
         self._current_event = ev
         kind = ev.kind
         if kind is EventKind.STACK_PUSH:
@@ -535,9 +485,9 @@ class Engine:
                     f"event {ev.id}: replayed allocation at 0x{payload:x} diverges"
                 )
             self._replay_alloc_count += 1
-            self._site_log.record_alloc(payload, tuple(self.call_stack), ev.id)
+            self._alloc_sites[payload] = (tuple(self.call_stack), ev.id)
 
-    def _exec_free(self, ev: TraceEvent) -> _Evidence | None:
+    def _exec_free(self, ev: TraceEvent) -> Evidence | None:
         payload = self.bindings[ev.var]
         view = self.allocator.object_bounds(payload)
         self.counters.frees += 1
@@ -556,7 +506,7 @@ class Engine:
                     )
                 )
             return None
-        evidence = _Evidence()
+        evidence = Evidence()
         if self.config.detector_enabled("overflow"):
             words = self.overflow.check_on_free(payload, view.requested, view.capacity)
             evidence.overflow = [(w, payload, view.requested) for w in words]
@@ -574,7 +524,7 @@ class Engine:
         else:
             self.allocator.release_slot(payload)
         if self.mode is Mode.REPLAY:
-            self._site_log.record_free(payload, tuple(self.call_stack), ev.id)
+            self._free_sites[payload] = (tuple(self.call_stack), ev.id)
             return None
         return evidence if evidence else None
 

@@ -30,7 +30,6 @@ _REPEATABLE = {"getpid", "sleep", "pause"}
 _RECORDABLE = {"mmap", "gettimeofday", "time", "clone", "open"}
 _REVOCABLE = {"write", "read"}
 _DEFERRABLE = {"close", "munmap"}
-_IRREVOCABLE = {"fork", "exec", "exit", "lseek", "pipe", "flock"}
 
 _REPEATABLE_RESULTS = {"getpid": 4242, "sleep": 0, "pause": 0, "fcntl": 0}
 
@@ -49,8 +48,7 @@ def classify(name: str, args: tuple[str, ...] = ()) -> Category:
         return Category.REVOCABLE
     if name in _DEFERRABLE:
         return Category.DEFERRABLE
-    if name in _IRREVOCABLE or name.startswith("socket"):
-        return Category.IRREVOCABLE
+    # fork, exec, exit, lseek, pipe, flock, socket calls and any unknown name
     return Category.IRREVOCABLE
 
 
@@ -220,7 +218,6 @@ class SyscallModel:
 class EpochSnapshot:
     """Everything rollback restores; the call log is deliberately absent."""
 
-    epoch_index: int
     event_cursor: int
     image: tuple[dict[int, bytes], bytes, int]  # MemoryImage undo log, globals, heap length
     registers: dict[str, int]

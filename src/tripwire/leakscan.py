@@ -18,22 +18,13 @@ has set still counts as marked, and the sweep still clears that flag.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotAHeapObject
-from .quarantine import QuarantineEntry, QuarantineQueue
+from .quarantine import QuarantineQueue
+from .replay import Evidence
 from .vheap import Allocator, MemoryImage
-
-
-@dataclass
-class LeakEvidence:
-    leaked: list[tuple[int, int]] = field(default_factory=list)  # (payload, requested)
-    reachable_freed: list[QuarantineEntry] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.leaked or self.reachable_freed)
 
 
 class LeakScanner:
@@ -79,14 +70,14 @@ class LeakScanner:
             words = heap_words[first : first + (view.capacity >> 3)]
             pending.extend(words[(words >= self.heap_base) & (words < self.heap_end)].tolist())
 
-    def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> LeakEvidence:
+    def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> Evidence:
         """Collect allocated-but-unmarked slots, then clear all marks.
 
         suppress holds payload addresses already reported in an earlier
         epoch (and not since reallocated); they stay leaked but are not
         reported again.
         """
-        evidence = LeakEvidence()
+        evidence = Evidence()
         marked = self.marked
         for view in self.allocator.carved_slots():
             is_marked = view.marked or view.payload in marked

@@ -1,11 +1,14 @@
-"""Buffer-overflow tripwires: canary planting, shadow bitmap, epoch scan.
+"""Buffer-overflow tripwires: canary regions, shadow bitmap, epoch scan.
 
-Every slot gets a canary-filled guard word, and allocation requests
-below their slot capacity get the unrequested payload tail filled with
-canaries as well. A shadow bitmap holds one bit per eight-byte heap
-word for every word the detector filled completely; partially filled
-words are left out of the bitmap and checked byte-wise at free time
-instead, so the bitmap stays strictly word-granular.
+A canary region is a byte range [start, end) the detectors fill with
+the canary byte. Three kinds exist: every slot's guard word, the
+unrequested tail of a payload below its slot capacity, and the
+prefix the use-after-free quarantine canaries in a freed payload. A
+shadow bitmap holds one bit per eight-byte heap word for every word a
+region covers completely. A region has at most one partial word, at
+an unaligned edge; it stays out of the bitmap, so the bitmap stays
+strictly word-granular, and is compared byte by byte whenever its
+region is verified (at a free or a quarantine eviction).
 
 Normal execution never checks canaries on the write path. All tracked
 words are verified in one pass at epoch boundaries; the scan skips
@@ -21,8 +24,8 @@ from .config import EngineConfig
 from .vheap import MemoryImage, WORD
 
 
-def align_up(value: int, step: int = WORD) -> int:
-    return (value + step - 1) & ~(step - 1)
+def align_up(value: int) -> int:
+    return (value + WORD - 1) & ~(WORD - 1)
 
 
 class CanaryBitmap:
@@ -48,10 +51,6 @@ class CanaryBitmap:
     def _word_index(self, addr: int) -> int:
         return (addr - self.heap_base) >> 3
 
-    def set_word(self, addr: int) -> None:
-        w = self._word_index(addr)
-        self.bits[w >> 3] |= 1 << (w & 7)
-
     def clear_word(self, addr: int) -> None:
         w = self._word_index(addr)
         self.bits[w >> 3] &= ~(1 << (w & 7))
@@ -61,34 +60,28 @@ class CanaryBitmap:
         return bool(self.bits[w >> 3] & (1 << (w & 7)))
 
     def _span(self, start_addr: int, end_addr: int, value: bool) -> None:
-        w0 = self._word_index(start_addr)
-        w1 = self._word_index(end_addr)
+        """Set or clear the bits of the whole words in [start_addr, end_addr)."""
+        w0 = (start_addr - self.heap_base + WORD - 1) >> 3
+        w1 = (end_addr - self.heap_base) >> 3
         if w1 <= w0:
             return
-        head = min(w1, align_up(w0, 8))
-        for w in range(w0, head):
-            if value:
-                self.bits[w >> 3] |= 1 << (w & 7)
-            else:
-                self.bits[w >> 3] &= ~(1 << (w & 7))
-        if head >= w1:
-            return
-        mid_end = w1 & ~7
-        if mid_end > head:
-            fill = 0xFF if value else 0x00
-            self.bits[head >> 3 : mid_end >> 3] = bytes([fill]) * ((mid_end - head) >> 3)
-        for w in range(max(mid_end, head), w1):
-            if value:
-                self.bits[w >> 3] |= 1 << (w & 7)
-            else:
-                self.bits[w >> 3] &= ~(1 << (w & 7))
+        b0, b1 = w0 >> 3, (w1 - 1) >> 3
+        head = (0xFF << (w0 & 7)) & 0xFF
+        tail = 0xFF >> (7 - ((w1 - 1) & 7))
+        fill = 0xFF if value else 0x00
+        bits = self.bits
+        if b0 == b1:
+            head &= tail
+        else:
+            bits[b1] = bits[b1] & ~tail | fill & tail
+            bits[b0 + 1 : b1] = bytes([fill]) * (b1 - b0 - 1)
+        bits[b0] = bits[b0] & ~head | fill & head
 
-    def set_range(self, addr: int, nbytes: int) -> None:
-        """Set bits for the word-aligned byte range [addr, addr + nbytes)."""
-        self._span(addr, addr + nbytes, True)
+    def set_range(self, start: int, end: int) -> None:
+        self._span(start, end, True)
 
-    def clear_range(self, addr: int, nbytes: int) -> None:
-        self._span(addr, addr + nbytes, False)
+    def clear_range(self, start: int, end: int) -> None:
+        self._span(start, end, False)
 
     def popcount(self) -> int:
         return int.from_bytes(self.bits, "little").bit_count()
@@ -104,8 +97,8 @@ class CanaryBitmap:
 class OverflowDetector:
     """Plants and verifies heap canaries; owns the shared shadow bitmap.
 
-    The use-after-free quarantine writes its prefix canaries through the
-    same bitmap, so the epoch scan below is the single evidence pass for
+    The use-after-free quarantine plants its prefix regions through this
+    detector, so the epoch scan below is the single evidence pass for
     both detectors; attribution of corrupted words happens afterwards.
     """
 
@@ -117,60 +110,63 @@ class OverflowDetector:
         # (set bits, words compared) per epoch scan, for overhead assertions
         self.scan_records: list[tuple[int, int]] = []
 
-    # -- planting ---------------------------------------------------------
+    # -- canary regions -----------------------------------------------------
 
-    def plant_on_alloc(self, payload: int, requested: int, capacity: int) -> None:
-        """Fill the guard word and the unrequested payload tail.
+    def plant(self, start: int, end: int) -> None:
+        """Fill the region [start, end) and track its whole words."""
+        self.image.write_fill(start, end - start, self.config.canary_byte)
+        self.bitmap.set_range(start, end)
 
-        Bits are set for the guard word and for every *fully* canaried
-        eight-byte word in [requested, capacity); a leading partial word
-        is filled but stays untracked. Stale bits from the slot's previous
-        life are cleared first.
+    def corrupted(self, start: int, end: int) -> list[int]:
+        """Words of the region [start, end) that no longer hold the canary.
+
+        Whole words count only while tracked; a partial word at an
+        unaligned edge is compared byte by byte and reported by its
+        aligned address. Returns word addresses in ascending order.
         """
-        guard = payload - 32
-        self.image.write_fill(guard, WORD, self.config.canary_byte)
-        self.bitmap.set_word(guard)
-        self.bitmap.clear_range(payload, capacity)
-        if requested < capacity:
-            self.image.write_fill(payload + requested, capacity - requested, self.config.canary_byte)
-            tracked_from = align_up(requested)
-            if tracked_from < capacity:
-                self.bitmap.set_range(payload + tracked_from, capacity - tracked_from)
-
-    # -- checks -----------------------------------------------------------
-
-    def _corrupted_tracked_words(self, start: int, end: int) -> list[int]:
-        """Words in [start, end) that are tracked but no longer canaries."""
+        canary, image = self.canary_word, self.image
+        lo, hi = align_up(start), end & ~(WORD - 1)
         out = []
-        addr = start
-        while addr < end:
-            if self.bitmap.test_word(addr) and self.image.read(addr, WORD) != self.canary_word:
-                out.append(addr)
-            addr += WORD
+        if start < lo:  # partial word at the start
+            n = min(lo, end) - start
+            if image.read(start, n) != canary[:n]:
+                out.append(lo - WORD)
+        if lo < hi:
+            base, heap = image.heap_base, image.heap
+            first, last = lo - base, hi - base
+            # an intact region, the common case, costs one comparison
+            if heap[first:last] != canary * ((last - first) >> 3):
+                bits = self.bitmap.bits
+                for off in range(first, last, WORD):
+                    w = off >> 3
+                    if bits[w >> 3] >> (w & 7) & 1 and heap[off : off + WORD] != canary:
+                        out.append(base + off)
+        if lo <= hi < end and image.read(hi, end - hi) != canary[: end - hi]:
+            out.append(hi)  # partial word at the end
         return out
 
+    def plant_on_alloc(self, payload: int, requested: int, capacity: int) -> None:
+        """Plant the guard word and the unrequested payload tail.
+
+        Stale bits from the slot's previous life are cleared first.
+        """
+        self.plant(payload - 32, payload - 24)
+        self.bitmap.clear_range(payload, payload + capacity)
+        if requested < capacity:
+            self.plant(payload + requested, payload + capacity)
+
     def check_on_free(self, payload: int, requested: int, capacity: int) -> list[int]:
-        """Free-time verification for objects with interior canaries.
+        """Free-time verification of the guard word and the payload tail.
 
         Exact power-of-two requests (requested == capacity) carry no
-        interior evidence and are deferred to the epoch scan. For the
-        rest, both the interior range and the guard word are verified.
-        Returns corrupted word addresses; the caller decides what to do.
+        interior evidence and are deferred to the epoch scan. Returns
+        corrupted word addresses; the caller decides what to do.
         """
         if requested >= capacity:
             return []
-        corrupted = set()
-        guard = payload - 32
-        if self.bitmap.test_word(guard) and self.image.read(guard, WORD) != self.canary_word:
-            corrupted.add(guard)
-        tracked_from = align_up(requested)
-        corrupted.update(self._corrupted_tracked_words(payload + tracked_from, payload + capacity))
-        partial = min(tracked_from, capacity) - requested
-        if partial:
-            expect = bytes([self.config.canary_byte]) * partial
-            if self.image.read(payload + requested, partial) != expect:
-                corrupted.add(payload + (requested & ~7))
-        return sorted(corrupted)
+        return self.corrupted(payload - 32, payload - 24) + self.corrupted(
+            payload + requested, payload + capacity
+        )
 
     def epoch_scan(self) -> list[int]:
         """Compare every tracked word against the canary word.
@@ -212,3 +208,11 @@ class OverflowDetector:
         for addr in words:
             if self.image.read(addr, WORD) != self.canary_word:
                 self.bitmap.clear_word(addr)
+
+
+def touches_partial(start: int, end: int, addr: int, length: int) -> bool:
+    """True when the write [addr, addr + length) overlaps the partial word
+    at an unaligned edge of the region [start, end)."""
+    lo, hi, stop = align_up(start), end & ~(WORD - 1), addr + length
+    edges = ((start, min(lo, end)), (max(hi, start), end))  # empty when aligned
+    return any(a < b and addr < b and a < stop for a, b in edges)

@@ -1,8 +1,11 @@
 """FIFO quarantine for freed objects (use-after-free tripwires).
 
-Freed slots are withheld from reuse in a FIFO queue and the leading
-prefix of each payload (128 bytes by default) is filled with canaries
-and tracked in the shared bitmap. Slots leave the queue oldest-first
+Freed slots are withheld from reuse in a FIFO queue, and the leading
+prefix of each payload, [payload, payload + min(128, capacity)) by
+default, is planted as a canary region of the overflow detector: filled
+with canaries, its whole words tracked in the shared bitmap, and a
+partial last word (for a fill prefix that is not a multiple of eight)
+compared byte by byte. Slots leave the queue oldest-first
 whenever the queue exceeds its object-count or capacity-sum threshold;
 each evicted slot is verified before the allocator may reuse it. A
 slot evicted with corrupted canaries is withheld from reuse entirely.
@@ -14,8 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .config import EngineConfig
-from .overflow import OverflowDetector, align_up
-from .vheap import Allocator, MemoryImage, WORD
+from .overflow import OverflowDetector
+from .vheap import Allocator
 
 
 @dataclass(frozen=True)
@@ -40,13 +43,11 @@ class QuarantineQueue:
     def __init__(
         self,
         config: EngineConfig,
-        image: MemoryImage,
         allocator: Allocator,
         detector: OverflowDetector,
         fill_enabled: bool = True,
     ):
         self.config = config
-        self.image = image
         self.allocator = allocator
         self.detector = detector
         # off when the queue only delays reuse for dangling detection
@@ -61,8 +62,9 @@ class QuarantineQueue:
     def entry_for(self, payload: int) -> QuarantineEntry | None:
         return self.by_payload.get(payload)
 
-    def prefix_len(self, entry: QuarantineEntry) -> int:
-        return min(self.config.uaf_fill_prefix, entry.capacity)
+    def region(self, entry: QuarantineEntry) -> tuple[int, int]:
+        """The canaried prefix of a quarantined payload, as [start, end)."""
+        return entry.payload, entry.payload + min(self.config.uaf_fill_prefix, entry.capacity)
 
     # -- free path --------------------------------------------------------
 
@@ -70,15 +72,10 @@ class QuarantineQueue:
         """Quarantine a freed slot; returns evidence from any evictions.
 
         The caller has already cleared the allocated bit and run the
-        overflow free-time check. The canaried prefix is filled here and
-        its fully covered words are tracked in the shared bitmap.
+        overflow free-time check. The canaried prefix is planted here.
         """
         if self.fill_enabled:
-            fill = self.prefix_len(entry)
-            self.image.write_fill(entry.payload, fill, self.config.canary_byte)
-            tracked = fill & ~(WORD - 1)
-            if tracked:
-                self.detector.bitmap.set_range(entry.payload, tracked)
+            self.detector.plant(*self.region(entry))
         self.entries.append(entry)
         self.by_payload[entry.payload] = entry
         self.total_bytes += entry.capacity
@@ -104,24 +101,12 @@ class QuarantineQueue:
         prefix bits cleared. Corrupted entries are reported and withheld
         from reuse (their slot stays out of circulation).
         """
-        if not self.fill_enabled:
-            self.allocator.release_slot(entry.payload)
-            return []
-        corrupted: set[int] = set()
-        fill = self.prefix_len(entry)
-        tracked = fill & ~(WORD - 1)
-        canary = self.config.canary_word
-        for addr in range(entry.payload, entry.payload + tracked, WORD):
-            if self.detector.bitmap.test_word(addr) and self.image.read(addr, WORD) != canary:
-                corrupted.add(addr)
-        partial = fill - tracked
-        if partial:
-            expect = bytes([self.config.canary_byte]) * partial
-            if self.image.read(entry.payload + tracked, partial) != expect:
-                corrupted.add(entry.payload + tracked)
-        if corrupted:
-            return [UafItem(word, entry) for word in sorted(corrupted)]
-        self.detector.bitmap.clear_range(entry.payload, tracked)
+        if self.fill_enabled:
+            start, end = self.region(entry)
+            corrupted = self.detector.corrupted(start, end)
+            if corrupted:
+                return [UafItem(word, entry) for word in corrupted]
+            self.detector.bitmap.clear_range(start, end)
         self.allocator.release_slot(entry.payload)
         return []
 
@@ -136,11 +121,7 @@ class QuarantineQueue:
         uaf: list[UafItem] = []
         rest: list[int] = []
         for word in words:
-            owner = None
-            for entry in self.entries:
-                if entry.payload <= word < entry.payload + self.prefix_len(entry):
-                    owner = entry
-                    break
+            owner = next((e for e in self.entries if word in range(*self.region(e))), None)
             if owner is None:
                 rest.append(word)
             else:

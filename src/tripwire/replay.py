@@ -1,4 +1,4 @@
-"""Replay instrumentation: simulated watchpoints and call-site recording.
+"""Replay instrumentation: simulated watchpoints, evidence, and reports.
 
 During re-execution the engine arms up to a small fixed number of
 watchpoints (four by default, mirroring the x86 debug-register budget)
@@ -7,7 +7,8 @@ is checked for overlap with the armed words; engine-internal writes
 such as canary planting never reach the check. Traps do not stop the
 replay: the whole epoch range re-executes so one report can accumulate
 every write that hit a watched word. Allocation and deallocation call
-sites are recorded only here, never during normal execution.
+sites are recorded only here, never during normal execution, in two
+plain dicts the engine passes to build_reports.
 """
 
 from __future__ import annotations
@@ -15,19 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import reports as rp
-from .quarantine import UafItem
+from .quarantine import QuarantineEntry, UafItem
 from .vheap import WORD
-
-
-@dataclass(frozen=True)
-class Watchpoint:
-    word_addr: int
-    kind: str  # rp.KIND_OVERFLOW or rp.KIND_UAF
 
 
 @dataclass
 class Trap:
-    word_addr: int
     event_id: int
     stack: tuple[str, ...]
 
@@ -35,145 +29,90 @@ class Trap:
 class WatchpointSet:
     """Armed word watchpoints plus the traps they collected."""
 
-    def __init__(self, watchpoints: list[Watchpoint]):
-        self.watchpoints = watchpoints
-        self.traps: dict[int, list[Trap]] = {wp.word_addr: [] for wp in watchpoints}
+    def __init__(self, words: list[int]):
+        self.traps: dict[int, list[Trap]] = {word: [] for word in words}
         self._words = sorted(self.traps)
 
     @classmethod
-    def arm(cls, words_with_kinds: list[tuple[int, str]], limit: int) -> tuple["WatchpointSet", list[tuple[int, str]]]:
+    def arm(cls, words: list[int], limit: int) -> tuple["WatchpointSet", list[int]]:
         """Arm the first `limit` corrupted words by address order.
 
         Returns the set and the words left unwatched (reported without
         event attribution).
         """
-        ordered = sorted(words_with_kinds)
-        armed = [Watchpoint(w, kind) for w, kind in ordered[:limit]]
-        return cls(armed), ordered[limit:]
-
-    def __len__(self) -> int:
-        return len(self.watchpoints)
+        ordered = sorted(words)
+        return cls(ordered[:limit]), ordered[limit:]
 
     def overlapping(self, addr: int, length: int) -> list[int]:
         end = addr + length
         return [w for w in self._words if w < end and addr < w + WORD]
 
     def record(self, word: int, event_id: int, stack: tuple[str, ...]) -> None:
-        self.traps[word].append(Trap(word, event_id, stack))
-
-    def check_write(self, addr: int, length: int, event_id: int, stack: tuple[str, ...]) -> int:
-        """Record a trap for every armed word overlapping the write."""
-        hits = 0
-        for word in self.overlapping(addr, length):
-            self.record(word, event_id, stack)
-            hits += 1
-        return hits
+        self.traps[word].append(Trap(event_id, stack))
 
 
 @dataclass
-class SiteLog:
-    """Per-replay record of allocation and deallocation call sites."""
+class Evidence:
+    """What one check found: the reason for a rollback and its reports."""
 
-    alloc_sites: dict[int, tuple[tuple[str, ...], int]] = field(default_factory=dict)
-    free_sites: dict[int, tuple[tuple[str, ...], int]] = field(default_factory=dict)
+    # (corrupted word, owning payload, owning requested size)
+    overflow: list[tuple[int, int | None, int | None]] = field(default_factory=list)
+    uaf: list[UafItem] = field(default_factory=list)
+    leaked: list[tuple[int, int]] = field(default_factory=list)  # (payload, requested)
+    reachable_freed: list[QuarantineEntry] = field(default_factory=list)
 
-    def record_alloc(self, payload: int, stack: tuple[str, ...], event_id: int) -> None:
-        self.alloc_sites[payload] = (stack, event_id)
+    def __bool__(self) -> bool:
+        return bool(self.overflow or self.uaf or self.leaked or self.reachable_freed)
 
-    def record_free(self, payload: int, stack: tuple[str, ...], event_id: int) -> None:
-        self.free_sites[payload] = (stack, event_id)
-
-
-def _alloc_fields(payload: int | None, site_log: SiteLog | None) -> dict:
-    if payload is None:
-        return {"alloc_stack": None, "alloc_event": None, "alloc_prior_epoch": False}
-    site = site_log.alloc_sites.get(payload) if site_log else None
-    if site is None:
-        return {"alloc_stack": None, "alloc_event": None, "alloc_prior_epoch": True}
-    stack, event_id = site
-    return {"alloc_stack": stack, "alloc_event": event_id, "alloc_prior_epoch": False}
+    def canary_words(self) -> list[int]:
+        """The corrupted canary words, overflow first."""
+        return [w for w, _, _ in self.overflow] + [item.word for item in self.uaf]
 
 
-def overflow_report(
+def build_reports(
     epoch: int,
-    word: int,
-    owner_payload: int | None,
-    owner_size: int | None,
-    traps: list[Trap] | None,
-    site_log: SiteLog | None,
-) -> rp.ErrorReport:
-    events = tuple((t.event_id, t.stack) for t in traps) if traps else ()
-    return rp.ErrorReport(
-        kind=rp.KIND_OVERFLOW,
-        epoch=epoch,
-        corrupted_addr=word,
-        object_addr=owner_payload,
-        object_size=owner_size,
-        offending_events=events,
-        unattributed=not events,
-        **_alloc_fields(owner_payload, site_log),
-    )
+    evidence: Evidence,
+    traps: dict[int, list[Trap]],
+    alloc_sites: dict[int, tuple[tuple[str, ...], int]],
+    free_sites: dict[int, tuple[tuple[str, ...], int]],
+) -> list[rp.ErrorReport]:
+    """One report per finding, overflow, use-after-free, leak, reachable freed.
 
-
-def uaf_report(
-    epoch: int,
-    item: UafItem,
-    traps: list[Trap] | None,
-    site_log: SiteLog | None,
-) -> rp.ErrorReport:
-    events = tuple((t.event_id, t.stack) for t in traps) if traps else ()
-    entry = item.entry
-    free_site = site_log.free_sites.get(entry.payload) if site_log else None
-    free_stack, free_event = free_site if free_site else (entry.free_stack, entry.free_event)
-    return rp.ErrorReport(
-        kind=rp.KIND_UAF,
-        epoch=epoch,
-        corrupted_addr=item.word,
-        object_addr=entry.payload,
-        object_size=entry.requested,
-        offending_events=events,
-        free_stack=free_stack,
-        free_event=free_event,
-        unattributed=not events,
-        **_alloc_fields(entry.payload, site_log),
-    )
-
-
-def leak_report(
-    epoch: int,
-    payload: int,
-    requested: int,
-    site_log: SiteLog | None,
-) -> rp.ErrorReport:
-    site = site_log.alloc_sites.get(payload) if site_log else None
-    if site is None:
-        return rp.ErrorReport(
-            kind=rp.KIND_LEAK,
-            epoch=epoch,
-            object_addr=payload,
-            object_size=requested,
-            alloc_prior_epoch=True,
+    A corrupted word's report lists the writes that trapped on it; a
+    leak's lists its allocation when replay saw it. The site dicts map a
+    payload to the (stack, event id) of its latest allocation or free
+    that replay executed; a freed object replay did not see freed keeps
+    the site its quarantine entry holds.
+    """
+    findings = [(rp.KIND_OVERFLOW, w, p, size, None) for w, p, size in evidence.overflow]
+    findings += [(rp.KIND_UAF, i.word, i.entry.payload, i.entry.requested, i.entry) for i in evidence.uaf]
+    findings += [(rp.KIND_LEAK, None, p, size, None) for p, size in evidence.leaked]
+    findings += [(rp.KIND_LEAK, None, e.payload, e.requested, e) for e in evidence.reachable_freed]
+    out = []
+    for kind, word, payload, size, freed in findings:
+        site = alloc_sites.get(payload)
+        freed_by = freed and free_sites.get(payload, (freed.free_stack, freed.free_event))
+        if word is not None:
+            events = tuple((t.event_id, t.stack) for t in traps.get(word, ()))
+        elif freed is None and site is not None:
+            events = ((site[1], site[0]),)
+        else:
+            events = ()
+        out.append(
+            rp.ErrorReport(
+                kind=kind,
+                epoch=epoch,
+                corrupted_addr=word,
+                object_addr=payload,
+                object_size=size,
+                offending_events=events,
+                alloc_stack=site[0] if site else None,
+                alloc_event=site[1] if site else None,
+                alloc_prior_epoch=payload is not None and site is None,
+                free_stack=freed_by[0] if freed else None,
+                free_event=freed_by[1] if freed else None,
+                unattributed=word is not None and not events,
+                reachable_freed=kind == rp.KIND_LEAK and freed is not None,
+            )
         )
-    stack, event_id = site
-    return rp.ErrorReport(
-        kind=rp.KIND_LEAK,
-        epoch=epoch,
-        object_addr=payload,
-        object_size=requested,
-        offending_events=((event_id, stack),),
-        alloc_stack=stack,
-        alloc_event=event_id,
-    )
-
-
-def reachable_freed_report(epoch: int, entry, site_log: SiteLog | None) -> rp.ErrorReport:
-    return rp.ErrorReport(
-        kind=rp.KIND_LEAK,
-        epoch=epoch,
-        object_addr=entry.payload,
-        object_size=entry.requested,
-        free_stack=entry.free_stack,
-        free_event=entry.free_event,
-        reachable_freed=True,
-        **_alloc_fields(entry.payload, site_log),
-    )
+    return out

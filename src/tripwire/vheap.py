@@ -245,10 +245,6 @@ class ObjectView:
     def guard(self) -> int:
         return self.slot
 
-    @property
-    def header(self) -> int:
-        return self.slot + GUARD_BYTES
-
 
 @dataclass
 class _Chunk:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import tripwire as tw
-from tripwire.engine import Engine
+from tripwire import engine as engine_module
+from tripwire.engine import Engine, Mode
 from tripwire.errors import OversizeRequest
 from tripwire.trace import EventKind, parse_trace
 
@@ -220,8 +223,75 @@ def test_reallocated_address_can_be_reported_again():
 def test_run_outcome_counters_have_no_normal_write_checks():
     out = tw.run_text(CLEAN, small_config())
     assert out.counters.writes == 1
-    assert out.counters.normal_write_checks == 0
     assert out.counters.replay_watch_checks == 0  # clean: no replay at all
+
+
+def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
+    # every entry point to canary state is counted while a trace write
+    # runs: none may be reached in normal mode, and replay must reach them
+    text = """
+    stack push main
+    malloc a 24
+    malloc b 100
+    malloc c 64
+    write a 0 24 41
+    write a 24 1 42
+    free a
+    write b 104 4 55
+    global 0 = b
+    free c
+    write c 8 4 25
+    call fork
+    write b 0 100 07
+    stack pop
+    end
+    """
+    eng = Engine(parse_trace(text), small_config())
+    writes: Counter[Mode] = Counter()
+    checks: Counter[Mode] = Counter()
+    running: list[Mode] = []  # mode of the trace write in progress
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if running:
+                checks[running[-1]] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    class CountedBitmap:
+        def __init__(self, bitmap):
+            self._bitmap = bitmap
+
+        def __getattr__(self, name):
+            if running:
+                checks[running[-1]] += 1
+            return getattr(self._bitmap, name)
+
+    def trace_write(write):
+        def wrapper(*args, internal=True, **kwargs):
+            if internal:
+                return write(*args, **kwargs)
+            writes[eng.mode] += 1
+            running.append(eng.mode)
+            try:
+                return write(*args, internal=False, **kwargs)
+            finally:
+                running.pop()
+
+        return wrapper
+
+    eng.overflow.bitmap = CountedBitmap(eng.overflow.bitmap)
+    eng.overflow.corrupted = counted(eng.overflow.corrupted)
+    monkeypatch.setattr(engine_module, "touches_partial", counted(engine_module.touches_partial))
+    eng.image.write_fill = trace_write(eng.image.write_fill)
+    eng.image.write_word = trace_write(eng.image.write_word)
+
+    out = eng.run()
+    assert sorted(r.kind for r in out.reports) == ["overflow", "overflow", "use-after-free"]
+    assert writes[Mode.NORMAL] == 6 and writes[Mode.REPLAY] > 0
+    assert checks[Mode.NORMAL] == 0
+    assert checks[Mode.REPLAY] >= 1
 
 
 def test_engine_is_single_use():

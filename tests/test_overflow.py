@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import tripwire as tw
 from tripwire.engine import Engine
+from tripwire.overflow import touches_partial
 from tripwire.quarantine import QuarantineEntry
 from tripwire.vheap import next_pow2
 
@@ -43,6 +44,27 @@ def test_plant_24_of_32_tracks_exactly_one_interior_word():
     assert eng.image.read(a + 24, 8) == bytes([CANARY]) * 8
     assert eng.image.read(a - 32, 8) == bytes([CANARY]) * 8  # guard word
     assert bitmap_words(eng) == {a - 32, a + 24}
+
+
+def test_canary_region_checks_a_partial_edge_word_bytewise():
+    eng = harness()
+    a = alloc(eng, 64)
+    det = eng.overflow
+    det.plant(a + 4, a + 24)  # partial word at the start
+    det.plant(a + 32, a + 44)  # partial word at the end
+    assert bitmap_words(eng) == {a - 32, a + 8, a + 16, a + 32}
+    assert det.corrupted(a + 4, a + 24) == det.corrupted(a + 32, a + 44) == []
+    eng.image.write_fill(a + 5, 1, 0x00, internal=False)
+    eng.image.write_fill(a + 16, 1, 0x00, internal=False)
+    eng.image.write_fill(a + 43, 1, 0x00, internal=False)
+    assert det.corrupted(a + 4, a + 24) == [a, a + 16]
+    assert det.corrupted(a + 32, a + 44) == [a + 40]
+    assert touches_partial(a + 4, a + 24, a + 7, 1)
+    assert not touches_partial(a + 4, a + 24, a, 4)
+    assert not touches_partial(a + 4, a + 24, a + 8, 8)  # tracked word: the bitmap's job
+    assert touches_partial(a + 32, a + 44, a + 43, 4)
+    assert not touches_partial(a + 32, a + 44, a + 44, 4)
+    assert not touches_partial(a + 32, a + 44, a + 32, 8)
 
 
 def test_plant_exact_power_of_two_has_guard_only():

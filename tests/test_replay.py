@@ -6,7 +6,7 @@ import tripwire as tw
 from tripwire.engine import Engine, Mode
 from tripwire.errors import ReplayDivergence
 from tripwire.replay import WatchpointSet
-from tripwire.reports import KIND_OVERFLOW, KIND_UAF
+from tripwire.reports import KIND_UAF
 from tripwire.trace import EventKind, parse_trace
 
 from conftest import small_config
@@ -14,28 +14,34 @@ from oracles import stack_at_event
 
 
 def test_watch_check_traps_overlapping_write():
-    wps, unwatched = WatchpointSet.arm([(0x1000, KIND_OVERFLOW)], limit=4)
+    wps, unwatched = WatchpointSet.arm([0x1000], limit=4)
     assert unwatched == []
-    assert wps.check_write(0x0FFE, 4, event_id=7, stack=("main",)) == 1
-    assert wps.check_write(0x1008, 8, event_id=8, stack=("main",)) == 0
-    assert wps.check_write(0x0FF0, 8, event_id=9, stack=("main",)) == 0
-    (trap,) = wps.traps[0x1000][:1]
-    assert trap.event_id == 7 and trap.stack == ("main",)
+    assert wps.overlapping(0x0FFE, 4) == [0x1000]
+    assert wps.overlapping(0x0FF9, 8) == [0x1000]  # last byte is the word's first
+    assert wps.overlapping(0x1007, 1) == [0x1000]  # the word's last byte
+    assert wps.overlapping(0x0FF8, 8) == []  # ends where the word starts
+    assert wps.overlapping(0x1008, 8) == []  # starts where the word ends
+    assert wps.overlapping(0x0FF0, 8) == []
 
 
 def test_one_write_spanning_two_watched_words_traps_both():
-    wps, _ = WatchpointSet.arm([(0x1000, KIND_OVERFLOW), (0x1008, KIND_UAF)], limit=4)
-    assert wps.check_write(0x1004, 8, event_id=3, stack=()) == 2
-    assert [t.event_id for t in wps.traps[0x1000]] == [3]
-    assert [t.event_id for t in wps.traps[0x1008]] == [3]
+    wps, _ = WatchpointSet.arm([0x1000, 0x1008], limit=4)
+    assert wps.overlapping(0x1004, 8) == [0x1000, 0x1008]
+    # on the engine path: one dangling write spans two prefix canary words
+    text = "stack push main\nmalloc obj 64\nfree obj\nwriteabs obj+4 8 25\nend\n"
+    eng = Engine(parse_trace(text), small_config())
+    out = eng.run()
+    (summary,) = eng.replay_summaries
+    assert len(summary.armed_words) == 2 and summary.trap_count == 2
+    assert [r.kind for r in out.reports] == [KIND_UAF, KIND_UAF]
+    assert [r.offending_events for r in out.reports] == [((3, ("main",)),)] * 2
 
 
 def test_arm_limit_orders_by_address():
-    words = [(0x5000, KIND_OVERFLOW), (0x1000, KIND_UAF), (0x3000, KIND_OVERFLOW),
-             (0x2000, KIND_UAF), (0x4000, KIND_OVERFLOW)]
-    wps, unwatched = WatchpointSet.arm(words, limit=4)
+    wps, unwatched = WatchpointSet.arm([0x5000, 0x1000, 0x3000, 0x2000, 0x4000], limit=4)
     assert sorted(wps.traps) == [0x1000, 0x2000, 0x3000, 0x4000]
-    assert unwatched == [(0x5000, KIND_OVERFLOW)]
+    assert wps.overlapping(0x1000, 0x4000) == [0x1000, 0x2000, 0x3000, 0x4000]
+    assert unwatched == [0x5000]
 
 
 def test_canary_replant_during_replay_does_not_trap():
