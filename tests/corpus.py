@@ -9,8 +9,11 @@ them in sync. Run `python tests/corpus.py` to re-render.
 `golden_digests.json` holds the sha256 of the CLI's standard output
 for every corpus trace under each flag set in GOLDEN_FLAGS; a test
 compares against it, so a refactor that changes any report text, JSON
-field or state hash fails tier-1. Run `python tests/corpus.py --golden`
-to regenerate it, only when an output change is intended.
+field or state hash fails tier-1. The flag sets in HASH_MASKED have
+`final_state_hash` masked before the digest is taken, so they pin
+everything but the hash and stay unchanged when only hashes move. Run
+`python tests/corpus.py --golden` to regenerate it, only when an output
+change is intended.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
@@ -31,7 +35,10 @@ GOLDEN_FLAGS = {
     "text": ("--output", "text", "--dump-state-hash"),
     "json": ("--output", "json"),
     "dangling": ("--dangling", "--quarantine-count", "2", "--max-watchpoints", "1", "--dump-state-hash"),
+    "json_hashless": ("--output", "json"),
 }
+HASH_MASKED = frozenset({"json_hashless"})
+_HASH_FIELD = re.compile(r'"final_state_hash": "[0-9a-f]*"')
 
 
 class TraceBuilder:
@@ -492,20 +499,28 @@ def render(directory: Path = TRACES_DIR) -> None:
         (directory / f"{case.name}.trace").write_text(case.text, encoding="utf-8")
 
 
-def stdout_digest(trace: Path, flags: tuple[str, ...]) -> str:
-    """sha256 of what `tripwire run TRACE FLAGS...` writes to standard output."""
+def stdout_digest(trace: Path, flags: tuple[str, ...], mask_hash: bool = False) -> str:
+    """sha256 of what `tripwire run TRACE FLAGS...` writes to standard output,
+    with the JSON `final_state_hash` value blanked when mask_hash is set."""
     from tripwire.cli import main
 
     buf = io.StringIO()
     with redirect_stdout(buf):
         main(["run", str(trace), *flags])
-    return hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    out = buf.getvalue()
+    if mask_hash:
+        out, count = _HASH_FIELD.subn('"final_state_hash": ""', out)
+        assert count == 1, f"{trace.name}: expected one final_state_hash field"
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
 def golden_digests(directory: Path = TRACES_DIR) -> dict[str, dict[str, str]]:
     """{flag set name: {case name: stdout digest}} over the rendered traces."""
     return {
-        name: {case.name: stdout_digest(directory / f"{case.name}.trace", flags) for case in ALL_CASES}
+        name: {
+            case.name: stdout_digest(directory / f"{case.name}.trace", flags, name in HASH_MASKED)
+            for case in ALL_CASES
+        }
         for name, flags in GOLDEN_FLAGS.items()
     }
 
