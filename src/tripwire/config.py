@@ -51,6 +51,8 @@ class EngineConfig:
             raise ConfigError("require 8 <= min_class <= max_class")
         if self.chunk_size < self.max_class + 32:
             raise ConfigError("chunk size must fit at least one slot of the largest class")
+        if self.heap_size <= 0:
+            raise ConfigError("heap size must be positive")
         if self.heap_size % self.chunk_size != 0:
             raise ConfigError("heap size must be a multiple of the chunk size")
         if self.heap_base % 16 != 0 or self.chunk_size % 16 != 0:

@@ -150,15 +150,17 @@ class Engine:
 
     def image_hash(self) -> str:
         h = hashlib.sha256()
-        h.update(len(self.image.heap).to_bytes(8, "little"))
-        h.update(self.image.heap)
+        length = self.image.heap_prefix
+        h.update(length.to_bytes(8, "little"))
+        with memoryview(self.image.heap) as view:
+            h.update(view[:length])
         h.update(self.image.globals)
         return h.hexdigest()
 
     def full_state_hash(self) -> str:
         """Hash of all state rollback must reproduce (fidelity checks)."""
         h = hashlib.sha256()
-        h.update(len(self.image.heap).to_bytes(8, "little"))
+        h.update(self.image.heap_prefix.to_bytes(8, "little"))
         h.update(self.image.heap_digest())
         h.update(self.image.globals)
         h.update(repr(sorted(self.registers.items())).encode())

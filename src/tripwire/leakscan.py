@@ -49,8 +49,9 @@ class LeakScanner:
         Expects no marks (sweep leaves none).
         """
         marked = self.marked
-        # carved slots lie inside the materialized heap, and payloads are
-        # word-aligned; the view is only read, so the heap cannot resize under it
+        # payloads are word-aligned; the heap is one fixed mapping of the
+        # whole region that never resizes, so the view stays valid and
+        # costs nothing for pages never touched
         heap_words = np.frombuffer(self.image.heap, dtype="<u8")
         pending = deque(self._roots(registers))
         while pending:

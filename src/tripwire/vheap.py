@@ -15,19 +15,28 @@ flag bits), so byte-exact snapshots of the memory image capture it for
 free. Engine bookkeeping (chunk table, free lists, cursors) lives in
 ordinary Python objects and never occupies modeled heap addresses.
 
-The heap image is materialized lazily in chunk-sized steps: untouched
-tail space reads as zeros, keeping large default geometry cheap at
-small scale. Snapshots are copy-on-write at 4 KiB page granularity: a
-snapshot starts an undo log, and the first write to each page that
-existed at snapshot time saves that page's old bytes, so a snapshot and
-a restore cost in proportion to the pages the epoch wrote. A sha256
-digest is kept per page and recomputed only for pages written since
-it was last taken, so hashing the heap costs the same.
+The heap image is one anonymous private mapping of the whole heap
+region, reserved without swap accounting: the kernel zero-fills its
+pages on first touch, so pages nobody wrote cost neither time nor
+resident memory. A logical length, grown in chunk steps as the
+allocator carves chunks, is the heap's modeled size; it sets the
+length word and the page count the state hash covers and the size of
+the canary bitmap. Every byte past the logical length reads zero.
+Snapshots are copy-on-write at 4 KiB page granularity: a snapshot
+starts an undo log, and the first write to each page saves that page's
+bytes below the snapshot length (none for a page wholly past it), so a
+snapshot and a restore cost in proportion to the pages the epoch
+wrote. A restore writes each saved page back and zeroes the rest of
+it, which keeps the zero invariant without truncating anything. A
+sha256 digest is kept per page, over the page's bytes below the
+logical length, and recomputed only for pages written since it was
+last taken, so hashing the heap costs the same.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
 from dataclasses import dataclass
 
 from .config import EngineConfig
@@ -53,10 +62,25 @@ PAGE_SHIFT = 12
 PAGE = 1 << PAGE_SHIFT
 DIGEST_BYTES = 32
 _ZERO_PAGE_DIGEST = hashlib.sha256(bytes(PAGE)).digest()
+# Python exposes the flag from 3.13 on; 0x4000 is its value on Linux
+_MAP_NORESERVE = getattr(mmap, "MAP_NORESERVE", 0x4000)
 
 
 def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
+
+
+def _reserve(size: int) -> mmap.mmap:
+    """Reserve size bytes of zero-filled, private address space."""
+    try:
+        return mmap.mmap(
+            -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_NORESERVE
+        )
+    except (OSError, OverflowError) as err:
+        raise OutOfVirtualHeap(
+            f"cannot reserve {size} bytes of address space for the heap ({err}); "
+            "lower --heap-size"
+        ) from None
 
 
 class MemoryImage:
@@ -76,40 +100,40 @@ class MemoryImage:
         self.chunk_size = config.chunk_size
         self.globals_base = config.globals_base
         self.globals_size = 8 * config.globals_words
-        self.heap = bytearray()
+        self.heap = _reserve(self.heap_size)
+        self._len = 0  # logical heap length; every byte past it is zero
         self.globals = bytearray(self.globals_size)
         self.write_observer = None
         self.grow_hooks: list = []
-        # undo log of the latest snapshot: page index -> bytes at snapshot time
+        # undo log of the latest snapshot: page index -> the page's bytes
+        # below the snapshot length, empty for a page wholly past it
         self._saved: dict[int, bytes] = {}
         self._snap_len = 0
-        self._snap_pages = 0
         # DIGEST_BYTES per page of the heap, and the pages whose digest is out of date
         self._digests = bytearray()
         self._stale: set[int] = set()
 
     @property
     def heap_prefix(self) -> int:
-        return len(self.heap)
+        return self._len
 
     def ensure_heap(self, nbytes: int) -> None:
-        """Materialize the heap prefix up to nbytes, in chunk steps."""
-        if nbytes <= len(self.heap):
+        """Raise the logical heap length to cover nbytes, in chunk steps."""
+        if nbytes <= self._len:
             return
-        old = len(self.heap)
-        target = -(-nbytes // self.chunk_size) * self.chunk_size
-        self.heap.extend(bytes(target - old))
+        old = self._len
+        self._len = -(-nbytes // self.chunk_size) * self.chunk_size
         self._fit_digests(old)
         for hook in self.grow_hooks:
-            hook(target)
+            hook(self._len)
 
     def _fit_digests(self, old_len: int) -> None:
-        """Resize the digest table after the heap changed length from old_len.
+        """Resize the digest table after the logical length changed from old_len.
 
         Pages wholly added read as zeros; a page that was or now is cut
-        short by the end of the heap is re-digested.
+        short by the logical length is re-digested.
         """
-        new_len = len(self.heap)
+        new_len = self._len
         pages = -(-new_len // PAGE)
         if new_len > old_len:
             if old_len % PAGE:
@@ -123,36 +147,38 @@ class MemoryImage:
     def _touch(self, off: int, length: int) -> None:
         """Record a heap write of [off, off + length) before it happens.
 
-        Saves each page that existed at snapshot time on its first write
-        since, and marks every written page's digest out of date.
+        Saves each page on its first write since the snapshot, and marks
+        every written page's digest out of date.
         """
-        saved = self._saved
+        saved, heap, snap_len = self._saved, self.heap, self._snap_len
         for page in range(off >> PAGE_SHIFT, ((off + length - 1) >> PAGE_SHIFT) + 1):
             self._stale.add(page)
-            if page < self._snap_pages and page not in saved:
+            if page not in saved:
                 start = page << PAGE_SHIFT
-                saved[page] = bytes(self.heap[start : min(start + PAGE, self._snap_len)])
+                # empty for a page wholly past the snapshot length
+                saved[page] = heap[start : min(start + PAGE, snap_len)]
 
     def heap_digest(self) -> bytes:
-        """The sha256 digest of every heap page, in page order.
+        """The sha256 digest of every heap page below the logical length,
+        in page order.
 
         Only pages written, restored or grown since the last call are
         hashed again.
         """
         if self._stale:
-            digests, end = self._digests, len(self.heap)
+            digests, end = self._digests, self._len
             with memoryview(self.heap) as view:
                 for page in self._stale:
                     start = page << PAGE_SHIFT
                     if start < end:
                         at = page * DIGEST_BYTES
                         digests[at : at + DIGEST_BYTES] = hashlib.sha256(
-                            view[start : start + PAGE]
+                            view[start : min(start + PAGE, end)]
                         ).digest()
             self._stale.clear()
         return bytes(self._digests)
 
-    def _locate(self, addr: int, length: int) -> tuple[bytearray | None, int]:
+    def _locate(self, addr: int, length: int) -> tuple[mmap.mmap | bytearray, int]:
         if length < 0:
             raise SegfaultModel(addr, length)
         if self.heap_base <= addr and addr + length <= self.heap_base + self.heap_size:
@@ -163,9 +189,6 @@ class MemoryImage:
 
     def read(self, addr: int, length: int) -> bytes:
         buf, off = self._locate(addr, length)
-        if buf is self.heap and off + length > len(buf):
-            avail = max(0, len(buf) - off)
-            return bytes(buf[off : off + avail]) + bytes(length - avail)
         return bytes(buf[off : off + length])
 
     def write_fill(self, addr: int, length: int, fill: int, internal: bool = True) -> None:
@@ -199,34 +222,36 @@ class MemoryImage:
     def snapshot(self) -> tuple[dict[int, bytes], bytes, int]:
         """Start a new undo log and copy the globals.
 
-        Returns (undo log, globals, heap length). The log fills as pages
-        are written and stays valid until the next snapshot.
+        Returns (undo log, globals, logical heap length). The log fills
+        as pages are written and stays valid until the next snapshot.
         """
         self._saved = {}
-        self._snap_len = len(self.heap)
-        self._snap_pages = -(-self._snap_len // PAGE)
+        self._snap_len = self._len
         return self._saved, bytes(self.globals), self._snap_len
 
     def restore(self, snap: tuple[dict[int, bytes], bytes, int]) -> None:
-        """Write the saved pages back and cut the heap to its snapshot length.
+        """Write the saved pages back and return to the snapshot length.
 
-        The undo log stays active, so the same snapshot can be restored
+        Each written page gets its saved bytes and zeros up to its end,
+        so every byte past the snapshot length reads zero again. The
+        undo log stays active, so the same snapshot can be restored
         again later in the epoch.
         """
         saved, globs, length = snap
         if saved is not self._saved:
             raise ValueError("only the latest snapshot can be restored")
-        heap = self.heap
-        old = len(heap)
+        heap, size = self.heap, self.heap_size
         for page, data in saved.items():
             start = page << PAGE_SHIFT
-            heap[start : start + len(data)] = data
+            end = min(start + PAGE, size)
+            heap[start:end] = data.ljust(end - start, b"\0")
             self._stale.add(page)
-        del heap[length:]
+        old = self._len
+        self._len = length
         self._fit_digests(old)
         self.globals = bytearray(globs)
         for hook in self.grow_hooks:
-            hook(len(heap))
+            hook(length)
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 import tripwire as tw
 from tripwire import engine as engine_module
 from tripwire.engine import Engine, Mode
-from tripwire.errors import OversizeRequest
+from tripwire.errors import OutOfVirtualHeap, OversizeRequest
 from tripwire.trace import EventKind, parse_trace
 
 from conftest import small_config
@@ -155,6 +155,13 @@ def test_oversize_malloc_is_a_trace_error_with_event_context():
     with pytest.raises(OversizeRequest) as exc:
         tw.run_text("malloc a 999999999\nend\n", small_config())
     assert "event 0" in str(exc.value)
+
+
+def test_oversized_heap_is_a_resource_limit_not_a_crash():
+    # 4 EiB exceeds any address space, so the reservation fails and
+    # reserves nothing
+    with pytest.raises(OutOfVirtualHeap, match="--heap-size"):
+        Engine(parse_trace(CLEAN), tw.EngineConfig(heap_size=2**62))
 
 
 def test_writes_through_registers_dont_exist_only_vars_do():

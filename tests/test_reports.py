@@ -188,6 +188,16 @@ def test_cli_invalid_detectors_rejected(tmp_path, capsys):
     assert "unknown detectors" in capsys.readouterr().err
 
 
+def test_cli_oversized_heap_exits_two_with_one_line(tmp_path, capsys):
+    path = _write(tmp_path, "clean.trace", "malloc a 16\nend\n")
+    assert main(["run", path, "--heap-size", str(2**62)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tripwire: ")
+    assert "--heap-size" in lines[0]
+
+
 def test_cli_dump_state_hash(tmp_path, capsys):
     path = _write(tmp_path, "clean.trace", "end\n")
     assert main(["run", path, "--dump-state-hash"]) == 0

@@ -209,13 +209,16 @@ def test_image_snapshot_restore_is_byte_exact():
     a = heap.allocate(64)
     image.write_fill(a, 64, 0x11)
     snap = image.snapshot()
-    before = (bytes(image.heap), bytes(image.globals))
+    before = (image.heap_prefix, image.heap[: image.heap_prefix], bytes(image.globals))
     image.write_fill(a, 64, 0x22)
     image.write_word(config.globals_base, 0xDEAD)
-    # grow past the snapshot prefix, then restore must truncate back
-    image.write_fill(config.heap_base + 3 * config.chunk_size, 8, 0x33)
+    # grow past the snapshot prefix; restore returns to the snapshot
+    # length and zeroes what was written past it
+    far = 3 * config.chunk_size
+    image.write_fill(config.heap_base + far, 8, 0x33)
     image.restore(snap)
-    assert (bytes(image.heap), bytes(image.globals)) == before
+    assert (image.heap_prefix, image.heap[: image.heap_prefix], bytes(image.globals)) == before
+    assert_zero_between(image, image.heap_prefix, far + 8)
 
 
 def test_allocator_snapshot_restore_resumes_identically():
@@ -234,6 +237,16 @@ def test_allocator_snapshot_restore_resumes_identically():
 
 def page_digests(heap: bytes) -> bytes:
     return b"".join(hashlib.sha256(heap[i : i + PAGE]).digest() for i in range(0, len(heap), PAGE))
+
+
+def logical_heap(image: MemoryImage) -> bytes:
+    return image.heap[: image.heap_prefix]
+
+
+def assert_zero_between(image: MemoryImage, start: int, stop: int) -> None:
+    """Every heap byte in [start, stop) reads zero; bounded by the caller to
+    the highest offset written, so the reservation is never scanned whole."""
+    assert image.heap[start:stop] == bytes(max(0, stop - start))
 
 
 # one chunk size that is a multiple of the page size and one that is not,
@@ -256,27 +269,33 @@ def test_undo_log_restores_like_a_full_copy_and_digests_stay_current(chunk, star
     image = MemoryImage(config)
     image.ensure_heap(start_chunks * chunk)
     snap = image.snapshot()
-    reference = bytes(image.heap)
+    reference = logical_heap(image)
+    written_end = 0  # one past the highest heap offset ever written
     for step in steps:
         if step[0] == "restore":
             image.restore(snap)
-            assert bytes(image.heap) == reference
+            assert logical_heap(image) == reference
+            assert_zero_between(image, image.heap_prefix, written_end)
         elif step[0] == "snapshot":
             snap = image.snapshot()
-            reference = bytes(image.heap)
+            reference = logical_heap(image)
         else:
             kind, page, delta, length, value = step
-            addr = config.heap_base + max(0, page * PAGE + delta)
+            off = max(0, page * PAGE + delta)
+            addr = config.heap_base + off
             if kind == "fill":
                 image.write_fill(addr, length, value)
             elif kind == "bytes":
                 image.write_bytes(addr, bytes((value + i) & 0xFF for i in range(length)))
             else:
+                length = 8
                 image.write_word(addr, value * 0x0101010101010101)
-        assert image.heap_digest() == page_digests(image.heap)
+            written_end = max(written_end, off + length)
+        assert image.heap_digest() == page_digests(logical_heap(image))
     image.restore(snap)
-    assert bytes(image.heap) == reference
-    assert image.heap_digest() == page_digests(image.heap)
+    assert logical_heap(image) == reference
+    assert_zero_between(image, image.heap_prefix, written_end)
+    assert image.heap_digest() == page_digests(logical_heap(image))
 
 
 def test_only_the_latest_snapshot_restores():
