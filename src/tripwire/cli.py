@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also report reachable freed objects")
     run.add_argument("--output", choices=("text", "json"), default="text")
     run.add_argument("--dump-state-hash", action="store_true",
-                     help="print the final memory-image hash (text output)")
+                     help="print the final state hash, sha256 over the heap length, "
+                          "its page digests and the globals (text output)")
     geometry = run.add_argument_group("heap geometry")
     geometry.add_argument("--heap-base", type=_auto_int, default=0x1_0000_0000)
     geometry.add_argument("--heap-size", type=_auto_int, default=256 * 1024 * 1024)

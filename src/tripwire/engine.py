@@ -14,6 +14,13 @@ snapshot, arms watchpoints on the corrupted words, re-executes the
 epoch's events with call-site recording on, converts traps into
 reports, and resumes.
 
+Every state hash starts from the memory image's page digests, its
+logical length and the globals (MemoryImage.hash_into): the final
+state hash is exactly that, and the per-boundary hash adds the
+machine, allocator, bitmap, quarantine and file state. Page digests are
+refreshed only for pages written since they were last taken, so
+hashing costs what the epoch wrote, not what the heap holds.
+
 Identical (trace, config) inputs produce identical outcomes: the
 allocator hands out addresses as a pure function of history, external
 call results come from a deterministic model, and replay re-verifies
@@ -148,21 +155,10 @@ class Engine:
 
     # -- hashing ----------------------------------------------------------
 
-    def image_hash(self) -> str:
-        h = hashlib.sha256()
-        length = self.image.heap_prefix
-        h.update(length.to_bytes(8, "little"))
-        with memoryview(self.image.heap) as view:
-            h.update(view[:length])
-        h.update(self.image.globals)
-        return h.hexdigest()
-
     def full_state_hash(self) -> str:
         """Hash of all state rollback must reproduce (fidelity checks)."""
         h = hashlib.sha256()
-        h.update(self.image.heap_prefix.to_bytes(8, "little"))
-        h.update(self.image.heap_digest())
-        h.update(self.image.globals)
+        self.image.hash_into(h)
         h.update(repr(sorted(self.registers.items())).encode())
         h.update(repr(tuple(self.call_stack)).encode())
         h.update(repr(sorted(self.bindings.items())).encode())
@@ -248,9 +244,11 @@ class Engine:
         return self._finish()
 
     def _finish(self) -> RunOutcome:
+        final = hashlib.sha256()
+        self.image.hash_into(final)
         return RunOutcome(
             reports=tuple(sort_reports(self.reports)),
-            final_state_hash=self.image_hash(),
+            final_state_hash=final.hexdigest(),
             epochs=self.epochs_begun,
             events_total=len(self.events),
             events_executed=self.cursor,
