@@ -158,8 +158,13 @@ class MemoryImage:
                 # empty for a page wholly past the snapshot length
                 saved[page] = heap[start : min(start + PAGE, snap_len)]
 
-    def _refresh_digests(self) -> None:
-        """Re-digest the pages written, restored or grown since the last call."""
+    def heap_digest(self) -> bytes:
+        """The sha256 digest of every heap page below the logical length,
+        in page order.
+
+        Only pages written, restored or grown since the last call are
+        hashed again.
+        """
         if self._stale:
             digests, end = self._digests, self._len
             with memoryview(self.heap) as view:
@@ -171,11 +176,6 @@ class MemoryImage:
                             view[start : min(start + PAGE, end)]
                         ).digest()
             self._stale.clear()
-
-    def heap_digest(self) -> bytes:
-        """The sha256 digest of every heap page below the logical length,
-        in page order."""
-        self._refresh_digests()
         return bytes(self._digests)
 
     def hash_into(self, h) -> None:
@@ -186,9 +186,8 @@ class MemoryImage:
         Merkle tree, so this costs what the pages written since the last
         call cost to hash, not what the heap holds.
         """
-        self._refresh_digests()
         h.update(self._len.to_bytes(8, "little"))
-        h.update(self._digests)
+        h.update(self.heap_digest())
         h.update(self.globals)
 
     def _locate(self, addr: int, length: int) -> tuple[mmap.mmap | bytearray, int]:
