@@ -146,9 +146,8 @@ class Engine:
         self.epoch_index = -1
         self.snapshot: EpochSnapshot | None = None
         self._wps: WatchpointSet | None = None
-        # payload -> (stack, event id) of its latest allocation or free, kept during replay
+        # payload -> (stack, event id) of its latest allocation, kept during replay
         self._alloc_sites: dict[int, tuple[tuple[str, ...], int]] = {}
-        self._free_sites: dict[int, tuple[tuple[str, ...], int]] = {}
         self._replay_alloc_count = 0
         self._current_event: TraceEvent | None = None
         self._ran = False
@@ -327,7 +326,6 @@ class Engine:
         wps, unwatched = WatchpointSet.arm(evidence.canary_words(), self.config.max_watchpoints)
         self._wps = wps
         self._alloc_sites = {}
-        self._free_sites = {}
         self._replay_alloc_count = 0
         self.syscalls.begin_replay()
         self.mode = Mode.REPLAY
@@ -371,9 +369,7 @@ class Engine:
         self._wps = None
 
     def _emit_replay_reports(self, evidence: Evidence) -> None:
-        self.reports += build_reports(
-            self.epoch_index, evidence, self._wps.traps, self._alloc_sites, self._free_sites
-        )
+        self.reports += build_reports(self.epoch_index, evidence, self._wps.traps, self._alloc_sites)
         # retire what was just reported so later boundaries stay quiet
         retired = evidence.canary_words()
         self.overflow.retire_words(retired)
@@ -523,10 +519,7 @@ class Engine:
             evidence.uaf = self.quarantine.on_free(entry)
         else:
             self.allocator.release_slot(payload)
-        if self.mode is Mode.REPLAY:
-            self._free_sites[payload] = (tuple(self.call_stack), ev.id)
-            return None
-        return evidence if evidence else None
+        return evidence if evidence and self.mode is Mode.NORMAL else None
 
 
 def run_events(

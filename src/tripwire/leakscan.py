@@ -10,9 +10,10 @@ so the optional reachable-freed ("potential dangling pointer") report
 can pick it up. The sweep then reports every allocated-but-unmarked
 slot and clears all marks.
 
-Marks are kept in a set outside modeled memory, so a mark and sweep
-write no heap page. A header whose in-band marked flag a program write
-has set still counts as marked, and the sweep still clears that flag.
+Marks are kept in a set outside modeled memory, and whether a slot is
+allocated comes from the allocator's own slot metadata, so a mark and
+sweep write no heap page and no program write can change their result
+except through the pointers it stores.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class LeakScanner:
                 view = self.allocator.object_bounds(value)
             except NotAHeapObject:
                 continue
-            if view.marked or view.payload in marked:
+            if view.payload in marked:
                 continue
             if not view.allocated:
                 if self.quarantine is not None and self.quarantine.entry_for(view.payload):
@@ -81,7 +82,7 @@ class LeakScanner:
         evidence = Evidence()
         marked = self.marked
         for view in self.allocator.carved_slots():
-            is_marked = view.marked or view.payload in marked
+            is_marked = view.payload in marked
             if view.allocated and not is_marked and view.payload not in suppress:
                 evidence.leaked.append((view.payload, view.requested))
             if (
@@ -94,8 +95,6 @@ class LeakScanner:
                 entry = self.quarantine.entry_for(view.payload)
                 if entry is not None:
                     evidence.reachable_freed.append(entry)
-            if view.marked:
-                self.allocator.set_marked(view.payload, False)
         self.marked = set()
         evidence.leaked.sort()
         evidence.reachable_freed.sort(key=lambda e: e.payload)

@@ -6,9 +6,10 @@ on corrupted canary words, ordered by address. Every trace-driven write
 is checked for overlap with the armed words; engine-internal writes
 such as canary planting never reach the check. Traps do not stop the
 replay: the whole epoch range re-executes so one report can accumulate
-every write that hit a watched word. Allocation and deallocation call
-sites are recorded only here, never during normal execution, in two
-plain dicts the engine passes to build_reports.
+every write that hit a watched word. Allocation call sites are
+recorded only here, never during normal execution, in a plain dict the
+engine passes to build_reports; a freed object's site is the one its
+quarantine entry holds.
 """
 
 from __future__ import annotations
@@ -74,15 +75,14 @@ def build_reports(
     evidence: Evidence,
     traps: dict[int, list[Trap]],
     alloc_sites: dict[int, tuple[tuple[str, ...], int]],
-    free_sites: dict[int, tuple[tuple[str, ...], int]],
 ) -> list[rp.ErrorReport]:
     """One report per finding, overflow, use-after-free, leak, reachable freed.
 
     A corrupted word's report lists the writes that trapped on it; a
-    leak's lists its allocation when replay saw it. The site dicts map a
-    payload to the (stack, event id) of its latest allocation or free
-    that replay executed; a freed object replay did not see freed keeps
-    the site its quarantine entry holds.
+    leak's lists its allocation when replay saw it. alloc_sites maps a
+    payload to the (stack, event id) of its latest allocation that
+    replay executed; a freed object's free site is its quarantine
+    entry's.
     """
     findings = [(rp.KIND_OVERFLOW, w, p, size, None) for w, p, size in evidence.overflow]
     findings += [(rp.KIND_UAF, i.word, i.entry.payload, i.entry.requested, i.entry) for i in evidence.uaf]
@@ -91,7 +91,6 @@ def build_reports(
     out = []
     for kind, word, payload, size, freed in findings:
         site = alloc_sites.get(payload)
-        freed_by = freed and free_sites.get(payload, (freed.free_stack, freed.free_event))
         if word is not None:
             events = tuple((t.event_id, t.stack) for t in traps.get(word, ()))
         elif freed is None and site is not None:
@@ -109,8 +108,8 @@ def build_reports(
                 alloc_stack=site[0] if site else None,
                 alloc_event=site[1] if site else None,
                 alloc_prior_epoch=payload is not None and site is None,
-                free_stack=freed_by[0] if freed else None,
-                free_event=freed_by[1] if freed else None,
+                free_stack=freed.free_stack if freed else None,
+                free_event=freed.free_event if freed else None,
                 unattributed=word is not None and not events,
                 reachable_freed=kind == rp.KIND_LEAK and freed is not None,
             )

@@ -9,11 +9,14 @@ history. Each slot is laid out as:
 
     [guard word: 8 bytes][header: 24 bytes][payload: capacity]
 
-with capacity the next power of two >= max(request, min class). The
-header lives in modeled memory (requested size and allocated/marked
-flag bits), so byte-exact snapshots of the memory image capture it for
-free. Engine bookkeeping (chunk table, free lists, cursors) lives in
-ordinary Python objects and never occupies modeled heap addresses.
+with capacity the next power of two >= max(request, min class). As
+in DieHard, slot metadata (requested size, allocated state) lives
+outside modeled memory, so no program write changes what the
+allocator, quarantine or leak scanner believe about a slot. The
+in-band header (requested size, then a flag word of 1 while allocated)
+is still written at every allocate and free but never read back.
+Engine bookkeeping (chunk table, slot metadata, free lists, cursors)
+lives in ordinary Python objects, never at modeled heap addresses.
 
 The heap image is one anonymous private mapping of the whole heap
 region, reserved without swap accounting: the kernel zero-fills its
@@ -37,7 +40,8 @@ from __future__ import annotations
 
 import hashlib
 import mmap
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 from .config import EngineConfig
 from .errors import (
@@ -52,9 +56,6 @@ GUARD_BYTES = 8
 HEADER_BYTES = 24
 SLOT_OVERHEAD = GUARD_BYTES + HEADER_BYTES
 WORD = 8
-
-_FLAG_ALLOCATED = 1
-_FLAG_MARKED = 2
 
 U64_MASK = (1 << 64) - 1
 
@@ -268,14 +269,13 @@ class MemoryImage:
 
 @dataclass
 class ObjectView:
-    """Resolved slot: payload bounds plus the header fields."""
+    """Resolved slot: payload bounds plus the allocator's slot metadata."""
 
     slot: int
     payload: int
     capacity: int
     requested: int
     allocated: bool
-    marked: bool
     class_shift: int
 
     @property
@@ -285,10 +285,17 @@ class ObjectView:
 
 @dataclass
 class _Chunk:
+    """A chunk of one size class and the metadata of its carved slots."""
+
     base: int
     class_shift: int
     stride: int
-    carved: int = 0
+    requested: array = field(default_factory=lambda: array("Q"))
+    allocated: bytearray = field(default_factory=bytearray)
+
+    @property
+    def carved(self) -> int:
+        return len(self.allocated)
 
 
 class _ClassState:
@@ -316,33 +323,22 @@ class Allocator:
         self._free_set: set[int] = set()
         self._max_chunks = config.heap_size // config.chunk_size
 
-    # -- header codec ---------------------------------------------------
+    # -- slot metadata ---------------------------------------------------
 
-    def _header_base(self, payload: int) -> int:
-        return payload - HEADER_BYTES
+    def read_header(self, chunk: _Chunk, index: int) -> tuple[int, bool]:
+        """(requested size, allocated) of a carved slot, from the
+        allocator's own copy; the in-band header is never read."""
+        return chunk.requested[index], bool(chunk.allocated[index])
 
-    def read_header(self, payload: int) -> tuple[int, int]:
-        base = self._header_base(payload)
-        raw = self.image.read(base, 16)
-        requested = int.from_bytes(raw[0:8], "little")
-        flags = int.from_bytes(raw[8:16], "little")
-        return requested, flags
-
-    def write_header(self, payload: int, requested: int, flags: int) -> None:
-        base = self._header_base(payload)
-        self.image.write_bytes(
-            base, requested.to_bytes(8, "little") + flags.to_bytes(8, "little")
-        )
+    def _write_header(self, payload: int, requested: int, allocated: bool) -> None:
+        """Mirror a slot's metadata into its in-band header."""
+        header = requested.to_bytes(8, "little") + int(allocated).to_bytes(8, "little")
+        self.image.write_bytes(payload - HEADER_BYTES, header)
 
     def set_allocated(self, payload: int, value: bool) -> None:
-        requested, flags = self.read_header(payload)
-        flags = (flags | _FLAG_ALLOCATED) if value else (flags & ~_FLAG_ALLOCATED)
-        self.write_header(payload, requested, flags)
-
-    def set_marked(self, payload: int, value: bool) -> None:
-        requested, flags = self.read_header(payload)
-        flags = (flags | _FLAG_MARKED) if value else (flags & ~_FLAG_MARKED)
-        self.write_header(payload, requested, flags)
+        chunk, index = self._slot_at(payload)
+        chunk.allocated[index] = value
+        self._write_header(payload, chunk.requested[index], value)
 
     # -- allocation -----------------------------------------------------
 
@@ -361,23 +357,27 @@ class Allocator:
     def allocate(self, size: int) -> int:
         """Carve or reuse a slot; returns the payload address.
 
-        The header is initialized (requested size, allocated bit set,
-        marked bit clear). Canary planting is the overflow detector's
-        job and happens separately.
+        The slot's metadata records the requested size and the
+        allocated state. Canary planting is the overflow detector's job
+        and happens separately.
         """
         state = self.class_for(size)
         if state.free_list:
             payload = state.free_list.pop()
             self._free_set.discard(payload)
+            chunk, index = self._slot_at(payload)
+            chunk.requested[index] = size
+            chunk.allocated[index] = True
         else:
             if state.bump + state.stride > state.limit:
                 self._acquire_chunk(state)
             slot = state.bump
             state.bump += state.stride
             chunk = self.chunks[(slot - self.config.heap_base) // self.config.chunk_size]
-            chunk.carved += 1
+            chunk.requested.append(size)
+            chunk.allocated.append(True)
             payload = slot + SLOT_OVERHEAD
-        self.write_header(payload, size, _FLAG_ALLOCATED)
+        self._write_header(payload, size, True)
         return payload
 
     def _acquire_chunk(self, state: _ClassState) -> None:
@@ -411,8 +411,8 @@ class Allocator:
 
     # -- lookup ----------------------------------------------------------
 
-    def object_bounds(self, addr: int) -> ObjectView:
-        """Resolve any address inside a carved slot (interior included)."""
+    def _slot_at(self, addr: int) -> tuple[_Chunk, int]:
+        """The chunk and slot index of the carved slot holding addr."""
         base = self.config.heap_base
         if not base <= addr < base + self.config.heap_size:
             raise NotAHeapObject(f"0x{addr:x} outside the heap region")
@@ -420,43 +420,46 @@ class Allocator:
         if chunk_idx >= len(self.chunks):
             raise NotAHeapObject(f"0x{addr:x} in an unassigned chunk")
         chunk = self.chunks[chunk_idx]
-        offset = addr - chunk.base
-        slot_idx = offset // chunk.stride
-        if slot_idx >= chunk.carved:
+        index = (addr - chunk.base) // chunk.stride
+        if index >= chunk.carved:
             raise NotAHeapObject(f"0x{addr:x} past the carve cursor")
-        slot = chunk.base + slot_idx * chunk.stride
-        payload = slot + SLOT_OVERHEAD
-        capacity = chunk.stride - SLOT_OVERHEAD
-        requested, flags = self.read_header(payload)
+        return chunk, index
+
+    def _view(self, chunk: _Chunk, index: int) -> ObjectView:
+        slot = chunk.base + index * chunk.stride
+        requested, allocated = self.read_header(chunk, index)
         return ObjectView(
             slot=slot,
-            payload=payload,
-            capacity=capacity,
-            requested=min(requested, capacity),
-            allocated=bool(flags & _FLAG_ALLOCATED),
-            marked=bool(flags & _FLAG_MARKED),
+            payload=slot + SLOT_OVERHEAD,
+            capacity=chunk.stride - SLOT_OVERHEAD,
+            requested=requested,
+            allocated=allocated,
             class_shift=chunk.class_shift,
         )
+
+    def object_bounds(self, addr: int) -> ObjectView:
+        """Resolve any address inside a carved slot (interior included)."""
+        return self._view(*self._slot_at(addr))
 
     def carved_slots(self):
         """Yield an ObjectView for every slot ever carved, in address order
         within each chunk and chunk-acquisition order overall."""
         for chunk in self.chunks:
             for i in range(chunk.carved):
-                payload = chunk.base + i * chunk.stride + SLOT_OVERHEAD
-                yield self.object_bounds(payload)
+                yield self._view(chunk, i)
 
     # -- snapshot ---------------------------------------------------------
 
     def snapshot(self):
         return (
-            [(c.base, c.class_shift, c.stride, c.carved) for c in self.chunks],
+            [(c.base, c.class_shift, c.stride, c.requested.tobytes(), bytes(c.allocated))
+             for c in self.chunks],
             {s: (st.bump, st.limit, tuple(st.free_list)) for s, st in self.classes.items()},
         )
 
     def restore(self, snap) -> None:
         chunk_rows, class_rows = snap
-        self.chunks = [_Chunk(b, s, t, c) for (b, s, t, c) in chunk_rows]
+        self.chunks = [_Chunk(b, s, t, array("Q", r), bytearray(a)) for (b, s, t, r, a) in chunk_rows]
         self.classes = {}
         self._free_set = set()
         for shift, (bump, limit, free_list) in class_rows.items():

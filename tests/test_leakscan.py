@@ -113,8 +113,9 @@ def test_integer_that_looks_like_a_pointer_suppresses_leak():
 def test_marks_cleared_after_sweep():
     eng = harness()
     a = alloc(eng, 24)
-    scan(eng, {"r0": a})
-    assert not eng.allocator.object_bounds(a).marked
+    assert scan(eng, {"r0": a}).leaked == []
+    assert eng.leaks.marked == set()
+    assert scan(eng, {}).leaked == [(a, 24)]
 
 
 def test_mark_and_sweep_write_no_heap_page():

@@ -38,7 +38,7 @@ def test_allocate_24_gets_capacity_32():
     view = heap.object_bounds(payload)
     assert view.capacity == 32
     assert view.requested == 24
-    assert view.allocated and not view.marked
+    assert view.allocated
 
 
 def test_exact_power_of_two_request_fills_its_class():
