@@ -486,11 +486,58 @@ def _uaf_cases() -> tuple[list[Case], Case]:
     return cases, negative
 
 
+def _header_cases() -> list[Case]:
+    """Program writes into a slot's in-band header, which the allocator
+    mirrors but never reads back."""
+    cases = []
+
+    t = TraceBuilder("overflow rewrites a freed neighbour's header; its size stays 24")
+    a = t.ev("malloc v1 24")
+    b = t.ev("malloc v2 24")
+    t.ev("free v2")
+    t.ev("malloc v4 1")
+    t.ev("malloc v5 24")
+    # v2's guard word, header size and low bytes of its flag word
+    bad = t.ev("write v1 38 13 a1")
+    t.ev("free v4")
+    t.ev("free v5")
+    t.ev("end")
+    cases.append(
+        Case("of_header_clobber_size", t.text(), (("leak", (a,)), ("overflow", (bad,))), (a, b))
+    )
+
+    t = TraceBuilder("overflow sets a freed neighbour's in-band allocated flag, then it is freed again")
+    t.ev("malloc v1 24")
+    a = t.ev("malloc v2 24")
+    t.ev("malloc v3 24")
+    f = t.ev("free v2")
+    t.ev("write v1 48 1 01")
+    bad = t.ev("free v2")
+    t.ev("free v3")
+    t.ev("free v1")
+    t.ev("end")
+    cases.append(Case("df_header_clobber", t.text(), (("double-free", (bad,)),), (a,), (f,)))
+
+    # a known false negative: [payload - 24, payload) is neither planted
+    # nor checked, so rewriting the whole header leaves no evidence
+    t = TraceBuilder("underflow over the whole header: not detected until headers carry canaries")
+    t.ev("malloc a 24")
+    t.ev("reg r0 = a")
+    t.ev("writeabs a-24 24 ff")
+    t.ev("call fork")
+    t.ev("free a")
+    t.ev("end")
+    cases.append(Case("of_header_underflow_negative", t.text()))
+
+    return cases
+
+
 OVERFLOW_CASES = _overflow_cases()
 CLEAN_CASES = _clean_cases()
 UAF_CASES, UAF_NEGATIVE = _uaf_cases()
+HEADER_CASES = _header_cases()
 
-ALL_CASES = OVERFLOW_CASES + CLEAN_CASES + UAF_CASES + [UAF_NEGATIVE]
+ALL_CASES = OVERFLOW_CASES + CLEAN_CASES + UAF_CASES + [UAF_NEGATIVE] + HEADER_CASES
 
 
 def render(directory: Path = TRACES_DIR) -> None:

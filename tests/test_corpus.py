@@ -23,6 +23,23 @@ def test_case_reports_match_expected(case):
     assert got == sorted(case.expected)
 
 
+# (kind, offending event ids, object size) per report; at quarantine
+# count 2 the first used to stop with "still allocated" and the second
+# with a KeyError, because the allocator read back the clobbered header
+HEADER_CLOBBER_REPORTS = {
+    "of_header_clobber_size": (("leak", (0,), 24), ("overflow", (5,), 24)),
+    "df_header_clobber": (("double-free", (5,), 24),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADER_CLOBBER_REPORTS))
+def test_header_clobber_reports_at_quarantine_count_two(name):
+    (case,) = [case for case in ALL_CASES if case.name == name]
+    out = tw.run_text(case.text, tw.EngineConfig(quarantine_max_count=2))
+    got = sorted((r.kind, tuple(eid for eid, _ in r.offending_events), r.object_size) for r in out.reports)
+    assert got == sorted(HEADER_CLOBBER_REPORTS[name])
+
+
 def test_cli_output_matches_golden_digests():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(GOLDEN_FLAGS)

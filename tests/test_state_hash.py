@@ -16,7 +16,6 @@ import pytest
 
 import tripwire as tw
 from tripwire.engine import Engine
-from tripwire.errors import NotQuarantined
 from tripwire.trace import parse_trace
 from tripwire.vheap import PAGE
 
@@ -54,34 +53,20 @@ def test_corpus_final_hash_matches_raw_memory(case):
 
 @pytest.mark.parametrize("block", range(4))
 def test_fuzzed_final_hash_matches_raw_memory(block):
-    checked = 0
     for seed in range(50 * block, 50 * block + 50):
         text, config = fuzz_case(seed)
         engine = Engine(parse_trace(text), config)
-        try:
-            outcome = engine.run()
-        except NotQuarantined:
-            continue  # ROADMAP item 4, open; see test_replay_fuzz
+        outcome = engine.run()
         assert outcome.final_state_hash == from_scratch_hash(engine.image), seed
-        checked += 1
-    assert checked >= 40
 
 
 def test_heap_size_is_only_a_limit():
     heap_size = small_config().heap_size
     reported = 0
     for seed in range(10):
-        outcomes = []
-        for size in (heap_size, 16 * heap_size):
-            text, config = fuzz_case(seed, heap_size=size)
-            try:
-                outcomes.append(tw.run_text(text, config))
-            except NotQuarantined as err:
-                outcomes.append(str(err))
-        small, large = outcomes
-        if isinstance(small, str):
-            assert small == large
-            continue
+        small, large = (
+            tw.run_text(*fuzz_case(seed, heap_size=size)) for size in (heap_size, 16 * heap_size)
+        )
         assert small.reports == large.reports
         assert small.final_state_hash == large.final_state_hash
         assert small.epoch_end_hashes == large.epoch_end_hashes
