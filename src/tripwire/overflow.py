@@ -32,7 +32,6 @@ class CanaryBitmap:
     """One bit per eight-byte heap word; set means "detector-filled canary"."""
 
     def __init__(self, image: MemoryImage):
-        self.image = image
         self.heap_base = image.heap_base
         self.bits = bytearray(self._bits_len(image.heap_prefix))
         image.grow_hooks.append(self._on_grow)
@@ -90,8 +89,9 @@ class CanaryBitmap:
         return bytes(self.bits)
 
     def restore(self, snap: bytes) -> None:
+        """Restore bits snapshotted with the image snapshot the image was
+        just restored to, so their length already fits it."""
         self.bits = bytearray(snap)
-        self._on_grow(self.image.heap_prefix)
 
 
 class OverflowDetector:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -306,3 +308,19 @@ def test_engine_is_single_use():
     eng.run()
     with pytest.raises(RuntimeError):
         eng.run()
+
+
+def test_dropping_an_engine_frees_its_heap_without_the_cycle_collector():
+    # the heap mapping holds every page the run touched; no reference
+    # cycle may keep it alive once the engine is gone
+    engine = Engine(parse_trace(OVERFLOW), small_config())
+    engine.run()
+    image = weakref.ref(engine.image)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del engine
+        assert image() is None
+    finally:
+        if was_enabled:
+            gc.enable()
