@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 from collections import Counter
 
 import tripwire as tw
@@ -41,8 +40,7 @@ from tripwire.reports import report_to_dict
 from tripwire.trace import parse_trace
 from tripwire.vheap import HEADER_BYTES, WORD
 
-from conftest import small_config
-from test_replay_fuzz import error_trace
+from test_state_hash import fuzz_case
 
 FIELDS = (
     "reports",
@@ -60,13 +58,8 @@ def fuzz_runs(seeds: range):
     for seed in seeds:
         for ops in (30, 60):
             for dangling in (False, True):
-                rng = random.Random(seed)
-                config = small_config(
-                    quarantine_max_count=rng.choice((1, 2, 4, 8)),
-                    max_watchpoints=rng.choice((1, 2)),
-                    dangling=dangling,
-                )
-                yield f"{seed}/{ops}/{'dangling' if dangling else 'plain'}", error_trace(rng, ops), config
+                run_id = f"{seed}/{ops}/{'dangling' if dangling else 'plain'}"
+                yield (run_id, *fuzz_case(seed, ops, dangling=dangling))
 
 
 def writes_header(allocator, addr: int, length: int) -> bool:
@@ -142,7 +135,7 @@ def diff(old_path: str, new_path: str) -> None:
                     elsewhere[name].append(run)
     for label, dumped in (("old", old), ("new", new)):
         raised = Counter(rec["error"].split(":")[0] for rec in dumped.values() if rec["error"])
-        print(f"{label}: {sum(raised.values())} of {len(dumped)} runs raised {dict(sorted(raised.items()))}")
+        print(f"{label}: {raised.total()} of {len(dumped)} runs raised {dict(sorted(raised.items()))}")
     print(f"runs with a trace write into a header: {len(hits)}")
     print(f"{'field':<18} {'differ':>7} {'in header runs':>15}")
     for name in FIELDS:

@@ -23,9 +23,9 @@ def test_case_reports_match_expected(case):
     assert got == sorted(case.expected)
 
 
-# (kind, offending event ids, object size) per report; at quarantine
-# count 2 the first used to stop with "still allocated" and the second
-# with a KeyError, because the allocator read back the clobbered header
+# (kind, offending event ids, object size) per report. An allocator that
+# read the clobbered header back stopped on these at quarantine count 2,
+# on the first with "still allocated" and on the second with a KeyError
 HEADER_CLOBBER_REPORTS = {
     "of_header_clobber_size": (("leak", (0,), 24), ("overflow", (5,), 24)),
     "df_header_clobber": (("double-free", (5,), 24),),
@@ -36,7 +36,9 @@ HEADER_CLOBBER_REPORTS = {
 def test_header_clobber_reports_at_quarantine_count_two(name):
     (case,) = [case for case in ALL_CASES if case.name == name]
     out = tw.run_text(case.text, tw.EngineConfig(quarantine_max_count=2))
-    got = sorted((r.kind, tuple(eid for eid, _ in r.offending_events), r.object_size) for r in out.reports)
+    got = sorted(
+        (r.kind, tuple(eid for eid, _ in r.offending_events), r.object_size) for r in out.reports
+    )
     assert got == sorted(HEADER_CLOBBER_REPORTS[name])
 
 

@@ -33,7 +33,7 @@ def from_scratch_hash(image) -> str:
     return h.hexdigest()
 
 
-def fuzz_case(seed: int, **overrides) -> tuple[str, tw.EngineConfig]:
+def fuzz_case(seed: int, ops: int = 30, **overrides) -> tuple[str, tw.EngineConfig]:
     """The trace and config of test_replay_fuzz for one seed."""
     rng = random.Random(seed)
     config = small_config(
@@ -41,7 +41,7 @@ def fuzz_case(seed: int, **overrides) -> tuple[str, tw.EngineConfig]:
         max_watchpoints=rng.choice((1, 2)),
         **overrides,
     )
-    return error_trace(rng), config
+    return error_trace(rng, ops), config
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
