@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from array import array
 from dataclasses import dataclass
 
 from .config import EngineConfig
@@ -86,7 +87,7 @@ class RunOutcome:
     epochs: int
     events_total: int
     events_executed: int
-    alloc_sequence: tuple[int, ...]
+    alloc_sequence: array  # of "Q": payload addresses in allocation order
     extcall_results: tuple[tuple[int, str, int], ...]
     epoch_end_hashes: tuple[str, ...]
     scan_records: tuple[tuple[int, int], ...]
@@ -133,7 +134,7 @@ class Engine:
         self.counters = Counters()
         self.reports: list[ErrorReport] = []
         self.reported_evidence: set[int] = set()  # leak/dangling payloads already reported
-        self.alloc_sequence: list[int] = []
+        self.alloc_sequence = array("Q")
         self.extcall_results: list[tuple[int, str, int]] = []
         self._extcall_by_id: dict[int, int] = {}
         self.epoch_end_hashes: list[str] = []
@@ -251,7 +252,7 @@ class Engine:
             epochs=self.epochs_begun,
             events_total=len(self.events),
             events_executed=self.cursor,
-            alloc_sequence=tuple(self.alloc_sequence),
+            alloc_sequence=self.alloc_sequence,
             extcall_results=tuple(self.extcall_results),
             epoch_end_hashes=tuple(self.epoch_end_hashes),
             scan_records=tuple(self.overflow.scan_records),

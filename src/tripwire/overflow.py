@@ -10,10 +10,11 @@ an unaligned edge; it stays out of the bitmap, so the bitmap stays
 strictly word-granular, and is compared byte by byte whenever its
 region is verified (at a free or a quarantine eviction).
 
-Normal execution never checks canaries on the write path. All tracked
-words are verified in one pass at epoch boundaries; the scan skips
-zero bitmap bytes in bulk and compares exactly one heap word per set
-bit, which is what keeps per-write overhead at zero.
+Normal execution never checks canaries on the write path, which is
+what keeps per-write overhead at zero. All tracked words are verified
+in one pass at epoch boundaries: array passes over the bitmap find
+its set bits, and the heap words they track are gathered and compared
+with the canary at once.
 """
 
 from __future__ import annotations
@@ -82,6 +83,26 @@ class CanaryBitmap:
     def clear_range(self, start: int, end: int) -> None:
         self._span(start, end, False)
 
+    def set_words(self) -> np.ndarray:
+        """Indices of the tracked heap words, ascending, by array passes.
+
+        flatnonzero runs over the bitmap viewed as uint64 (the last
+        bytes, when its length is not a multiple of eight, are taken as
+        they are); the nonzero bytes of those blocks are unpacked
+        lowest bit first, so the set bits come out in word order.
+        """
+        # every view of self.bits dies with this call: a bytearray with a
+        # live export cannot grow, and _on_grow extends it
+        bits = np.frombuffer(self.bits, dtype=np.uint8)
+        whole = len(bits) & ~7
+        blocks = np.flatnonzero(bits[:whole].view("<u8"))
+        candidates = np.concatenate(
+            ((blocks[:, None] * 8 + np.arange(8)).ravel(), np.arange(whole, len(bits)))
+        )
+        nonzero = candidates[bits[candidates] != 0]
+        flags = np.unpackbits(bits[nonzero], bitorder="little").reshape(-1, 8)
+        return (nonzero[:, None] * 8 + np.arange(8))[flags.view(np.bool_)]
+
     def popcount(self) -> int:
         return int.from_bytes(self.bits, "little").bit_count()
 
@@ -107,6 +128,7 @@ class OverflowDetector:
         self.image = image
         self.bitmap = CanaryBitmap(image)
         self.canary_word = config.canary_word
+        self._canary = np.uint64(int.from_bytes(config.canary_word, "little"))
         # (set bits, words compared) per epoch scan, for overhead assertions
         self.scan_records: list[tuple[int, int]] = []
 
@@ -171,33 +193,17 @@ class OverflowDetector:
     def epoch_scan(self) -> list[int]:
         """Compare every tracked word against the canary word.
 
-        Zero bitmap bytes are skipped in bulk (vectorized nonzero over
-        the bitmap); each set bit costs exactly one word comparison.
-        Returns corrupted word addresses in ascending order.
+        The tracked words come from CanaryBitmap.set_words; the heap
+        words at those indices are gathered and compared with the canary
+        in one array pass. Returns corrupted word addresses in
+        ascending order.
         """
-        bits = self.bitmap.bits
-        corrupted: list[int] = []
-        set_bits = 0
-        comparisons = 0
-        if bits:
-            arr = np.frombuffer(bits, dtype=np.uint8)
-            heap = self.image.heap
-            canary = self.canary_word
-            base = self.image.heap_base
-            for byte_idx in np.flatnonzero(arr).tolist():
-                pending = bits[byte_idx]
-                word_base = byte_idx << 3
-                while pending:
-                    low = pending & (-pending)
-                    pending ^= low
-                    w = word_base + low.bit_length() - 1
-                    set_bits += 1
-                    comparisons += 1
-                    off = w << 3
-                    if heap[off : off + 8] != canary:
-                        corrupted.append(base + off)
-        self.scan_records.append((set_bits, comparisons))
-        return corrupted
+        words = self.bitmap.set_words()
+        heap_words = np.frombuffer(self.image.heap, dtype="<u8")
+        bad = words[heap_words[words] != self._canary]
+        self.scan_records.append((len(words), len(words)))
+        base = self.image.heap_base
+        return [base + (w << 3) for w in bad.tolist()]
 
     def retire_words(self, words) -> None:
         """Stop tracking reported words that still hold corrupted bytes.

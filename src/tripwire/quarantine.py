@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .config import EngineConfig
+from .errors import NotAHeapObject
 from .overflow import OverflowDetector
 from .vheap import Allocator
 
@@ -116,16 +117,21 @@ class QuarantineQueue:
         """Partition corrupted scan words into quarantine hits and the rest.
 
         A word is use-after-free evidence iff it falls inside the
-        canaried prefix of some entry still in the queue.
+        canaried prefix of some entry still in the queue. A region lies
+        inside its slot's payload, so only the entry of the slot that
+        holds the word can own it.
         """
         uaf: list[UafItem] = []
         rest: list[int] = []
         for word in words:
-            owner = next((e for e in self.entries if word in range(*self.region(e))), None)
-            if owner is None:
-                rest.append(word)
+            try:
+                entry = self.entry_for(self.allocator.object_bounds(word).payload)
+            except NotAHeapObject:
+                entry = None
+            if entry is not None and word in range(*self.region(entry)):
+                uaf.append(UafItem(word, entry))
             else:
-                uaf.append(UafItem(word, owner))
+                rest.append(word)
         return uaf, rest
 
     # -- snapshot -----------------------------------------------------------

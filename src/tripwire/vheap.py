@@ -43,6 +43,8 @@ import mmap
 from array import array
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import EngineConfig
 from .errors import (
     NotAHeapObject,
@@ -298,6 +300,79 @@ class _Chunk:
         return len(self.allocated)
 
 
+class SlotTable:
+    """Every carved slot under a flat id, as numpy arrays.
+
+    Flat ids number the slots chunk by chunk in chunk-acquisition order,
+    and by address within a chunk: the order of carved_slots. ids()
+    resolves many addresses at once with the arithmetic of
+    object_bounds. A table describes the allocator as it was when built;
+    build a new one after any allocation, free or restore.
+    """
+
+    def __init__(self, config: EngineConfig, chunks: list[_Chunk], heap: mmap.mmap):
+        self.chunks = chunks
+        # the heap is one fixed mapping that never resizes, so a view of
+        # it stays valid and costs nothing for pages never touched
+        self.heap_words = np.frombuffer(heap, dtype="<u8")
+        self.heap_base = config.heap_base
+        self.heap_end = config.heap_base + config.heap_size
+        self.chunk_size = config.chunk_size
+        # per chunk: heap offset of its first slot, stride, carved count
+        # and the flat id of its first slot
+        self.base = np.array([c.base - config.heap_base for c in chunks], dtype=np.int64)
+        self.stride = np.array([c.stride for c in chunks], dtype=np.int64)
+        self.carved = np.array([c.carved for c in chunks], dtype=np.int64)
+        self.first = np.concatenate(([0], np.cumsum(self.carved)))
+        # a copy, so no chunk's bytearray stays exported
+        self.allocated = np.frombuffer(b"".join(c.allocated for c in chunks), dtype=np.bool_)
+
+    def __len__(self) -> int:
+        return len(self.allocated)
+
+    def ids(self, values: np.ndarray) -> np.ndarray:
+        """Flat ids of the carved slots that hold the uint64 values.
+
+        A value anywhere in a slot, guard word and header included,
+        resolves to it; values outside every carved slot are dropped.
+        """
+        values = values[(values >= self.heap_base) & (values < self.heap_end)]
+        off = (values - self.heap_base).astype(np.int64)
+        chunk = off // self.chunk_size
+        inside = chunk < len(self.base)
+        off, chunk = off[inside], chunk[inside]
+        index = (off - self.base[chunk]) // self.stride[chunk]
+        inside = index < self.carved[chunk]
+        return self.first[chunk[inside]] + index[inside]
+
+    def _locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(chunk, index within the chunk) of each flat id."""
+        chunk = np.searchsorted(self.first, ids, side="right") - 1
+        return chunk, ids - self.first[chunk]
+
+    def payloads(self, ids: np.ndarray) -> list[int]:
+        chunk, index = self._locate(ids)
+        offsets = self.base[chunk] + index * self.stride[chunk] + SLOT_OVERHEAD
+        return [self.heap_base + off for off in offsets.tolist()]
+
+    def requested(self, ids: np.ndarray) -> list[int]:
+        chunk, index = self._locate(ids)
+        chunks = self.chunks
+        return [chunks[c].requested[i] for c, i in zip(chunk.tolist(), index.tolist())]
+
+    def payload_words(self, ids: np.ndarray) -> np.ndarray:
+        """Every payload word of the given slots, as uint64."""
+        chunk, index = self._locate(ids)
+        skip = SLOT_OVERHEAD // WORD
+        parts = []
+        for c in np.unique(chunk).tolist():
+            width = int(self.stride[c]) // WORD
+            first = int(self.base[c]) // WORD
+            rows = self.heap_words[first : first + int(self.carved[c]) * width].reshape(-1, width)
+            parts.append(rows[index[chunk == c], skip:].ravel())
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
+
+
 class _ClassState:
     __slots__ = ("shift", "capacity", "stride", "bump", "limit", "free_list")
 
@@ -316,8 +391,6 @@ class Allocator:
     def __init__(self, config: EngineConfig, image: MemoryImage):
         self.config = config
         self.image = image
-        self.min_shift = config.min_class.bit_length() - 1
-        self.max_shift = config.max_class.bit_length() - 1
         self.chunks: list[_Chunk] = []
         self.classes: dict[int, _ClassState] = {}
         self._free_set: set[int] = set()
@@ -447,6 +520,10 @@ class Allocator:
         for chunk in self.chunks:
             for i in range(chunk.carved):
                 yield self._view(chunk, i)
+
+    def slot_table(self) -> SlotTable:
+        """The carved slots as arrays, for passes over many addresses."""
+        return SlotTable(self.config, self.chunks, self.image.heap)
 
     # -- snapshot ---------------------------------------------------------
 

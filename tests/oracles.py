@@ -83,12 +83,13 @@ def naive_corrupted_scan(engine) -> set[int]:
     }
 
 
-def reachability_closure(engine) -> set[int]:
-    """Leaked-object oracle: payloads of live objects NOT reachable.
+def _reach(engine) -> tuple[set[int], set[int]]:
+    """Payloads of the live and of the freed slots reachable from the roots.
 
     Pointer resolution is interval containment over the sorted slot
     table; anything inside a slot's [start, start+32+capacity) span
-    counts, matching the conservative membership rule.
+    counts, matching the conservative membership rule. Only live
+    payloads are scanned for further pointers.
     """
     slots = sorted(
         (v.slot, v.slot + 32 + v.capacity, v.payload, v.allocated, v.capacity)
@@ -111,6 +112,7 @@ def reachability_closure(engine) -> set[int]:
             roots.append(word)
 
     reached: set[int] = set()
+    reached_freed: set[int] = set()
     queue = deque(roots)
     while queue:
         value = queue.popleft()
@@ -118,16 +120,29 @@ def reachability_closure(engine) -> set[int]:
         if slot is None:
             continue
         _, _, payload, allocated, capacity = slot
-        if not allocated or payload in reached:
+        if not allocated:
+            reached_freed.add(payload)
+            continue
+        if payload in reached:
             continue
         reached.add(payload)
         body = engine.image.read(payload, capacity)
         for (word,) in struct.iter_unpack("<Q", body):
             if lo <= word < hi:
                 queue.append(word)
+    return reached, reached_freed
 
+
+def reachability_closure(engine) -> set[int]:
+    """Leaked-object oracle: payloads of live objects NOT reachable."""
     live = {v.payload for v in engine.allocator.carved_slots() if v.allocated}
-    return live - reached
+    return live - _reach(engine)[0]
+
+
+def reachable_quarantined(engine) -> set[int]:
+    """Dangling-pointer oracle: payloads of freed objects still in
+    quarantine that a root or a reachable live object points into."""
+    return {p for p in _reach(engine)[1] if engine.quarantine.entry_for(p) is not None}
 
 
 def stack_at_event(events, event_id: int) -> tuple[str, ...]:

@@ -8,7 +8,7 @@ from tripwire.quarantine import QuarantineEntry
 from tripwire.vheap import next_pow2
 
 from conftest import small_config
-from oracles import reachability_closure
+from oracles import reachability_closure, reachable_quarantined
 
 
 def harness(**overrides):
@@ -113,8 +113,10 @@ def test_integer_that_looks_like_a_pointer_suppresses_leak():
 def test_marks_cleared_after_sweep():
     eng = harness()
     a = alloc(eng, 24)
-    assert scan(eng, {"r0": a}).leaked == []
-    assert eng.leaks.marked == set()
+    eng.leaks.mark({"r0": a})
+    assert eng.leaks.marked.sum() == 1
+    assert eng.leaks.sweep(False).leaked == []
+    assert not eng.leaks.marked.any()
     assert scan(eng, {}).leaked == [(a, 24)]
 
 
@@ -139,25 +141,45 @@ def test_mark_and_sweep_write_no_heap_page():
 def test_random_heaps_match_reachability_closure():
     rng = random.Random(2024)
     for _ in range(30):
-        eng = harness()
-        payloads = []
+        dangling = rng.random() < 0.5
+        eng = harness(quarantine_max_count=rng.choice((2, 1024)))
+        sizes = {}
         for _ in range(rng.randint(1, 60)):
-            size = rng.randint(16, 128)
-            payloads.append((alloc(eng, size), size))
-        for payload, size in payloads:
-            for slot in range(rng.randint(0, 2)):
-                target, _ = payloads[rng.randrange(len(payloads))]
-                eng.image.write_word(payload + 8 * slot, target + rng.choice((0, 0, 17)))
-        eng.registers.update(
-            (f"r{i}", payloads[rng.randrange(len(payloads))][0])
-            for i in range(rng.randint(0, 3))
+            # mostly small classes, some of the largest, so chains cross chunks
+            size = rng.randint(16, 128) if rng.random() < 0.8 else rng.randint(129, 16 * 1024)
+            sizes[alloc(eng, size)] = size
+        payloads = list(sizes)
+        last = max(payloads)
+        capacity = eng.allocator.object_bounds(last).capacity
+        strays = (
+            last + capacity + 40,  # the next slot of its chunk, never carved
+            eng.config.heap_base + eng.image.heap_prefix + 64,  # an unassigned chunk
         )
+
+        def value():
+            if rng.random() < 0.1:
+                return rng.choice(strays)
+            target = rng.choice(payloads)
+            # payload start, interior, guard word or header word
+            return target + rng.choice((0, 0, 17, -32, -24, -16, -8))
+
+        for payload in payloads:
+            for _ in range(rng.randint(0, 2)):
+                word = rng.randrange(eng.allocator.object_bounds(payload).capacity // 8)
+                eng.image.write_word(payload + 8 * word, value())
+        for payload in rng.sample(payloads, rng.randint(0, len(payloads) // 3)):
+            free(eng, payload)
+        eng.registers.update((f"r{i}", value()) for i in range(rng.randint(0, 3)))
         for i in range(rng.randint(0, 3)):
-            target, _ = payloads[rng.randrange(len(payloads))]
-            eng.image.write_word(eng.config.globals_base + 8 * i, target)
+            eng.image.write_word(eng.config.globals_base + 8 * i, value())
         expected = reachability_closure(eng)
-        found = scan(eng, eng.registers)
-        assert {p for p, _ in found.leaked} == expected
+        quarantined = reachable_quarantined(eng)
+        found = scan(eng, eng.registers, dangling)
+        assert found.leaked == sorted((p, sizes[p]) for p in expected)
+        if dangling:
+            assert [e.payload for e in found.reachable_freed] == sorted(quarantined)
+        else:
+            assert found.reachable_freed == []
 
 
 def test_leak_sites_from_replay_pick_last_allocation():

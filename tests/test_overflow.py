@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -215,6 +216,70 @@ def test_bitmap_matches_oracle_after_random_histories(data):
             idx = data.draw(st.integers(min_value=0, max_value=len(live) - 1))
             free(eng, live.pop(idx))
         assert bitmap_words(eng) == expected_canary_words(eng)
+
+
+# a chunk size that is 16-aligned but not a multiple of 64, so the
+# bitmap length (one bit per heap word) is mostly not a multiple of
+# eight bytes
+ODD_CHUNK = dict(chunk_size=16432, heap_size=16432 * 64, max_class=8192)
+
+
+@pytest.mark.parametrize("geometry", [{}, ODD_CHUNK], ids=["small", "odd_chunk"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_epoch_scan_matches_per_bit_and_heap_walk_oracles(geometry, data):
+    eng = harness(quarantine_max_count=4, quarantine_max_bytes=1 << 14, **geometry)
+    base, canary = eng.config.heap_base, eng.config.canary_word
+    live = []
+    # the heap walk knows the canary layout of allocation and quarantine
+    # only: not a slot evicted with corrupted canaries, nor a bare plant
+    layout_known = True
+
+    def check():
+        found = eng.overflow.epoch_scan()
+        tracked = bitmap_words(eng)
+        assert found == sorted(w for w in tracked if eng.image.read(w, 8) != canary)
+        assert eng.overflow.scan_records[-1] == (len(tracked), len(tracked))
+        if layout_known:
+            assert set(found) == naive_corrupted_scan(eng)
+
+    def region():
+        # anywhere in the heap, or ending among its last words, whose
+        # bits are in the bitmap's last bytes
+        prefix = eng.image.heap_prefix
+        length = data.draw(st.integers(1, 64))
+        end = data.draw(st.one_of(st.integers(length, prefix), st.integers(prefix - 64, prefix)))
+        return base + end - length, length
+
+    for op in data.draw(st.lists(st.sampled_from("aafwwps"), min_size=1, max_size=40)):
+        if op == "a" or not live:
+            live.append(alloc(eng, data.draw(st.integers(min_value=1, max_value=4000))))
+        elif op == "f":
+            _, evicted = free(eng, live.pop(data.draw(st.integers(0, len(live) - 1))))
+            layout_known &= not evicted
+        elif op == "w":
+            start, length = region()
+            eng.image.write_fill(start, length, data.draw(st.integers(0, 255)), internal=False)
+        elif op == "p":
+            start, length = region()
+            eng.overflow.plant(start, start + length)
+            layout_known = False
+        else:
+            check()
+    check()
+    # canaries in the heap's last words, whose bits are in the bitmap's
+    # last bytes, one of them corrupted
+    end = base + eng.image.heap_prefix
+    eng.overflow.plant(end - 64, end)
+    eng.image.write_fill(end - 8, 1, canary[0] ^ 0xFF, internal=False)
+    layout_known = False
+    check()
+    # a view of the bitmap left behind by the scan would make this
+    # growth raise BufferError
+    chunks = len(eng.allocator.chunks)
+    while len(eng.allocator.chunks) == chunks:
+        alloc(eng, eng.config.max_class)
+    check()
 
 
 @settings(max_examples=40, deadline=None)

@@ -127,6 +127,17 @@ def test_empty_quarantine_attributes_nothing():
     assert uaf == [] and rest == [eng.config.heap_base]
 
 
+def test_scan_words_outside_every_canaried_prefix_are_not_uaf():
+    eng = harness()
+    a = alloc(eng, 256)
+    free(eng, a)  # quarantined, canaried prefix [a, a + 128)
+    past_prefix = a + 128
+    uncarved = a + 256 + 32  # guard word of the next slot, never carved
+    uaf, rest = eng.quarantine.split_scan_words([a, past_prefix, uncarved])
+    assert [i.word for i in uaf] == [a]
+    assert rest == [past_prefix, uncarved]
+
+
 def test_freed_address_never_returned_while_quarantined():
     eng = harness(quarantine_max_count=4)
     freed = []
