@@ -66,7 +66,7 @@ class LeakScanner:
             if self.quarantine is not None and freed.size:
                 held = [self.quarantine.entry_for(p) is not None for p in table.payloads(freed)]
                 marked[freed[np.array(held)]] = True
-            wave = table.ids(table.payload_words(live))
+            wave = table.ids(table.payload_pointers(live))
         self.marked = marked
 
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> Evidence:

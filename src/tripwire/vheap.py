@@ -330,14 +330,16 @@ class SlotTable:
     def __len__(self) -> int:
         return len(self.allocated)
 
+    def _in_heap(self, values: np.ndarray) -> np.ndarray:
+        return values[(values >= self.heap_base) & (values < self.heap_end)]
+
     def ids(self, values: np.ndarray) -> np.ndarray:
         """Flat ids of the carved slots that hold the uint64 values.
 
         A value anywhere in a slot, guard word and header included,
         resolves to it; values outside every carved slot are dropped.
         """
-        values = values[(values >= self.heap_base) & (values < self.heap_end)]
-        off = (values - self.heap_base).astype(np.int64)
+        off = (self._in_heap(values) - self.heap_base).astype(np.int64)
         chunk = off // self.chunk_size
         inside = chunk < len(self.base)
         off, chunk = off[inside], chunk[inside]
@@ -360,8 +362,13 @@ class SlotTable:
         chunks = self.chunks
         return [chunks[c].requested[i] for c, i in zip(chunk.tolist(), index.tolist())]
 
-    def payload_words(self, ids: np.ndarray) -> np.ndarray:
-        """Every payload word of the given slots, as uint64."""
+    def payload_pointers(self, ids: np.ndarray) -> np.ndarray:
+        """The payload words of the given slots that point into the heap
+        region, as uint64.
+
+        Words are gathered and filtered one chunk at a time, so only one
+        chunk's share of the payloads is ever copied at once.
+        """
         chunk, index = self._locate(ids)
         skip = SLOT_OVERHEAD // WORD
         parts = []
@@ -369,7 +376,7 @@ class SlotTable:
             width = int(self.stride[c]) // WORD
             first = int(self.base[c]) // WORD
             rows = self.heap_words[first : first + int(self.carved[c]) * width].reshape(-1, width)
-            parts.append(rows[index[chunk == c], skip:].ravel())
+            parts.append(self._in_heap(rows[index[chunk == c], skip:].ravel()))
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 
 
