@@ -60,6 +60,11 @@ class EngineConfig:
         if self.globals_words <= 0:
             raise ConfigError("globals region must hold at least one word")
         globals_end = self.globals_base + 8 * self.globals_words
+        # registers, pointers and the allocation record are 64-bit words
+        if min(self.heap_base, self.globals_base) < 0 or max(
+            self.heap_base + self.heap_size, globals_end
+        ) > 1 << 64:
+            raise ConfigError("heap and globals regions must lie in the 64-bit address space")
         if not (globals_end <= self.heap_base or self.globals_base >= self.heap_base + self.heap_size):
             raise ConfigError("globals region must be disjoint from the heap region")
 

@@ -9,7 +9,7 @@ import pytest
 import tripwire as tw
 from tripwire import engine as engine_module
 from tripwire.engine import Engine, Mode
-from tripwire.errors import OutOfVirtualHeap, OversizeRequest
+from tripwire.errors import ConfigError, OutOfVirtualHeap, OversizeRequest
 from tripwire.trace import EventKind, parse_trace
 
 from conftest import small_config
@@ -164,6 +164,16 @@ def test_oversized_heap_is_a_resource_limit_not_a_crash():
     # reserves nothing
     with pytest.raises(OutOfVirtualHeap, match="--heap-size"):
         Engine(parse_trace(CLEAN), tw.EngineConfig(heap_size=2**62))
+
+
+@pytest.mark.parametrize("geometry", [
+    dict(heap_base=-(1 << 32)),
+    dict(heap_base=(1 << 64) - (1 << 20)),  # the heap would end past 2**64
+    dict(globals_base=-4096),
+])
+def test_regions_outside_the_64_bit_address_space_are_config_errors(geometry):
+    with pytest.raises(ConfigError, match="64-bit"):
+        tw.EngineConfig(**geometry)
 
 
 def test_writes_through_registers_dont_exist_only_vars_do():

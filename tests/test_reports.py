@@ -233,6 +233,7 @@ def test_cli_custom_canary_byte(tmp_path, capsys):
     ("--max-watchpoints", "0"),
     ("--uaf-fill", "0"),
     ("--min-class", "24"),
+    ("--heap-base", "0x10000000000000000"),
 ])
 def test_cli_invalid_config_values_exit_two(tmp_path, flag, value, capsys):
     path = _write(tmp_path, "clean.trace", "end\n")
