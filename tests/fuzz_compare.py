@@ -15,7 +15,8 @@ budget drawn from the seed as the fuzz test draws them: 6,000 runs by
 default. It writes one JSON line per run: the reports as the CLI's JSON
 renders them, the final state hash, the epoch-end hashes, the scan
 records, the allocation sequence, the call results, the exception
-(type and message) if the run raised, and whether a trace write
+(type and message) if the run raised, the sha256 of the canary bitmap
+at the end of the run (also when it raised), and whether a trace write
 overlapped the in-band header [payload - 24, payload) of a slot carved
 at the time of the write.
 
@@ -30,6 +31,7 @@ tests directory, so run it from the repository root as above.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 from collections import Counter
 
@@ -50,6 +52,7 @@ FIELDS = (
     "alloc_sequence",
     "extcall_results",
     "error",
+    "bitmap_sha256",
 )
 
 
@@ -103,6 +106,7 @@ def run_one(text: str, config: tw.EngineConfig) -> dict:
             alloc_sequence=list(out.alloc_sequence),
             extcall_results=[list(r) for r in out.extcall_results],
         )
+    record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
     record["header_hit"] = bool(hit)
     return record
 
