@@ -2,9 +2,10 @@
 boundaries, rollback and instrumented replay when evidence turns up.
 
 Execution is divided into epochs. Each epoch starts with a snapshot
-of the modeled writable memory plus machine, allocator, bitmap,
-quarantine, and file-position state; the heap part is copy-on-write,
-saving each page on its first write, and restores it byte-exact.
+of the modeled writable memory plus machine, allocator, quarantine,
+and file-position state; the heap and the canary bitmap, which lives
+in the memory image's shadow page store, are copy-on-write, saving
+each page on its first write, and restore byte-exact.
 Events then run at full speed with no per-write checking. An epoch
 ends at an irrevocable external call, a modeled segfault, or the end
 of the trace; the detectors inspect state there. Corrupted canaries
@@ -17,7 +18,8 @@ reports, and resumes.
 Every state hash starts from the memory image's page digests, its
 logical length and the globals (MemoryImage.hash_into): the final
 state hash is exactly that, and the per-boundary hash adds the
-machine, allocator, bitmap, quarantine and file state. Page digests are
+machine and allocator state, the bitmap's shadow store (its length and
+page digests), and the quarantine and file state. Page digests are
 refreshed only for pages written since they were last taken, so
 hashing costs what the epoch wrote, not what the heap holds.
 
@@ -61,8 +63,6 @@ class Mode(enum.Enum):
 class Counters:
     writes: int = 0
     replay_watch_checks: int = 0
-    allocations: int = 0
-    frees: int = 0
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,6 @@ class ReplaySummary:
     unwatched_words: tuple[int, ...]
     trap_count: int
     orig_hash: str
-    post_hash: str
-    replayed_allocs: int
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ class Engine:
         chunks, classes = self.allocator.snapshot()
         h.update(repr(chunks).encode())
         h.update(repr(sorted(classes.items())).encode())
-        h.update(self.overflow.bitmap.bits)
+        self.image.shadow.hash_into(h)
         if self.quarantine is not None:
             h.update(repr(self.quarantine.snapshot()).encode())
         h.update(repr(sorted(self.syscalls.files.snapshot().items())).encode())
@@ -183,7 +181,6 @@ class Engine:
             call_stack=tuple(self.call_stack),
             bindings=dict(self.bindings),
             allocator=self.allocator.snapshot(),
-            bitmap=self.overflow.bitmap.snapshot(),
             quarantine=self.quarantine.snapshot() if self.quarantine is not None else None,
             files=self.syscalls.files.snapshot(),
             alloc_seq_len=len(self.alloc_sequence),
@@ -195,7 +192,6 @@ class Engine:
         self.call_stack = list(snap.call_stack)
         self.bindings = dict(snap.bindings)
         self.allocator.restore(snap.allocator)
-        self.overflow.bitmap.restore(snap.bitmap)
         if self.quarantine is not None:
             self.quarantine.restore(snap.quarantine)
         self.syscalls.files.restore(snap.files)
@@ -350,8 +346,7 @@ class Engine:
             raise ReplayDivergence(
                 f"replay stopped at event {self.cursor}, expected {resume_cursor}"
             )
-        post_hash = self.full_state_hash()
-        if post_hash != orig_hash:
+        if self.full_state_hash() != orig_hash:
             raise ReplayDivergence("replayed state differs from the recorded execution")
         self._emit_replay_reports(evidence)
         self.replay_summaries.append(
@@ -363,8 +358,6 @@ class Engine:
                 unwatched_words=tuple(unwatched),
                 trap_count=sum(len(t) for t in wps.traps.values()),
                 orig_hash=orig_hash,
-                post_hash=post_hash,
-                replayed_allocs=self._replay_alloc_count,
             )
         )
         self._wps = None
@@ -468,7 +461,6 @@ class Engine:
             capacity = next_pow2(max(ev.size, self.config.min_class))
             self.overflow.plant_on_alloc(payload, ev.size, capacity)
         self.bindings[ev.var] = payload
-        self.counters.allocations += 1
         if self.mode is Mode.NORMAL:
             self.alloc_sequence.append(payload)
             self.reported_evidence.discard(payload)
@@ -487,7 +479,6 @@ class Engine:
     def _exec_free(self, ev: TraceEvent) -> Evidence | None:
         payload = self.bindings[ev.var]
         view = self.allocator.object_bounds(payload)
-        self.counters.frees += 1
         if not view.allocated:
             if self.mode is Mode.NORMAL:
                 entry = self.quarantine.entry_for(payload) if self.quarantine is not None else None

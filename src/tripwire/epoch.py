@@ -100,7 +100,6 @@ class ModeledFileTable:
 class ExtCallRecord:
     event_id: int
     name: str
-    category: Category
     result: int
     args: tuple[str, ...]
 
@@ -149,7 +148,7 @@ class SyscallModel:
             else:
                 result = self.counter
                 self.counter += 1
-            record = ExtCallRecord(event.id, name, category, result, event.call_args)
+            record = ExtCallRecord(event.id, name, result, event.call_args)
             self.recordables.append(record)
             return result
 
@@ -161,7 +160,7 @@ class SyscallModel:
 
         if category is Category.DEFERRABLE:
             if not replay:
-                self.deferred.append(ExtCallRecord(event.id, name, category, 0, event.call_args))
+                self.deferred.append(ExtCallRecord(event.id, name, 0, event.call_args))
             return 0
 
         raise AssertionError(f"irrevocable call reached handle(): {name}")
@@ -219,12 +218,11 @@ class EpochSnapshot:
     """Everything rollback restores; the call log is deliberately absent."""
 
     event_cursor: int
-    image: tuple[dict[int, bytes], bytes, int]  # MemoryImage undo log, globals, heap length
+    image: tuple[dict[int, bytes], bytes, dict[int, bytes]]  # heap undo log, globals, shadow undo log
     registers: dict[str, int]
     call_stack: tuple[str, ...]
     bindings: dict[str, int]
     allocator: object
-    bitmap: bytes
     quarantine: object
     files: dict
     alloc_seq_len: int

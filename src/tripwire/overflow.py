@@ -8,7 +8,10 @@ shadow bitmap holds one bit per eight-byte heap word for every word a
 region covers completely. A region has at most one partial word, at
 an unaligned edge; it stays out of the bitmap, so the bitmap stays
 strictly word-granular, and is compared byte by byte whenever its
-region is verified (at a free or a quarantine eviction).
+region is verified (at a free or a quarantine eviction). The bitmap's
+bytes live in the memory image's shadow page store: each bitmap write
+touches its pages first, so the bitmap shares the heap's copy-on-write
+snapshot, restore and per-page digests.
 
 Normal execution never checks canaries on the write path, which is
 what keeps per-write overhead at zero. All tracked words are verified
@@ -30,34 +33,33 @@ def align_up(value: int) -> int:
 
 
 class CanaryBitmap:
-    """One bit per eight-byte heap word; set means "detector-filled canary"."""
+    """One bit per eight-byte heap word; set means "detector-filled canary".
+
+    The bits live in the memory image's shadow page store, which every
+    write touches first, so they are snapshotted, restored and hashed
+    with the heap, page by page.
+    """
 
     def __init__(self, image: MemoryImage):
         self.heap_base = image.heap_base
-        self.bits = bytearray(self._bits_len(image.heap_prefix))
-        image.grow_hooks.append(self._on_grow)
+        self.shadow = image.shadow
 
-    @staticmethod
-    def _bits_len(heap_prefix: int) -> int:
-        return (heap_prefix // WORD + 7) // 8
-
-    def _on_grow(self, heap_prefix: int) -> None:
-        need = self._bits_len(heap_prefix)
-        if need > len(self.bits):
-            self.bits.extend(bytes(need - len(self.bits)))
-        elif need < len(self.bits):
-            del self.bits[need:]
+    @property
+    def bits(self) -> memoryview:
+        """The bitmap's logical prefix, one byte per eight heap words."""
+        return memoryview(self.shadow.data)[: self.shadow.length]
 
     def _word_index(self, addr: int) -> int:
         return (addr - self.heap_base) >> 3
 
     def clear_word(self, addr: int) -> None:
         w = self._word_index(addr)
-        self.bits[w >> 3] &= ~(1 << (w & 7))
+        self.shadow.touch(w >> 3, 1)
+        self.shadow.data[w >> 3] &= ~(1 << (w & 7))
 
     def test_word(self, addr: int) -> bool:
         w = self._word_index(addr)
-        return bool(self.bits[w >> 3] & (1 << (w & 7)))
+        return bool(self.shadow.data[w >> 3] & (1 << (w & 7)))
 
     def _span(self, start_addr: int, end_addr: int, value: bool) -> None:
         """Set or clear the bits of the whole words in [start_addr, end_addr)."""
@@ -69,7 +71,8 @@ class CanaryBitmap:
         head = (0xFF << (w0 & 7)) & 0xFF
         tail = 0xFF >> (7 - ((w1 - 1) & 7))
         fill = 0xFF if value else 0x00
-        bits = self.bits
+        self.shadow.touch(b0, b1 - b0 + 1)
+        bits = self.shadow.data
         if b0 == b1:
             head &= tail
         else:
@@ -91,9 +94,7 @@ class CanaryBitmap:
         they are); the nonzero bytes of those blocks are unpacked
         lowest bit first, so the set bits come out in word order.
         """
-        # every view of self.bits dies with this call: a bytearray with a
-        # live export cannot grow, and _on_grow extends it
-        bits = np.frombuffer(self.bits, dtype=np.uint8)
+        bits = np.frombuffer(self.shadow.data, dtype=np.uint8, count=self.shadow.length)
         whole = len(bits) & ~7
         blocks = np.flatnonzero(bits[:whole].view("<u8"))
         candidates = np.concatenate(
@@ -105,14 +106,6 @@ class CanaryBitmap:
 
     def popcount(self) -> int:
         return int.from_bytes(self.bits, "little").bit_count()
-
-    def snapshot(self) -> bytes:
-        return bytes(self.bits)
-
-    def restore(self, snap: bytes) -> None:
-        """Restore bits snapshotted with the image snapshot the image was
-        just restored to, so their length already fits it."""
-        self.bits = bytearray(snap)
 
 
 class OverflowDetector:
@@ -158,10 +151,8 @@ class OverflowDetector:
             first, last = lo - base, hi - base
             # an intact region, the common case, costs one comparison
             if heap[first:last] != canary * ((last - first) >> 3):
-                bits = self.bitmap.bits
                 for off in range(first, last, WORD):
-                    w = off >> 3
-                    if bits[w >> 3] >> (w & 7) & 1 and heap[off : off + WORD] != canary:
+                    if heap[off : off + WORD] != canary and self.bitmap.test_word(base + off):
                         out.append(base + off)
         if lo <= hi < end and image.read(hi, end - hi) != canary[: end - hi]:
             out.append(hi)  # partial word at the end

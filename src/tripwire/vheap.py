@@ -18,22 +18,13 @@ is still written at every allocate and free but never read back.
 Engine bookkeeping (chunk table, slot metadata, free lists, cursors)
 lives in ordinary Python objects, never at modeled heap addresses.
 
-The heap image is one anonymous private mapping of the whole heap
-region, reserved without swap accounting: the kernel zero-fills its
-pages on first touch, so pages nobody wrote cost neither time nor
-resident memory. A logical length, grown in chunk steps as the
-allocator carves chunks, is the heap's modeled size; it sets the
-length word and the page count the state hash covers and the size of
-the canary bitmap. Every byte past the logical length reads zero.
-Snapshots are copy-on-write at 4 KiB page granularity: a snapshot
-starts an undo log, and the first write to each page saves that page's
-bytes below the snapshot length (none for a page wholly past it), so a
-snapshot and a restore cost in proportion to the pages the epoch
-wrote. A restore writes each saved page back and zeroes the rest of
-it, which keeps the zero invariant without truncating anything. A
-sha256 digest is kept per page, over the page's bytes below the
-logical length, and recomputed only for pages written since it was
-last taken, so hashing the heap costs the same.
+The heap image and the overflow detector's canary bitmap, one bit per
+heap word, are two page stores (PageStore): lazily zeroed reservations
+with a logical length, a copy-on-write undo log of 4 KiB pages and a
+sha256 digest per page. The bitmap's store, the image's shadow, follows
+the heap's logical length and shares its snapshot and restore, so a
+snapshot, a restore or a state hash costs what the epoch wrote, not what
+the heap or the bitmap holds.
 """
 
 from __future__ import annotations
@@ -86,91 +77,74 @@ def _reserve(size: int) -> mmap.mmap:
         ) from None
 
 
-class MemoryImage:
-    """The modeled program's writable memory: heap region plus globals.
+class PageStore:
+    """A fixed, lazily zeroed memory reservation with a logical length,
+    an undo log of 4 KiB pages and a digest per page.
 
-    All access is bounds-checked against the two mapped ranges; anything
-    else raises SegfaultModel. Trace-driven writes pass internal=False so
-    an observer installed by the engine (the replay watchpoint check) can
-    see them; detector and header writes are internal and invisible to it.
-    Every heap write goes through write_fill, write_bytes or write_word,
-    which keep the undo log and the page digests current.
+    The reservation is one anonymous private mapping without swap
+    accounting: the kernel zero-fills its pages on first touch, so pages
+    nobody wrote cost neither time nor resident memory. Every byte past
+    the logical length reads zero. Callers write `data` directly, after
+    calling touch() on the range. A snapshot starts an undo log, and the
+    first write to each page saves that page's bytes below the snapshot
+    length (none for a page wholly past it). A restore writes each saved
+    page back and zeroes the rest of it, which keeps the zero invariant
+    without truncating anything. The digest of a page covers its bytes
+    below the logical length and is recomputed only after a write.
     """
 
-    def __init__(self, config: EngineConfig):
-        self.heap_base = config.heap_base
-        self.heap_size = config.heap_size
-        self.chunk_size = config.chunk_size
-        self.globals_base = config.globals_base
-        self.globals_size = 8 * config.globals_words
-        self.heap = _reserve(self.heap_size)
-        self._len = 0  # logical heap length; every byte past it is zero
-        self.globals = bytearray(self.globals_size)
-        self.write_observer = None
-        self.grow_hooks: list = []
+    def __init__(self, size: int):
+        self.data = _reserve(size)
+        self.length = 0
         # undo log of the latest snapshot: page index -> the page's bytes
         # below the snapshot length, empty for a page wholly past it
         self._saved: dict[int, bytes] = {}
         self._snap_len = 0
-        # DIGEST_BYTES per page of the heap, and the pages whose digest is out of date
+        # DIGEST_BYTES per page, and the pages whose digest is out of date
         self._digests = bytearray()
         self._stale: set[int] = set()
 
-    @property
-    def heap_prefix(self) -> int:
-        return self._len
-
-    def ensure_heap(self, nbytes: int) -> None:
-        """Raise the logical heap length to cover nbytes, in chunk steps."""
-        if nbytes <= self._len:
-            return
-        old = self._len
-        self._len = -(-nbytes // self.chunk_size) * self.chunk_size
-        self._fit_digests(old)
-        for hook in self.grow_hooks:
-            hook(self._len)
-
-    def _fit_digests(self, old_len: int) -> None:
-        """Resize the digest table after the logical length changed from old_len.
+    def resize(self, length: int) -> None:
+        """Set the logical length and fit the digest table to it.
 
         Pages wholly added read as zeros; a page that was or now is cut
         short by the logical length is re-digested.
         """
-        new_len = self._len
-        pages = -(-new_len // PAGE)
-        if new_len > old_len:
-            if old_len % PAGE:
-                self._stale.add(old_len >> PAGE_SHIFT)
+        old, self.length = self.length, length
+        pages = -(-length // PAGE)
+        if length > old:
+            if old % PAGE:
+                self._stale.add(old >> PAGE_SHIFT)
             self._digests += _ZERO_PAGE_DIGEST * (pages - len(self._digests) // DIGEST_BYTES)
         else:
             del self._digests[pages * DIGEST_BYTES :]
-        if new_len % PAGE:
+        if length % PAGE:
             self._stale.add(pages - 1)
 
-    def _touch(self, off: int, length: int) -> None:
-        """Record a heap write of [off, off + length) before it happens.
+    def touch(self, off: int, length: int) -> None:
+        """Record a write of [off, off + length) before it happens.
 
         Saves each page on its first write since the snapshot, and marks
         every written page's digest out of date.
         """
-        saved, heap, snap_len = self._saved, self.heap, self._snap_len
-        for page in range(off >> PAGE_SHIFT, ((off + length - 1) >> PAGE_SHIFT) + 1):
-            self._stale.add(page)
+        first, last = off >> PAGE_SHIFT, (off + length - 1) >> PAGE_SHIFT
+        stale, saved = self._stale, self._saved
+        if first == last and first in saved:  # the common case
+            stale.add(first)
+            return
+        for page in range(first, last + 1):
+            stale.add(page)
             if page not in saved:
                 start = page << PAGE_SHIFT
-                # empty for a page wholly past the snapshot length
-                saved[page] = heap[start : min(start + PAGE, snap_len)]
+                saved[page] = self.data[start : min(start + PAGE, self._snap_len)]
 
-    def heap_digest(self) -> bytes:
-        """The sha256 digest of every heap page below the logical length,
-        in page order.
-
-        Only pages written, restored or grown since the last call are
-        hashed again.
-        """
+    def digest(self) -> bytes:
+        """The sha256 digest of every page below the logical length, in
+        page order; only pages written, restored or grown since the last
+        call are hashed again."""
         if self._stale:
-            digests, end = self._digests, self._len
-            with memoryview(self.heap) as view:
+            digests, end = self._digests, self.length
+            with memoryview(self.data) as view:
                 for page in self._stale:
                     start = page << PAGE_SHIFT
                     if start < end:
@@ -182,15 +156,84 @@ class MemoryImage:
         return bytes(self._digests)
 
     def hash_into(self, h) -> None:
-        """Feed the memory image to the hasher h: the logical length, the
-        page digests and the globals.
+        """Feed the logical length and the page digests to the hasher h.
 
-        The page digests stand in for the heap bytes, like one level of a
-        Merkle tree, so this costs what the pages written since the last
-        call cost to hash, not what the heap holds.
+        The page digests stand in for the bytes, like one level of a
+        Merkle tree.
         """
-        h.update(self._len.to_bytes(8, "little"))
-        h.update(self.heap_digest())
+        h.update(self.length.to_bytes(8, "little"))
+        h.update(self.digest())
+
+    def snapshot(self) -> dict[int, bytes]:
+        """Start a new undo log and return it. The log fills as pages are
+        touched and stays valid until the next snapshot."""
+        self._saved = {}
+        self._snap_len = self.length
+        return self._saved
+
+    def restore(self, saved: dict[int, bytes]) -> None:
+        """Write the saved pages back and return to the snapshot length.
+
+        The undo log stays active, so the same snapshot can be restored
+        again later.
+        """
+        if saved is not self._saved:
+            raise ValueError("only the latest snapshot can be restored")
+        data, size = self.data, len(self.data)
+        for page, old in saved.items():
+            start = page << PAGE_SHIFT
+            end = min(start + PAGE, size)
+            data[start:end] = old.ljust(end - start, b"\0")
+            self._stale.add(page)
+        self.resize(self._snap_len)
+
+
+def _shadow_len(heap_len: int) -> int:  # one bit per heap word
+    return (heap_len // WORD + 7) // 8
+
+
+class MemoryImage:
+    """The modeled program's writable memory: heap region plus globals.
+
+    All access is bounds-checked against the two mapped ranges; anything
+    else raises SegfaultModel. Trace-driven writes pass internal=False so
+    an observer installed by the engine (the replay watchpoint check) can
+    see them; detector and header writes are internal and invisible to it.
+    Every heap write goes through write_fill, write_bytes or write_word,
+    which keep the undo log and the page digests current. The heap's
+    bytes live in heap_pages (`heap` is its mapping); shadow holds the
+    canary bitmap and is resized, snapshotted and restored with it.
+    """
+
+    def __init__(self, config: EngineConfig):
+        self.heap_base = config.heap_base
+        self.heap_size = config.heap_size
+        self.chunk_size = config.chunk_size
+        self.globals_base = config.globals_base
+        self.globals_size = 8 * config.globals_words
+        self.heap_pages = PageStore(self.heap_size)
+        self.heap = self.heap_pages.data
+        self.shadow = PageStore(_shadow_len(self.heap_size))
+        self.globals = bytearray(self.globals_size)
+        self.write_observer = None
+
+    @property
+    def heap_prefix(self) -> int:
+        return self.heap_pages.length
+
+    def ensure_heap(self, nbytes: int) -> None:
+        """Raise the logical heap length to cover nbytes, in chunk steps,
+        and the shadow's length with it."""
+        if nbytes <= self.heap_pages.length:
+            return
+        length = -(-nbytes // self.chunk_size) * self.chunk_size
+        self.heap_pages.resize(length)
+        self.shadow.resize(_shadow_len(length))
+
+    def hash_into(self, h) -> None:
+        """Feed the memory image to the hasher h: the logical heap length,
+        the heap's page digests and the globals."""
+        self.heap_pages.hash_into(h)
         h.update(self.globals)
 
     def _locate(self, addr: int, length: int) -> tuple[mmap.mmap | bytearray, int]:
@@ -207,66 +250,35 @@ class MemoryImage:
         return bytes(buf[off : off + length])
 
     def write_fill(self, addr: int, length: int, fill: int, internal: bool = True) -> None:
+        self._write(addr, length, fill, internal)
+
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        self._write(addr, len(data), data, True)
+
+    def write_word(self, addr: int, value: int, internal: bool = True) -> None:
+        self._write(addr, 8, (value & U64_MASK).to_bytes(8, "little"), internal)
+
+    def _write(self, addr: int, length: int, data: bytes | int, internal: bool) -> None:
+        """Store data, or the fill byte data repeated, at [addr, addr + length)."""
         buf, off = self._locate(addr, length)
         if not internal and self.write_observer is not None:
             self.write_observer(addr, length)
         if buf is self.heap:
             self.ensure_heap(off + length)
-            self._touch(off, length)
-        buf[off : off + length] = bytes([fill]) * length
+            self.heap_pages.touch(off, length)
+        buf[off : off + length] = bytes([data]) * length if isinstance(data, int) else data
 
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        buf, off = self._locate(addr, len(data))
-        if buf is self.heap:
-            self.ensure_heap(off + len(data))
-            self._touch(off, len(data))
-        buf[off : off + len(data)] = data
+    def snapshot(self) -> tuple[dict[int, bytes], bytes, dict[int, bytes]]:
+        """Start new undo logs for the heap and the shadow, and copy the
+        globals: (heap undo log, globals, shadow undo log)."""
+        return self.heap_pages.snapshot(), bytes(self.globals), self.shadow.snapshot()
 
-    def read_word(self, addr: int) -> int:
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_word(self, addr: int, value: int, internal: bool = True) -> None:
-        buf, off = self._locate(addr, 8)
-        if not internal and self.write_observer is not None:
-            self.write_observer(addr, 8)
-        if buf is self.heap:
-            self.ensure_heap(off + 8)
-            self._touch(off, 8)
-        buf[off : off + 8] = (value & U64_MASK).to_bytes(8, "little")
-
-    def snapshot(self) -> tuple[dict[int, bytes], bytes, int]:
-        """Start a new undo log and copy the globals.
-
-        Returns (undo log, globals, logical heap length). The log fills
-        as pages are written and stays valid until the next snapshot.
-        """
-        self._saved = {}
-        self._snap_len = self._len
-        return self._saved, bytes(self.globals), self._snap_len
-
-    def restore(self, snap: tuple[dict[int, bytes], bytes, int]) -> None:
-        """Write the saved pages back and return to the snapshot length.
-
-        Each written page gets its saved bytes and zeros up to its end,
-        so every byte past the snapshot length reads zero again. The
-        undo log stays active, so the same snapshot can be restored
-        again later in the epoch.
-        """
-        saved, globs, length = snap
-        if saved is not self._saved:
-            raise ValueError("only the latest snapshot can be restored")
-        heap, size = self.heap, self.heap_size
-        for page, data in saved.items():
-            start = page << PAGE_SHIFT
-            end = min(start + PAGE, size)
-            heap[start:end] = data.ljust(end - start, b"\0")
-            self._stale.add(page)
-        old = self._len
-        self._len = length
-        self._fit_digests(old)
+    def restore(self, snap: tuple[dict[int, bytes], bytes, dict[int, bytes]]) -> None:
+        """Return the heap, the shadow and the globals to the latest snapshot."""
+        heap_log, globs, shadow_log = snap
+        self.heap_pages.restore(heap_log)
+        self.shadow.restore(shadow_log)
         self.globals = bytearray(globs)
-        for hook in self.grow_hooks:
-            hook(length)
 
 
 @dataclass

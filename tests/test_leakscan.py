@@ -129,13 +129,14 @@ def test_mark_and_sweep_write_no_heap_page():
     free(eng, freed)
     eng.image.write_word(a, b)
     eng.image.write_word(eng.config.globals_base, a)
-    digest = eng.image.heap_digest()
-    undo_log, _, _ = eng.image.snapshot()
+    digest = eng.image.heap_pages.digest()
+    heap_log, _, shadow_log = eng.image.snapshot()
     found = scan(eng, {"r0": freed}, dangling=True)
     assert found.leaked == [(lost, 100)]
     assert [e.payload for e in found.reachable_freed] == [freed]
-    assert undo_log == {}
-    assert eng.image.heap_digest() == digest
+    assert heap_log == {}
+    assert shadow_log == {}
+    assert eng.image.heap_pages.digest() == digest
 
 
 def test_random_heaps_match_reachability_closure():

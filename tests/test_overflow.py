@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,7 @@ import tripwire as tw
 from tripwire.engine import Engine
 from tripwire.overflow import touches_partial
 from tripwire.quarantine import QuarantineEntry
-from tripwire.vheap import next_pow2
+from tripwire.vheap import PAGE, next_pow2
 
 from conftest import small_config
 from oracles import bitmap_words, expected_canary_words, naive_corrupted_scan
@@ -274,8 +275,8 @@ def test_epoch_scan_matches_per_bit_and_heap_walk_oracles(geometry, data):
     eng.image.write_fill(end - 8, 1, canary[0] ^ 0xFF, internal=False)
     layout_known = False
     check()
-    # a view of the bitmap left behind by the scan would make this
-    # growth raise BufferError
+    # growth adds bitmap bytes past the old end, which the scan must
+    # cover too
     chunks = len(eng.allocator.chunks)
     while len(eng.allocator.chunks) == chunks:
         alloc(eng, eng.config.max_class)
@@ -317,3 +318,102 @@ def test_zero_false_positives_on_random_clean_traces():
         lines.append("end")
         out = tw.run_text("\n".join(lines), small_config())
         assert out.reports == ()
+
+
+# heap bytes whose bits fill one page of the bitmap's shadow store
+SHADOW_PAGE_SPAN = PAGE * 64
+
+
+def page_digests(data: bytes) -> bytes:
+    return b"".join(hashlib.sha256(data[i : i + PAGE]).digest() for i in range(0, len(data), PAGE))
+
+
+def test_shadow_undo_log_holds_only_the_pages_bitmap_writes_touched():
+    eng = harness()
+    image, base = eng.image, eng.config.heap_base
+    far = base + 3 * SHADOW_PAGE_SPAN
+    eng.overflow.plant(far, far + 64)
+    a = alloc(eng, 24)
+    heap_log, _, shadow_log = image.snapshot()
+    image.write_fill(a, 24, 0x11, internal=False)  # a program write: heap pages only
+    assert heap_log and shadow_log == {}
+    eng.overflow.plant(far + 128, far + 192)
+    eng.overflow.retire_words([a + 24])  # intact: no bitmap write
+    assert set(shadow_log) == {3}
+    image.write_fill(a + 24, 1, 0x00, internal=False)
+    eng.overflow.retire_words([a + 24])
+    assert set(shadow_log) == {0, 3}
+
+
+# (page of SHADOW_PAGE_SPAN heap bytes, byte offset from its start, length)
+_regions = st.tuples(st.integers(0, 5), st.integers(-700, 700), st.integers(1, 3000))
+_bitmap_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("plant", "clear")), _regions),
+        st.tuples(st.just("retire"), st.tuples(st.integers(0, 5), st.integers(-700, 700),
+                                                st.integers(1, 8), st.integers(0, 255))),
+        st.tuples(st.sampled_from(("snapshot", "restore")), st.none()),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bitmap_steps)
+def test_shadow_store_restores_like_a_full_bitmap_copy(steps):
+    """The old mechanism, a full copy of the bits at each snapshot, is the
+    oracle; the tracked words and the touched shadow pages are modeled
+    from the operations alone."""
+    eng = harness()
+    image, bitmap, shadow = eng.image, eng.overflow.bitmap, eng.image.shadow
+    base, canary = eng.config.heap_base, eng.config.canary_word
+    tracked: set[int] = set()  # word indices the bitmap should hold
+    snap = image.snapshot()
+    copy, copy_tracked = bytes(bitmap.bits), set()
+    touched: set[int] = set()  # shadow pages written since the snapshot
+    high = 0  # the longest the shadow has been
+
+    def at(page, delta):
+        return base + max(0, page * SHADOW_PAGE_SPAN + delta)
+
+    for op, arg in steps:
+        if op in ("plant", "clear"):
+            start = at(*arg[:2])
+            end = start + arg[2]
+            if op == "clear" and end - base > image.heap_prefix:
+                continue  # the detectors clear only carved, hence mapped, words
+            (eng.overflow.plant if op == "plant" else bitmap.clear_range)(start, end)
+            words = set(range((start - base + 7) >> 3, (end - base) >> 3))
+            tracked = tracked | words if op == "plant" else tracked - words
+            touched |= {w >> 15 for w in words}
+        elif op == "retire":
+            addr = at(*arg[:2]) & ~7
+            image.write_fill(addr, arg[2], arg[3], internal=False)
+            if image.read(addr, 8) != canary:
+                tracked.discard((addr - base) >> 3)
+                touched.add((addr - base) >> 18)
+            eng.overflow.retire_words([addr])
+        elif op == "snapshot":
+            snap = image.snapshot()
+            copy, copy_tracked, touched = bytes(bitmap.bits), set(tracked), set()
+        else:
+            image.restore(snap)
+            assert bytes(bitmap.bits) == copy
+            assert shadow.data[shadow.length : high] == bytes(max(0, high - shadow.length))
+            tracked = set(copy_tracked)
+        high = max(high, shadow.length)
+        assert set(snap[2]) == touched
+        assert bitmap_words(eng) == {base + 8 * w for w in tracked}
+        assert shadow.digest() == page_digests(bytes(bitmap.bits))
+
+    # restore after the heap grew past the snapshot length: the bitmap
+    # bytes past the snapshot's shadow length read zero again
+    snap = image.snapshot()
+    copy, length = bytes(bitmap.bits), shadow.length
+    far = base + image.heap_prefix + 2 * SHADOW_PAGE_SPAN
+    eng.overflow.plant(far, far + 64)
+    assert shadow.length > length
+    image.restore(snap)
+    assert (shadow.length, bytes(bitmap.bits)) == (length, copy)
+    assert shadow.data[length : (far - base) // 64 + 2] == bytes((far - base) // 64 + 2 - length)
+    assert shadow.digest() == page_digests(copy)

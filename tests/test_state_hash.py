@@ -4,7 +4,9 @@ final_state_hash is sha256 over the logical heap length, the page
 digests and the globals, and the engine keeps the page digests
 incrementally. These tests recompute it from the raw bytes, so a stale
 page digest fails here even where the golden digests, regenerated from
-the same engine, would pin it.
+the same engine, would pin it. The canary bitmap's shadow store, which
+the per-boundary hash covers, is checked the same way against the raw
+bits.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ def from_scratch_hash(image) -> str:
     return h.hexdigest()
 
 
+def assert_shadow_digest_matches_bits(engine) -> None:
+    bits = bytes(engine.overflow.bitmap.bits)
+    expected = b"".join(hashlib.sha256(bits[i : i + PAGE]).digest() for i in range(0, len(bits), PAGE))
+    assert engine.image.shadow.digest() == expected
+
+
 def fuzz_case(seed: int, ops: int = 30, **overrides) -> tuple[str, tw.EngineConfig]:
     """The trace and config of test_replay_fuzz for one seed."""
     rng = random.Random(seed)
@@ -49,6 +57,7 @@ def test_corpus_final_hash_matches_raw_memory(case):
     engine = Engine(parse_trace(case.text), tw.EngineConfig())
     outcome = engine.run()
     assert outcome.final_state_hash == from_scratch_hash(engine.image)
+    assert_shadow_digest_matches_bits(engine)
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -58,6 +67,7 @@ def test_fuzzed_final_hash_matches_raw_memory(block):
         engine = Engine(parse_trace(text), config)
         outcome = engine.run()
         assert outcome.final_state_hash == from_scratch_hash(engine.image), seed
+        assert_shadow_digest_matches_bits(engine)
 
 
 def test_heap_size_is_only_a_limit():

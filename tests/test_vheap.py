@@ -291,11 +291,11 @@ def test_undo_log_restores_like_a_full_copy_and_digests_stay_current(chunk, star
                 length = 8
                 image.write_word(addr, value * 0x0101010101010101)
             written_end = max(written_end, off + length)
-        assert image.heap_digest() == page_digests(logical_heap(image))
+        assert image.heap_pages.digest() == page_digests(logical_heap(image))
     image.restore(snap)
     assert logical_heap(image) == reference
     assert_zero_between(image, image.heap_prefix, written_end)
-    assert image.heap_digest() == page_digests(logical_heap(image))
+    assert image.heap_pages.digest() == page_digests(logical_heap(image))
 
 
 def test_only_the_latest_snapshot_restores():
