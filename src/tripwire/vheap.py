@@ -129,9 +129,6 @@ class PageStore:
         """
         first, last = off >> PAGE_SHIFT, (off + length - 1) >> PAGE_SHIFT
         stale, saved = self._stale, self._saved
-        if first == last and first in saved:  # the common case
-            stale.add(first)
-            return
         for page in range(first, last + 1):
             stale.add(page)
             if page not in saved:
@@ -250,23 +247,24 @@ class MemoryImage:
         return bytes(buf[off : off + length])
 
     def write_fill(self, addr: int, length: int, fill: int, internal: bool = True) -> None:
-        self._write(addr, length, fill, internal)
+        self._locate(addr, length)  # a bad length faults before the fill is built
+        self._write(addr, bytes([fill]) * length, internal)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        self._write(addr, len(data), data, True)
+        self._write(addr, data, True)
 
     def write_word(self, addr: int, value: int, internal: bool = True) -> None:
-        self._write(addr, 8, (value & U64_MASK).to_bytes(8, "little"), internal)
+        self._write(addr, (value & U64_MASK).to_bytes(8, "little"), internal)
 
-    def _write(self, addr: int, length: int, data: bytes | int, internal: bool) -> None:
-        """Store data, or the fill byte data repeated, at [addr, addr + length)."""
+    def _write(self, addr: int, data: bytes, internal: bool) -> None:
+        length = len(data)
         buf, off = self._locate(addr, length)
         if not internal and self.write_observer is not None:
             self.write_observer(addr, length)
         if buf is self.heap:
             self.ensure_heap(off + length)
             self.heap_pages.touch(off, length)
-        buf[off : off + length] = bytes([data]) * length if isinstance(data, int) else data
+        buf[off : off + length] = data
 
     def snapshot(self) -> tuple[dict[int, bytes], bytes, dict[int, bytes]]:
         """Start new undo logs for the heap and the shadow, and copy the
