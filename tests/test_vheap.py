@@ -202,6 +202,10 @@ def test_unmapped_accesses_raise_segfault_model():
     # straddling the end of a region faults too
     with pytest.raises(SegfaultModel):
         image.read(config.heap_base + config.heap_size - 4, 8)
+    # a bad fill length faults before any fill bytes are built
+    for length in (-1, 1 << 62):
+        with pytest.raises(SegfaultModel):
+            image.write_fill(config.heap_base, length, 0)
 
 
 def test_image_snapshot_restore_is_byte_exact():
