@@ -13,10 +13,11 @@ default, `--seeds START:STOP`) at 30 and 60 operations, each without
 and with dangling detection, with the quarantine count and watchpoint
 budget drawn from the seed as the fuzz test draws them: 6,000 runs by
 default. It writes one JSON line per run: the reports as the CLI's JSON
-renders them, the final state hash, the epoch-end hashes, the scan
-records, the allocation sequence, the call results, the exception
-(type and message) if the run raised, the sha256 of the canary bitmap
-at the end of the run (also when it raised), and whether a trace write
+renders them, the final state hash, the scan records, the allocation
+sequence, the call results, the exception (type and message) if the
+run raised, and, also when it raised, the state hash each replay
+checked (its summary's orig_hash, in replay order), the sha256 of the
+canary bitmap at the end of the run, and whether a trace write
 overlapped the in-band header [payload - 24, payload) of a slot carved
 at the time of the write.
 
@@ -47,7 +48,7 @@ from test_state_hash import fuzz_case
 FIELDS = (
     "reports",
     "final_state_hash",
-    "epoch_end_hashes",
+    "replay_hashes",
     "scan_records",
     "alloc_sequence",
     "extcall_results",
@@ -101,11 +102,11 @@ def run_one(text: str, config: tw.EngineConfig) -> dict:
         record.update(
             reports=[report_to_dict(r) for r in out.reports],
             final_state_hash=out.final_state_hash,
-            epoch_end_hashes=list(out.epoch_end_hashes),
             scan_records=[list(r) for r in out.scan_records],
             alloc_sequence=list(out.alloc_sequence),
             extcall_results=[list(r) for r in out.extcall_results],
         )
+    record["replay_hashes"] = [s.orig_hash for s in engine.replay_summaries]
     record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
     record["header_hit"] = bool(hit)
     return record
