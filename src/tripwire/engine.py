@@ -17,11 +17,12 @@ reports, and resumes.
 
 Every state hash starts from the memory image's page digests, its
 logical length and the globals (MemoryImage.hash_into): the final
-state hash is exactly that, and the per-boundary hash adds the
-machine and allocator state, the bitmap's shadow store (its length and
-page digests), and the quarantine and file state. Page digests are
-refreshed only for pages written since they were last taken, so
-hashing costs what the epoch wrote, not what the heap holds.
+state hash is exactly that, and the rollback hash adds the machine and
+allocator state, the bitmap's shadow store (its length and page
+digests), and the quarantine and file state. The rollback hash is taken
+only before a rollback, and checked again after the replay; a clean
+boundary takes none. Page digests are refreshed only for pages written
+since they were last taken.
 
 Identical (trace, config) inputs produce identical outcomes: the
 allocator hands out addresses as a pure function of history, external
@@ -87,7 +88,6 @@ class RunOutcome:
     events_executed: int
     alloc_sequence: array  # of "Q": payload addresses in allocation order
     extcall_results: tuple[tuple[int, str, int], ...]
-    epoch_end_hashes: tuple[str, ...]
     scan_records: tuple[tuple[int, int], ...]
     counters: Counters
 
@@ -135,7 +135,6 @@ class Engine:
         self.alloc_sequence = array("Q")
         self.extcall_results: list[tuple[int, str, int]] = []
         self._extcall_by_id: dict[int, int] = {}
-        self.epoch_end_hashes: list[str] = []
         self.replay_summaries: list[ReplaySummary] = []
         # (cursor, words) per retirement this epoch; like the call log it
         # survives rollback, so replay redoes each retirement where it happened
@@ -250,7 +249,6 @@ class Engine:
             events_executed=self.cursor,
             alloc_sequence=self.alloc_sequence,
             extcall_results=tuple(self.extcall_results),
-            epoch_end_hashes=tuple(self.epoch_end_hashes),
             scan_records=tuple(self.overflow.scan_records),
             counters=self.counters,
         )
@@ -260,7 +258,6 @@ class Engine:
     def _boundary(self, trigger: TraceEvent | None, fault: SegfaultModel | None = None) -> bool:
         """End the current epoch. Returns True when the run is over."""
         boundary_cursor = self.cursor
-        boundary_hash = self.full_state_hash()
         if fault is not None and trigger is not None:
             self.reports.append(
                 ErrorReport(
@@ -272,8 +269,9 @@ class Engine:
             )
         evidence = self._collect_evidence()
         if evidence or self.epoch_index in self.force_rollback_epochs:
-            self._rollback_and_replay(evidence, boundary_cursor, boundary_hash)
-        self.epoch_end_hashes.append(boundary_hash)
+            # the evidence passes write no hashed state, so this is the
+            # state the epoch ended in
+            self._rollback_and_replay(evidence, boundary_cursor, self.full_state_hash())
         self.syscalls.commit()
         if fault is not None:
             return True

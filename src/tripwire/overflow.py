@@ -14,10 +14,12 @@ touches its pages first, so the bitmap shares the heap's copy-on-write
 snapshot, restore and per-page digests.
 
 Normal execution never checks canaries on the write path, which is
-what keeps per-write overhead at zero. All tracked words are verified
-in one pass at epoch boundaries: array passes over the bitmap find
-its set bits, and the heap words they track are gathered and compared
-with the canary at once.
+what keeps per-write overhead at zero. Tracked words are verified in
+one pass at epoch boundaries, and only on the heap pages written since
+the snapshot: after a boundary every tracked word holds the canary
+(each corrupted word found is retired), so a word elsewhere cannot have
+changed. The scan reads those pages' bitmap bytes, and the heap words
+their set bits track are gathered and compared with the canary at once.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EngineConfig
-from .vheap import MemoryImage, WORD
+from .vheap import PAGE, MemoryImage, WORD
+
+ROW = PAGE // WORD // 8  # bitmap bytes per heap page
 
 
 def align_up(value: int) -> int:
@@ -86,20 +90,17 @@ class CanaryBitmap:
     def clear_range(self, start: int, end: int) -> None:
         self._span(start, end, False)
 
-    def set_words(self) -> np.ndarray:
-        """Indices of the tracked heap words, ascending, by array passes.
+    def set_words(self, pages) -> np.ndarray:
+        """Indices of the tracked heap words on the given heap pages, ascending.
 
-        flatnonzero runs over the bitmap viewed as uint64 (the last
-        bytes, when its length is not a multiple of eight, are taken as
-        they are); the nonzero bytes of those blocks are unpacked
-        lowest bit first, so the set bits come out in word order.
+        Each page's ROW bitmap bytes, clipped to the bitmap's logical
+        length, are taken in page order; their nonzero bytes are
+        unpacked lowest bit first, so the set bits come out in word order.
         """
         bits = np.frombuffer(self.shadow.data, dtype=np.uint8, count=self.shadow.length)
-        whole = len(bits) & ~7
-        blocks = np.flatnonzero(bits[:whole].view("<u8"))
-        candidates = np.concatenate(
-            ((blocks[:, None] * 8 + np.arange(8)).ravel(), np.arange(whole, len(bits)))
-        )
+        rows = np.sort(np.fromiter(pages, dtype=np.intp)) * ROW
+        candidates = (rows[:, None] + np.arange(ROW)).ravel()
+        candidates = candidates[candidates < len(bits)]
         nonzero = candidates[bits[candidates] != 0]
         flags = np.unpackbits(bits[nonzero], bitorder="little").reshape(-1, 8)
         return (nonzero[:, None] * 8 + np.arange(8))[flags.view(np.bool_)]
@@ -122,7 +123,7 @@ class OverflowDetector:
         self.bitmap = CanaryBitmap(image)
         self.canary_word = config.canary_word
         self._canary = np.uint64(int.from_bytes(config.canary_word, "little"))
-        # (set bits, words compared) per epoch scan, for overhead assertions
+        # (set bits on written pages, words compared) per epoch scan
         self.scan_records: list[tuple[int, int]] = []
 
     # -- canary regions -----------------------------------------------------
@@ -182,14 +183,15 @@ class OverflowDetector:
         )
 
     def epoch_scan(self) -> list[int]:
-        """Compare every tracked word against the canary word.
+        """Compare the tracked words on the heap pages written since the
+        snapshot against the canary word.
 
-        The tracked words come from CanaryBitmap.set_words; the heap
-        words at those indices are gathered and compared with the canary
-        in one array pass. Returns corrupted word addresses in
-        ascending order.
+        The tracked words come from CanaryBitmap.set_words over the
+        heap's written pages; the heap words at those indices are
+        gathered and compared with the canary in one array pass.
+        Returns corrupted word addresses in ascending order.
         """
-        words = self.bitmap.set_words()
+        words = self.bitmap.set_words(self.image.heap_pages.written_pages())
         heap_words = np.frombuffer(self.image.heap, dtype="<u8")
         bad = words[heap_words[words] != self._canary]
         self.scan_records.append((len(words), len(words)))

@@ -24,7 +24,9 @@ with a logical length, a copy-on-write undo log of 4 KiB pages and a
 sha256 digest per page. The bitmap's store, the image's shadow, follows
 the heap's logical length and shares its snapshot and restore, so a
 snapshot, a restore or a state hash costs what the epoch wrote, not what
-the heap or the bitmap holds.
+the heap or the bitmap holds. The heap's undo log keys are also the
+epoch scan's dirty set: a canary can have changed only on a page the
+epoch wrote.
 """
 
 from __future__ import annotations
@@ -160,6 +162,11 @@ class PageStore:
         """
         h.update(self.length.to_bytes(8, "little"))
         h.update(self.digest())
+
+    def written_pages(self):
+        """The pages written since the snapshot: the undo log's keys,
+        restored pages included; every page ever touched if there was none."""
+        return self._saved.keys()
 
     def snapshot(self) -> dict[int, bytes]:
         """Start a new undo log and return it. The log fills as pages are

@@ -51,11 +51,12 @@ def test_overflow_report_names_the_write_event():
 
 def test_identical_runs_are_byte_identical():
     config = small_config()
-    first = tw.run_text(OVERFLOW, config)
-    second = tw.run_text(OVERFLOW, config)
+    engines = [Engine(parse_trace(OVERFLOW), config) for _ in range(2)]
+    first, second = (engine.run() for engine in engines)
     assert first.reports == second.reports
     assert first.final_state_hash == second.final_state_hash
-    assert first.epoch_end_hashes == second.epoch_end_hashes
+    replay_hashes = [[s.orig_hash for s in engine.replay_summaries] for engine in engines]
+    assert replay_hashes[0] == replay_hashes[1] and replay_hashes[0]
     assert tw.emit_text(first.reports) == tw.emit_text(second.reports)
     assert tw.emit_json(
         first.reports, epochs=first.epochs, final_state_hash=first.final_state_hash,
@@ -311,6 +312,53 @@ def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
     assert writes[Mode.NORMAL] == 6 and writes[Mode.REPLAY] > 0
     assert checks[Mode.NORMAL] == 0
     assert checks[Mode.REPLAY] >= 1
+
+
+def run_counting_state_hashes(text: str, **kwargs):
+    """Run text; return the outcome and the number of full_state_hash calls."""
+    eng = Engine(parse_trace(text), small_config(), **kwargs)
+    calls = []
+    full_state_hash = eng.full_state_hash
+
+    def counted():
+        calls.append(None)
+        return full_state_hash()
+
+    eng.full_state_hash = counted
+    return eng.run(), len(calls)
+
+
+def three_epochs(first_write: str) -> str:
+    return "\n".join(
+        ["malloc a 32", "malloc b 32", "reg r0 = a", "reg r1 = b", first_write,
+         "call fork", "write a 0 32 41", "call fork", "end"]
+    )
+
+
+def test_clean_boundaries_take_no_state_hash():
+    out, calls = run_counting_state_hashes(three_epochs("write b 0 32 41"))
+    assert out.reports == () and out.epochs == 3
+    assert calls == 0
+
+
+def test_a_boundary_rollback_takes_two_state_hashes():
+    # one before the rollback, one to check the replay against it; the
+    # power-of-two objects defer the guard overflow to the epoch scan
+    out, calls = run_counting_state_hashes(three_epochs("writeabs a+32 8 00"))
+    assert [r.kind for r in out.reports] == ["overflow"] and out.epochs == 3
+    assert calls == 2
+
+
+def test_a_clean_epoch_scans_only_the_page_it_wrote():
+    lines = []
+    for i in range(2000):
+        lines += [f"malloc v{i} {24 + i * 37 % 1000}", f"reg r{i} = v{i}"]
+    lines += ["call fork", "write v1000 0 8 41", "end"]
+    out = tw.run_text("\n".join(lines), small_config())
+    assert out.reports == () and out.epochs == 2
+    first, last = out.scan_records
+    assert first[1] > 2000  # the allocating epoch wrote every page
+    assert 0 < last[1] <= 512  # one page's words
 
 
 def test_engine_is_single_use():

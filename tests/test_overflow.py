@@ -11,6 +11,7 @@ import tripwire as tw
 from tripwire.engine import Engine
 from tripwire.overflow import touches_partial
 from tripwire.quarantine import QuarantineEntry
+from tripwire.trace import parse_trace
 from tripwire.vheap import PAGE, next_pow2
 
 from conftest import small_config
@@ -417,3 +418,66 @@ def test_shadow_store_restores_like_a_full_bitmap_copy(steps):
     assert (shadow.length, bytes(bitmap.bits)) == (length, copy)
     assert shadow.data[length : (far - base) // 64 + 2] == bytes((far - base) // 64 + 2 - length)
     assert shadow.digest() == page_digests(copy)
+
+
+@pytest.mark.parametrize("geometry", [{}, ODD_CHUNK], ids=["small", "odd_chunk"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_engine_scans_of_written_pages_match_the_whole_bitmap(geometry, data):
+    # the real engine over histories of allocation, frees, overflowing,
+    # in-bounds and use-after-free writes and irrevocable calls; every
+    # boundary's scan of the pages the epoch wrote must find exactly what
+    # a per-bit pass over the whole bitmap finds, because each boundary
+    # leaves every tracked word holding the canary
+    lines, live, freed = [], [], []
+    for i, op in enumerate(data.draw(st.lists(st.sampled_from("mmfoowuucc"), min_size=8, max_size=30))):
+        fill = f"{data.draw(st.integers(0, 255)):02x}"
+        if op == "m" or not live:
+            # power-of-two sizes leave overflows to the epoch scan
+            size = data.draw(st.one_of(st.integers(1, 2000), st.sampled_from((16, 32, 64))))
+            lines.append(f"malloc v{i} {size}")
+            if data.draw(st.booleans()):  # unrooted objects leak
+                lines.append(f"reg r{i} = v{i}")
+            live.append((f"v{i}", size))
+        elif op == "f":
+            freed.append(live.pop(data.draw(st.integers(0, len(live) - 1))))
+            lines.append(f"free {freed[-1][0]}")
+        elif op == "o":
+            var, size = data.draw(st.sampled_from(live))
+            lines.append(f"write {var} {size + data.draw(st.integers(0, 40))} {data.draw(st.integers(1, 16))} {fill}")
+        elif op == "w":
+            var, size = data.draw(st.sampled_from(live))
+            lines.append(f"write {var} 0 {data.draw(st.integers(1, size))} {fill}")
+        elif op == "u" and freed:
+            var, size = data.draw(st.sampled_from(freed))
+            lines.append(f"write {var} 0 {data.draw(st.integers(1, min(size, 64)))} {fill}")
+        else:
+            lines.append("call fork")
+    lines.append("end")
+    config = small_config(quarantine_max_count=data.draw(st.sampled_from((1, 2, 1024))), **geometry)
+    forced = data.draw(st.sets(st.integers(0, 8), max_size=3))
+    eng = Engine(parse_trace("\n".join(lines)), config, force_rollback_epochs=forced)
+    canary = config.canary_word
+
+    def corrupted_tracked():
+        return sorted(w for w in bitmap_words(eng) if eng.image.read(w, 8) != canary)
+
+    scans = []
+    epoch_scan = eng.overflow.epoch_scan
+
+    def checked_scan():
+        scans.append(epoch_scan())
+        assert scans[-1] == corrupted_tracked()
+        return scans[-1]
+
+    begin_epoch = eng._begin_epoch
+
+    def checked_begin_epoch():
+        assert corrupted_tracked() == []  # the last boundary left canaries only
+        begin_epoch()
+
+    eng.overflow.epoch_scan = checked_scan
+    eng._begin_epoch = checked_begin_epoch
+    out = eng.run()
+    assert corrupted_tracked() == []
+    assert len(scans) == out.epochs
