@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +51,16 @@ def test_cli_output_matches_golden_digests():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(GOLDEN_FLAGS)
     assert golden_digests() == golden
+
+
+def test_python_dash_m_runs_the_cli():
+    case = next(case for case in ALL_CASES if case.expected)
+    src = str(Path(tw.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "tripwire", "run", str(TRACES_DIR / f"{case.name}.trace"), *GOLDEN_FLAGS["text"]],
+        capture_output=True, env=env, check=False,
+    )
+    assert done.returncode == 1, done.stderr
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert hashlib.sha256(done.stdout).hexdigest() == golden["text"][case.name]
