@@ -430,8 +430,11 @@ def test_engine_scans_of_written_pages_match_the_whole_bitmap(geometry, data):
     # a per-bit pass over the whole bitmap finds, because each boundary
     # leaves every tracked word holding the canary
     lines, live, freed = [], [], []
+
+    def write(var, off, length):
+        lines.append(f"write {var} {off} {length} {data.draw(st.integers(0, 255)):02x}")
+
     for i, op in enumerate(data.draw(st.lists(st.sampled_from("mmfoowuucc"), min_size=8, max_size=30))):
-        fill = f"{data.draw(st.integers(0, 255)):02x}"
         if op == "m" or not live:
             # power-of-two sizes leave overflows to the epoch scan
             size = data.draw(st.one_of(st.integers(1, 2000), st.sampled_from((16, 32, 64))))
@@ -444,13 +447,13 @@ def test_engine_scans_of_written_pages_match_the_whole_bitmap(geometry, data):
             lines.append(f"free {freed[-1][0]}")
         elif op == "o":
             var, size = data.draw(st.sampled_from(live))
-            lines.append(f"write {var} {size + data.draw(st.integers(0, 40))} {data.draw(st.integers(1, 16))} {fill}")
+            write(var, size + data.draw(st.integers(0, 40)), data.draw(st.integers(1, 16)))
         elif op == "w":
             var, size = data.draw(st.sampled_from(live))
-            lines.append(f"write {var} 0 {data.draw(st.integers(1, size))} {fill}")
+            write(var, 0, data.draw(st.integers(1, size)))
         elif op == "u" and freed:
             var, size = data.draw(st.sampled_from(freed))
-            lines.append(f"write {var} 0 {data.draw(st.integers(1, min(size, 64)))} {fill}")
+            write(var, 0, data.draw(st.integers(1, min(size, 64))))
         else:
             lines.append("call fork")
     lines.append("end")
