@@ -20,9 +20,9 @@ logical length and the globals (MemoryImage.hash_into): the final
 state hash is exactly that, and the rollback hash adds the machine and
 allocator state, the bitmap's shadow store (its length and page
 digests), and the quarantine and file state. The rollback hash is taken
-only before a rollback, and checked again after the replay; a clean
-boundary takes none. Page digests are refreshed only for pages written
-since they were last taken.
+only when an epoch is about to roll back, and again after the replay
+to check it; a clean boundary takes none. Page digests are refreshed
+only for pages written since they were last taken.
 
 Identical (trace, config) inputs produce identical outcomes: the
 allocator hands out addresses as a pure function of history, external
