@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tripwire.errors import StackUnderflow, TraceSyntaxError, UnboundVariable
+from tripwire.errors import StackUnderflow, TraceError, TraceSyntaxError, UnboundVariable
 from tripwire.trace import EventKind, parse_trace
 
 
@@ -115,6 +115,84 @@ def test_stack_pop_on_empty_stack_rejected_at_parse_time():
 def test_malformed_lines_rejected(bad):
     with pytest.raises(TraceSyntaxError):
         parse_trace("malloc a 16\n" + bad + "\n")
+
+
+# Every error branch of the parser, with the exact message it gives.
+# Each line is parsed after `malloc a 16`, so it is line 2.
+ERRORS = [
+    ("stack push", TraceSyntaxError, "expected `stack push <name>`, got 'stack push'"),
+    ("stack push f g", TraceSyntaxError, "expected `stack push <name>`, got 'stack push f g'"),
+    ("stack push 9f", TraceSyntaxError, "frame name must be an identifier, got '9f'"),
+    ("stack pop x", TraceSyntaxError, "expected `stack pop`, got 'stack pop x'"),
+    ("stack pop", StackUnderflow, "stack pop on empty stack"),
+    ("stack", TraceSyntaxError, "expected `stack push|pop`, got 'stack'"),
+    ("stack shove f", TraceSyntaxError, "expected `stack push|pop`, got 'stack shove f'"),
+    ("malloc a", TraceSyntaxError, "expected `malloc <var> <size>`, got 'malloc a'"),
+    ("malloc 9name 8", TraceSyntaxError, "variable must be an identifier, got '9name'"),
+    ("malloc a lots", TraceSyntaxError, "size must be an integer, got 'lots'"),
+    ("malloc a 0", TraceSyntaxError, "size must be >= 1, got 0"),
+    ("malloc a -4", TraceSyntaxError, "size must be >= 1, got -4"),
+    ("free", TraceSyntaxError, "expected `free <var>`, got 'free'"),
+    ("free a b", TraceSyntaxError, "expected `free <var>`, got 'free a b'"),
+    ("free 9a", TraceSyntaxError, "variable must be an identifier, got '9a'"),
+    ("free b", UnboundVariable, "free of unbound variable 'b'"),
+    ("write a 0 1", TraceSyntaxError,
+     "expected `write <var> <offset> <len> <bytehex>`, got 'write a 0 1'"),
+    ("write 9a 0 1 00", TraceSyntaxError, "variable must be an identifier, got '9a'"),
+    ("write b 0 1 00", UnboundVariable, "write to unbound variable 'b'"),
+    ("write a x 1 00", TraceSyntaxError, "offset must be an integer, got 'x'"),
+    ("write a -1 1 00", TraceSyntaxError, "offset must be >= 0, got -1"),
+    ("write a 0 y 00", TraceSyntaxError, "length must be an integer, got 'y'"),
+    ("write a 0 0 00", TraceSyntaxError, "length must be >= 1, got 0"),
+    ("write a 0 1 0", TraceSyntaxError, "fill byte must be two hex digits, got '0'"),
+    ("write a 0 1 zz", TraceSyntaxError, "fill byte must be two hex digits, got 'zz'"),
+    ("writeabs a+0 1", TraceSyntaxError,
+     "expected `writeabs <var>(+|-)<delta> <len> <bytehex>`, got 'writeabs a+0 1'"),
+    ("writeabs a 1 00", TraceSyntaxError, "expected <var>(+|-)<delta>, got 'a'"),
+    ("writeabs 9a+0 1 00", TraceSyntaxError, "expected <var>(+|-)<delta>, got '9a+0'"),
+    ("writeabs b+0 1 00", UnboundVariable, "use of unbound variable 'b'"),
+    ("writeabs a+1x 1 00", TraceSyntaxError, "delta must be an integer, got '1x'"),
+    ("writeabs a+09 1 00", TraceSyntaxError, "delta must be an integer, got '09'"),
+    ("writeabs a+0 q 00", TraceSyntaxError, "length must be an integer, got 'q'"),
+    ("writeabs a+0 0 00", TraceSyntaxError, "length must be >= 1, got 0"),
+    ("writeabs a+0 1 0g", TraceSyntaxError, "fill byte must be two hex digits, got '0g'"),
+    ("read a 0", TraceSyntaxError, "expected `read <var> <offset> <len>`, got 'read a 0'"),
+    ("read 9a 0 1", TraceSyntaxError, "variable must be an identifier, got '9a'"),
+    ("read b 0 1", UnboundVariable, "read of unbound variable 'b'"),
+    ("read a q 1", TraceSyntaxError, "offset must be an integer, got 'q'"),
+    ("read a -1 1", TraceSyntaxError, "offset must be >= 0, got -1"),
+    ("read a 0 q", TraceSyntaxError, "length must be an integer, got 'q'"),
+    ("read a 0 0", TraceSyntaxError, "length must be >= 1, got 0"),
+    ("reg r0 a", TraceSyntaxError, "expected `reg <name> = <value>`, got 'reg r0 a'"),
+    ("reg r0 = a b", TraceSyntaxError, "expected `reg <name> = <value>`, got 'reg r0 = a b'"),
+    ("reg 9r = 1", TraceSyntaxError, "register name must be an identifier, got '9r'"),
+    ("reg r0 = 1z", TraceSyntaxError, "literal value must be an integer, got '1z'"),
+    ("reg r0 = -5", TraceSyntaxError, "variable must be an identifier, got '-5'"),
+    ("reg r0 = b", UnboundVariable, "use of unbound variable 'b'"),
+    ("reg r0 = b+1", UnboundVariable, "use of unbound variable 'b'"),
+    ("reg r0 = a+q", TraceSyntaxError, "delta must be an integer, got 'q'"),
+    ("reg r0 = a+", TraceSyntaxError, "delta must be an integer, got ''"),
+    ("reg r0 = a+-1", TraceSyntaxError, "delta must be >= 0, got -1"),
+    ("global 1 a", TraceSyntaxError, "expected `global <index> = <value>`, got 'global 1 a'"),
+    ("global x = 1", TraceSyntaxError, "global index must be an integer, got 'x'"),
+    ("global -1 = 1", TraceSyntaxError, "global index must be >= 0, got -1"),
+    ("global 1 = b", UnboundVariable, "use of unbound variable 'b'"),
+    ("global 1 = 9x", TraceSyntaxError, "literal value must be an integer, got '9x'"),
+    ("global 1 = a+z", TraceSyntaxError, "delta must be an integer, got 'z'"),
+    ("call", TraceSyntaxError, "expected `call <name> [<arg> ...]`"),
+    ("call 9x", TraceSyntaxError, "call name must be an identifier, got '9x'"),
+    ("end now", TraceSyntaxError, "expected `end`, got 'end now'"),
+    ("frobnicate a", TraceSyntaxError, "unknown event 'frobnicate'"),
+]
+
+
+@pytest.mark.parametrize("line,error,message", ERRORS)
+def test_every_parse_error_keeps_its_type_and_message(line, error, message):
+    with pytest.raises(TraceError) as exc:
+        parse_trace(f"malloc a 16\n  {line}  # comment\n")
+    assert type(exc.value) is error
+    assert str(exc.value) == f"line 2: {message}"
+    assert exc.value.line_no == 2
 
 
 def test_rebinding_a_variable_is_allowed():
