@@ -82,13 +82,15 @@ def _require_name(token: str, line_no: int, what: str) -> str:
     return token
 
 
+_HEX = "0123456789abcdefABCDEF"
+_FILLS = {a + b: int(a + b, 16) for a in _HEX for b in _HEX}
+
+
 def _parse_fill(token: str, line_no: int) -> int:
-    if len(token) != 2:
+    fill = _FILLS.get(token)
+    if fill is None:
         raise TraceSyntaxError(line_no, f"fill byte must be two hex digits, got {token!r}")
-    try:
-        return int(token, 16)
-    except ValueError:
-        raise TraceSyntaxError(line_no, f"fill byte must be two hex digits, got {token!r}")
+    return fill
 
 
 def _parse_value_expr(token: str, line_no: int, bound: set[str]) -> ValueExpr:

@@ -104,6 +104,9 @@ def test_stack_pop_on_empty_stack_rejected_at_parse_time():
         "write a 0 0 00",  # zero length
         "write a 0 1 0",  # one hex digit
         "write a 0 1 zz",
+        "write a 0 1 -1",  # int(tok, 16) takes a sign; a fill byte does not
+        "write a 0 1 +f",
+        "writeabs a+0 1 -1",
         "writeabs a 1 00",  # missing sign
         "stack shove f",
         "reg r0 a",  # missing '='
@@ -193,6 +196,14 @@ def test_every_parse_error_keeps_its_type_and_message(line, error, message):
     assert type(exc.value) is error
     assert str(exc.value) == f"line 2: {message}"
     assert exc.value.line_no == 2
+
+
+def test_fill_byte_is_two_ascii_hex_digits():
+    events = parse_trace("malloc a 16\nwrite a 0 1 0F\nwriteabs a+1 1 aB\n")
+    assert [events[1].fill, events[2].fill] == [0x0F, 0xAB]
+    with pytest.raises(TraceSyntaxError) as exc:
+        parse_trace("malloc a 16\nwrite a 0 1 -1\n")
+    assert str(exc.value) == "line 2: fill byte must be two hex digits, got '-1'"
 
 
 def test_rebinding_a_variable_is_allowed():
