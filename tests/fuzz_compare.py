@@ -19,11 +19,17 @@ run raised, and, also when it raised, the state hash each replay
 checked (its summary's orig_hash, in replay order), the sha256 of the
 canary bitmap at the end of the run, and whether a trace write
 overlapped the in-band header [payload - 24, payload) of a slot carved
-at the time of the write.
+at the time of the write. Two fields check the parser: `events`, the
+sha256 of every parsed event's fields, and `parse_error`, what parsing
+the trace with one line broken raises (`type: message`, or null). The
+broken line and the way it is broken are drawn from the run id: drop
+the line's last token, or replace an integer token with `zz`, a fill
+byte with `-1` or a name with `9x`.
 
 `diff` counts, per field, the runs whose values differ, and how many
 of those wrote into a header under either build. It lists up to ten
-run ids per field that differ in a run that wrote into no header.
+run ids per field that differ in a run that wrote into no header, and
+counts the parse errors that changed by old and new message.
 
 This is a tool, not a test: it imports the fuzz generator from the
 tests directory, so run it from the repository root as above.
@@ -34,6 +40,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
+import re
 from collections import Counter
 
 import tripwire as tw
@@ -54,6 +62,8 @@ FIELDS = (
     "extcall_results",
     "error",
     "bitmap_sha256",
+    "events",
+    "parse_error",
 )
 
 
@@ -82,8 +92,62 @@ def writes_header(allocator, addr: int, length: int) -> bool:
     return False
 
 
-def run_one(text: str, config: tw.EngineConfig) -> dict:
-    engine = Engine(parse_trace(text), config)
+def events_digest(events) -> str:
+    """sha256 of every field of the parsed events, as any build names them."""
+    h = hashlib.sha256()
+    for ev in events:
+        value = ev.value and (ev.value.literal, ev.value.var, ev.value.delta)
+        h.update(repr((
+            ev.id, ev.kind.value, ev.line_no, ev.var, ev.size, ev.offset, ev.delta, ev.length,
+            ev.fill, ev.frame, ev.reg, ev.index, value, ev.call_name, tuple(ev.call_args),
+        )).encode())
+    return h.hexdigest()
+
+
+def operand_roles(tokens: list[str]) -> dict[int, str]:
+    """Position -> "int", "fill" or "name" for the operands of one trace line."""
+    keyword, value = tokens[0], tokens[-1]
+    value_role = "int" if value[0].isdigit() else "name" if "+" not in value else None
+    roles = {
+        "stack": {2: "name"},
+        "malloc": {1: "name", 2: "int"},
+        "free": {1: "name"},
+        "write": {1: "name", 2: "int", 3: "int", 4: "fill"},
+        "writeabs": {2: "int", 3: "fill"},
+        "read": {1: "name", 2: "int", 3: "int"},
+        "reg": {1: "name", 3: value_role},
+        "global": {1: "int", 3: value_role},
+        "call": {1: "name"},
+    }.get(keyword, {})
+    return {at: role for at, role in roles.items() if role is not None and at < len(tokens)}
+
+
+def parse_error(text: str, run_id: str) -> str | None:
+    """Break one line of text, chosen from run_id; what parsing it raises."""
+    rng = random.Random(run_id)
+    lines = text.splitlines()
+    numbered = [(i, line.split("#", 1)[0].split()) for i, line in enumerate(lines)]
+    numbered = [(i, tokens) for i, tokens in numbered if tokens]
+    mutation = rng.choice(("drop", "int", "fill", "name"))
+    if mutation == "drop":
+        at, tokens = rng.choice(numbered)
+        tokens = tokens[:-1]
+    else:
+        sites = [(i, tokens, pos) for i, tokens in numbered
+                 for pos, role in operand_roles(tokens).items() if role == mutation]
+        at, tokens, pos = rng.choice(sites)
+        tokens = tokens[:pos] + [{"int": "zz", "fill": "-1", "name": "9x"}[mutation]] + tokens[pos + 1:]
+    lines[at] = " ".join(tokens)
+    try:
+        parse_trace("\n".join(lines))
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
+def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
+    events = parse_trace(text)
+    engine = Engine(events, config)
     hit = []
     write_fill = engine.image.write_fill
 
@@ -109,13 +173,16 @@ def run_one(text: str, config: tw.EngineConfig) -> dict:
     record["replay_hashes"] = [s.orig_hash for s in engine.replay_summaries]
     record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
     record["header_hit"] = bool(hit)
+    record["events"] = events_digest(events)
+    record["parse_error"] = parse_error(text, run_id)
     return record
 
 
 def dump(path: str, seeds: range) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for run_id, text, config in fuzz_runs(seeds):
-            f.write(json.dumps({"run": run_id, **run_one(text, config)}, sort_keys=True) + "\n")
+            record = run_one(text, config, run_id)
+            f.write(json.dumps({"run": run_id, **record}, sort_keys=True) + "\n")
 
 
 def load(path: str) -> dict[str, dict]:
@@ -148,6 +215,17 @@ def diff(old_path: str, new_path: str) -> None:
     for name in FIELDS:
         if elsewhere[name]:
             print(f"{name} differs outside header runs: {' '.join(elsewhere[name][:10])}")
+    changed = Counter(
+        (without_line(old[run]["parse_error"]), without_line(new[run]["parse_error"]))
+        for run in old if old[run]["parse_error"] != new[run]["parse_error"]
+    )
+    for (was, now), count in changed.most_common():
+        print(f"parse_error in {count} runs: {was} -> {now}")
+
+
+def without_line(error: str | None) -> str | None:
+    """A parse error without its line number, so equal causes count together."""
+    return error and re.sub(r": line \d+: ", ": ", error)
 
 
 def _seed_range(text: str) -> range:
