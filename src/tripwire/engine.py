@@ -38,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 
 from .config import EngineConfig
-from .epoch import Category, EpochSnapshot, SyscallModel, classify
+from .epoch import Category, EpochSnapshot, SyscallModel
 from .errors import (
     NotAHeapObject,
     OutOfVirtualHeap,
@@ -125,7 +125,10 @@ class Engine:
 
         self.registers: dict[str, int] = {}
         self.call_stack: list[str] = []
-        self.bindings: dict[str, int] = {}
+        names = {ev.slot: ev.var for ev in events if ev.kind is EventKind.MALLOC}
+        self.bindings: list[int | None] = [None] * len(names)  # by variable slot
+        # (slot, name) in name order, the order the state hash takes bindings in
+        self._slots_by_name = sorted(names.items(), key=lambda slot_name: slot_name[1])
         self.cursor = 0
 
         self.mode = Mode.NORMAL
@@ -158,7 +161,9 @@ class Engine:
         self.image.hash_into(h)
         h.update(repr(sorted(self.registers.items())).encode())
         h.update(repr(tuple(self.call_stack)).encode())
-        h.update(repr(sorted(self.bindings.items())).encode())
+        bindings = self.bindings
+        h.update(repr([(name, bindings[slot]) for slot, name in self._slots_by_name
+                       if bindings[slot] is not None]).encode())
         h.update(self.cursor.to_bytes(8, "little"))
         chunks, classes = self.allocator.snapshot()
         h.update(repr(chunks).encode())
@@ -178,7 +183,7 @@ class Engine:
             image=self.image.snapshot(),
             registers=dict(self.registers),
             call_stack=tuple(self.call_stack),
-            bindings=dict(self.bindings),
+            bindings=list(self.bindings),
             allocator=self.allocator.snapshot(),
             quarantine=self.quarantine.snapshot() if self.quarantine is not None else None,
             files=self.syscalls.files.snapshot(),
@@ -189,7 +194,7 @@ class Engine:
         self.image.restore(snap.image)
         self.registers = dict(snap.registers)
         self.call_stack = list(snap.call_stack)
-        self.bindings = dict(snap.bindings)
+        self.bindings = list(snap.bindings)
         self.allocator.restore(snap.allocator)
         if self.quarantine is not None:
             self.quarantine.restore(snap.quarantine)
@@ -209,19 +214,17 @@ class Engine:
             raise RuntimeError("Engine instances are single use; build a new one")
         self._ran = True
         self._begin_epoch()
-        total = len(self.events)
+        events = self.events
+        total = len(events)
         while True:
             if self.cursor >= total:
                 self._boundary(None)
                 break
-            ev = self.events[self.cursor]
+            ev = events[self.cursor]
             if ev.kind is EventKind.END:
                 self._boundary(ev)
                 break
-            if (
-                ev.kind is EventKind.EXT_CALL
-                and classify(ev.call_name, ev.call_args) is Category.IRREVOCABLE
-            ):
+            if ev.category is Category.IRREVOCABLE:
                 if self._boundary(ev):
                     break
                 continue
@@ -406,49 +409,53 @@ class Engine:
     def _resolve(self, value: ValueExpr) -> int:
         if value.literal is not None:
             return value.literal & U64_MASK
-        return (self.bindings[value.var] + value.delta) & U64_MASK
+        return (self.bindings[value.slot] + value.delta) & U64_MASK
 
     def _record_extcall(self, ev: TraceEvent, result: int) -> None:
         self.extcall_results.append((ev.id, ev.call_name, result))
         self._extcall_by_id[ev.id] = result
 
     def _execute(self, ev: TraceEvent) -> Evidence | None:
+        """Run one event; a free that finds evidence returns it."""
         self._current_event = ev
-        kind = ev.kind
-        if kind is EventKind.STACK_PUSH:
-            self.call_stack.append(ev.frame)
-        elif kind is EventKind.STACK_POP:
-            self.call_stack.pop()
-        elif kind is EventKind.MALLOC:
-            self._exec_malloc(ev)
-        elif kind is EventKind.FREE:
-            return self._exec_free(ev)
-        elif kind is EventKind.WRITE:
-            self.counters.writes += 1
-            self.image.write_fill(self.bindings[ev.var] + ev.offset, ev.length, ev.fill, internal=False)
-        elif kind is EventKind.WRITE_ABS:
-            self.counters.writes += 1
-            self.image.write_fill(self.bindings[ev.var] + ev.delta, ev.length, ev.fill, internal=False)
-        elif kind is EventKind.READ:
-            self.image.read(self.bindings[ev.var] + ev.offset, ev.length)
-        elif kind is EventKind.REG_SET:
-            self.registers[ev.reg] = self._resolve(ev.value)
-        elif kind is EventKind.GLOBAL_SET:
-            addr = self.config.globals_base + 8 * ev.index
-            self.image.write_word(addr, self._resolve(ev.value), internal=False)
-        elif kind is EventKind.EXT_CALL:
-            category = classify(ev.call_name, ev.call_args)
-            result = self.syscalls.handle(ev, category, replay=self.mode is Mode.REPLAY)
-            if self.mode is Mode.NORMAL:
-                self._record_extcall(ev, result)
-            elif self._extcall_by_id.get(ev.id) != result:
-                raise ReplayDivergence(
-                    f"event {ev.id}: call {ev.call_name} returned {result}, "
-                    f"expected {self._extcall_by_id.get(ev.id)}"
-                )
-        else:
-            raise AssertionError(f"unexpected event kind {kind}")
-        return None
+        return _DISPATCH[ev.op](self, ev)
+
+    def _exec_stack_push(self, ev: TraceEvent) -> None:
+        self.call_stack.append(ev.frame)
+
+    def _exec_stack_pop(self, ev: TraceEvent) -> None:
+        self.call_stack.pop()
+
+    def _exec_write(self, ev: TraceEvent) -> None:
+        self.counters.writes += 1
+        self.image.write_fill(self.bindings[ev.slot] + ev.offset, ev.length, ev.fill, internal=False)
+
+    def _exec_write_abs(self, ev: TraceEvent) -> None:
+        self.counters.writes += 1
+        self.image.write_fill(self.bindings[ev.slot] + ev.delta, ev.length, ev.fill, internal=False)
+
+    def _exec_read(self, ev: TraceEvent) -> None:
+        self.image.read(self.bindings[ev.slot] + ev.offset, ev.length)
+
+    def _exec_reg_set(self, ev: TraceEvent) -> None:
+        self.registers[ev.reg] = self._resolve(ev.value)
+
+    def _exec_global_set(self, ev: TraceEvent) -> None:
+        addr = self.config.globals_base + 8 * ev.index
+        self.image.write_word(addr, self._resolve(ev.value), internal=False)
+
+    def _exec_ext_call(self, ev: TraceEvent) -> None:
+        result = self.syscalls.handle(ev, ev.category, replay=self.mode is Mode.REPLAY)
+        if self.mode is Mode.NORMAL:
+            self._record_extcall(ev, result)
+        elif self._extcall_by_id.get(ev.id) != result:
+            raise ReplayDivergence(
+                f"event {ev.id}: call {ev.call_name} returned {result}, "
+                f"expected {self._extcall_by_id.get(ev.id)}"
+            )
+
+    def _exec_end(self, ev: TraceEvent) -> None:
+        raise AssertionError("the end event is a boundary, never executed")
 
     def _exec_malloc(self, ev: TraceEvent) -> None:
         try:
@@ -458,7 +465,7 @@ class Engine:
         if self.config.detector_enabled("overflow"):
             capacity = next_pow2(max(ev.size, self.config.min_class))
             self.overflow.plant_on_alloc(payload, ev.size, capacity)
-        self.bindings[ev.var] = payload
+        self.bindings[ev.slot] = payload
         if self.mode is Mode.NORMAL:
             self.alloc_sequence.append(payload)
             self.reported_evidence.discard(payload)
@@ -475,7 +482,7 @@ class Engine:
             self._alloc_sites[payload] = (tuple(self.call_stack), ev.id)
 
     def _exec_free(self, ev: TraceEvent) -> Evidence | None:
-        payload = self.bindings[ev.var]
+        payload = self.bindings[ev.slot]
         view = self.allocator.object_bounds(payload)
         if not view.allocated:
             if self.mode is Mode.NORMAL:
@@ -510,6 +517,23 @@ class Engine:
         else:
             self.allocator.release_slot(payload)
         return evidence if evidence and self.mode is Mode.NORMAL else None
+
+
+# Engine._execute's table: one handler per event kind, in EventKind order
+_HANDLERS = {
+    EventKind.STACK_PUSH: Engine._exec_stack_push,
+    EventKind.STACK_POP: Engine._exec_stack_pop,
+    EventKind.MALLOC: Engine._exec_malloc,
+    EventKind.FREE: Engine._exec_free,
+    EventKind.WRITE: Engine._exec_write,
+    EventKind.WRITE_ABS: Engine._exec_write_abs,
+    EventKind.READ: Engine._exec_read,
+    EventKind.REG_SET: Engine._exec_reg_set,
+    EventKind.GLOBAL_SET: Engine._exec_global_set,
+    EventKind.EXT_CALL: Engine._exec_ext_call,
+    EventKind.END: Engine._exec_end,
+}
+_DISPATCH = tuple(_HANDLERS[kind] for kind in EventKind)
 
 
 def run_events(

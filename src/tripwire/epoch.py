@@ -12,10 +12,13 @@ boundary, including any unknown call name, conservatively.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import CallArgumentError, LogUnderrun, ReplayDivergence
-from .trace import TraceEvent
+
+if TYPE_CHECKING:  # the trace parser imports this module for the call taxonomy
+    from .trace import TraceEvent
 
 
 class Category(enum.Enum):
@@ -221,7 +224,7 @@ class EpochSnapshot:
     image: tuple[dict[int, bytes], bytes, dict[int, bytes]]  # heap undo log, globals, shadow undo log
     registers: dict[str, int]
     call_stack: tuple[str, ...]
-    bindings: dict[str, int]
+    bindings: list[int | None]  # by variable slot
     allocator: object
     quarantine: object
     files: dict

@@ -1,19 +1,47 @@
-"""Trace language: event types and the line-oriented parser.
+"""Trace language: event records and the line-oriented parser.
 
 Traces are straight-line programs, one event per line, that model the
 application under test: stack pushes/pops, heap traffic through named
-variables, register and global stores, and external calls. The parser
-assigns dense 0-based event ids in file order and statically validates
-variable bindings and stack depth so execution never sees an unbound
-name or an impossible pop.
+variables, register and global stores, and external calls. A `#`
+starts a comment that runs to the end of the line; blank lines and
+comment-only lines are skipped. The forms, one per line:
+
+    stack push <name>                     push a call frame
+    stack pop                             pop one; the stack must not be empty
+    malloc <var> <size>                   bind <var>; size >= 1
+    free <var>                            <var> must be bound
+    write <var> <offset> <len> <fill>     <len> bytes at <var> + <offset>; len >= 1
+    writeabs <var>(+|-)<delta> <len> <fill>
+                                          the same, at <var> plus or minus <delta>
+    read <var> <offset> <len>             len >= 1
+    reg <name> = <value>                  store <value> in a register
+    global <index> = <value>              store <value> in global word <index>
+    call <name> [<arg> ...]               external call; args are kept as tokens
+    end                                   end of the program
+
+Operands: <size>, <offset>, <len>, <index> and <delta> are integers as
+`int(tok, 0)` reads them (`0x10`, `0b1`, `1_000`), never negative. A
+<fill> is exactly two ASCII hex digits. <var>, <name> and the frame,
+register and call names are identifiers, `[A-Za-z_][A-Za-z0-9_]*`. A
+<value> is an integer literal when it starts with a digit, else
+`<var>` or `<var>+<delta>`. `malloc` binds its variable, rebinding
+included; every other use of a variable (free, write, writeabs, read,
+and a <value>) needs it bound by an earlier malloc.
+
+A trace is compiled once: each line becomes a `__slots__` record of its
+kind, with a dense 0-based event id in file order. Each variable gets
+a dense integer slot, numbered in first-binding order and kept on
+rebinding, so the engine holds its bindings in a list; each call event
+carries its `Category`. Bindings and stack depth are checked here, so
+execution never sees an unbound name or an impossible pop.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 
+from .epoch import classify
 from .errors import StackUnderflow, TraceSyntaxError, UnboundVariable
 
 
@@ -31,88 +59,295 @@ class EventKind(enum.Enum):
     END = "end"
 
 
+_KINDS = tuple(EventKind)
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-@dataclass(frozen=True)
-class ValueExpr:
-    """Right-hand side of a reg/global store: a literal or var+delta."""
-
-    var: str | None = None
-    delta: int = 0
-    literal: int | None = None
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    id: int
-    kind: EventKind
-    line_no: int
-    var: str | None = None
-    size: int | None = None
-    offset: int | None = None
-    delta: int | None = None
-    length: int | None = None
-    fill: int | None = None
-    frame: str | None = None
-    reg: str | None = None
-    index: int | None = None
-    value: ValueExpr | None = None
-    call_name: str | None = None
-    call_args: tuple[str, ...] = field(default=())
-
-
-def _parse_int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token, 0)
-    except ValueError:
-        raise TraceSyntaxError(line_no, f"{what} must be an integer, got {token!r}")
-
-
-def _parse_uint(token: str, line_no: int, what: str, minimum: int = 0) -> int:
-    value = _parse_int(token, line_no, what)
-    if value < minimum:
-        raise TraceSyntaxError(line_no, f"{what} must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_name(token: str, line_no: int, what: str) -> str:
-    if not _NAME_RE.match(token):
-        raise TraceSyntaxError(line_no, f"{what} must be an identifier, got {token!r}")
-    return token
-
-
+_VAR_DELTA_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)([+-])([0-9][0-9xXa-fA-F]*)\Z")
 _HEX = "0123456789abcdefABCDEF"
 _FILLS = {a + b: int(a + b, 16) for a in _HEX for b in _HEX}
 
 
-def _parse_fill(token: str, line_no: int) -> int:
-    fill = _FILLS.get(token)
-    if fill is None:
-        raise TraceSyntaxError(line_no, f"fill byte must be two hex digits, got {token!r}")
-    return fill
+class ValueExpr:
+    """Right-hand side of a reg/global store: a literal or var+delta."""
+
+    __slots__ = ("var", "slot", "delta", "literal")
+
+    def __init__(self, var: str | None = None, slot: int | None = None, delta: int = 0,
+                 literal: int | None = None):
+        self.var, self.slot, self.delta, self.literal = var, slot, delta, literal
 
 
-def _parse_value_expr(token: str, line_no: int, bound: set[str]) -> ValueExpr:
-    if token[0].isdigit():
-        return ValueExpr(literal=_parse_uint(token, line_no, "literal value"))
-    name, plus, delta = token.partition("+")
-    _require_name(name, line_no, "variable")
-    if name not in bound:
-        raise UnboundVariable(line_no, f"use of unbound variable {name!r}")
-    offset = _parse_uint(delta, line_no, "delta") if plus else 0
-    return ValueExpr(var=name, delta=offset)
+class TraceEvent:
+    """One compiled trace line. Each kind is a subclass with its own fields.
+
+    A field that a kind does not have reads as None (`call_args` as
+    `()`). `kind` and `op`, the kind's position in `EventKind`, are
+    class attributes; the engine dispatches on `op`.
+    """
+
+    __slots__ = ("id", "line_no")
+    kind: EventKind
+    op: int
+    var = slot = size = offset = delta = length = fill = None
+    frame = reg = index = value = call_name = category = None
+    call_args: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, kind: EventKind, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.kind = kind
+        cls.op = _KINDS.index(kind)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{self.kind.name}(id={self.id}, line_no={self.line_no}, {fields})"
 
 
-def _parse_var_delta(token: str, line_no: int, bound: set[str]) -> tuple[str, int]:
-    m = re.match(r"([A-Za-z_][A-Za-z0-9_]*)([+-])([0-9][0-9xXa-fA-F]*)\Z", token)
-    if not m:
-        raise TraceSyntaxError(line_no, f"expected <var>(+|-)<delta>, got {token!r}")
-    name, sign, magnitude = m.groups()
-    if name not in bound:
-        raise UnboundVariable(line_no, f"use of unbound variable {name!r}")
-    delta = _parse_uint(magnitude, line_no, "delta")
-    return name, delta if sign == "+" else -delta
+class StackPush(TraceEvent, kind=EventKind.STACK_PUSH):
+    __slots__ = ("frame",)
+
+    def __init__(self, id, line_no, frame):
+        self.id, self.line_no, self.frame = id, line_no, frame
+
+
+class StackPop(TraceEvent, kind=EventKind.STACK_POP):
+    __slots__ = ()
+
+    def __init__(self, id, line_no):
+        self.id, self.line_no = id, line_no
+
+
+class Malloc(TraceEvent, kind=EventKind.MALLOC):
+    __slots__ = ("var", "slot", "size")
+
+    def __init__(self, id, line_no, var, slot, size):
+        self.id, self.line_no, self.var, self.slot, self.size = id, line_no, var, slot, size
+
+
+class Free(TraceEvent, kind=EventKind.FREE):
+    __slots__ = ("var", "slot")
+
+    def __init__(self, id, line_no, var, slot):
+        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+
+
+class Write(TraceEvent, kind=EventKind.WRITE):
+    __slots__ = ("var", "slot", "offset", "length", "fill")
+
+    def __init__(self, id, line_no, var, slot, offset, length, fill):
+        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+        self.offset, self.length, self.fill = offset, length, fill
+
+
+class WriteAbs(TraceEvent, kind=EventKind.WRITE_ABS):
+    __slots__ = ("var", "slot", "delta", "length", "fill")
+
+    def __init__(self, id, line_no, var, slot, delta, length, fill):
+        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+        self.delta, self.length, self.fill = delta, length, fill
+
+
+class Read(TraceEvent, kind=EventKind.READ):
+    __slots__ = ("var", "slot", "offset", "length")
+
+    def __init__(self, id, line_no, var, slot, offset, length):
+        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+        self.offset, self.length = offset, length
+
+
+class RegSet(TraceEvent, kind=EventKind.REG_SET):
+    __slots__ = ("reg", "value")
+
+    def __init__(self, id, line_no, reg, value):
+        self.id, self.line_no, self.reg, self.value = id, line_no, reg, value
+
+
+class GlobalSet(TraceEvent, kind=EventKind.GLOBAL_SET):
+    __slots__ = ("index", "value")
+
+    def __init__(self, id, line_no, index, value):
+        self.id, self.line_no, self.index, self.value = id, line_no, index, value
+
+
+class ExtCall(TraceEvent, kind=EventKind.EXT_CALL):
+    __slots__ = ("call_name", "call_args", "category")
+
+    def __init__(self, id, line_no, call_name, call_args, category):
+        self.id, self.line_no, self.call_name = id, line_no, call_name
+        self.call_args, self.category = call_args, category
+
+
+class End(TraceEvent, kind=EventKind.END):
+    __slots__ = ()
+
+    def __init__(self, id, line_no):
+        self.id, self.line_no = id, line_no
+
+
+def _form_error(line_no: int, form: str, raw: str) -> TraceSyntaxError:
+    return TraceSyntaxError(line_no, f"expected `{form}`, got {raw.strip()!r}")
+
+
+class _Parser:
+    """The state of one `parse_trace` call, and one method per keyword.
+
+    Each method takes the line's tokens, the event id, the line number
+    and the line without its comment, and returns the event.
+    """
+
+    __slots__ = ("slots", "names", "ints", "depth")
+
+    def __init__(self):
+        self.slots: dict[str, int] = {}  # bound variable -> slot
+        self.names: set[str] = set()  # tokens already found to be identifiers
+        self.ints: dict[str, int] = {}  # integer tokens already parsed
+        self.depth = 0
+
+    # -- operands ------------------------------------------------------------
+
+    def name(self, token: str, line_no: int, what: str) -> str:
+        if token not in self.names:
+            if not _NAME_RE.match(token):
+                raise TraceSyntaxError(line_no, f"{what} must be an identifier, got {token!r}")
+            self.names.add(token)
+        return token
+
+    def uint(self, token: str, line_no: int, what: str, minimum: int = 0) -> int:
+        value = self.ints.get(token)
+        if value is None:
+            try:
+                value = int(token, 0)
+            except ValueError:
+                raise TraceSyntaxError(line_no, f"{what} must be an integer, got {token!r}") from None
+            self.ints[token] = value
+        if value < minimum:
+            raise TraceSyntaxError(line_no, f"{what} must be >= {minimum}, got {value}")
+        return value
+
+    def bound(self, var: str, line_no: int, use: str) -> int:
+        """The slot of a bound variable; `use` words the error ("free of")."""
+        slot = self.slots.get(var)
+        if slot is None:
+            self.name(var, line_no, "variable")
+            raise UnboundVariable(line_no, f"{use} unbound variable {var!r}")
+        return slot
+
+    def value(self, token: str, line_no: int) -> ValueExpr:
+        if token[0].isdigit():
+            return ValueExpr(literal=self.uint(token, line_no, "literal value"))
+        var, plus, delta = token.partition("+")
+        slot = self.bound(var, line_no, "use of")
+        return ValueExpr(var, slot, self.uint(delta, line_no, "delta") if plus else 0)
+
+    @staticmethod
+    def fill(token: str, line_no: int) -> int:
+        fill = _FILLS.get(token)
+        if fill is None:
+            raise TraceSyntaxError(line_no, f"fill byte must be two hex digits, got {token!r}")
+        return fill
+
+    # -- one method per keyword ----------------------------------------------
+
+    def stack(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        op = t[1] if len(t) > 1 else None
+        if op == "push":
+            if len(t) != 3:
+                raise _form_error(line_no, "stack push <name>", raw)
+            frame = self.name(t[2], line_no, "frame name")
+            self.depth += 1
+            return StackPush(eid, line_no, frame)
+        if op == "pop":
+            if len(t) != 2:
+                raise _form_error(line_no, "stack pop", raw)
+            if not self.depth:
+                raise StackUnderflow(line_no, "stack pop on empty stack")
+            self.depth -= 1
+            return StackPop(eid, line_no)
+        raise _form_error(line_no, "stack push|pop", raw)
+
+    def malloc(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 3:
+            raise _form_error(line_no, "malloc <var> <size>", raw)
+        var = t[1]
+        slot = self.slots.get(var)
+        if slot is None:
+            self.name(var, line_no, "variable")
+        size = self.uint(t[2], line_no, "size", 1)
+        if slot is None:
+            slot = self.slots[var] = len(self.slots)
+        return Malloc(eid, line_no, var, slot, size)
+
+    def free(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 2:
+            raise _form_error(line_no, "free <var>", raw)
+        return Free(eid, line_no, t[1], self.bound(t[1], line_no, "free of"))
+
+    def write(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 5:
+            raise _form_error(line_no, "write <var> <offset> <len> <bytehex>", raw)
+        return Write(
+            eid, line_no, t[1], self.bound(t[1], line_no, "write to"),
+            self.uint(t[2], line_no, "offset"), self.uint(t[3], line_no, "length", 1),
+            self.fill(t[4], line_no),
+        )
+
+    def writeabs(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 4:
+            raise _form_error(line_no, "writeabs <var>(+|-)<delta> <len> <bytehex>", raw)
+        m = _VAR_DELTA_RE.match(t[1])
+        if not m:
+            raise TraceSyntaxError(line_no, f"expected <var>(+|-)<delta>, got {t[1]!r}")
+        var, sign, magnitude = m.groups()
+        slot = self.bound(var, line_no, "use of")
+        delta = self.uint(magnitude, line_no, "delta")
+        return WriteAbs(
+            eid, line_no, var, slot, delta if sign == "+" else -delta,
+            self.uint(t[2], line_no, "length", 1), self.fill(t[3], line_no),
+        )
+
+    def read(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 4:
+            raise _form_error(line_no, "read <var> <offset> <len>", raw)
+        return Read(
+            eid, line_no, t[1], self.bound(t[1], line_no, "read of"),
+            self.uint(t[2], line_no, "offset"), self.uint(t[3], line_no, "length", 1),
+        )
+
+    def reg(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 4 or t[2] != "=":
+            raise _form_error(line_no, "reg <name> = <value>", raw)
+        reg = self.name(t[1], line_no, "register name")
+        return RegSet(eid, line_no, reg, self.value(t[3], line_no))
+
+    def global_(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 4 or t[2] != "=":
+            raise _form_error(line_no, "global <index> = <value>", raw)
+        index = self.uint(t[1], line_no, "global index")
+        return GlobalSet(eid, line_no, index, self.value(t[3], line_no))
+
+    def call(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) == 1:
+            raise TraceSyntaxError(line_no, "expected `call <name> [<arg> ...]`")
+        name = self.name(t[1], line_no, "call name")
+        args = tuple(t[2:])
+        return ExtCall(eid, line_no, name, args, classify(name, args))
+
+    def end(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 1:
+            raise _form_error(line_no, "end", raw)
+        return End(eid, line_no)
+
+
+_FORMS = {
+    "stack": _Parser.stack,
+    "malloc": _Parser.malloc,
+    "free": _Parser.free,
+    "write": _Parser.write,
+    "writeabs": _Parser.writeabs,
+    "read": _Parser.read,
+    "reg": _Parser.reg,
+    "global": _Parser.global_,
+    "call": _Parser.call,
+    "end": _Parser.end,
+}
 
 
 def parse_trace(text: str) -> list[TraceEvent]:
@@ -122,99 +357,17 @@ def parse_trace(text: str) -> list[TraceEvent]:
     source yields an empty list, which the engine treats as an
     immediate end-of-trace.
     """
+    parser = _Parser()
     events: list[TraceEvent] = []
-    bound: set[str] = set()
-    depth = 0
-
+    append = events.append
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        keyword = tokens[0]
-        args = tokens[1:]
-        eid = len(events)
-
-        def need(n: int, form: str):
-            if len(args) != n:
-                raise TraceSyntaxError(line_no, f"expected `{form}`, got {line!r}")
-
-        if keyword == "stack":
-            if args[:1] == ["push"]:
-                need(2, "stack push <name>")
-                frame = _require_name(args[1], line_no, "frame name")
-                events.append(TraceEvent(eid, EventKind.STACK_PUSH, line_no, frame=frame))
-                depth += 1
-            elif args[:1] == ["pop"]:
-                need(1, "stack pop")
-                if depth == 0:
-                    raise StackUnderflow(line_no, "stack pop on empty stack")
-                depth -= 1
-                events.append(TraceEvent(eid, EventKind.STACK_POP, line_no))
-            else:
-                raise TraceSyntaxError(line_no, f"expected `stack push|pop`, got {line!r}")
-        elif keyword == "malloc":
-            need(2, "malloc <var> <size>")
-            var = _require_name(args[0], line_no, "variable")
-            size = _parse_uint(args[1], line_no, "size", minimum=1)
-            events.append(TraceEvent(eid, EventKind.MALLOC, line_no, var=var, size=size))
-            bound.add(var)
-        elif keyword == "free":
-            need(1, "free <var>")
-            var = _require_name(args[0], line_no, "variable")
-            if var not in bound:
-                raise UnboundVariable(line_no, f"free of unbound variable {var!r}")
-            events.append(TraceEvent(eid, EventKind.FREE, line_no, var=var))
-        elif keyword == "write":
-            need(4, "write <var> <offset> <len> <bytehex>")
-            var = _require_name(args[0], line_no, "variable")
-            if var not in bound:
-                raise UnboundVariable(line_no, f"write to unbound variable {var!r}")
-            offset = _parse_uint(args[1], line_no, "offset")
-            length = _parse_uint(args[2], line_no, "length", minimum=1)
-            fill = _parse_fill(args[3], line_no)
-            events.append(
-                TraceEvent(eid, EventKind.WRITE, line_no, var=var, offset=offset, length=length, fill=fill)
-            )
-        elif keyword == "writeabs":
-            need(3, "writeabs <var>(+|-)<delta> <len> <bytehex>")
-            var, delta = _parse_var_delta(args[0], line_no, bound)
-            length = _parse_uint(args[1], line_no, "length", minimum=1)
-            fill = _parse_fill(args[2], line_no)
-            events.append(
-                TraceEvent(eid, EventKind.WRITE_ABS, line_no, var=var, delta=delta, length=length, fill=fill)
-            )
-        elif keyword == "read":
-            need(3, "read <var> <offset> <len>")
-            var = _require_name(args[0], line_no, "variable")
-            if var not in bound:
-                raise UnboundVariable(line_no, f"read of unbound variable {var!r}")
-            offset = _parse_uint(args[1], line_no, "offset")
-            length = _parse_uint(args[2], line_no, "length", minimum=1)
-            events.append(TraceEvent(eid, EventKind.READ, line_no, var=var, offset=offset, length=length))
-        elif keyword == "reg":
-            if len(args) != 3 or args[1] != "=":
-                raise TraceSyntaxError(line_no, f"expected `reg <name> = <value>`, got {line!r}")
-            reg = _require_name(args[0], line_no, "register name")
-            value = _parse_value_expr(args[2], line_no, bound)
-            events.append(TraceEvent(eid, EventKind.REG_SET, line_no, reg=reg, value=value))
-        elif keyword == "global":
-            if len(args) != 3 or args[1] != "=":
-                raise TraceSyntaxError(line_no, f"expected `global <index> = <value>`, got {line!r}")
-            index = _parse_uint(args[0], line_no, "global index")
-            value = _parse_value_expr(args[2], line_no, bound)
-            events.append(TraceEvent(eid, EventKind.GLOBAL_SET, line_no, index=index, value=value))
-        elif keyword == "call":
-            if not args:
-                raise TraceSyntaxError(line_no, "expected `call <name> [<arg> ...]`")
-            name = _require_name(args[0], line_no, "call name")
-            events.append(
-                TraceEvent(eid, EventKind.EXT_CALL, line_no, call_name=name, call_args=tuple(args[1:]))
-            )
-        elif keyword == "end":
-            need(0, "end")
-            events.append(TraceEvent(eid, EventKind.END, line_no))
-        else:
-            raise TraceSyntaxError(line_no, f"unknown event {keyword!r}")
-
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if tokens:
+            form = _FORMS.get(tokens[0])
+            if form is None:
+                raise TraceSyntaxError(line_no, f"unknown event {tokens[0]!r}")
+            append(form(parser, tokens, len(events), line_no, raw))
     return events
+

@@ -13,6 +13,7 @@ from tripwire.errors import ConfigError, OutOfVirtualHeap, OversizeRequest
 from tripwire.trace import EventKind, parse_trace
 
 from conftest import small_config
+from corpus import CLEAN_CASES
 
 CLEAN = """
 stack push main
@@ -380,3 +381,39 @@ def test_dropping_an_engine_frees_its_heap_without_the_cycle_collector():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("case", CLEAN_CASES, ids=lambda case: case.name)
+def test_components_are_called_through_instance_attributes(case):
+    # tools wrap these attributes on a built engine; the event dispatch
+    # must look them up at each call, not keep what __init__ saw
+    engine = Engine(parse_trace(case.text), tw.EngineConfig())
+    calls: Counter[str] = Counter()
+
+    def counted(obj, attr, name=None):
+        fn = getattr(obj, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[name or attr] += 1
+            return fn(*args, **kwargs)
+
+        setattr(obj, attr, wrapper)
+
+    write_fill = engine.image.write_fill
+
+    def trace_write_fill(addr, length, fill, internal=True):
+        calls["trace write_fill"] += not internal
+        return write_fill(addr, length, fill, internal)
+
+    engine.image.write_fill = trace_write_fill
+    counted(engine.allocator, "allocate")
+    counted(engine.overflow, "plant_on_alloc")
+    counted(engine.quarantine, "on_free")
+    counted(engine, "_boundary")
+    outcome = engine.run()
+    assert outcome.reports == ()
+    executed = Counter(ev.kind for ev in engine.events[: outcome.events_executed])
+    assert calls["allocate"] == calls["plant_on_alloc"] == executed[EventKind.MALLOC]
+    assert calls["on_free"] == executed[EventKind.FREE]
+    assert calls["trace write_fill"] == executed[EventKind.WRITE] + executed[EventKind.WRITE_ABS]
+    assert calls["_boundary"] == outcome.epochs

@@ -194,7 +194,7 @@ def test_write_made_only_during_replay_is_a_divergence():
 
     def execute_with_stray_write(ev):
         if eng.mode is Mode.REPLAY and ev.kind is EventKind.WRITE:
-            eng.image.write_fill(eng.bindings["big"] + 8192, 8, 0x5A)
+            eng.image.write_fill(eng.bindings[eng.events[0].slot] + 8192, 8, 0x5A)
         return execute(ev)
 
     eng._execute = execute_with_stray_write

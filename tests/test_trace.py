@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from tripwire.epoch import Category, classify
 from tripwire.errors import StackUnderflow, TraceError, TraceSyntaxError, UnboundVariable
 from tripwire.trace import EventKind, parse_trace
 
@@ -209,3 +210,32 @@ def test_fill_byte_is_two_ascii_hex_digits():
 def test_rebinding_a_variable_is_allowed():
     events = parse_trace("malloc a 16\nfree a\nmalloc a 32\n")
     assert events[2].size == 32
+
+
+def test_variable_slots_are_dense_in_first_binding_order():
+    events = parse_trace(
+        "malloc b 8\nmalloc a 8\nfree b\nmalloc b 16\nmalloc c 8\n"
+        "write a 0 1 00\nwriteabs c-8 1 00\nread b 0 1\nreg r0 = c+4\nglobal 0 = a\n"
+    )
+    assert [(ev.var, ev.slot) for ev in events[:5]] == [("b", 0), ("a", 1), ("b", 0), ("b", 0), ("c", 2)]
+    assert [ev.slot for ev in events[5:8]] == [1, 2, 0]
+    assert (events[8].value.var, events[8].value.slot) == ("c", 2)
+    assert (events[9].value.var, events[9].value.slot) == ("a", 1)
+    assert events[0].size == 8 and events[3].size == 16
+
+
+def test_call_events_carry_their_category():
+    calls = ["getpid", "time", "open f", "write 1 8", "close 3", "fcntl F_GETFL 3",
+             "fcntl F_SETFL 3", "fork", "exit", "frobnicate"]
+    events = parse_trace("".join(f"call {c}\n" for c in calls))
+    for ev in events:
+        assert ev.category is classify(ev.call_name, ev.call_args)
+    assert {ev.category for ev in events} == set(Category)
+
+
+def test_fields_a_kind_lacks_read_as_none():
+    (push, malloc, free, call, end) = parse_trace("stack push f\nmalloc a 8\nfree a\ncall fork\nend\n")
+    assert push.var is None and push.slot is None and push.call_args == ()
+    assert malloc.offset is None and malloc.value is None and malloc.category is None
+    assert free.size is None and call.frame is None
+    assert end.kind is EventKind.END and end.id == 4 and end.line_no == 5
