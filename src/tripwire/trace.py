@@ -97,8 +97,8 @@ class TraceEvent:
         cls.op = _KINDS.index(kind)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
-        return f"{self.kind.name}(id={self.id}, line_no={self.line_no}, {fields})"
+        names = ("id", "line_no", *type(self).__slots__)
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
 
 class StackPush(TraceEvent, kind=EventKind.STACK_PUSH):
