@@ -519,7 +519,7 @@ class Engine:
         return evidence if evidence and self.mode is Mode.NORMAL else None
 
 
-# Engine._execute's table: one handler per event kind, in EventKind order
+# Engine._execute's table: the handler of each event kind, indexed by TraceEvent.op
 _HANDLERS = {
     EventKind.STACK_PUSH: Engine._exec_stack_push,
     EventKind.STACK_POP: Engine._exec_stack_pop,
