@@ -18,8 +18,9 @@ sequence, the call results, the exception (type and message) if the
 run raised, and, also when it raised, the state hash each replay
 checked (its summary's orig_hash, in replay order), the sha256 of the
 canary bitmap at the end of the run, and whether a trace write
-overlapped the in-band header [payload - 24, payload) of a slot carved
-at the time of the write. Two fields check the parser: `events`, the
+overlapped the span [payload - 24, payload) of a slot carved at the
+time of the write, the span that held the in-band slot header before
+the guard region grew to cover it. Two fields check the parser: `events`, the
 sha256 of every parsed event's fields, and `parse_error`, what parsing
 the trace with one line broken raises (`type: message`, or null). The
 broken line and the way it is broken are drawn from the run id: drop
@@ -29,7 +30,10 @@ byte with `-1` or a name with `9x`.
 `diff` counts, per field, the runs whose values differ, and how many
 of those wrote into a header under either build. It lists up to ten
 run ids per field that differ in a run that wrote into no header, and
-counts the parse errors that changed by old and new message.
+counts the parse errors that changed by old and new message. It sorts
+the reports that differ into three groups: overflows the new build adds
+on a header word, reports that are identical except that the new build
+leaves them unattributed, and all others.
 
 This is a tool, not a test: it imports the fuzz generator from the
 tests directory, so run it from the repository root as above.
@@ -49,7 +53,7 @@ from tripwire.engine import Engine
 from tripwire.errors import NotAHeapObject
 from tripwire.reports import report_to_dict
 from tripwire.trace import parse_trace
-from tripwire.vheap import HEADER_BYTES, WORD
+from tripwire.vheap import WORD
 
 from test_state_hash import fuzz_case
 
@@ -65,6 +69,10 @@ FIELDS = (
     "events",
     "parse_error",
 )
+
+# the span of the in-band header, [payload - HEADER_SPAN, payload), in
+# the builds that wrote one
+HEADER_SPAN = 24
 
 
 def fuzz_runs(seeds: range):
@@ -87,7 +95,7 @@ def writes_header(allocator, addr: int, length: int) -> bool:
             payload = allocator.object_bounds(at).payload
         except NotAHeapObject:
             continue
-        if payload - HEADER_BYTES <= at < payload:
+        if payload - HEADER_SPAN <= at < payload:
             return True
     return False
 
@@ -221,6 +229,53 @@ def diff(old_path: str, new_path: str) -> None:
     )
     for (was, now), count in changed.most_common():
         print(f"parse_error in {count} runs: {was} -> {now}")
+    reports, runs, other_runs = Counter(), Counter(), []
+    for run in old:
+        groups = report_groups(old[run]["reports"], new[run]["reports"])
+        reports.update(groups)
+        runs.update(groups.keys())
+        if "other" in groups:
+            other_runs.append(run)
+    for group in ("header overflow", "unattributed", "other"):
+        print(f"reports in group {group!r}: {reports[group]} in {runs[group]} runs")
+    if other_runs:
+        print(f"runs with other report differences: {' '.join(other_runs[:10])}")
+
+
+def on_header_word(report: dict) -> bool:
+    """True for an overflow report whose corrupted word lies in the header
+    span of the object it names."""
+    at, payload = report["corrupted_addr"], report["object_addr"]
+    return (report["kind"] == "overflow" and payload is not None
+            and payload - HEADER_SPAN <= at < payload)
+
+
+def unattributed(report: dict) -> str:
+    """The JSON of a report as it reads when no watchpoint attributed it."""
+    return json.dumps({**report, "offending_events": [], "unattributed": True}, sort_keys=True)
+
+
+def report_groups(old: list[dict] | None, new: list[dict] | None) -> Counter:
+    """Sort the reports that differ between two runs into groups.
+
+    Counts, with multiplicity, the reports only the new run has that are
+    overflows on a header word ("header overflow"), the old run's reports
+    that the new run has with no writing event and the unattributed note
+    ("unattributed"), and every other report that only one side has
+    ("other").
+    """
+    as_json = [Counter(json.dumps(r, sort_keys=True) for r in reports or ()) for reports in (old, new)]
+    gone, added = as_json[0] - as_json[1], as_json[1] - as_json[0]
+    groups = Counter()
+    for text, count in gone.items():
+        bare = unattributed(json.loads(text))
+        paired = min(count, added[bare])
+        added[bare] -= paired
+        groups["unattributed"] += paired
+        groups["other"] += count - paired
+    for text, count in added.items():
+        groups["header overflow" if on_header_word(json.loads(text)) else "other"] += count
+    return +groups
 
 
 def without_line(error: str | None) -> str | None:
