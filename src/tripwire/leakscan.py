@@ -2,7 +2,7 @@
 
 Marking is a breadth-first scan seeded from register values and every
 eight-byte-aligned globals word: any value that resolves to a carved
-slot (interior addresses, guard word and header included) is treated
+slot (interior addresses and guard region included) is treated
 as a reference. Marked live objects contribute every eight-byte-aligned
 word of their full payload capacity to the next wave. Freed objects
 are never scanned, but a freed object still sitting in quarantine is

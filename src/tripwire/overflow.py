@@ -1,7 +1,7 @@
 """Buffer-overflow tripwires: canary regions, shadow bitmap, epoch scan.
 
 A canary region is a byte range [start, end) the detectors fill with
-the canary byte. Three kinds exist: every slot's guard word, the
+the canary byte. Three kinds exist: every slot's guard region, the
 unrequested tail of a payload below its slot capacity, and the
 prefix the use-after-free quarantine canaries in a freed payload. A
 shadow bitmap holds one bit per eight-byte heap word for every word a
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EngineConfig
-from .vheap import PAGE, MemoryImage, WORD
+from .vheap import GUARD_BYTES, PAGE, MemoryImage, WORD
 
 ROW = PAGE // WORD // 8  # bitmap bytes per heap page
 
@@ -160,17 +160,17 @@ class OverflowDetector:
         return out
 
     def plant_on_alloc(self, payload: int, requested: int, capacity: int) -> None:
-        """Plant the guard word and the unrequested payload tail.
+        """Plant the guard region and the unrequested payload tail.
 
         Stale bits from the slot's previous life are cleared first.
         """
-        self.plant(payload - 32, payload - 24)
+        self.plant(payload - GUARD_BYTES, payload)
         self.bitmap.clear_range(payload, payload + capacity)
         if requested < capacity:
             self.plant(payload + requested, payload + capacity)
 
     def check_on_free(self, payload: int, requested: int, capacity: int) -> list[int]:
-        """Free-time verification of the guard word and the payload tail.
+        """Free-time verification of the guard region and the payload tail.
 
         Exact power-of-two requests (requested == capacity) carry no
         interior evidence and are deferred to the epoch scan. Returns
@@ -178,7 +178,7 @@ class OverflowDetector:
         """
         if requested >= capacity:
             return []
-        return self.corrupted(payload - 32, payload - 24) + self.corrupted(
+        return self.corrupted(payload - GUARD_BYTES, payload) + self.corrupted(
             payload + requested, payload + capacity
         )
 

@@ -7,15 +7,14 @@ fixed-stride slots inside them, so the address returned for the N-th
 allocation is a pure function of the preceding allocate/release
 history. Each slot is laid out as:
 
-    [guard word: 8 bytes][header: 24 bytes][payload: capacity]
+    [guard region: 32 bytes][payload: capacity]
 
-with capacity the next power of two >= max(request, min class). As
-in DieHard, slot metadata (requested size, allocated state) lives
-outside modeled memory, so no program write changes what the
-allocator, quarantine or leak scanner believe about a slot. The
-in-band header (requested size, then a flag word of 1 while allocated)
-is still written at every allocate and free but never read back.
-Engine bookkeeping (chunk table, slot metadata, free lists, cursors)
+with capacity the next power of two >= max(request, min class). The
+allocator never writes a slot; the overflow detector fills the guard
+region with canaries. As in DieHard, slot metadata (requested size,
+allocated state) lives outside modeled memory, so no program write
+changes what the allocator, quarantine or leak scanner believe about a
+slot. Engine bookkeeping (chunk table, slot metadata, free lists, cursors)
 lives in ordinary Python objects, never at modeled heap addresses.
 
 The heap image and the overflow detector's canary bitmap, one bit per
@@ -47,9 +46,7 @@ from .errors import (
     SegfaultModel,
 )
 
-GUARD_BYTES = 8
-HEADER_BYTES = 24
-SLOT_OVERHEAD = GUARD_BYTES + HEADER_BYTES
+GUARD_BYTES = 32  # the guard region in front of every payload
 WORD = 8
 
 U64_MASK = (1 << 64) - 1
@@ -202,7 +199,7 @@ class MemoryImage:
     All access is bounds-checked against the two mapped ranges; anything
     else raises SegfaultModel. Trace-driven writes pass internal=False so
     an observer installed by the engine (the replay watchpoint check) can
-    see them; detector and header writes are internal and invisible to it.
+    see them; detector writes are internal and invisible to it.
     Every heap write goes through write_fill, write_bytes or write_word,
     which keep the undo log and the page digests current. The heap's
     bytes live in heap_pages (`heap` is its mapping); shadow holds the
@@ -258,6 +255,8 @@ class MemoryImage:
         self._write(addr, bytes([fill]) * length, internal)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
+        """An internal write of data at addr. Nothing in the package calls
+        it; perfbench/layers.py wraps it by name."""
         self._write(addr, data, True)
 
     def write_word(self, addr: int, value: int, internal: bool = True) -> None:
@@ -296,10 +295,6 @@ class ObjectView:
     requested: int
     allocated: bool
     class_shift: int
-
-    @property
-    def guard(self) -> int:
-        return self.slot
 
 
 @dataclass
@@ -353,8 +348,7 @@ class SlotTable:
     def ids(self, values: np.ndarray) -> np.ndarray:
         """Flat ids of the carved slots that hold the uint64 values.
 
-        A value anywhere in a slot, guard word and header included,
-        resolves to it; values outside every carved slot are dropped.
+        A value anywhere in a slot, guard region included, resolves to it; values outside every carved slot are dropped.
         """
         off = (self._in_heap(values) - self.heap_base).astype(np.int64)
         chunk = off // self.chunk_size
@@ -371,7 +365,7 @@ class SlotTable:
 
     def payloads(self, ids: np.ndarray) -> list[int]:
         chunk, index = self._locate(ids)
-        offsets = self.base[chunk] + index * self.stride[chunk] + SLOT_OVERHEAD
+        offsets = self.base[chunk] + index * self.stride[chunk] + GUARD_BYTES
         return [self.heap_base + off for off in offsets.tolist()]
 
     def requested(self, ids: np.ndarray) -> list[int]:
@@ -387,7 +381,7 @@ class SlotTable:
         chunk's share of the payloads is ever copied at once.
         """
         chunk, index = self._locate(ids)
-        skip = SLOT_OVERHEAD // WORD
+        skip = GUARD_BYTES // WORD
         parts = []
         for c in np.unique(chunk).tolist():
             width = int(self.stride[c]) // WORD
@@ -403,7 +397,7 @@ class _ClassState:
     def __init__(self, shift: int):
         self.shift = shift
         self.capacity = 1 << shift
-        self.stride = SLOT_OVERHEAD + self.capacity
+        self.stride = GUARD_BYTES + self.capacity
         self.bump = 0  # next fresh slot address; 0 = no chunk yet
         self.limit = 0
         self.free_list: list[int] = []  # payload addrs, LIFO
@@ -424,18 +418,13 @@ class Allocator:
 
     def read_header(self, chunk: _Chunk, index: int) -> tuple[int, bool]:
         """(requested size, allocated) of a carved slot, from the
-        allocator's own copy; the in-band header is never read."""
+        allocator's own metadata. perfbench/layers.py wraps it by name to
+        count slot lookups."""
         return chunk.requested[index], bool(chunk.allocated[index])
-
-    def _write_header(self, payload: int, requested: int, allocated: bool) -> None:
-        """Mirror a slot's metadata into its in-band header."""
-        header = requested.to_bytes(8, "little") + int(allocated).to_bytes(8, "little")
-        self.image.write_bytes(payload - HEADER_BYTES, header)
 
     def set_allocated(self, payload: int, value: bool) -> None:
         chunk, index = self._slot_at(payload)
         chunk.allocated[index] = value
-        self._write_header(payload, chunk.requested[index], value)
 
     # -- allocation -----------------------------------------------------
 
@@ -473,8 +462,7 @@ class Allocator:
             chunk = self.chunks[(slot - self.config.heap_base) // self.config.chunk_size]
             chunk.requested.append(size)
             chunk.allocated.append(True)
-            payload = slot + SLOT_OVERHEAD
-        self._write_header(payload, size, True)
+            payload = slot + GUARD_BYTES
         return payload
 
     def _acquire_chunk(self, state: _ClassState) -> None:
@@ -527,8 +515,8 @@ class Allocator:
         requested, allocated = self.read_header(chunk, index)
         return ObjectView(
             slot=slot,
-            payload=slot + SLOT_OVERHEAD,
-            capacity=chunk.stride - SLOT_OVERHEAD,
+            payload=slot + GUARD_BYTES,
+            capacity=chunk.stride - GUARD_BYTES,
             requested=requested,
             allocated=allocated,
             class_shift=chunk.class_shift,

@@ -487,47 +487,57 @@ def _uaf_cases() -> tuple[list[Case], Case]:
 
 
 def _header_cases() -> list[Case]:
-    """Program writes into a slot's in-band header, which the allocator
-    mirrors but never reads back."""
+    """Program writes into [payload - 24, payload), the words that held
+    the in-band slot header; the guard region now covers them."""
     cases = []
 
-    t = TraceBuilder("overflow rewrites a freed neighbour's header; its size stays 24")
+    t = TraceBuilder("overflow across a freed neighbour's guard region; its size stays 24")
     a = t.ev("malloc v1 24")
     b = t.ev("malloc v2 24")
     t.ev("free v2")
     t.ev("malloc v4 1")
     t.ev("malloc v5 24")
-    # v2's guard word, header size and low bytes of its flag word
+    # the low three words of v2's guard region, the last one partly
     bad = t.ev("write v1 38 13 a1")
     t.ev("free v4")
     t.ev("free v5")
     t.ev("end")
     cases.append(
-        Case("of_header_clobber_size", t.text(), (("leak", (a,)), ("overflow", (bad,))), (a, b))
+        Case("of_header_clobber_size", t.text(), (("leak", (a,)),) + (("overflow", (bad,)),) * 3, (a, b))
     )
 
-    t = TraceBuilder("overflow sets a freed neighbour's in-band allocated flag, then it is freed again")
+    t = TraceBuilder("overflow into a freed neighbour's guard region, then it is freed again")
     t.ev("malloc v1 24")
     a = t.ev("malloc v2 24")
     t.ev("malloc v3 24")
     f = t.ev("free v2")
-    t.ev("write v1 48 1 01")
+    bad_write = t.ev("write v1 48 1 01")
     bad = t.ev("free v2")
     t.ev("free v3")
     t.ev("free v1")
     t.ev("end")
-    cases.append(Case("df_header_clobber", t.text(), (("double-free", (bad,)),), (a,), (f,)))
+    cases.append(
+        Case("df_header_clobber", t.text(), (("overflow", (bad_write,)), ("double-free", (bad,))), (a,), (f,))
+    )
 
-    # a known false negative: [payload - 24, payload) is neither planted
-    # nor checked, so rewriting the whole header leaves no evidence
-    t = TraceBuilder("underflow over the whole header: not detected until headers carry canaries")
-    t.ev("malloc a 24")
+    t = TraceBuilder("underflow over the guard words that held the header")
+    a = t.ev("malloc a 24")
     t.ev("reg r0 = a")
-    t.ev("writeabs a-24 24 ff")
+    bad = t.ev("writeabs a-24 24 ff")
     t.ev("call fork")
     t.ev("free a")
     t.ev("end")
-    cases.append(Case("of_header_underflow_negative", t.text()))
+    cases.append(Case("of_header_underflow", t.text(), (("overflow", (bad,)),) * 3, (a,)))
+
+    for below in (8, 16, 24):
+        t = TraceBuilder(f"one-word underflow at {below} bytes below the payload")
+        a = t.ev("malloc a 24")
+        t.ev("reg r0 = a")
+        bad = t.ev(f"writeabs a-{below} 8 ff")
+        t.ev("call fork")
+        t.ev("free a")
+        t.ev("end")
+        cases.append(Case(f"of_header_underflow_{below}", t.text(), (("overflow", (bad,)),), (a,)))
 
     return cases
 

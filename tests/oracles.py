@@ -1,7 +1,7 @@
 """Independent oracles the tests check the engine against.
 
-These deliberately re-derive their answers from raw state (headers,
-slot directory, memory bytes) using their own arithmetic, not the code
+These deliberately re-derive their answers from raw state (slot
+directory, memory bytes) using their own arithmetic, not the code
 paths they are used to verify: the bitmap oracle recomputes canary
 word locations without reading the bitmap, the heap-walk scanner finds
 corrupted canaries without the bitmap, and the reachability closure
@@ -14,6 +14,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from collections import deque
+
+from tripwire.vheap import GUARD_BYTES
 
 
 def _align8(n: int) -> int:
@@ -29,7 +31,7 @@ def expected_canary_words(engine) -> set[int]:
 
     Valid only for histories with no trace writes and no evidence
     retirement. Rules per slot state:
-      live:        guard + interior [align8(req), cap)
+      live:        guard region + interior [align8(req), cap)
       quarantined: guard + interior + prefix [0, floor(min(fill,cap)/8)*8)
       released:    guard + interior minus the prefix words cleared at eviction
     """
@@ -40,7 +42,7 @@ def expected_canary_words(engine) -> set[int]:
     for view in engine.allocator.carved_slots():
         payload, cap, req = view.payload, view.capacity, view.requested
         if overflow_on:
-            words.add(view.guard)
+            words |= _word_range(view.slot, view.slot + GUARD_BYTES)
         interior = _word_range(payload + _align8(req), payload + cap) if overflow_on else set()
         prefix_tracked = (min(config.uaf_fill_prefix, cap) // 8) * 8
         if view.allocated:
@@ -87,12 +89,12 @@ def _reach(engine) -> tuple[set[int], set[int]]:
     """Payloads of the live and of the freed slots reachable from the roots.
 
     Pointer resolution is interval containment over the sorted slot
-    table; anything inside a slot's [start, start+32+capacity) span
+    table; anything inside a slot's [start, start+GUARD_BYTES+capacity) span
     counts, matching the conservative membership rule. Only live
     payloads are scanned for further pointers.
     """
     slots = sorted(
-        (v.slot, v.slot + 32 + v.capacity, v.payload, v.allocated, v.capacity)
+        (v.slot, v.slot + GUARD_BYTES + v.capacity, v.payload, v.allocated, v.capacity)
         for v in engine.allocator.carved_slots()
     )
     starts = [s[0] for s in slots]

@@ -29,11 +29,12 @@ def test_case_reports_match_expected(case):
 
 
 # (kind, offending event ids, object size) per report. An allocator that
-# read the clobbered header back stopped on these at quarantine count 2,
-# on the first with "still allocated" and on the second with a KeyError
+# read a clobbered in-band header back stopped on these at quarantine
+# count 2, on the first with "still allocated" and on the second with a
+# KeyError
 HEADER_CLOBBER_REPORTS = {
-    "of_header_clobber_size": (("leak", (0,), 24), ("overflow", (5,), 24)),
-    "df_header_clobber": (("double-free", (5,), 24),),
+    "of_header_clobber_size": (("leak", (0,), 24),) + (("overflow", (5,), 24),) * 3,
+    "df_header_clobber": (("overflow", (4,), 24), ("double-free", (5,), 24)),
 }
 
 

@@ -247,6 +247,28 @@ def test_run_outcome_counters_have_no_normal_write_checks():
     assert out.counters.replay_watch_checks == 0  # clean: no replay at all
 
 
+def test_a_malloc_writes_the_image_twice_and_a_quarantined_free_once():
+    # the guard region and the unrequested tail, then the quarantine
+    # prefix; the allocator itself writes no slot
+    engine = Engine(parse_trace("malloc a 24\nfree a\nend\n"), tw.EngineConfig())
+    writes = []
+    for attr in ("write_fill", "write_bytes", "write_word"):
+        method = getattr(engine.image, attr)
+        setattr(engine.image, attr, lambda *args, _method=method: writes.append(args) or _method(*args))
+    per_event = []
+    execute = engine._execute
+
+    def counted_execute(ev):
+        before = len(writes)
+        result = execute(ev)
+        per_event.append(len(writes) - before)
+        return result
+
+    engine._execute = counted_execute
+    assert engine.run().reports == ()
+    assert per_event == [2, 1]
+
+
 def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
     # every entry point to canary state is counted while a trace write
     # runs: none may be reached in normal mode, and replay must reach them

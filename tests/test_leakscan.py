@@ -161,7 +161,7 @@ def test_random_heaps_match_reachability_closure():
             if rng.random() < 0.1:
                 return rng.choice(strays)
             target = rng.choice(payloads)
-            # payload start, interior, guard word or header word
+            # payload start, interior or guard region
             return target + rng.choice((0, 0, 17, -32, -24, -16, -8))
 
         for payload in payloads:

@@ -41,12 +41,17 @@ def free(eng, payload, event=0):
     return found, evicted
 
 
+def guard(payload):
+    """The four words of a payload's guard region."""
+    return {payload - 32, payload - 24, payload - 16, payload - 8}
+
+
 def test_plant_24_of_32_tracks_exactly_one_interior_word():
     eng = harness()
     a = alloc(eng, 24)
     assert eng.image.read(a + 24, 8) == bytes([CANARY]) * 8
-    assert eng.image.read(a - 32, 8) == bytes([CANARY]) * 8  # guard word
-    assert bitmap_words(eng) == {a - 32, a + 24}
+    assert eng.image.read(a - 32, 32) == bytes([CANARY]) * 32  # guard region
+    assert bitmap_words(eng) == guard(a) | {a + 24}
 
 
 def test_canary_region_checks_a_partial_edge_word_bytewise():
@@ -55,7 +60,7 @@ def test_canary_region_checks_a_partial_edge_word_bytewise():
     det = eng.overflow
     det.plant(a + 4, a + 24)  # partial word at the start
     det.plant(a + 32, a + 44)  # partial word at the end
-    assert bitmap_words(eng) == {a - 32, a + 8, a + 16, a + 32}
+    assert bitmap_words(eng) == guard(a) | {a + 8, a + 16, a + 32}
     assert det.corrupted(a + 4, a + 24) == det.corrupted(a + 32, a + 44) == []
     eng.image.write_fill(a + 5, 1, 0x00, internal=False)
     eng.image.write_fill(a + 16, 1, 0x00, internal=False)
@@ -73,7 +78,7 @@ def test_canary_region_checks_a_partial_edge_word_bytewise():
 def test_plant_exact_power_of_two_has_guard_only():
     eng = harness()
     a = alloc(eng, 32)
-    assert bitmap_words(eng) == {a - 32}
+    assert bitmap_words(eng) == guard(a)
 
 
 def test_plant_20_of_32_fills_partial_word_untracked():
@@ -81,7 +86,7 @@ def test_plant_20_of_32_fills_partial_word_untracked():
     a = alloc(eng, 20)
     assert eng.image.read(a + 20, 12) == bytes([CANARY]) * 12
     # only the fully canaried word 24..31 is tracked
-    assert bitmap_words(eng) == {a - 32, a + 24}
+    assert bitmap_words(eng) == guard(a) | {a + 24}
 
 
 def test_free_of_untouched_object_yields_no_evidence():
