@@ -60,12 +60,6 @@ class Mode(enum.Enum):
     REPLAY = "replay"
 
 
-@dataclass
-class Counters:
-    writes: int = 0
-    replay_watch_checks: int = 0
-
-
 @dataclass(frozen=True)
 class ReplaySummary:
     """One rollback+replay episode, kept for inspection and tests."""
@@ -89,7 +83,6 @@ class RunOutcome:
     alloc_sequence: array  # of "Q": payload addresses in allocation order
     extcall_results: tuple[tuple[int, str, int], ...]
     scan_records: tuple[tuple[int, int], ...]
-    counters: Counters
 
 
 class Engine:
@@ -132,7 +125,6 @@ class Engine:
         self.cursor = 0
 
         self.mode = Mode.NORMAL
-        self.counters = Counters()
         self.reports: list[ErrorReport] = []
         self.reported_evidence: set[int] = set()  # leak/dangling payloads already reported
         self.alloc_sequence = array("Q")
@@ -253,7 +245,6 @@ class Engine:
             alloc_sequence=self.alloc_sequence,
             extcall_results=tuple(self.extcall_results),
             scan_records=tuple(self.overflow.scan_records),
-            counters=self.counters,
         )
 
     # -- boundaries -----------------------------------------------------------
@@ -373,7 +364,6 @@ class Engine:
         self.reported_evidence.update(e.payload for e in evidence.reachable_freed)
 
     def _observe_write(self, addr: int, length: int) -> None:
-        self.counters.replay_watch_checks += 1
         if self._wps is None:
             return
         for word in self._wps.overlapping(addr, length):
@@ -427,11 +417,9 @@ class Engine:
         self.call_stack.pop()
 
     def _exec_write(self, ev: TraceEvent) -> None:
-        self.counters.writes += 1
         self.image.write_fill(self.bindings[ev.slot] + ev.offset, ev.length, ev.fill, internal=False)
 
     def _exec_write_abs(self, ev: TraceEvent) -> None:
-        self.counters.writes += 1
         self.image.write_fill(self.bindings[ev.slot] + ev.delta, ev.length, ev.fill, internal=False)
 
     def _exec_read(self, ev: TraceEvent) -> None:

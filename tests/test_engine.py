@@ -241,12 +241,6 @@ def test_reallocated_address_can_be_reported_again():
     assert leaks[0].object_addr == leaks[1].object_addr  # same slot, two lives
 
 
-def test_run_outcome_counters_have_no_normal_write_checks():
-    out = tw.run_text(CLEAN, small_config())
-    assert out.counters.writes == 1
-    assert out.counters.replay_watch_checks == 0  # clean: no replay at all
-
-
 def test_a_malloc_writes_the_image_twice_and_a_quarantined_free_once():
     # the guard region and the unrequested tail, then the quarantine
     # prefix; the allocator itself writes no slot
