@@ -118,10 +118,8 @@ class Engine:
 
         self.registers: dict[str, int] = {}
         self.call_stack: list[str] = []
-        names = {ev.slot: ev.var for ev in events if ev.kind is EventKind.MALLOC}
-        self.bindings: list[int | None] = [None] * len(names)  # by variable slot
-        # (slot, name) in name order, the order the state hash takes bindings in
-        self._slots_by_name = sorted(names.items(), key=lambda slot_name: slot_name[1])
+        slots = {ev.slot for ev in events if ev.kind is EventKind.MALLOC}
+        self.bindings: list[int | None] = [None] * len(slots)  # by variable slot
         self.cursor = 0
 
         self.mode = Mode.NORMAL
@@ -153,9 +151,7 @@ class Engine:
         self.image.hash_into(h)
         h.update(repr(sorted(self.registers.items())).encode())
         h.update(repr(tuple(self.call_stack)).encode())
-        bindings = self.bindings
-        h.update(repr([(name, bindings[slot]) for slot, name in self._slots_by_name
-                       if bindings[slot] is not None]).encode())
+        h.update(repr(self.bindings).encode())
         h.update(self.cursor.to_bytes(8, "little"))
         chunks, classes = self.allocator.snapshot()
         h.update(repr(chunks).encode())

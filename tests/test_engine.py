@@ -263,6 +263,19 @@ def test_a_malloc_writes_the_image_twice_and_a_quarantined_free_once():
     assert per_event == [2, 1]
 
 
+def test_changing_one_binding_changes_the_state_hash():
+    engine = Engine(parse_trace("malloc a 24\nmalloc b 24\nend\n"), small_config())
+    engine.run()
+    bindings = list(engine.bindings)
+    before = engine.full_state_hash()
+    engine.bindings[1] += 8
+    assert engine.full_state_hash() != before
+    engine.bindings = bindings[::-1]
+    assert engine.full_state_hash() != before
+    engine.bindings = bindings
+    assert engine.full_state_hash() == before
+
+
 def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
     # every entry point to canary state is counted while a trace write
     # runs: none may be reached in normal mode, and replay must reach them
