@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 
 DETECTOR_NAMES = ("overflow", "uaf", "leak")
+GUARD_BYTES = 32  # the guard region in front of every payload
 
 
 def _is_pow2(n: int) -> bool:
@@ -49,7 +50,7 @@ class EngineConfig:
             raise ConfigError("size class bounds must be powers of two")
         if not 8 <= self.min_class <= self.max_class:
             raise ConfigError("require 8 <= min_class <= max_class")
-        if self.chunk_size < self.max_class + 32:
+        if self.chunk_size < GUARD_BYTES + self.max_class:
             raise ConfigError("chunk size must fit at least one slot of the largest class")
         if self.heap_size <= 0:
             raise ConfigError("heap size must be positive")

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import EngineConfig
-from .vheap import GUARD_BYTES, PAGE, MemoryImage, WORD
+from .config import GUARD_BYTES, EngineConfig
+from .vheap import PAGE, MemoryImage, WORD
 
 ROW = PAGE // WORD // 8  # bitmap bytes per heap page
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import EngineConfig
+from .config import GUARD_BYTES, EngineConfig
 from .errors import (
     NotAHeapObject,
     NotQuarantined,
@@ -46,7 +46,6 @@ from .errors import (
     SegfaultModel,
 )
 
-GUARD_BYTES = 32  # the guard region in front of every payload
 WORD = 8
 
 U64_MASK = (1 << 64) - 1

@@ -15,7 +15,7 @@ import struct
 from bisect import bisect_right
 from collections import deque
 
-from tripwire.vheap import GUARD_BYTES
+from tripwire.config import GUARD_BYTES
 
 
 def _align8(n: int) -> int:
