@@ -13,9 +13,10 @@ with capacity the next power of two >= max(request, min class). The
 allocator never writes a slot; the overflow detector fills the guard
 region with canaries. As in DieHard, slot metadata (requested size,
 allocated state) lives outside modeled memory, so no program write
-changes what the allocator, quarantine or leak scanner believe about a
-slot. Engine bookkeeping (chunk table, slot metadata, free lists, cursors)
-lives in ordinary Python objects, never at modeled heap addresses.
+changes what the allocator, quarantine or leak scanner believe about
+a slot. Engine bookkeeping (chunk table, slot metadata, free lists,
+cursors) lives in ordinary Python objects, never at modeled heap
+addresses.
 
 The heap image and the overflow detector's canary bitmap, one bit per
 heap word, are two page stores (PageStore): lazily zeroed reservations
@@ -347,7 +348,8 @@ class SlotTable:
     def ids(self, values: np.ndarray) -> np.ndarray:
         """Flat ids of the carved slots that hold the uint64 values.
 
-        A value anywhere in a slot, guard region included, resolves to it; values outside every carved slot are dropped.
+        A value anywhere in a slot, guard region included, resolves to
+        it; values outside every carved slot are dropped.
         """
         off = (self._in_heap(values) - self.heap_base).astype(np.int64)
         chunk = off // self.chunk_size
