@@ -20,9 +20,10 @@ checked (its summary's orig_hash, in replay order), the sha256 of the
 canary bitmap at the end of the run, and whether a trace write
 overlapped the span [payload - 24, payload) of a slot carved at the
 time of the write, the span that held the in-band slot header before
-the guard region grew to cover it. Two fields check the parser: `events`, the
-sha256 of every parsed event's fields, and `parse_error`, what parsing
-the trace with one line broken raises (`type: message`, or null). The
+the guard region grew to cover it. Two fields check the parser:
+`events`, the sha256 of every parsed event's fields, and
+`parse_error`, what parsing the trace with one line broken raises
+(`type: message`, or null). The
 broken line and the way it is broken are drawn from the run id: drop
 the line's last token, or replace an integer token with `zz`, a fill
 byte with `-1` or a name with `9x`.

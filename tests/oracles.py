@@ -89,9 +89,9 @@ def _reach(engine) -> tuple[set[int], set[int]]:
     """Payloads of the live and of the freed slots reachable from the roots.
 
     Pointer resolution is interval containment over the sorted slot
-    table; anything inside a slot's [start, start+GUARD_BYTES+capacity) span
-    counts, matching the conservative membership rule. Only live
-    payloads are scanned for further pointers.
+    table; anything inside a slot's [start, start + GUARD_BYTES +
+    capacity) span counts, matching the conservative membership rule.
+    Only live payloads are scanned for further pointers.
     """
     slots = sorted(
         (v.slot, v.slot + GUARD_BYTES + v.capacity, v.payload, v.allocated, v.capacity)
