@@ -17,24 +17,24 @@ renders them, the final state hash, the scan records, the allocation
 sequence, the call results, the exception (type and message) if the
 run raised, and, also when it raised, the state hash each replay
 checked (its summary's orig_hash, in replay order), the sha256 of the
-canary bitmap at the end of the run, and whether a trace write
-overlapped the span [payload - 24, payload) of a slot carved at the
-time of the write, the span that held the in-band slot header before
-the guard region grew to cover it. Two fields check the parser:
-`events`, the sha256 of every parsed event's fields, and
+canary bitmap at the end of the run, and `pow2_guard_at_free`: whether
+a free found an object whose request fills its size class (requested
+== capacity) with a corrupted word in its guard region
+[payload - 32, payload), the case that builds which skip the free-time
+check of such objects leave to the epoch scan. Two fields check the
+parser: `events`, the sha256 of every parsed event's fields, and
 `parse_error`, what parsing the trace with one line broken raises
-(`type: message`, or null). The
-broken line and the way it is broken are drawn from the run id: drop
-the line's last token, or replace an integer token with `zz`, a fill
-byte with `-1` or a name with `9x`.
+(`type: message`, or null). The broken line and the way it is broken
+are drawn from the run id: drop the line's last token, or replace an
+integer token with `zz`, a fill byte with `-1` or a name with `9x`.
 
 `diff` counts, per field, the runs whose values differ, and how many
-of those wrote into a header under either build. It lists up to ten
-run ids per field that differ in a run that wrote into no header, and
-counts the parse errors that changed by old and new message. It sorts
-the reports that differ into three groups: overflows the new build adds
-on a header word, reports that are identical except that the new build
-leaves them unattributed, and all others.
+of those are flagged `pow2_guard_at_free` under either build. It lists
+up to ten run ids per field that differ in a run not flagged, and
+counts the parse errors that changed by old and new message. It counts
+the reports, by (kind, corrupted word, object, epoch), that only the
+old or only the new build gives, and the unattributed reports of the
+flagged runs under each build.
 
 This is a tool, not a test: it imports the fuzz generator from the
 tests directory, so run it from the repository root as above.
@@ -50,11 +50,10 @@ import re
 from collections import Counter
 
 import tripwire as tw
+from tripwire.config import GUARD_BYTES
 from tripwire.engine import Engine
-from tripwire.errors import NotAHeapObject
 from tripwire.reports import report_to_dict
 from tripwire.trace import parse_trace
-from tripwire.vheap import WORD
 
 from test_state_hash import fuzz_case
 
@@ -71,10 +70,6 @@ FIELDS = (
     "parse_error",
 )
 
-# the span of the in-band header, [payload - HEADER_SPAN, payload), in
-# the builds that wrote one
-HEADER_SPAN = 24
-
 
 def fuzz_runs(seeds: range):
     """(run id, trace text, config) for every run of the comparison."""
@@ -83,22 +78,6 @@ def fuzz_runs(seeds: range):
             for dangling in (False, True):
                 run_id = f"{seed}/{ops}/{'dangling' if dangling else 'plain'}"
                 yield (run_id, *fuzz_case(seed, ops, dangling=dangling))
-
-
-def writes_header(allocator, addr: int, length: int) -> bool:
-    """True when [addr, addr + length) overlaps the header of a carved slot.
-
-    Headers are whole words, so testing the first byte and every word
-    start in the range finds each one the write touches.
-    """
-    for at in (addr, *range((addr + WORD - 1) & ~(WORD - 1), addr + length, WORD)):
-        try:
-            payload = allocator.object_bounds(at).payload
-        except NotAHeapObject:
-            continue
-        if payload - HEADER_SPAN <= at < payload:
-            return True
-    return False
 
 
 def events_digest(events) -> str:
@@ -157,15 +136,16 @@ def parse_error(text: str, run_id: str) -> str | None:
 def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
     events = parse_trace(text)
     engine = Engine(events, config)
+    detector = engine.overflow
     hit = []
-    write_fill = engine.image.write_fill
+    check_on_free = detector.check_on_free
 
-    def watched_write_fill(addr, length, fill, internal=True):
-        if not internal and not hit and writes_header(engine.allocator, addr, length):
-            hit.append(addr)
-        return write_fill(addr, length, fill, internal)
+    def watched_check_on_free(payload, requested, capacity):
+        if requested == capacity and detector.corrupted(payload - GUARD_BYTES, payload):
+            hit.append(payload)
+        return check_on_free(payload, requested, capacity)
 
-    engine.image.write_fill = watched_write_fill
+    detector.check_on_free = watched_check_on_free
     record = dict.fromkeys(FIELDS)
     try:
         out = engine.run()
@@ -181,7 +161,7 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
         )
     record["replay_hashes"] = [s.orig_hash for s in engine.replay_summaries]
     record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
-    record["header_hit"] = bool(hit)
+    record["pow2_guard_at_free"] = bool(hit)
     record["events"] = events_digest(events)
     record["parse_error"] = parse_error(text, run_id)
     return record
@@ -203,80 +183,47 @@ def diff(old_path: str, new_path: str) -> None:
     old, new = load(old_path), load(new_path)
     if old.keys() != new.keys():
         raise SystemExit(f"the dumps cover different runs ({len(old)} and {len(new)})")
-    hits = {run for run in old if old[run]["header_hit"] or new[run]["header_hit"]}
-    differ, differ_hit = Counter(), Counter()
+    flagged = {run for run in old if old[run]["pow2_guard_at_free"] or new[run]["pow2_guard_at_free"]}
+    differ, differ_flagged = Counter(), Counter()
     elsewhere: dict[str, list[str]] = {name: [] for name in FIELDS}
     for run in old:
         for name in FIELDS:
             if old[run][name] != new[run][name]:
                 differ[name] += 1
-                if run in hits:
-                    differ_hit[name] += 1
+                if run in flagged:
+                    differ_flagged[name] += 1
                 else:
                     elsewhere[name].append(run)
     for label, dumped in (("old", old), ("new", new)):
         raised = Counter(rec["error"].split(":")[0] for rec in dumped.values() if rec["error"])
         print(f"{label}: {raised.total()} of {len(dumped)} runs raised {dict(sorted(raised.items()))}")
-    print(f"runs with a trace write into a header: {len(hits)}")
-    print(f"{'field':<18} {'differ':>7} {'in header runs':>15}")
+    print(f"runs flagged pow2_guard_at_free: {len(flagged)}")
+    print(f"{'field':<18} {'differ':>7} {'in flagged runs':>16}")
     for name in FIELDS:
-        print(f"{name:<18} {differ[name]:>7} {differ_hit[name]:>15}")
+        print(f"{name:<18} {differ[name]:>7} {differ_flagged[name]:>16}")
     for name in FIELDS:
         if elsewhere[name]:
-            print(f"{name} differs outside header runs: {' '.join(elsewhere[name][:10])}")
+            print(f"{name} differs outside flagged runs: {' '.join(elsewhere[name][:10])}")
     changed = Counter(
         (without_line(old[run]["parse_error"]), without_line(new[run]["parse_error"]))
         for run in old if old[run]["parse_error"] != new[run]["parse_error"]
     )
     for (was, now), count in changed.most_common():
         print(f"parse_error in {count} runs: {was} -> {now}")
-    reports, runs, other_runs = Counter(), Counter(), []
+    lost, added = Counter(), Counter()
     for run in old:
-        groups = report_groups(old[run]["reports"], new[run]["reports"])
-        reports.update(groups)
-        runs.update(groups.keys())
-        if "other" in groups:
-            other_runs.append(run)
-    for group in ("header overflow", "unattributed", "other"):
-        print(f"reports in group {group!r}: {reports[group]} in {runs[group]} runs")
-    if other_runs:
-        print(f"runs with other report differences: {' '.join(other_runs[:10])}")
+        was, now = (Counter(map(report_key, rec["reports"] or ())) for rec in (old[run], new[run]))
+        lost += was - now
+        added += now - was
+    print(f"reports by (kind, word, object, epoch): {lost.total()} only old, {added.total()} only new")
+    unattributed = [sum(r["unattributed"] for run in flagged for r in dumped[run]["reports"] or ())
+                    for dumped in (old, new)]
+    print(f"unattributed reports in flagged runs: {unattributed[0]} old, {unattributed[1]} new")
 
 
-def on_header_word(report: dict) -> bool:
-    """True for an overflow report whose corrupted word lies in the header
-    span of the object it names."""
-    at, payload = report["corrupted_addr"], report["object_addr"]
-    return (report["kind"] == "overflow" and payload is not None
-            and payload - HEADER_SPAN <= at < payload)
-
-
-def unattributed(report: dict) -> str:
-    """The JSON of a report as it reads when no watchpoint attributed it."""
-    return json.dumps({**report, "offending_events": [], "unattributed": True}, sort_keys=True)
-
-
-def report_groups(old: list[dict] | None, new: list[dict] | None) -> Counter:
-    """Sort the reports that differ between two runs into groups.
-
-    Counts, with multiplicity, the reports only the new run has that are
-    overflows on a header word ("header overflow"), the old run's reports
-    that the new run has with no writing event and the unattributed note
-    ("unattributed"), and every other report that only one side has
-    ("other").
-    """
-    as_json = [Counter(json.dumps(r, sort_keys=True) for r in reports or ()) for reports in (old, new)]
-    gone, added = as_json[0] - as_json[1], as_json[1] - as_json[0]
-    groups = Counter()
-    for text, count in gone.items():
-        bare = unattributed(json.loads(text))
-        paired = min(count, added[bare])
-        added[bare] -= paired
-        groups["unattributed"] += paired
-        groups["other"] += count - paired
-    for text, count in added.items():
-        groups["header overflow" if on_header_word(json.loads(text)) else "other"] += count
-    return +groups
+def report_key(report: dict) -> tuple:
+    """What a report says was found, without how replay attributed it."""
+    return report["kind"], report["corrupted_addr"], report["object_addr"], report["epoch"]
 
 
 def without_line(error: str | None) -> str | None:
