@@ -172,12 +172,10 @@ class OverflowDetector:
     def check_on_free(self, payload: int, requested: int, capacity: int) -> list[int]:
         """Free-time verification of the guard region and the payload tail.
 
-        Exact power-of-two requests (requested == capacity) carry no
-        interior evidence and are deferred to the epoch scan. Returns
-        corrupted word addresses; the caller decides what to do.
+        A request that fills its size class (requested == capacity) has
+        an empty tail, so only its guard is checked. Returns corrupted
+        word addresses; the caller decides what to do.
         """
-        if requested >= capacity:
-            return []
         return self.corrupted(payload - GUARD_BYTES, payload) + self.corrupted(
             payload + requested, payload + capacity
         )

@@ -539,6 +539,19 @@ def _header_cases() -> list[Case]:
         t.ev("end")
         cases.append(Case(f"of_header_underflow_{below}", t.text(), (("overflow", (bad,)),), (a,)))
 
+    t = TraceBuilder("underflow into a full-class object's guard; its slot may be reused before the boundary")
+    a = t.ev("malloc a 32")
+    t.ev("reg r0 = a")
+    bad = t.ev("writeabs a-8 8 00")
+    t.ev("free a")
+    t.ev("malloc x 32")
+    t.ev("free x")
+    t.ev("malloc c 32")
+    t.ev("reg r1 = c")
+    t.ev("call fork")
+    t.ev("end")
+    cases.append(Case("of_pow2_guard_underflow", t.text(), (("overflow", (bad,)),), (a,)))
+
     return cases
 
 

@@ -48,6 +48,15 @@ def test_header_clobber_reports_at_quarantine_count_two(name):
     assert got == sorted(HEADER_CLOBBER_REPORTS[name])
 
 
+def test_full_class_guard_underflow_is_reported_when_the_slot_is_reused():
+    # at quarantine count 1 the slot leaves quarantine and is planted
+    # again before the boundary, so only the check at its free sees it
+    (case,) = [case for case in ALL_CASES if case.name == "of_pow2_guard_underflow"]
+    out = tw.run_text(case.text, tw.EngineConfig(quarantine_max_count=1))
+    got = [(r.kind, tuple(eid for eid, _ in r.offending_events)) for r in out.reports]
+    assert got == list(case.expected)
+
+
 def test_cli_output_matches_golden_digests():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(GOLDEN_FLAGS)

@@ -373,7 +373,7 @@ def test_clean_boundaries_take_no_state_hash():
 
 def test_a_boundary_rollback_takes_two_state_hashes():
     # one before the rollback, one to check the replay against it; the
-    # power-of-two objects defer the guard overflow to the epoch scan
+    # write hits b's guard and b is never freed, so the epoch scan finds it
     out, calls = run_counting_state_hashes(three_epochs("writeabs a+32 8 00"))
     assert [r.kind for r in out.reports] == ["overflow"] and out.epochs == 3
     assert calls == 2

@@ -105,15 +105,14 @@ def test_free_after_interior_write_flags_that_word():
     assert found == [a + 24]
 
 
-def test_power_of_two_guard_corruption_deferred_to_epoch_scan():
+def test_power_of_two_guard_corruption_caught_at_free():
     eng = harness()
     a = alloc(eng, 32)
     b = alloc(eng, 32)
     assert b == a + 32 + 32  # adjacent slot; writing past a's payload hits b's guard
     eng.image.write_fill(a + 32, 8, 0x00, internal=False)
-    found, _ = free(eng, b)  # power-of-two request: skipped at free time
-    assert found == []
-    assert eng.overflow.epoch_scan() == [b - 32]
+    found, _ = free(eng, b)  # the request fills the class: no tail, the guard still checked
+    assert found == [b - 32]
 
 
 def test_partial_interior_bytes_checked_bytewise_at_free():
