@@ -495,7 +495,6 @@ class Engine:
                 requested=view.requested,
                 free_stack=tuple(self.call_stack),
                 free_event=ev.id,
-                free_epoch=self.epoch_index,
             )
             evidence.uaf = self.quarantine.on_free(entry)
         else:

@@ -29,7 +29,6 @@ class QuarantineEntry:
     requested: int
     free_stack: tuple[str, ...]
     free_event: int
-    free_epoch: int
 
 
 @dataclass(frozen=True)

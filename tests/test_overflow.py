@@ -36,7 +36,7 @@ def free(eng, payload, event=0):
     found = eng.overflow.check_on_free(payload, view.requested, view.capacity)
     eng.allocator.set_allocated(payload, False)
     evicted = eng.quarantine.on_free(
-        QuarantineEntry(payload, view.capacity, view.requested, (), event, 0)
+        QuarantineEntry(payload, view.capacity, view.requested, (), event)
     )
     return found, evicted
 

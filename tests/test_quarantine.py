@@ -29,7 +29,7 @@ def free(eng, payload, event=0, stack=()):
     view = eng.allocator.object_bounds(payload)
     eng.allocator.set_allocated(payload, False)
     return eng.quarantine.on_free(
-        QuarantineEntry(payload, view.capacity, view.requested, tuple(stack), event, 0)
+        QuarantineEntry(payload, view.capacity, view.requested, tuple(stack), event)
     )
 
 
