@@ -8,12 +8,13 @@ in the memory image's shadow page store, are copy-on-write, saving
 each page on its first write, and restore byte-exact.
 Events then run at full speed with no per-write checking. An epoch
 ends at an irrevocable external call, a modeled segfault, or the end
-of the trace; the detectors inspect state there. Corrupted canaries
+of the trace; the detectors inspect state there. Their evidence is a
+list of unattributed reports (reports.ErrorReport). Corrupted canaries
 found at a free or an eviction end-run the boundary and trigger the
 same path immediately. On any evidence the engine restores the
-snapshot, arms watchpoints on the corrupted words, re-executes the
-epoch's events with call-site recording on, converts traps into
-reports, and resumes.
+snapshot, arms watchpoints on the reports' corrupted words, re-executes
+the epoch's events with call-site recording on, fills in each report's
+epoch, trapped writes and allocation site, and resumes.
 
 Every state hash starts from the memory image's page digests, its
 logical length and the globals (MemoryImage.hash_into): the final
@@ -49,8 +50,8 @@ from .errors import (
 from .leakscan import LeakScanner
 from .overflow import OverflowDetector, touches_partial
 from .quarantine import QuarantineEntry, QuarantineQueue
-from .replay import Evidence, WatchpointSet, build_reports
-from .reports import KIND_DOUBLE_FREE, KIND_SEGFAULT, ErrorReport, sort_reports
+from .replay import WatchpointSet, build_reports
+from .reports import KIND_DOUBLE_FREE, KIND_LEAK, KIND_OVERFLOW, KIND_SEGFAULT, ErrorReport, sort_reports
 from .trace import EventKind, TraceEvent, ValueExpr, parse_trace
 from .vheap import Allocator, MemoryImage, U64_MASK, next_pow2
 
@@ -275,31 +276,38 @@ class Engine:
         self._begin_epoch()
         return False
 
-    def _collect_evidence(self) -> Evidence:
-        evidence = Evidence()
+    def _collect_evidence(self) -> list[ErrorReport]:
+        """The epoch scan's and the leak sweep's unattributed reports:
+        overflows, then uses after free, then leaks."""
+        evidence = []
         if self.config.detector_enabled("overflow") or self.config.detector_enabled("uaf"):
             words = self.overflow.epoch_scan()
             if self.quarantine is not None and self.quarantine.fill_enabled:
-                uaf_items, rest = self.quarantine.split_scan_words(words)
+                uaf, rest = self.quarantine.split_scan_words(words)
             else:
-                uaf_items, rest = [], words
-            evidence.uaf = uaf_items
+                uaf, rest = [], words
             for word in rest:
                 try:
                     view = self.allocator.object_bounds(word)
-                    evidence.overflow.append((word, view.payload, view.requested))
                 except NotAHeapObject:
-                    evidence.overflow.append((word, None, None))
+                    evidence.append(ErrorReport(KIND_OVERFLOW, corrupted_addr=word))
+                else:
+                    evidence.append(self._overflow_report(word, view))
+            evidence += uaf
         if self.config.detector_enabled("leak"):
             self.leaks.mark(self.registers)
-            found = self.leaks.sweep(self.config.dangling, self.reported_evidence)
-            evidence.leaked = found.leaked
-            evidence.reachable_freed = found.reachable_freed
+            evidence += self.leaks.sweep(self.config.dangling, self.reported_evidence)
         return evidence
+
+    @staticmethod
+    def _overflow_report(word: int, view) -> ErrorReport:
+        return ErrorReport(
+            KIND_OVERFLOW, corrupted_addr=word, object_addr=view.payload, object_size=view.requested
+        )
 
     # -- rollback and replay -----------------------------------------------
 
-    def _rollback_and_replay(self, evidence: Evidence, stop: int, orig_hash: str) -> None:
+    def _rollback_and_replay(self, evidence: list[ErrorReport], stop: int, orig_hash: str) -> None:
         """Restore the epoch snapshot and re-execute events up to stop.
 
         stop is exclusive: the epoch-end path passes the boundary event's
@@ -308,7 +316,8 @@ class Engine:
         """
         resume_cursor = self.cursor
         self._restore_snapshot(self.snapshot)
-        wps, unwatched = WatchpointSet.arm(evidence.canary_words(), self.config.max_watchpoints)
+        words = [r.corrupted_addr for r in evidence if r.corrupted_addr is not None]
+        wps, unwatched = WatchpointSet.arm(words, self.config.max_watchpoints)
         self._wps = wps
         self._alloc_sites = {}
         self._replay_alloc_count = 0
@@ -350,14 +359,13 @@ class Engine:
         )
         self._wps = None
 
-    def _emit_replay_reports(self, evidence: Evidence) -> None:
+    def _emit_replay_reports(self, evidence: list[ErrorReport]) -> None:
         self.reports += build_reports(self.epoch_index, evidence, self._wps.traps, self._alloc_sites)
         # retire what was just reported so later boundaries stay quiet
-        retired = evidence.canary_words()
+        retired = [r.corrupted_addr for r in evidence if r.corrupted_addr is not None]
         self.overflow.retire_words(retired)
         self._retirements.append((self.cursor, retired))
-        self.reported_evidence.update(p for p, _ in evidence.leaked)
-        self.reported_evidence.update(e.payload for e in evidence.reachable_freed)
+        self.reported_evidence.update(r.object_addr for r in evidence if r.kind == KIND_LEAK)
 
     def _observe_write(self, addr: int, length: int) -> None:
         if self._wps is None:
@@ -401,8 +409,8 @@ class Engine:
         self.extcall_results.append((ev.id, ev.call_name, result))
         self._extcall_by_id[ev.id] = result
 
-    def _execute(self, ev: TraceEvent) -> Evidence | None:
-        """Run one event; a free that finds evidence returns it."""
+    def _execute(self, ev: TraceEvent) -> list[ErrorReport] | None:
+        """Run one event; a free returns the evidence it found."""
         self._current_event = ev
         return _DISPATCH[ev.op](self, ev)
 
@@ -465,7 +473,7 @@ class Engine:
             self._replay_alloc_count += 1
             self._alloc_sites[payload] = (tuple(self.call_stack), ev.id)
 
-    def _exec_free(self, ev: TraceEvent) -> Evidence | None:
+    def _exec_free(self, ev: TraceEvent) -> list[ErrorReport] | None:
         payload = self.bindings[ev.slot]
         view = self.allocator.object_bounds(payload)
         if not view.allocated:
@@ -483,10 +491,10 @@ class Engine:
                     )
                 )
             return None
-        evidence = Evidence()
+        evidence = []
         if self.config.detector_enabled("overflow"):
             words = self.overflow.check_on_free(payload, view.requested, view.capacity)
-            evidence.overflow = [(w, payload, view.requested) for w in words]
+            evidence = [self._overflow_report(word, view) for word in words]
         self.allocator.set_allocated(payload, False)
         if self.quarantine is not None:
             entry = QuarantineEntry(
@@ -496,10 +504,10 @@ class Engine:
                 free_stack=tuple(self.call_stack),
                 free_event=ev.id,
             )
-            evidence.uaf = self.quarantine.on_free(entry)
+            evidence += self.quarantine.on_free(entry)
         else:
             self.allocator.release_slot(payload)
-        return evidence if evidence and self.mode is Mode.NORMAL else None
+        return evidence
 
 
 # Engine._execute's table: the handler of each event kind, indexed by TraceEvent.op

@@ -7,8 +7,9 @@ as a reference. Marked live objects contribute every eight-byte-aligned
 word of their full payload capacity to the next wave. Freed objects
 are never scanned, but a freed object still sitting in quarantine is
 marked when reached so the optional reachable-freed ("potential
-dangling pointer") report can pick it up. The sweep then reports every
-allocated-but-unmarked slot and clears all marks.
+dangling pointer") report can pick it up. The sweep then returns an
+unattributed leak report for every allocated-but-unmarked slot and
+clears all marks.
 
 Both passes run over arrays: candidate values are resolved to slots a
 wave at a time through the allocator's SlotTable, and the marks are a
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quarantine import QuarantineQueue
-from .replay import Evidence
+from .reports import KIND_LEAK, ErrorReport
 from .vheap import Allocator, MemoryImage
 
 
@@ -69,29 +70,31 @@ class LeakScanner:
             wave = table.ids(table.payload_pointers(live))
         self.marked = marked
 
-    def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> Evidence:
-        """Collect allocated-but-unmarked slots, then clear all marks.
+    def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> list[ErrorReport]:
+        """Report allocated-but-unmarked slots, then clear all marks.
 
         The leaked slots are allocated & ~marked and, with dangling, the
         reachable freed ones ~allocated & marked, each as one array
-        pass; only those slots are looked at one by one. suppress holds
-        payload addresses already reported in an earlier epoch (and not
-        since reallocated); they stay leaked but are not reported again.
+        pass; only those slots are looked at one by one. Returns their
+        unattributed leak reports, the leaked ones then the reachable
+        freed ones, each in address order, the order of flat slot ids.
+        suppress holds payload addresses already reported in an earlier
+        epoch (and not since reallocated); they stay leaked but are not
+        reported again.
         """
-        evidence = Evidence()
         table = self.allocator.slot_table()
         marked = np.zeros(len(table), dtype=np.bool_)
         marked[: len(self.marked)] = self.marked
         self.marked = np.zeros(0, dtype=np.bool_)
         leaked = np.flatnonzero(table.allocated & ~marked)
-        for payload, requested in zip(table.payloads(leaked), table.requested(leaked)):
-            if payload not in suppress:
-                evidence.leaked.append((payload, requested))
+        found = [
+            ErrorReport(KIND_LEAK, object_addr=payload, object_size=requested)
+            for payload, requested in zip(table.payloads(leaked), table.requested(leaked))
+            if payload not in suppress
+        ]
         if dangling and self.quarantine is not None:
             for payload in table.payloads(np.flatnonzero(~table.allocated & marked)):
                 entry = self.quarantine.entry_for(payload)
                 if entry is not None and payload not in suppress:
-                    evidence.reachable_freed.append(entry)
-        evidence.leaked.sort()
-        evidence.reachable_freed.sort(key=lambda e: e.payload)
-        return evidence
+                    found.append(entry.report())
+        return found

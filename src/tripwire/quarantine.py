@@ -9,6 +9,8 @@ compared byte by byte. Slots leave the queue oldest-first
 whenever the queue exceeds its object-count or capacity-sum threshold;
 each evicted slot is verified before the allocator may reuse it. A
 slot evicted with corrupted canaries is withheld from reuse entirely.
+Evidence is an unattributed use-after-free report per corrupted word,
+carrying the object and the free site of its entry.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from .config import EngineConfig
 from .errors import NotAHeapObject
 from .overflow import OverflowDetector
+from .reports import KIND_LEAK, KIND_UAF, ErrorReport
 from .vheap import Allocator
 
 
@@ -30,13 +33,19 @@ class QuarantineEntry:
     free_stack: tuple[str, ...]
     free_event: int
 
-
-@dataclass(frozen=True)
-class UafItem:
-    """A corrupted quarantined word plus the entry it was found in."""
-
-    word: int
-    entry: QuarantineEntry
+    def report(self, word: int | None = None) -> ErrorReport:
+        """Unattributed evidence on this freed object: a use-after-free
+        write on the corrupted word, or, without one, the object found
+        reachable while freed."""
+        return ErrorReport(
+            KIND_UAF if word is not None else KIND_LEAK,
+            corrupted_addr=word,
+            object_addr=self.payload,
+            object_size=self.requested,
+            free_stack=self.free_stack,
+            free_event=self.free_event,
+            reachable_freed=word is None,
+        )
 
 
 class QuarantineQueue:
@@ -68,7 +77,7 @@ class QuarantineQueue:
 
     # -- free path --------------------------------------------------------
 
-    def on_free(self, entry: QuarantineEntry) -> list[UafItem]:
+    def on_free(self, entry: QuarantineEntry) -> list[ErrorReport]:
         """Quarantine a freed slot; returns evidence from any evictions.
 
         The caller has already cleared the allocated bit and run the
@@ -81,9 +90,9 @@ class QuarantineQueue:
         self.total_bytes += entry.capacity
         return self._maintain()
 
-    def _maintain(self) -> list[UafItem]:
+    def _maintain(self) -> list[ErrorReport]:
         """Evict oldest entries until both thresholds hold again."""
-        evidence: list[UafItem] = []
+        evidence: list[ErrorReport] = []
         while (
             len(self.entries) > self.config.quarantine_max_count
             or self.total_bytes > self.config.quarantine_max_bytes
@@ -94,7 +103,7 @@ class QuarantineQueue:
             evidence.extend(self.verify_and_release(entry))
         return evidence
 
-    def verify_and_release(self, entry: QuarantineEntry) -> list[UafItem]:
+    def verify_and_release(self, entry: QuarantineEntry) -> list[ErrorReport]:
         """Check the canaried prefix of an evicted entry.
 
         Clean entries go back to the allocator free list with their
@@ -105,14 +114,14 @@ class QuarantineQueue:
             start, end = self.region(entry)
             corrupted = self.detector.corrupted(start, end)
             if corrupted:
-                return [UafItem(word, entry) for word in corrupted]
+                return [entry.report(word) for word in corrupted]
             self.detector.bitmap.clear_range(start, end)
         self.allocator.release_slot(entry.payload)
         return []
 
     # -- epoch-boundary attribution ----------------------------------------
 
-    def split_scan_words(self, words: list[int]) -> tuple[list[UafItem], list[int]]:
+    def split_scan_words(self, words: list[int]) -> tuple[list[ErrorReport], list[int]]:
         """Partition corrupted scan words into quarantine hits and the rest.
 
         A word is use-after-free evidence iff it falls inside the
@@ -120,7 +129,7 @@ class QuarantineQueue:
         inside its slot's payload, so only the entry of the slot that
         holds the word can own it.
         """
-        uaf: list[UafItem] = []
+        uaf: list[ErrorReport] = []
         rest: list[int] = []
         for word in words:
             try:
@@ -128,7 +137,7 @@ class QuarantineQueue:
             except NotAHeapObject:
                 entry = None
             if entry is not None and word in range(*self.region(entry)):
-                uaf.append(UafItem(word, entry))
+                uaf.append(entry.report(word))
             else:
                 rest.append(word)
         return uaf, rest

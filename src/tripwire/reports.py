@@ -30,8 +30,11 @@ _KIND_TITLE = {
 
 @dataclass(frozen=True)
 class ErrorReport:
+    """One error. A detector's evidence is a report without the epoch,
+    offending events and allocation site that replay.build_reports adds."""
+
     kind: str
-    epoch: int
+    epoch: int = -1  # -1 until replay attributes the report
     corrupted_addr: int | None = None
     object_addr: int | None = None
     object_size: int | None = None

@@ -32,13 +32,24 @@ def scan(eng, registers, dangling=False):
     return eng.leaks.sweep(dangling)
 
 
+def leaked(found):
+    """(payload, requested size) of each leak a sweep reported, in its order."""
+    assert all(r.kind == "leak" for r in found)
+    return [(r.object_addr, r.object_size) for r in found if not r.reachable_freed]
+
+
+def reachable_freed(found):
+    """The payload of each reachable freed object a sweep reported, in its order."""
+    return [r.object_addr for r in found if r.reachable_freed]
+
+
 def test_two_hop_reachability_marks_both():
     eng = harness()
     a = alloc(eng, 32)
     b = alloc(eng, 32)
     eng.image.write_word(a, b)  # a holds a pointer to b
     found = scan(eng, {"r0": a})
-    assert found.leaked == []
+    assert leaked(found) == []
 
 
 def test_interior_global_reference_resolves_to_owner():
@@ -46,7 +57,7 @@ def test_interior_global_reference_resolves_to_owner():
     a = alloc(eng, 32)
     eng.image.write_word(eng.config.globals_base + 8 * 3, a + 17)
     found = scan(eng, {})
-    assert found.leaked == []
+    assert leaked(found) == []
 
 
 def test_cycle_terminates_and_marks_both():
@@ -56,14 +67,14 @@ def test_cycle_terminates_and_marks_both():
     eng.image.write_word(a, b)
     eng.image.write_word(b, a)
     found = scan(eng, {"r0": a})
-    assert found.leaked == []
+    assert leaked(found) == []
 
 
 def test_unreferenced_object_is_leaked():
     eng = harness()
     a = alloc(eng, 24)
     found = scan(eng, {})
-    assert found.leaked == [(a, 24)]
+    assert leaked(found) == [(a, 24)]
 
 
 def test_empty_heap_has_no_findings():
@@ -79,7 +90,7 @@ def test_object_referenced_only_from_freed_object_is_leaked():
     eng.image.write_word(holder + 132, target)  # beyond the 128-byte refill
     free(eng, holder)
     found = scan(eng, {"r0": holder})
-    assert (target, 32) in found.leaked
+    assert (target, 32) in leaked(found)
 
 
 def test_reachable_freed_object_reported_only_with_option():
@@ -88,8 +99,8 @@ def test_reachable_freed_object_reported_only_with_option():
     free(eng, a)
     assert not scan(eng, {"r0": a}, dangling=False)
     found = scan(eng, {"r0": a}, dangling=True)
-    assert [e.payload for e in found.reachable_freed] == [a]
-    assert found.leaked == []
+    assert reachable_freed(found) == [a]
+    assert leaked(found) == []
 
 
 def test_mark_sweep_is_idempotent():
@@ -99,7 +110,7 @@ def test_mark_sweep_is_idempotent():
     eng.image.write_word(eng.config.globals_base, b)
     first = scan(eng, {})
     second = scan(eng, {})
-    assert first.leaked == second.leaked == [(a, 24)]
+    assert leaked(first) == leaked(second) == [(a, 24)]
 
 
 def test_integer_that_looks_like_a_pointer_suppresses_leak():
@@ -107,7 +118,7 @@ def test_integer_that_looks_like_a_pointer_suppresses_leak():
     eng = harness()
     a = alloc(eng, 24)
     found = scan(eng, {"r0": a + 4})  # not even a real pointer, still in range
-    assert found.leaked == []
+    assert leaked(found) == []
 
 
 def test_marks_cleared_after_sweep():
@@ -115,9 +126,9 @@ def test_marks_cleared_after_sweep():
     a = alloc(eng, 24)
     eng.leaks.mark({"r0": a})
     assert eng.leaks.marked.sum() == 1
-    assert eng.leaks.sweep(False).leaked == []
+    assert leaked(eng.leaks.sweep(False)) == []
     assert not eng.leaks.marked.any()
-    assert scan(eng, {}).leaked == [(a, 24)]
+    assert leaked(scan(eng, {})) == [(a, 24)]
 
 
 def test_mark_and_sweep_write_no_heap_page():
@@ -132,8 +143,8 @@ def test_mark_and_sweep_write_no_heap_page():
     digest = eng.image.heap_pages.digest()
     heap_log, _, shadow_log = eng.image.snapshot()
     found = scan(eng, {"r0": freed}, dangling=True)
-    assert found.leaked == [(lost, 100)]
-    assert [e.payload for e in found.reachable_freed] == [freed]
+    assert leaked(found) == [(lost, 100)]
+    assert reachable_freed(found) == [freed]
     assert heap_log == {}
     assert shadow_log == {}
     assert eng.image.heap_pages.digest() == digest
@@ -176,11 +187,11 @@ def test_random_heaps_match_reachability_closure():
         expected = reachability_closure(eng)
         quarantined = reachable_quarantined(eng)
         found = scan(eng, eng.registers, dangling)
-        assert found.leaked == sorted((p, sizes[p]) for p in expected)
+        assert leaked(found) == sorted((p, sizes[p]) for p in expected)
         if dangling:
-            assert [e.payload for e in found.reachable_freed] == sorted(quarantined)
+            assert reachable_freed(found) == sorted(quarantined)
         else:
-            assert found.reachable_freed == []
+            assert reachable_freed(found) == []
 
 
 def test_leak_sites_from_replay_pick_last_allocation():

@@ -88,10 +88,10 @@ def test_corrupted_eviction_returns_evidence_and_withholds_slot():
     free(eng, a, event=3, stack=("main", "drop"))
     eng.image.write_fill(a, 4, 0x00, internal=False)  # dangling write
     b = alloc(eng, 64)
-    items = free(eng, b)  # evicts a, finds the corruption
-    assert [i.word for i in items] == [a]
-    assert items[0].entry.free_event == 3
-    assert items[0].entry.free_stack == ("main", "drop")
+    reports = free(eng, b)  # evicts a, finds the corruption
+    assert [(r.kind, r.corrupted_addr, r.object_addr) for r in reports] == [("use-after-free", a, a)]
+    assert reports[0].free_event == 3
+    assert reports[0].free_stack == ("main", "drop")
     assert not eng.allocator.is_free_listed(a)  # withheld from reuse
     assert alloc(eng, 64) != a
 
@@ -116,8 +116,8 @@ def test_epoch_scan_attribution_uaf_vs_overflow():
     eng.image.write_fill(live + 24, 8, 0x00, internal=False)  # overflow
     words = eng.overflow.epoch_scan()
     uaf, rest = eng.quarantine.split_scan_words(words)
-    assert [i.word for i in uaf] == [a]
-    assert uaf[0].entry.free_event == 5
+    assert [(r.kind, r.corrupted_addr, r.object_addr) for r in uaf] == [("use-after-free", a, a)]
+    assert uaf[0].free_event == 5
     assert rest == [live + 24]
 
 
@@ -134,7 +134,7 @@ def test_scan_words_outside_every_canaried_prefix_are_not_uaf():
     past_prefix = a + 128
     uncarved = a + 256 + 32  # guard word of the next slot, never carved
     uaf, rest = eng.quarantine.split_scan_words([a, past_prefix, uncarved])
-    assert [i.word for i in uaf] == [a]
+    assert [r.corrupted_addr for r in uaf] == [a]
     assert rest == [past_prefix, uncarved]
 
 
