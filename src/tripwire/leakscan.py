@@ -25,7 +25,7 @@ import numpy as np
 
 from .quarantine import QuarantineQueue
 from .reports import KIND_LEAK, ErrorReport
-from .vheap import Allocator, MemoryImage
+from .vheap import Allocator, MemoryImage, SlotTable
 
 
 class LeakScanner:
@@ -35,7 +35,8 @@ class LeakScanner:
         self.quarantine = quarantine
         self.heap_base = image.heap_base
         self.heap_end = image.heap_base + image.heap_size
-        # marks since the last sweep, by the flat slot id of a SlotTable
+        # the last mark's SlotTable and its marks by flat slot id, for the sweep
+        self.table: SlotTable | None = None
         self.marked = np.zeros(0, dtype=np.bool_)
 
     def _roots(self, registers: dict[str, int]) -> np.ndarray:
@@ -51,9 +52,9 @@ class LeakScanner:
         Each wave resolves its values to slot ids, drops the slots
         already marked, marks the allocated ones and the freed ones the
         quarantine still holds, and takes the next wave from the payload
-        words of the allocated ones. The marks stay valid until the
-        next allocation or free; sweep expects no allocation or free in
-        between.
+        words of the allocated ones. The marks and the table they index
+        stay valid until the next allocation or free; sweep uses both,
+        so it expects no allocation or free in between.
         """
         table = self.allocator.slot_table()
         marked = np.zeros(len(table), dtype=np.bool_)
@@ -68,7 +69,7 @@ class LeakScanner:
                 held = [self.quarantine.entry_for(p) is not None for p in table.payloads(freed)]
                 marked[freed[np.array(held)]] = True
             wave = table.ids(table.payload_pointers(live))
-        self.marked = marked
+        self.table, self.marked = table, marked
 
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> list[ErrorReport]:
         """Report allocated-but-unmarked slots, then clear all marks.
@@ -82,10 +83,8 @@ class LeakScanner:
         epoch (and not since reallocated); they stay leaked but are not
         reported again.
         """
-        table = self.allocator.slot_table()
-        marked = np.zeros(len(table), dtype=np.bool_)
-        marked[: len(self.marked)] = self.marked
-        self.marked = np.zeros(0, dtype=np.bool_)
+        table, marked = self.table, self.marked
+        self.table, self.marked = None, np.zeros(0, dtype=np.bool_)
         leaked = np.flatnonzero(table.allocated & ~marked)
         found = [
             ErrorReport(KIND_LEAK, object_addr=payload, object_size=requested)
