@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import EngineConfig, parse_detectors
+from .config import DETECTOR_NAMES, EngineConfig, parse_detectors
 from .engine import run_events
 from .errors import ConfigError, TraceError, TripwireError
 from .reports import emit_json, emit_text
@@ -24,58 +25,45 @@ def _auto_int(token: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tripwire", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = EngineConfig()
 
     run = sub.add_parser("run", help="execute a trace with the detectors enabled")
     run.add_argument("trace", help="trace file to execute")
     run.add_argument(
         "--detectors",
-        default="overflow,uaf,leak",
-        help="comma-separated subset of overflow,uaf,leak (default: all)",
+        default=",".join(DETECTOR_NAMES),
+        help=f"comma-separated subset of {','.join(DETECTOR_NAMES)} (default: all)",
     )
-    run.add_argument("--quarantine-bytes", type=_auto_int, default=16 * 1024 * 1024,
+    run.add_argument("--quarantine-bytes", dest="quarantine_max_bytes", type=_auto_int,
+                     default=defaults.quarantine_max_bytes,
                      help="quarantine capacity-sum threshold in bytes")
-    run.add_argument("--quarantine-count", type=_auto_int, default=1024,
+    run.add_argument("--quarantine-count", dest="quarantine_max_count", type=_auto_int,
+                     default=defaults.quarantine_max_count,
                      help="quarantine object-count threshold")
-    run.add_argument("--uaf-fill", type=_auto_int, default=128,
+    run.add_argument("--uaf-fill", dest="uaf_fill_prefix", type=_auto_int,
+                     default=defaults.uaf_fill_prefix,
                      help="canaried prefix of freed objects, in bytes")
-    run.add_argument("--canary-byte", type=_auto_int, default=0xCA,
+    run.add_argument("--canary-byte", type=_auto_int, default=defaults.canary_byte,
                      help="canary fill byte (e.g. 0xCA)")
-    run.add_argument("--max-watchpoints", type=_auto_int, default=4,
+    run.add_argument("--max-watchpoints", type=_auto_int, default=defaults.max_watchpoints,
                      help="watchpoints armed per replay")
-    run.add_argument("--dangling", action="store_true",
+    run.add_argument("--dangling", action="store_true", default=defaults.dangling,
                      help="also report reachable freed objects")
     run.add_argument("--output", choices=("text", "json"), default="text")
     run.add_argument("--dump-state-hash", action="store_true",
                      help="print the final state hash, sha256 over the heap length, "
                           "its page digests and the globals (text output)")
     geometry = run.add_argument_group("heap geometry")
-    geometry.add_argument("--heap-base", type=_auto_int, default=0x1_0000_0000)
-    geometry.add_argument("--heap-size", type=_auto_int, default=256 * 1024 * 1024)
-    geometry.add_argument("--chunk-size", type=_auto_int, default=4 * 1024 * 1024)
-    geometry.add_argument("--globals-base", type=_auto_int, default=0x10000)
-    geometry.add_argument("--globals-words", type=_auto_int, default=4096)
-    geometry.add_argument("--min-class", type=_auto_int, default=16)
-    geometry.add_argument("--max-class", type=_auto_int, default=1024 * 1024)
+    for name in ("heap_base", "heap_size", "chunk_size", "globals_base", "globals_words",
+                 "min_class", "max_class"):
+        geometry.add_argument(f"--{name.replace('_', '-')}", type=_auto_int, default=getattr(defaults, name))
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        detectors=parse_detectors(args.detectors),
-        quarantine_max_bytes=args.quarantine_bytes,
-        quarantine_max_count=args.quarantine_count,
-        uaf_fill_prefix=args.uaf_fill,
-        canary_byte=args.canary_byte,
-        max_watchpoints=args.max_watchpoints,
-        dangling=args.dangling,
-        heap_base=args.heap_base,
-        heap_size=args.heap_size,
-        chunk_size=args.chunk_size,
-        globals_base=args.globals_base,
-        globals_words=args.globals_words,
-        min_class=args.min_class,
-        max_class=args.max_class,
-    )
+    """The EngineConfig of the parsed options; each option's dest is its field."""
+    values = {f.name: getattr(args, f.name) for f in fields(EngineConfig)}
+    return EngineConfig(**{**values, "detectors": parse_detectors(args.detectors)})
 
 
 def main(argv: list[str] | None = None) -> int:

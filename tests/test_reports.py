@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 import tripwire as tw
+from tripwire import cli
 from tripwire.cli import main
 from tripwire.reports import ErrorReport, emit_json, emit_text, sort_reports
 
@@ -141,6 +142,19 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def test_cli_run_without_options_builds_the_default_config(tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, "clean.trace", "end\n")
+    configs = []
+    run_events = cli.run_events
+    monkeypatch.setattr(cli, "run_events", lambda events, config: configs.append(config) or run_events(events, config))
+    assert main(["run", path]) == 0
+    assert main(["run", path, "--quarantine-bytes", "4096", "--quarantine-count", "7", "--uaf-fill", "64"]) == 0
+    assert configs == [
+        tw.EngineConfig(),
+        tw.EngineConfig(quarantine_max_bytes=4096, quarantine_max_count=7, uaf_fill_prefix=64),
+    ]
 
 
 def test_cli_clean_run_exits_zero(tmp_path, capsys):
