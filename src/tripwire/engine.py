@@ -289,10 +289,9 @@ class Engine:
             for word in rest:
                 try:
                     view = self.allocator.object_bounds(word)
+                    evidence.append(self._overflow_report(word, view))
                 except NotAHeapObject:
                     evidence.append(ErrorReport(KIND_OVERFLOW, corrupted_addr=word))
-                else:
-                    evidence.append(self._overflow_report(word, view))
             evidence += uaf
         if self.config.detector_enabled("leak"):
             self.leaks.mark(self.registers)

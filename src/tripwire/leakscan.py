@@ -76,9 +76,8 @@ class LeakScanner:
 
         The leaked slots are allocated & ~marked and, with dangling, the
         reachable freed ones ~allocated & marked, each as one array
-        pass; only those slots are looked at one by one. Returns their
-        unattributed leak reports, the leaked ones then the reachable
-        freed ones, each in address order, the order of flat slot ids.
+        pass; only those slots are looked at one by one. Their reports
+        come leaked first, each group in address order (flat id order).
         suppress holds payload addresses already reported in an earlier
         epoch (and not since reallocated); they stay leaked but are not
         reported again.

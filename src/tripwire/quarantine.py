@@ -78,7 +78,8 @@ class QuarantineQueue:
     # -- free path --------------------------------------------------------
 
     def on_free(self, entry: QuarantineEntry) -> list[ErrorReport]:
-        """Quarantine a freed slot; returns evidence from any evictions.
+        """Quarantine a freed slot, then evict the oldest entries until
+        both thresholds hold again; returns evidence from the evictions.
 
         The caller has already cleared the allocated bit and run the
         overflow free-time check. The canaried prefix is planted here.
@@ -88,19 +89,15 @@ class QuarantineQueue:
         self.entries.append(entry)
         self.by_payload[entry.payload] = entry
         self.total_bytes += entry.capacity
-        return self._maintain()
-
-    def _maintain(self) -> list[ErrorReport]:
-        """Evict oldest entries until both thresholds hold again."""
         evidence: list[ErrorReport] = []
         while (
             len(self.entries) > self.config.quarantine_max_count
             or self.total_bytes > self.config.quarantine_max_bytes
         ):
-            entry = self.entries.popleft()
-            del self.by_payload[entry.payload]
-            self.total_bytes -= entry.capacity
-            evidence.extend(self.verify_and_release(entry))
+            oldest = self.entries.popleft()
+            del self.by_payload[oldest.payload]
+            self.total_bytes -= oldest.capacity
+            evidence.extend(self.verify_and_release(oldest))
         return evidence
 
     def verify_and_release(self, entry: QuarantineEntry) -> list[ErrorReport]:

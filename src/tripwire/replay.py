@@ -17,23 +17,18 @@ build_reports adds what replay learned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import reports as rp
 from .vheap import WORD
-
-
-@dataclass
-class Trap:
-    event_id: int
-    stack: tuple[str, ...]
 
 
 class WatchpointSet:
     """Armed word watchpoints plus the traps they collected."""
 
     def __init__(self, words: list[int]):
-        self.traps: dict[int, list[Trap]] = {word: [] for word in words}
+        # word -> (event id, call stack) per trapped write, as in offending_events
+        self.traps: dict[int, list[tuple[int, tuple[str, ...]]]] = {word: [] for word in words}
         self._words = sorted(self.traps)
 
     @classmethod
@@ -51,13 +46,13 @@ class WatchpointSet:
         return [w for w in self._words if w < end and addr < w + WORD]
 
     def record(self, word: int, event_id: int, stack: tuple[str, ...]) -> None:
-        self.traps[word].append(Trap(event_id, stack))
+        self.traps[word].append((event_id, stack))
 
 
 def build_reports(
     epoch: int,
     evidence: list[rp.ErrorReport],
-    traps: dict[int, list[Trap]],
+    traps: dict[int, list[tuple[int, tuple[str, ...]]]],
     alloc_sites: dict[int, tuple[tuple[str, ...], int]],
 ) -> list[rp.ErrorReport]:
     """Attribute each unattributed report: its epoch, the events behind
@@ -73,7 +68,7 @@ def build_reports(
     for report in evidence:
         word, site = report.corrupted_addr, alloc_sites.get(report.object_addr)
         if word is not None:
-            events = tuple((t.event_id, t.stack) for t in traps.get(word, ()))
+            events = tuple(traps.get(word, ()))
         elif not report.reachable_freed and site is not None:
             events = ((site[1], site[0]),)
         else:
