@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> EngineConfig:
     """The EngineConfig of the parsed options; each option's dest is its field."""
     values = {f.name: getattr(args, f.name) for f in fields(EngineConfig)}
-    return EngineConfig(**{**values, "detectors": parse_detectors(args.detectors)})
+    return EngineConfig(**(values | {"detectors": parse_detectors(args.detectors)}))
 
 
 def main(argv: list[str] | None = None) -> int:

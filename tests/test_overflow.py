@@ -440,7 +440,8 @@ def test_engine_scans_of_written_pages_match_the_whole_bitmap(geometry, data):
 
     for i, op in enumerate(data.draw(st.lists(st.sampled_from("mmfoowuucc"), min_size=8, max_size=30))):
         if op == "m" or not live:
-            # power-of-two sizes leave overflows to the epoch scan
+            # power-of-two sizes have no tail: an overflow lands in the
+            # next slot's guard
             size = data.draw(st.one_of(st.integers(1, 2000), st.sampled_from((16, 32, 64))))
             lines.append(f"malloc v{i} {size}")
             if data.draw(st.booleans()):  # unrooted objects leak
