@@ -53,7 +53,7 @@ from .quarantine import QuarantineEntry, QuarantineQueue
 from .replay import WatchpointSet, build_reports
 from .reports import KIND_DOUBLE_FREE, KIND_LEAK, KIND_OVERFLOW, KIND_SEGFAULT, ErrorReport, sort_reports
 from .trace import EventKind, TraceEvent, ValueExpr, parse_trace
-from .vheap import Allocator, MemoryImage, U64_MASK, next_pow2
+from .vheap import Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
 
 
 class Mode(enum.Enum):
@@ -299,7 +299,7 @@ class Engine:
         return evidence
 
     @staticmethod
-    def _overflow_report(word: int, view) -> ErrorReport:
+    def _overflow_report(word: int, view: ObjectView) -> ErrorReport:
         return ErrorReport(
             KIND_OVERFLOW, corrupted_addr=word, object_addr=view.payload, object_size=view.requested
         )
