@@ -18,13 +18,14 @@ a slot. Engine bookkeeping (chunk table, slot metadata, free lists,
 cursors) lives in ordinary Python objects, never at modeled heap
 addresses.
 
-The heap image and the overflow detector's canary bitmap, one bit per
-heap word, are two page stores (PageStore): lazily zeroed reservations
-with a logical length, a copy-on-write undo log of 4 KiB pages and a
-sha256 digest per page. The bitmap's store, the image's shadow, follows
-the heap's logical length and shares its snapshot and restore, so a
-snapshot, a restore or a state hash costs what the epoch wrote, not what
-the heap or the bitmap holds. The heap's undo log keys are also the
+The heap image, the globals and the overflow detector's canary bitmap,
+one bit per heap word, are three page stores (PageStore): lazily zeroed
+reservations with a logical length, a copy-on-write undo log of 4 KiB
+pages and a sha256 digest per page. The bitmap's store, the image's
+shadow, follows the heap's logical length; the globals' length is fixed.
+All three share the image's snapshot and restore, so a snapshot, a
+restore or a state hash costs what the epoch wrote, not what the heap,
+the globals or the bitmap hold. The heap's undo log keys are also the
 epoch scan's dirty set: a canary can have changed only on a page the
 epoch wrote.
 """
@@ -200,10 +201,11 @@ class MemoryImage:
     else raises SegfaultModel. Trace-driven writes pass internal=False so
     an observer installed by the engine (the replay watchpoint check) can
     see them; detector writes are internal and invisible to it.
-    Every heap write goes through write_fill, write_bytes or write_word,
-    which keep the undo log and the page digests current. The heap's
-    bytes live in heap_pages (`heap` is its mapping); shadow holds the
-    canary bitmap and is resized, snapshotted and restored with it.
+    Every write goes through write_fill, write_bytes or write_word, which
+    keep the undo logs and the page digests current. The heap's bytes
+    live in heap_pages (`heap` is its mapping) and the globals' in
+    globals_pages (`globals`); shadow holds the canary bitmap and is
+    resized with the heap. All three are snapshotted and restored together.
     """
 
     def __init__(self, config: EngineConfig):
@@ -215,7 +217,9 @@ class MemoryImage:
         self.heap_pages = PageStore(self.heap_size)
         self.heap = self.heap_pages.data
         self.shadow = PageStore(_shadow_len(self.heap_size))
-        self.globals = bytearray(self.globals_size)
+        self.globals_pages = PageStore(self.globals_size)
+        self.globals_pages.resize(self.globals_size)
+        self.globals = self.globals_pages.data
         self.write_observer = None
 
     @property
@@ -237,18 +241,19 @@ class MemoryImage:
         self.heap_pages.hash_into(h)
         h.update(self.globals)
 
-    def _locate(self, addr: int, length: int) -> tuple[mmap.mmap | bytearray, int]:
+    def _locate(self, addr: int, length: int) -> tuple[PageStore, int]:
+        """The page store holding [addr, addr + length), and addr's offset in it."""
         if length < 0:
             raise SegfaultModel(addr, length)
         if self.heap_base <= addr and addr + length <= self.heap_base + self.heap_size:
-            return self.heap, addr - self.heap_base
+            return self.heap_pages, addr - self.heap_base
         if self.globals_base <= addr and addr + length <= self.globals_base + self.globals_size:
-            return self.globals, addr - self.globals_base
+            return self.globals_pages, addr - self.globals_base
         raise SegfaultModel(addr, length)
 
     def read(self, addr: int, length: int) -> bytes:
-        buf, off = self._locate(addr, length)
-        return bytes(buf[off : off + length])
+        store, off = self._locate(addr, length)
+        return store.data[off : off + length]
 
     def write_fill(self, addr: int, length: int, fill: int, internal: bool = True) -> None:
         self._locate(addr, length)  # a bad length faults before the fill is built
@@ -264,25 +269,25 @@ class MemoryImage:
 
     def _write(self, addr: int, data: bytes, internal: bool) -> None:
         length = len(data)
-        buf, off = self._locate(addr, length)
+        store, off = self._locate(addr, length)
         if not internal and self.write_observer is not None:
             self.write_observer(addr, length)
-        if buf is self.heap:
+        if store is self.heap_pages:
             self.ensure_heap(off + length)
-            self.heap_pages.touch(off, length)
-        buf[off : off + length] = data
+        store.touch(off, length)
+        store.data[off : off + length] = data
 
-    def snapshot(self) -> tuple[dict[int, bytes], bytes, dict[int, bytes]]:
-        """Start new undo logs for the heap and the shadow, and copy the
-        globals: (heap undo log, globals, shadow undo log)."""
-        return self.heap_pages.snapshot(), bytes(self.globals), self.shadow.snapshot()
+    def snapshot(self) -> tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]:
+        """Start new undo logs for the heap, the globals and the shadow,
+        and return them in that order."""
+        return self.heap_pages.snapshot(), self.globals_pages.snapshot(), self.shadow.snapshot()
 
-    def restore(self, snap: tuple[dict[int, bytes], bytes, dict[int, bytes]]) -> None:
-        """Return the heap, the shadow and the globals to the latest snapshot."""
-        heap_log, globs, shadow_log = snap
+    def restore(self, snap: tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]) -> None:
+        """Return the heap, the globals and the shadow to the latest snapshot."""
+        heap_log, globals_log, shadow_log = snap
         self.heap_pages.restore(heap_log)
+        self.globals_pages.restore(globals_log)
         self.shadow.restore(shadow_log)
-        self.globals = bytearray(globs)
 
 
 @dataclass

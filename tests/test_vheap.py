@@ -216,6 +216,7 @@ def test_image_snapshot_restore_is_byte_exact():
     before = (image.heap_prefix, image.heap[: image.heap_prefix], bytes(image.globals))
     image.write_fill(a, 64, 0x22)
     image.write_word(config.globals_base, 0xDEAD)
+    assert len(snap[1]) == 1  # the globals' undo log saved the one page written
     # grow past the snapshot prefix; restore returns to the snapshot
     # length and zeroes what was written past it
     far = 3 * config.chunk_size
