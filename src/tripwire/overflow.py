@@ -105,9 +105,6 @@ class CanaryBitmap:
         flags = np.unpackbits(bits[nonzero], bitorder="little").reshape(-1, 8)
         return (nonzero[:, None] * 8 + np.arange(8))[flags.view(np.bool_)]
 
-    def popcount(self) -> int:
-        return int.from_bytes(self.bits, "little").bit_count()
-
 
 class OverflowDetector:
     """Plants and verifies heap canaries; owns the shared shadow bitmap.
