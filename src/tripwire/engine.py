@@ -1,11 +1,12 @@
 """The execution engine: epochs at full speed, evidence checks at
 boundaries, rollback and instrumented replay when evidence turns up.
 
-Execution is divided into epochs. Each epoch starts with a snapshot
-of the modeled writable memory plus machine, allocator, quarantine,
-and file-position state; the heap and the canary bitmap, which lives
-in the memory image's shadow page store, are copy-on-write, saving
-each page on its first write, and restore byte-exact.
+Execution is divided into epochs. Each epoch starts with a snapshot:
+undo logs for the memory image's three page stores (heap, globals, and
+the canary bitmap in the shadow store), which save each page on its
+first write and restore byte-exact, plus the machine state as values
+(Engine._machine_state): event cursor, registers, call stack, variable
+bindings, and the allocator, quarantine and file-position state.
 Events then run at full speed with no per-write checking. An epoch
 ends at an irrevocable external call, a modeled segfault, or the end
 of the trace; the detectors inspect state there. Their evidence is a
@@ -18,9 +19,9 @@ epoch, trapped writes and allocation site, and resumes.
 
 Every state hash starts from the memory image's page digests, its
 logical length and the globals (MemoryImage.hash_into): the final
-state hash is exactly that, and the rollback hash adds the machine and
-allocator state, the bitmap's shadow store (its length and page
-digests), and the quarantine and file state. The rollback hash is taken
+state hash is exactly that, and the rollback hash adds the bitmap's
+shadow store (its length and page digests), the repr of the machine
+state and the call model's counter. The rollback hash is taken
 only when an epoch is about to roll back, and again after the replay
 to check it; a clean boundary takes none. Page digests are refreshed
 only for pages written since they were last taken.
@@ -127,8 +128,6 @@ class Engine:
         self.reports: list[ErrorReport] = []
         self.reported_evidence: set[int] = set()  # leak/dangling payloads already reported
         self.alloc_sequence = array("Q")
-        self.extcall_results: list[tuple[int, str, int]] = []
-        self._extcall_by_id: dict[int, int] = {}
         self.replay_summaries: list[ReplaySummary] = []
         # (cursor, words) per retirement this epoch; like the call log it
         # survives rollback, so replay redoes each retirement where it happened
@@ -146,22 +145,24 @@ class Engine:
 
     # -- hashing ----------------------------------------------------------
 
+    def _machine_state(self) -> tuple:
+        """Every piece of state rollback restores besides memory, as values."""
+        return (
+            self.cursor,
+            tuple(sorted(self.registers.items())),
+            tuple(self.call_stack),
+            tuple(self.bindings),
+            self.allocator.snapshot(),
+            self.quarantine.snapshot() if self.quarantine is not None else None,
+            self.syscalls.files.snapshot(),
+        )
+
     def full_state_hash(self) -> str:
         """Hash of all state rollback must reproduce (fidelity checks)."""
         h = hashlib.sha256()
         self.image.hash_into(h)
-        h.update(repr(sorted(self.registers.items())).encode())
-        h.update(repr(tuple(self.call_stack)).encode())
-        h.update(repr(self.bindings).encode())
-        h.update(self.cursor.to_bytes(8, "little"))
-        chunks, classes = self.allocator.snapshot()
-        h.update(repr(chunks).encode())
-        h.update(repr(sorted(classes.items())).encode())
         self.image.shadow.hash_into(h)
-        if self.quarantine is not None:
-            h.update(repr(self.quarantine.snapshot()).encode())
-        h.update(repr(sorted(self.syscalls.files.snapshot().items())).encode())
-        h.update(self.syscalls.counter.to_bytes(8, "little"))
+        h.update(repr((self._machine_state(), self.syscalls.counter)).encode())
         return h.hexdigest()
 
     # -- epoch lifecycle ---------------------------------------------------
@@ -170,25 +171,20 @@ class Engine:
         return EpochSnapshot(
             event_cursor=self.cursor,
             image=self.image.snapshot(),
-            registers=dict(self.registers),
-            call_stack=tuple(self.call_stack),
-            bindings=list(self.bindings),
-            allocator=self.allocator.snapshot(),
-            quarantine=self.quarantine.snapshot() if self.quarantine is not None else None,
-            files=self.syscalls.files.snapshot(),
+            state=self._machine_state(),
             alloc_seq_len=len(self.alloc_sequence),
         )
 
     def _restore_snapshot(self, snap: EpochSnapshot) -> None:
         self.image.restore(snap.image)
-        self.registers = dict(snap.registers)
-        self.call_stack = list(snap.call_stack)
-        self.bindings = list(snap.bindings)
-        self.allocator.restore(snap.allocator)
+        self.cursor, registers, call_stack, bindings, allocator, quarantine, files = snap.state
+        self.registers = dict(registers)
+        self.call_stack = list(call_stack)
+        self.bindings = list(bindings)
+        self.allocator.restore(allocator)
         if self.quarantine is not None:
-            self.quarantine.restore(snap.quarantine)
-        self.syscalls.files.restore(snap.files)
-        self.cursor = snap.event_cursor
+            self.quarantine.restore(quarantine)
+        self.syscalls.files.restore(files)
 
     def _begin_epoch(self) -> None:
         self.epoch_index = self.epochs_begun
@@ -240,7 +236,7 @@ class Engine:
             events_total=len(self.events),
             events_executed=self.cursor,
             alloc_sequence=self.alloc_sequence,
-            extcall_results=tuple(self.extcall_results),
+            extcall_results=tuple((eid, *call) for eid, call in self.syscalls.log.items()),
             scan_records=tuple(self.overflow.scan_records),
         )
 
@@ -264,12 +260,9 @@ class Engine:
             # state the epoch ended in
             self._rollback_and_replay(evidence, boundary_cursor, self.full_state_hash())
         self.syscalls.commit()
-        if fault is not None:
+        if fault is not None or trigger is None or trigger.kind is EventKind.END:
             return True
-        if trigger is None or trigger.kind is EventKind.END:
-            return True
-        result = self.syscalls.apply_irrevocable(trigger)
-        self._record_extcall(trigger, result)
+        self.syscalls.apply_irrevocable(trigger)
         self.cursor += 1
         if trigger.call_name == "exit":
             return True
@@ -404,10 +397,6 @@ class Engine:
             return value.literal & U64_MASK
         return (self.bindings[value.slot] + value.delta) & U64_MASK
 
-    def _record_extcall(self, ev: TraceEvent, result: int) -> None:
-        self.extcall_results.append((ev.id, ev.call_name, result))
-        self._extcall_by_id[ev.id] = result
-
     def _execute(self, ev: TraceEvent) -> list[ErrorReport] | None:
         """Run one event; a free returns the evidence it found."""
         self._current_event = ev
@@ -436,14 +425,7 @@ class Engine:
         self.image.write_word(addr, self._resolve(ev.value), internal=False)
 
     def _exec_ext_call(self, ev: TraceEvent) -> None:
-        result = self.syscalls.handle(ev, ev.category, replay=self.mode is Mode.REPLAY)
-        if self.mode is Mode.NORMAL:
-            self._record_extcall(ev, result)
-        elif self._extcall_by_id.get(ev.id) != result:
-            raise ReplayDivergence(
-                f"event {ev.id}: call {ev.call_name} returned {result}, "
-                f"expected {self._extcall_by_id.get(ev.id)}"
-            )
+        self.syscalls.handle(ev)
 
     def _exec_end(self, ev: TraceEvent) -> None:
         raise AssertionError("the end event is a boundary, never executed")

@@ -1,12 +1,15 @@
 """Epoch machinery: external-call taxonomy, modeled files, call log, snapshots.
 
 External calls fall into five categories. Repeatable calls are pure and
-re-execute freely. Recordable calls log their result during normal
-execution and replay it from the log. Revocable calls (file read/write)
-advance modeled file positions that the epoch snapshot can restore.
-Deferrable calls (close/munmap) queue until commit and become no-ops
-during replay. Everything else is irrevocable and forces an epoch
-boundary, including any unknown call name, conservatively.
+re-execute freely. Recordable calls take their result from the call log
+during replay. Revocable calls (file read/write) advance modeled file
+positions that the epoch snapshot can restore. Deferrable calls
+(close/munmap) queue until commit and become no-ops during replay.
+Everything else is irrevocable and forces an epoch boundary, including
+any unknown call name, conservatively.
+
+The call log lasts the whole run: every call's event id, name and
+result, in execution order. Rollback leaves it be; replay checks against it.
 """
 
 from __future__ import annotations
@@ -99,28 +102,20 @@ class ModeledFileTable:
         self.files = {fd: FileState(pos, op) for fd, (pos, op) in snap.items()}
 
 
-@dataclass(frozen=True)
-class ExtCallRecord:
-    event_id: int
-    name: str
-    result: int
-    args: tuple[str, ...]
-
-
 class SyscallModel:
-    """Executes non-irrevocable calls and keeps the per-epoch log.
+    """Executes non-irrevocable calls and keeps the call log.
 
-    The log survives rollback (replay feeds on it) and is cleared when
-    an epoch commits; a deterministic run-global counter provides the
-    results of time-like recordable calls and is deliberately outside
-    snapshots, the way real time is.
+    A deterministic run-global counter provides the results of time-like
+    recordable calls and is deliberately outside snapshots, like real time.
     """
 
     def __init__(self):
         self.files = ModeledFileTable()
-        self.recordables: list[ExtCallRecord] = []
-        self.deferred: list[ExtCallRecord] = []
-        self.replay_cursor = 0
+        self.log: dict[int, tuple[str, int]] = {}  # event id -> (name, result)
+        self.deferred: list[TraceEvent] = []
+        self.replaying = False
+        self._epoch_start = 0  # len(log) when the current epoch began
+        self._replayed = 0  # calls re-run by the current replay
         self.counter = 1000
 
     @staticmethod
@@ -138,94 +133,89 @@ class SyscallModel:
                 f"event {event.id}: call {event.call_name} argument {event.call_args[index]!r} is not an integer"
             )
 
-    def handle(self, event: TraceEvent, category: Category, replay: bool) -> int:
-        name = event.call_name
-        if category is Category.REPEATABLE:
-            return _REPEATABLE_RESULTS.get(name, 0)
-
-        if category is Category.RECORDABLE:
-            if replay:
-                return self._replay_recordable(event)
+    def handle(self, event: TraceEvent) -> int:
+        """Run a call that does not end an epoch and return its result:
+        log it, or during replay check it against the log. A replayed
+        recordable call returns its logged result."""
+        name, category = event.call_name, event.category
+        logged = self.log.get(event.id, (name, None))[1] if self.replaying else None
+        if self.replaying and category is Category.RECORDABLE:
+            if logged is None:
+                raise LogUnderrun(f"event {event.id}: no recorded result for {name}")
+            result = logged
+            if name == "open":
+                self.files.reopen(result)
+        elif category is Category.REPEATABLE:
+            result = _REPEATABLE_RESULTS.get(name, 0)
+        elif category is Category.RECORDABLE:
             if name == "open":
                 result = self.files.open_new()
             else:
                 result = self.counter
                 self.counter += 1
-            record = ExtCallRecord(event.id, name, result, event.call_args)
-            self.recordables.append(record)
-            return result
-
-        if category is Category.REVOCABLE:
+        elif category is Category.REVOCABLE:
             fd = self._int_arg(event, 0)
-            nbytes = self._int_arg(event, 1, default=0)
-            self.files.advance(fd, nbytes)
-            return nbytes
+            result = self._int_arg(event, 1, default=0)
+            self.files.advance(fd, result)
+        elif category is Category.DEFERRABLE:
+            if not self.replaying:
+                self.deferred.append(event)
+            result = 0
+        else:
+            raise AssertionError(f"irrevocable call reached handle(): {name}")
 
-        if category is Category.DEFERRABLE:
-            if not replay:
-                self.deferred.append(ExtCallRecord(event.id, name, 0, event.call_args))
-            return 0
-
-        raise AssertionError(f"irrevocable call reached handle(): {name}")
-
-    def _replay_recordable(self, event: TraceEvent) -> int:
-        if self.replay_cursor >= len(self.recordables):
-            raise LogUnderrun(f"event {event.id}: no recorded result for {event.call_name}")
-        record = self.recordables[self.replay_cursor]
-        if record.name != event.call_name or record.event_id != event.id:
+        if not self.replaying:
+            self.log[event.id] = (name, result)
+        elif result != logged:
             raise ReplayDivergence(
-                f"event {event.id}: replay expected {record.name} (event {record.event_id})"
+                f"event {event.id}: call {name} returned {result}, expected {logged}"
             )
-        self.replay_cursor += 1
-        if event.call_name == "open":
-            self.files.reopen(record.result)
-        return record.result
+        else:
+            self._replayed += 1
+        return result
 
-    def apply_irrevocable(self, event: TraceEvent) -> int:
-        """Run the modeled effect of the epoch-ending call, post-commit."""
+    def apply_irrevocable(self, event: TraceEvent) -> None:
+        """Run and log the modeled effect of the epoch-ending call,
+        post-commit; the next epoch's calls start after it."""
+        result = 0
         if event.call_name == "lseek":
             fd = self._int_arg(event, 0)
-            position = self._int_arg(event, 1, default=0)
-            self.files.set_position(fd, position)
-            return position
-        return 0
+            result = self._int_arg(event, 1, default=0)
+            self.files.set_position(fd, result)
+        self.log[event.id] = (event.call_name, result)
+        self._epoch_start = len(self.log)
 
     def begin_replay(self) -> None:
-        self.replay_cursor = 0
+        self.replaying = True
+        self._replayed = 0
 
     def finish_replay(self) -> None:
-        if self.replay_cursor != len(self.recordables):
-            raise ReplayDivergence(
-                f"replay consumed {self.replay_cursor} of {len(self.recordables)} recorded results"
-            )
+        """End the replay; it must have re-run every call the epoch logged."""
+        self.replaying = False
+        logged = len(self.log) - self._epoch_start
+        if self._replayed != logged:
+            raise ReplayDivergence(f"replay re-ran {self._replayed} of {logged} logged calls")
 
     def commit(self) -> None:
-        """Apply deferred calls exactly once, then clear the epoch log."""
-        for record in self.deferred:
-            if record.name == "close":
-                self.files.close(self._int_arg_record(record))
-        self.recordables = []
+        """Apply deferred calls exactly once, then clear them."""
+        for event in self.deferred:
+            if event.call_name == "close":
+                try:
+                    fd = int(event.call_args[0], 0)
+                except (IndexError, ValueError):
+                    raise CallArgumentError(f"event {event.id}: close needs an fd argument")
+                self.files.close(fd)
         self.deferred = []
-        self.replay_cursor = 0
-
-    @staticmethod
-    def _int_arg_record(record: ExtCallRecord) -> int:
-        try:
-            return int(record.args[0], 0)
-        except (IndexError, ValueError):
-            raise CallArgumentError(f"event {record.event_id}: close needs an fd argument")
 
 
 @dataclass
 class EpochSnapshot:
-    """Everything rollback restores; the call log is deliberately absent."""
+    """Everything rollback restores: the memory image's undo logs (heap,
+    globals, shadow) and the engine's machine state as values
+    (Engine._machine_state), plus where the epoch's allocations start in
+    the allocation sequence. The call log is deliberately absent."""
 
     event_cursor: int
-    image: tuple[dict[int, bytes], bytes, dict[int, bytes]]  # heap undo log, globals, shadow undo log
-    registers: dict[str, int]
-    call_stack: tuple[str, ...]
-    bindings: list[int | None]  # by variable slot
-    allocator: object
-    quarantine: object
-    files: dict
+    image: tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]
+    state: tuple
     alloc_seq_len: int

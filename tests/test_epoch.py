@@ -7,7 +7,8 @@ import pytest
 import tripwire as tw
 from tripwire.engine import Engine
 from tripwire.epoch import Category, SyscallModel, classify
-from tripwire.errors import LogUnderrun
+from tripwire.errors import LogUnderrun, ReplayDivergence
+from tripwire.quarantine import QuarantineEntry
 from tripwire.trace import parse_trace
 
 from conftest import small_config
@@ -80,9 +81,9 @@ def test_deferred_close_applies_exactly_once_at_commit():
 def test_deferred_close_leaves_file_open_within_epoch():
     model = SyscallModel()
     open_ev = parse_trace("call open f\n")[0]
-    fd = model.handle(open_ev, Category.RECORDABLE, replay=False)
+    fd = model.handle(open_ev)
     close_ev = parse_trace(f"call close {fd}\n")[0]
-    model.handle(close_ev, Category.DEFERRABLE, replay=False)
+    model.handle(close_ev)
     assert model.files.files[fd].open is True
     model.commit()
     assert model.files.files[fd].open is False
@@ -150,14 +151,44 @@ def test_snapshot_then_immediate_rollback_preserves_hash():
     assert eng.full_state_hash() == before
 
 
-def test_snapshot_survives_a_thousand_heap_writes():
+def _heap_writes(eng, payload):
     rng = random.Random(5)
-    eng = Engine([], small_config())
-    payload = eng.allocator.allocate(4096)
-    eng._begin_epoch()
-    before = eng.full_state_hash()
     for _ in range(1000):
         eng.image.write_fill(payload + rng.randrange(4096), 1, rng.randrange(256))
+
+
+def _quarantined_free(eng, payload):
+    view = eng.allocator.object_bounds(payload)
+    eng.allocator.set_allocated(payload, False)
+    eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, ("main",), 0))
+
+
+# one change per piece of state rollback restores, made after the snapshot;
+# the canary region is planted over bytes that already hold the canary, so
+# only its bitmap bits change
+STATE_MUTATIONS = {
+    "heap_bytes": _heap_writes,
+    "cursor": lambda eng, p: setattr(eng, "cursor", eng.cursor + 1),
+    "register": lambda eng, p: eng.registers.__setitem__("r0", p),
+    "frame": lambda eng, p: eng.call_stack.append("main"),
+    "binding": lambda eng, p: eng.bindings.__setitem__(0, p),
+    "global_word": lambda eng, p: eng.image.write_word(eng.config.globals_base + 8, 1),
+    "canary_region": lambda eng, p: eng.overflow.plant(p + 64, p + 128),
+    "allocation": lambda eng, p: eng.allocator.allocate(16),
+    "quarantined_free": _quarantined_free,
+    "file_position": lambda eng, p: eng.syscalls.files.advance(3, 10),
+}
+
+
+@pytest.mark.parametrize("mutation", STATE_MUTATIONS)
+def test_snapshot_survives_a_thousand_heap_writes(mutation):
+    # every piece of state is hashed (a change moves the hash) and restored
+    eng = Engine(parse_trace("malloc a 16\nend\n"), small_config())
+    payload = eng.allocator.allocate(4096)
+    eng.image.write_fill(payload + 64, 64, eng.config.canary_byte)
+    eng._begin_epoch()
+    before = eng.full_state_hash()
+    STATE_MUTATIONS[mutation](eng, payload)
     assert eng.full_state_hash() != before
     eng._restore_snapshot(eng.snapshot)
     assert eng.full_state_hash() == before
@@ -198,7 +229,18 @@ def test_log_underrun_is_a_hard_failure():
     model.begin_replay()
     ev = parse_trace("call time\n")[0]
     with pytest.raises(LogUnderrun):
-        model.handle(ev, Category.RECORDABLE, replay=True)
+        model.handle(ev)
+
+
+def test_replay_that_skips_a_logged_call_diverges_at_finish():
+    model = SyscallModel()
+    first, second = parse_trace("call time\ncall getpid\n")
+    model.handle(first)
+    model.handle(second)
+    model.begin_replay()
+    assert model.handle(first) == 1000
+    with pytest.raises(ReplayDivergence, match="re-ran 1 of 2"):
+        model.finish_replay()
 
 
 def test_rollback_restores_quarantine_fifo_exactly():
