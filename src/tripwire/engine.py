@@ -3,7 +3,7 @@ boundaries, rollback and instrumented replay when evidence turns up.
 
 Execution is divided into epochs. Each epoch starts with a snapshot:
 undo logs for the memory image's three page stores (heap, globals, and
-the canary bitmap in the shadow store), which save each page on its
+the canary masks in the shadow store), which save each page on its
 first write and restore byte-exact, plus the machine state as values
 (Engine._machine_state): event cursor, registers, call stack, variable
 bindings, and the allocator, quarantine and file-position state.
@@ -14,12 +14,13 @@ list of unattributed reports (reports.ErrorReport). Corrupted canaries
 found at a free or an eviction end-run the boundary and trigger the
 same path immediately. On any evidence the engine restores the
 snapshot, arms watchpoints on the reports' corrupted words, re-executes
-the epoch's events with call-site recording on, fills in each report's
-epoch, trapped writes and allocation site, and resumes.
+the epoch's events with call-site recording on (a write traps when it
+covers a byte the shadow masks as canary in a watched word), fills in
+each report's epoch, trapped writes and allocation site, and resumes.
 
 Every state hash starts from the memory image's page digests, its
 logical length and the globals (MemoryImage.hash_into): the final
-state hash is exactly that, and the rollback hash adds the bitmap's
+state hash is exactly that, and the rollback hash adds the canary
 shadow store (its length and page digests), the repr of the machine
 state and the call model's counter. The rollback hash is taken
 only when an epoch is about to roll back, and again after the replay
@@ -49,12 +50,12 @@ from .errors import (
     SegfaultModel,
 )
 from .leakscan import LeakScanner
-from .overflow import OverflowDetector, touches_partial
+from .overflow import OverflowDetector, byte_mask
 from .quarantine import QuarantineEntry, QuarantineQueue
 from .replay import WatchpointSet, build_reports
 from .reports import KIND_DOUBLE_FREE, KIND_LEAK, KIND_OVERFLOW, KIND_SEGFAULT, ErrorReport, sort_reports
 from .trace import EventKind, TraceEvent, ValueExpr, parse_trace
-from .vheap import Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
+from .vheap import WORD, Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
 
 
 class Mode(enum.Enum):
@@ -367,28 +368,17 @@ class Engine:
                 self._wps.record(word, self._current_event.id, tuple(self.call_stack))
 
     def _write_hits_canary(self, word: int, addr: int, length: int) -> bool:
-        """True when the write touches bytes the detectors currently own.
+        """True when the write touches bytes the detectors currently own:
+        a mask bit of the watched word among the write's bytes.
 
         Hardware would trap on every access to the watched word; the
         handler has to discard writes that were legal at that point of
         the replayed epoch (the canary did not exist yet, e.g. a store
-        to a still-live object that is freed and canaried only later).
+        to a still-live object that is freed and canaried only later,
+        or a store to the requested bytes of an edge word).
         """
-        if self.overflow.bitmap.test_word(word):
-            return True
-        try:
-            view = self.allocator.object_bounds(word)
-        except NotAHeapObject:
-            return False
-        # the partial words of the canary regions: filled but untracked bytes
-        if self.config.detector_enabled("overflow") and touches_partial(
-            view.payload + view.requested, view.payload + view.capacity, addr, length
-        ):
-            return True
-        if self.quarantine is None or not self.quarantine.fill_enabled:
-            return False
-        entry = self.quarantine.entry_for(view.payload)
-        return entry is not None and touches_partial(*self.quarantine.region(entry), addr, length)
+        lo, hi = max(addr - word, 0), min(addr + length - word, WORD)
+        return bool(self.overflow.bitmap.mask(word) & byte_mask(lo, hi))
 
     # -- event dispatch ------------------------------------------------------
 

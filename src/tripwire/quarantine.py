@@ -3,9 +3,9 @@
 Freed slots are withheld from reuse in a FIFO queue, and the leading
 prefix of each payload, [payload, payload + min(128, capacity)) by
 default, is planted as a canary region of the overflow detector: filled
-with canaries, its whole words tracked in the shared bitmap, and a
-partial last word (for a fill prefix that is not a multiple of eight)
-compared byte by byte. Slots leave the queue oldest-first
+with canaries and its bytes marked in the shared mask shadow, so a fill
+prefix that is not a multiple of eight is tracked to its last byte
+like any other. Slots leave the queue oldest-first
 whenever the queue exceeds its object-count or capacity-sum threshold;
 each evicted slot is verified before the allocator may reuse it. A
 slot evicted with corrupted canaries is withheld from reuse entirely.
@@ -104,7 +104,7 @@ class QuarantineQueue:
         """Check the canaried prefix of an evicted entry.
 
         Clean entries go back to the allocator free list with their
-        prefix bits cleared. Corrupted entries are reported and withheld
+        prefix's mask bits cleared. Corrupted entries are reported and withheld
         from reuse (their slot stays out of circulation).
         """
         if self.fill_enabled:

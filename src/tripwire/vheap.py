@@ -18,14 +18,14 @@ a slot. Engine bookkeeping (chunk table, slot metadata, free lists,
 cursors) lives in ordinary Python objects, never at modeled heap
 addresses.
 
-The heap image, the globals and the overflow detector's canary bitmap,
-one bit per heap word, are three page stores (PageStore): lazily zeroed
-reservations with a logical length, a copy-on-write undo log of 4 KiB
-pages and a sha256 digest per page. The bitmap's store, the image's
-shadow, follows the heap's logical length; the globals' length is fixed.
-All three share the image's snapshot and restore, so a snapshot, a
-restore or a state hash costs what the epoch wrote, not what the heap,
-the globals or the bitmap hold. The heap's undo log keys are also the
+The heap image, the globals and the overflow detector's canary shadow,
+one mask byte per heap word, are three page stores (PageStore): lazily
+zeroed reservations with a logical length, a copy-on-write undo log of
+4 KiB pages and a sha256 digest per page. The image's shadow follows
+the heap's logical length at an eighth of it; the globals' length is
+fixed. All three share the image's snapshot and restore, so a
+snapshot, a restore or a state hash costs what the epoch wrote, not
+what the heap, the globals or the shadow hold. The heap's undo log keys are also the
 epoch scan's dirty set: a canary can have changed only on a page the
 epoch wrote.
 """
@@ -64,16 +64,16 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
-def _reserve(size: int) -> mmap.mmap:
-    """Reserve size bytes of zero-filled, private address space."""
+def _reserve(size: int, what: str, option: str) -> mmap.mmap:
+    """Reserve size bytes of zero-filled, private address space for what;
+    option is the CLI option that sets its size."""
     try:
         return mmap.mmap(
             -1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | _MAP_NORESERVE
         )
     except (OSError, OverflowError) as err:
         raise OutOfVirtualHeap(
-            f"cannot reserve {size} bytes of address space for the heap ({err}); "
-            "lower --heap-size"
+            f"cannot reserve {size} bytes of address space for {what} ({err}); lower {option}"
         ) from None
 
 
@@ -93,8 +93,8 @@ class PageStore:
     below the logical length and is recomputed only after a write.
     """
 
-    def __init__(self, size: int):
-        self.data = _reserve(size)
+    def __init__(self, size: int, what: str, option: str):
+        self.data = _reserve(size, what, option)
         self.length = 0
         # undo log of the latest snapshot: page index -> the page's bytes
         # below the snapshot length, empty for a page wholly past it
@@ -190,8 +190,8 @@ class PageStore:
         self.resize(self._snap_len)
 
 
-def _shadow_len(heap_len: int) -> int:  # one bit per heap word
-    return (heap_len // WORD + 7) // 8
+def _shadow_len(heap_len: int) -> int:  # one mask byte per heap word
+    return heap_len // WORD
 
 
 class MemoryImage:
@@ -204,7 +204,7 @@ class MemoryImage:
     Every write goes through write_fill, write_bytes or write_word, which
     keep the undo logs and the page digests current. The heap's bytes
     live in heap_pages (`heap` is its mapping) and the globals' in
-    globals_pages (`globals`); shadow holds the canary bitmap and is
+    globals_pages (`globals`); shadow holds the canary masks and is
     resized with the heap. All three are snapshotted and restored together.
     """
 
@@ -214,10 +214,10 @@ class MemoryImage:
         self.chunk_size = config.chunk_size
         self.globals_base = config.globals_base
         self.globals_size = 8 * config.globals_words
-        self.heap_pages = PageStore(self.heap_size)
+        self.heap_pages = PageStore(self.heap_size, "the heap", "--heap-size")
         self.heap = self.heap_pages.data
-        self.shadow = PageStore(_shadow_len(self.heap_size))
-        self.globals_pages = PageStore(self.globals_size)
+        self.shadow = PageStore(_shadow_len(self.heap_size), "the canary shadow", "--heap-size")
+        self.globals_pages = PageStore(self.globals_size, "the globals", "--globals-words")
         self.globals_pages.resize(self.globals_size)
         self.globals = self.globals_pages.data
         self.write_observer = None

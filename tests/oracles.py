@@ -2,11 +2,11 @@
 
 These deliberately re-derive their answers from raw state (slot
 directory, memory bytes) using their own arithmetic, not the code
-paths they are used to verify: the bitmap oracle recomputes canary
-word locations without reading the bitmap, the heap-walk scanner finds
-corrupted canaries without the bitmap, and the reachability closure
-resolves pointers by interval search instead of the allocator's stride
-math.
+paths they are used to verify: the shadow oracle recomputes the canary
+bytes, and so each word's mask, without reading the shadow, the
+heap-walk scanner finds corrupted canaries byte by byte without the
+shadow, and the reachability closure resolves pointers by interval
+search instead of the allocator's stride math.
 """
 
 from __future__ import annotations
@@ -18,70 +18,76 @@ from collections import deque
 from tripwire.config import GUARD_BYTES
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
+def masks_of(byte_addrs) -> dict[int, int]:
+    """Word address -> mask of the given canary byte addresses: bit i of
+    a word's mask stands for byte i of the word."""
+    out: dict[int, int] = {}
+    for addr in byte_addrs:
+        out[addr & ~7] = out.get(addr & ~7, 0) | 1 << (addr & 7)
+    return out
 
 
-def _word_range(start: int, end: int) -> set[int]:
-    return set(range(start, end, 8)) if end > start else set()
-
-
-def expected_canary_words(engine) -> set[int]:
-    """Recompute every word address the bitmap should have set.
+def expected_canary_masks(engine) -> dict[int, int]:
+    """Recompute the mask of every word the shadow should track.
 
     Valid only for histories with no trace writes and no evidence
-    retirement. Rules per slot state:
-      live:        guard region + interior [align8(req), cap)
-      quarantined: guard + interior + prefix [0, floor(min(fill,cap)/8)*8)
-      released:    guard + interior minus the prefix words cleared at eviction
+    retirement. The canary bytes per slot state:
+      live:        guard region + tail [req, cap)
+      quarantined: guard + tail + prefix [0, min(fill, cap))
+      released:    guard + tail minus the prefix bytes cleared at eviction
     """
     config = engine.config
     overflow_on = config.detector_enabled("overflow")
     uaf_on = engine.quarantine is not None
-    words: set[int] = set()
+    canary: set[int] = set()
     for view in engine.allocator.carved_slots():
         payload, cap, req = view.payload, view.capacity, view.requested
         if overflow_on:
-            words |= _word_range(view.slot, view.slot + GUARD_BYTES)
-        interior = _word_range(payload + _align8(req), payload + cap) if overflow_on else set()
-        prefix_tracked = (min(config.uaf_fill_prefix, cap) // 8) * 8
+            canary.update(range(view.slot, payload))
+        tail = set(range(payload + req, payload + cap)) if overflow_on else set()
+        prefix = set(range(payload, payload + min(config.uaf_fill_prefix, cap)))
         if view.allocated:
-            words |= interior
+            canary |= tail
         elif uaf_on and engine.quarantine.entry_for(payload) is not None:
-            words |= interior
-            words |= _word_range(payload, payload + prefix_tracked)
+            canary |= tail | prefix
         elif engine.allocator.is_free_listed(payload):
-            words |= {w for w in interior if w >= payload + prefix_tracked}
+            canary |= tail - prefix
         else:
             # withheld after a corrupted eviction; unreachable without writes
-            words |= interior
-    return words
+            canary |= tail
+    return masks_of(canary)
 
 
-def bitmap_words(engine) -> set[int]:
-    bits = engine.overflow.bitmap.bits
+def bitmap_masks(engine) -> dict[int, int]:
+    """Word address -> mask, for every word with a nonzero mask byte in
+    the shadow."""
     base = engine.image.heap_base
-    out = set()
-    for byte_idx, value in enumerate(bits):
-        while value:
-            low = value & (-value)
-            value ^= low
-            out.add(base + ((byte_idx << 3) + low.bit_length() - 1) * 8)
-    return out
+    return {base + 8 * i: mask for i, mask in enumerate(engine.overflow.bitmap.bits) if mask}
+
+
+def corrupted_tracked(engine) -> list[int]:
+    """Byte by byte: the words, ascending, with a byte the shadow marks
+    as canary that no longer holds the canary byte."""
+    canary = engine.config.canary_byte
+    return sorted(
+        word
+        for word, mask in bitmap_masks(engine).items()
+        if any(mask >> i & 1 and b != canary for i, b in enumerate(engine.image.read(word, 8)))
+    )
 
 
 def naive_corrupted_scan(engine) -> set[int]:
-    """Full-heap walk: every expected canary word whose bytes are wrong.
+    """Full-heap walk: every word with an expected canary byte that is wrong.
 
-    The independent counterpart of the bitmap epoch scan for histories
+    The independent counterpart of the shadow epoch scan for histories
     whose expected canary layout is still described by
-    expected_canary_words (no retirement yet).
+    expected_canary_masks (no retirement yet).
     """
-    canary = engine.config.canary_word
+    canary = engine.config.canary_byte
     return {
-        addr
-        for addr in expected_canary_words(engine)
-        if engine.image.read(addr, 8) != canary
+        word
+        for word, mask in expected_canary_masks(engine).items()
+        if any(mask >> i & 1 and b != canary for i, b in enumerate(engine.image.read(word, 8)))
     }
 
 

@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 
 import tripwire as tw
-from tripwire import engine as engine_module
 from tripwire.engine import Engine, Mode
 from tripwire.errors import ConfigError, OutOfVirtualHeap, OversizeRequest
 from tripwire.trace import EventKind, parse_trace
+from tripwire.vheap import MemoryImage
 
 from conftest import small_config
 from corpus import CLEAN_CASES
@@ -168,6 +168,14 @@ def test_oversized_heap_is_a_resource_limit_not_a_crash():
         Engine(parse_trace(CLEAN), tw.EngineConfig(heap_size=2**62))
 
 
+def test_a_globals_reservation_failure_names_the_globals_option():
+    # 2**59 bytes of globals exceed any address space; the heap and its
+    # shadow are reserved first and succeed
+    config = tw.EngineConfig(globals_words=1 << 56, heap_base=1 << 62)
+    with pytest.raises(OutOfVirtualHeap, match="for the globals .*; lower --globals-words$"):
+        MemoryImage(config)
+
+
 @pytest.mark.parametrize("geometry", [
     dict(heap_base=-(1 << 32)),
     dict(heap_base=(1 << 64) - (1 << 20)),  # the heap would end past 2**64
@@ -276,9 +284,10 @@ def test_changing_one_binding_changes_the_state_hash():
     assert engine.full_state_hash() == before
 
 
-def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
-    # every entry point to canary state is counted while a trace write
-    # runs: none may be reached in normal mode, and replay must reach them
+def test_normal_mode_writes_make_no_canary_checks():
+    # every entry point to canary state, the shadow's mask lookup
+    # included, is counted while a trace write runs: none may be reached
+    # in normal mode, and replay must reach the mask lookup
     text = """
     stack push main
     malloc a 24
@@ -298,13 +307,13 @@ def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
     """
     eng = Engine(parse_trace(text), small_config())
     writes: Counter[Mode] = Counter()
-    checks: Counter[Mode] = Counter()
+    checks: Counter[tuple[Mode, str]] = Counter()
     running: list[Mode] = []  # mode of the trace write in progress
 
-    def counted(fn):
+    def counted(fn, name):
         def wrapper(*args, **kwargs):
             if running:
-                checks[running[-1]] += 1
+                checks[running[-1], name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -315,7 +324,7 @@ def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
 
         def __getattr__(self, name):
             if running:
-                checks[running[-1]] += 1
+                checks[running[-1], name] += 1
             return getattr(self._bitmap, name)
 
     def trace_write(write):
@@ -332,16 +341,16 @@ def test_normal_mode_writes_make_no_canary_checks(monkeypatch):
         return wrapper
 
     eng.overflow.bitmap = CountedBitmap(eng.overflow.bitmap)
-    eng.overflow.corrupted = counted(eng.overflow.corrupted)
-    monkeypatch.setattr(engine_module, "touches_partial", counted(engine_module.touches_partial))
+    eng.overflow.corrupted = counted(eng.overflow.corrupted, "corrupted")
+    eng.overflow.damaged = counted(eng.overflow.damaged, "damaged")
     eng.image.write_fill = trace_write(eng.image.write_fill)
     eng.image.write_word = trace_write(eng.image.write_word)
 
     out = eng.run()
     assert sorted(r.kind for r in out.reports) == ["overflow", "overflow", "use-after-free"]
     assert writes[Mode.NORMAL] == 6 and writes[Mode.REPLAY] > 0
-    assert checks[Mode.NORMAL] == 0
-    assert checks[Mode.REPLAY] >= 1
+    assert sum(n for (mode, _), n in checks.items() if mode is Mode.NORMAL) == 0
+    assert checks[Mode.REPLAY, "mask"] >= 1
 
 
 def run_counting_state_hashes(text: str, **kwargs):

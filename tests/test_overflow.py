@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 
 import tripwire as tw
 from tripwire.engine import Engine
-from tripwire.overflow import touches_partial
 from tripwire.quarantine import QuarantineEntry
 from tripwire.trace import parse_trace
 from tripwire.vheap import PAGE, next_pow2
 
 from conftest import small_config
-from oracles import bitmap_words, expected_canary_words, naive_corrupted_scan
+from oracles import (
+    bitmap_masks,
+    corrupted_tracked,
+    expected_canary_masks,
+    masks_of,
+    naive_corrupted_scan,
+)
 
 CANARY = 0xCA
 
@@ -41,9 +46,14 @@ def free(eng, payload, event=0):
     return found, evicted
 
 
+def full(*words):
+    """Masks of words all of whose bytes are canaries."""
+    return dict.fromkeys(words, 0xFF)
+
+
 def guard(payload):
-    """The four words of a payload's guard region."""
-    return {payload - 32, payload - 24, payload - 16, payload - 8}
+    """The masks of the four words of a payload's guard region."""
+    return full(payload - 32, payload - 24, payload - 16, payload - 8)
 
 
 def test_plant_24_of_32_tracks_exactly_one_interior_word():
@@ -51,7 +61,7 @@ def test_plant_24_of_32_tracks_exactly_one_interior_word():
     a = alloc(eng, 24)
     assert eng.image.read(a + 24, 8) == bytes([CANARY]) * 8
     assert eng.image.read(a - 32, 32) == bytes([CANARY]) * 32  # guard region
-    assert bitmap_words(eng) == guard(a) | {a + 24}
+    assert bitmap_masks(eng) == guard(a) | full(a + 24)
 
 
 def test_canary_region_checks_a_partial_edge_word_bytewise():
@@ -60,33 +70,59 @@ def test_canary_region_checks_a_partial_edge_word_bytewise():
     det = eng.overflow
     det.plant(a + 4, a + 24)  # partial word at the start
     det.plant(a + 32, a + 44)  # partial word at the end
-    assert bitmap_words(eng) == guard(a) | {a + 8, a + 16, a + 32}
+    # the edge words are tracked for exactly their canary bytes
+    assert bitmap_masks(eng) == guard(a) | {a: 0xF0, a + 40: 0x0F} | full(a + 8, a + 16, a + 32)
     assert det.corrupted(a + 4, a + 24) == det.corrupted(a + 32, a + 44) == []
+    # bytes of the edge words outside the regions are not canaries
+    eng.image.write_fill(a, 4, 0x00, internal=False)
+    eng.image.write_fill(a + 44, 4, 0x00, internal=False)
+    assert det.corrupted(a + 4, a + 24) == det.corrupted(a + 32, a + 44) == []
+    assert eng.overflow.epoch_scan() == []
     eng.image.write_fill(a + 5, 1, 0x00, internal=False)
     eng.image.write_fill(a + 16, 1, 0x00, internal=False)
     eng.image.write_fill(a + 43, 1, 0x00, internal=False)
     assert det.corrupted(a + 4, a + 24) == [a, a + 16]
     assert det.corrupted(a + 32, a + 44) == [a + 40]
-    assert touches_partial(a + 4, a + 24, a + 7, 1)
-    assert not touches_partial(a + 4, a + 24, a, 4)
-    assert not touches_partial(a + 4, a + 24, a + 8, 8)  # tracked word: the bitmap's job
-    assert touches_partial(a + 32, a + 44, a + 43, 4)
-    assert not touches_partial(a + 32, a + 44, a + 44, 4)
-    assert not touches_partial(a + 32, a + 44, a + 32, 8)
+    assert eng.overflow.epoch_scan() == [a, a + 16, a + 40]  # the scan sees edge words too
+    # replay traps a write on a watched word only where it covers a canary byte
+    hits = eng._write_hits_canary
+    assert hits(a, a + 7, 1)
+    assert not hits(a, a, 4)
+    assert hits(a + 8, a + 8, 8)
+    assert hits(a + 40, a + 43, 4)
+    assert not hits(a + 40, a + 44, 4)
+    assert hits(a + 32, a + 32, 8)
+    assert hits(a + 40, a + 36, 8) and not hits(a + 40, a + 36, 4)  # a write from the word before
+
+
+def test_a_region_check_reads_only_its_own_bytes_of_a_shared_edge_word():
+    # two regions meet inside the word at a + 40, as a fill prefix and a
+    # payload tail can: each region answers for its own bytes only
+    eng = harness()
+    a = alloc(eng, 64)
+    det = eng.overflow
+    det.plant(a + 32, a + 44)
+    det.plant(a + 44, a + 56)
+    assert det.bitmap.mask(a + 40) == 0xFF
+    eng.image.write_fill(a + 45, 1, 0x00, internal=False)
+    assert det.corrupted(a + 32, a + 44) == []
+    assert det.corrupted(a + 44, a + 56) == [a + 40]
+    eng.image.write_fill(a + 33, 1, 0x00, internal=False)  # past the one-comparison check
+    assert det.corrupted(a + 32, a + 44) == [a + 32]
 
 
 def test_plant_exact_power_of_two_has_guard_only():
     eng = harness()
     a = alloc(eng, 32)
-    assert bitmap_words(eng) == guard(a)
+    assert bitmap_masks(eng) == guard(a)
 
 
-def test_plant_20_of_32_fills_partial_word_untracked():
+def test_plant_20_of_32_tracks_the_edge_word_bytes():
     eng = harness()
     a = alloc(eng, 20)
     assert eng.image.read(a + 20, 12) == bytes([CANARY]) * 12
-    # only the fully canaried word 24..31 is tracked
-    assert bitmap_words(eng) == guard(a) | {a + 24}
+    # bytes 20..23 of the edge word and the whole word 24..31
+    assert bitmap_masks(eng) == guard(a) | {a + 16: 0xF0} | full(a + 24)
 
 
 def test_free_of_untouched_object_yields_no_evidence():
@@ -115,13 +151,16 @@ def test_power_of_two_guard_corruption_caught_at_free():
     assert found == [b - 32]
 
 
-def test_partial_interior_bytes_checked_bytewise_at_free():
+def test_edge_word_overflow_is_found_by_the_scan_and_at_free():
     eng = harness()
     a = alloc(eng, 20)
-    eng.image.write_fill(a + 21, 1, 0x00, internal=False)  # untracked filled byte
-    assert eng.overflow.epoch_scan() == []  # word 16..23 was never tracked
-    found, _ = free(eng, a)
-    assert found == [a + 16]
+    eng.image.write_fill(a + 16, 4, 0x00, internal=False)  # the requested bytes of word 16..23
+    assert eng.overflow.epoch_scan() == [] and free(eng, a)[0] == []
+    b = alloc(eng, 20)
+    eng.image.write_fill(b + 21, 1, 0x00, internal=False)  # one byte past the request
+    assert eng.overflow.epoch_scan() == [b + 16]  # a live object's edge word is tracked
+    found, _ = free(eng, b)
+    assert found == [b + 16]
 
 
 def test_epoch_scan_on_fresh_heap_is_empty():
@@ -194,7 +233,7 @@ def test_scan_word_comparisons_bounded_by_set_bits():
         alloc(eng, size)
     eng.overflow.epoch_scan()
     set_bits, comparisons = eng.overflow.scan_records[-1]
-    assert set_bits == int.from_bytes(eng.overflow.bitmap.bits, "little").bit_count()
+    assert set_bits == len(bitmap_masks(eng))  # words with a nonzero mask
     assert comparisons <= set_bits
 
 
@@ -204,8 +243,19 @@ def test_retire_words_keeps_refilled_canaries_tracked():
     eng.image.write_fill(a + 24, 8, 0x00, internal=False)
     guard = a - 32
     eng.overflow.retire_words([a + 24, guard])
-    assert not eng.overflow.bitmap.test_word(a + 24)  # corrupted: untracked now
-    assert eng.overflow.bitmap.test_word(guard)  # intact: still tracked
+    assert eng.overflow.bitmap.mask(a + 24) == 0  # corrupted: untracked now
+    assert eng.overflow.bitmap.mask(guard) == 0xFF  # intact: still tracked
+
+
+def test_retire_words_applies_the_masked_test():
+    eng = harness()
+    a = alloc(eng, 20)
+    eng.image.write_fill(a + 16, 4, 0x00, internal=False)  # requested bytes only
+    eng.overflow.retire_words([a + 16])
+    assert eng.overflow.bitmap.mask(a + 16) == 0xF0  # its canary bytes hold: still tracked
+    eng.image.write_fill(a + 23, 1, 0x00, internal=False)
+    eng.overflow.retire_words([a + 16])
+    assert eng.overflow.bitmap.mask(a + 16) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,12 +271,12 @@ def test_bitmap_matches_oracle_after_random_histories(data):
         else:
             idx = data.draw(st.integers(min_value=0, max_value=len(live) - 1))
             free(eng, live.pop(idx))
-        assert bitmap_words(eng) == expected_canary_words(eng)
+        assert bitmap_masks(eng) == expected_canary_masks(eng)
 
 
-# a chunk size that is 16-aligned but not a multiple of 64, so the
-# bitmap length (one bit per heap word) is mostly not a multiple of
-# eight bytes
+# a chunk size that is 16-aligned but not a multiple of 4096, so the
+# heap's logical length, and the shadow's (one mask byte per heap word),
+# mostly end inside a page
 ODD_CHUNK = dict(chunk_size=16432, heap_size=16432 * 64, max_class=8192)
 
 
@@ -243,15 +293,15 @@ def test_epoch_scan_matches_per_bit_and_heap_walk_oracles(geometry, data):
 
     def check():
         found = eng.overflow.epoch_scan()
-        tracked = bitmap_words(eng)
-        assert found == sorted(w for w in tracked if eng.image.read(w, 8) != canary)
-        assert eng.overflow.scan_records[-1] == (len(tracked), len(tracked))
+        tracked = len(bitmap_masks(eng))
+        assert found == corrupted_tracked(eng)
+        assert eng.overflow.scan_records[-1] == (tracked, tracked)
         if layout_known:
             assert set(found) == naive_corrupted_scan(eng)
 
     def region():
         # anywhere in the heap, or ending among its last words, whose
-        # bits are in the bitmap's last bytes
+        # masks are the shadow's last bytes
         prefix = eng.image.heap_prefix
         length = data.draw(st.integers(1, 64))
         end = data.draw(st.one_of(st.integers(length, prefix), st.integers(prefix - 64, prefix)))
@@ -273,14 +323,16 @@ def test_epoch_scan_matches_per_bit_and_heap_walk_oracles(geometry, data):
         else:
             check()
     check()
-    # canaries in the heap's last words, whose bits are in the bitmap's
-    # last bytes, one of them corrupted
+    # canaries in the heap's last words, whose masks are the shadow's
+    # last bytes, one of them corrupted; the region's unaligned edges
+    # leave bytes of its edge words untracked, one of them overwritten
     end = base + eng.image.heap_prefix
-    eng.overflow.plant(end - 64, end)
+    eng.overflow.plant(end - 61, end - 3)
     eng.image.write_fill(end - 8, 1, canary[0] ^ 0xFF, internal=False)
+    eng.image.write_fill(end - 2, 1, canary[0] ^ 0xFF, internal=False)
     layout_known = False
     check()
-    # growth adds bitmap bytes past the old end, which the scan must
+    # growth adds shadow bytes past the old end, which the scan must
     # cover too
     chunks = len(eng.allocator.chunks)
     while len(eng.allocator.chunks) == chunks:
@@ -325,8 +377,8 @@ def test_zero_false_positives_on_random_clean_traces():
         assert out.reports == ()
 
 
-# heap bytes whose bits fill one page of the bitmap's shadow store
-SHADOW_PAGE_SPAN = PAGE * 64
+# heap bytes whose masks fill one page of the shadow store
+SHADOW_PAGE_SPAN = PAGE * 8
 
 
 def page_digests(data: bytes) -> bytes:
@@ -343,7 +395,7 @@ def test_shadow_undo_log_holds_only_the_pages_bitmap_writes_touched():
     image.write_fill(a, 24, 0x11, internal=False)  # a program write: heap pages only
     assert heap_log and shadow_log == {}
     eng.overflow.plant(far + 128, far + 192)
-    eng.overflow.retire_words([a + 24])  # intact: no bitmap write
+    eng.overflow.retire_words([a + 24])  # intact: no shadow write
     assert set(shadow_log) == {3}
     image.write_fill(a + 24, 1, 0x00, internal=False)
     eng.overflow.retire_words([a + 24])
@@ -366,13 +418,13 @@ _bitmap_steps = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(_bitmap_steps)
 def test_shadow_store_restores_like_a_full_bitmap_copy(steps):
-    """The old mechanism, a full copy of the bits at each snapshot, is the
-    oracle; the tracked words and the touched shadow pages are modeled
-    from the operations alone."""
+    """The old mechanism, a full copy of the masks at each snapshot, is
+    the oracle; the canary bytes and the touched shadow pages are
+    modeled from the operations alone."""
     eng = harness()
     image, bitmap, shadow = eng.image, eng.overflow.bitmap, eng.image.shadow
-    base, canary = eng.config.heap_base, eng.config.canary_word
-    tracked: set[int] = set()  # word indices the bitmap should hold
+    base, canary = eng.config.heap_base, eng.config.canary_byte
+    tracked: set[int] = set()  # heap offsets of the bytes the shadow should mark
     snap = image.snapshot()
     copy, copy_tracked = bytes(bitmap.bits), set()
     touched: set[int] = set()  # shadow pages written since the snapshot
@@ -388,15 +440,16 @@ def test_shadow_store_restores_like_a_full_bitmap_copy(steps):
             if op == "clear" and end - base > image.heap_prefix:
                 continue  # the detectors clear only carved, hence mapped, words
             (eng.overflow.plant if op == "plant" else bitmap.clear_range)(start, end)
-            words = set(range((start - base + 7) >> 3, (end - base) >> 3))
-            tracked = tracked | words if op == "plant" else tracked - words
-            touched |= {w >> 15 for w in words}
+            span = set(range(start - base, end - base))
+            tracked = tracked | span if op == "plant" else tracked - span
+            touched |= {b >> 15 for b in span}  # mask byte b >> 3, its page >> 12
         elif op == "retire":
             addr = at(*arg[:2]) & ~7
             image.write_fill(addr, arg[2], arg[3], internal=False)
-            if image.read(addr, 8) != canary:
-                tracked.discard((addr - base) >> 3)
-                touched.add((addr - base) >> 18)
+            word = range(addr - base, addr - base + 8)
+            if any(image.read(base + b, 1)[0] != canary for b in word if b in tracked):
+                tracked -= set(word)
+                touched.add((addr - base) >> 15)
             eng.overflow.retire_words([addr])
         elif op == "snapshot":
             snap = image.snapshot()
@@ -408,19 +461,20 @@ def test_shadow_store_restores_like_a_full_bitmap_copy(steps):
             tracked = set(copy_tracked)
         high = max(high, shadow.length)
         assert set(snap[2]) == touched
-        assert bitmap_words(eng) == {base + 8 * w for w in tracked}
+        assert bitmap_masks(eng) == masks_of(base + b for b in tracked)
         assert shadow.digest() == page_digests(bytes(bitmap.bits))
 
-    # restore after the heap grew past the snapshot length: the bitmap
+    # restore after the heap grew past the snapshot length: the mask
     # bytes past the snapshot's shadow length read zero again
     snap = image.snapshot()
     copy, length = bytes(bitmap.bits), shadow.length
     far = base + image.heap_prefix + 2 * SHADOW_PAGE_SPAN
     eng.overflow.plant(far, far + 64)
+    top = (far - base + 64) // 8  # one past the planted words' masks
     assert shadow.length > length
     image.restore(snap)
     assert (shadow.length, bytes(bitmap.bits)) == (length, copy)
-    assert shadow.data[length : (far - base) // 64 + 2] == bytes((far - base) // 64 + 2 - length)
+    assert shadow.data[length:top] == bytes(top - length)
     assert shadow.digest() == page_digests(copy)
 
 
@@ -431,8 +485,8 @@ def test_engine_scans_of_written_pages_match_the_whole_bitmap(geometry, data):
     # the real engine over histories of allocation, frees, overflowing,
     # in-bounds and use-after-free writes and irrevocable calls; every
     # boundary's scan of the pages the epoch wrote must find exactly what
-    # a per-bit pass over the whole bitmap finds, because each boundary
-    # leaves every tracked word holding the canary
+    # a byte-by-byte pass over the whole shadow finds, because each
+    # boundary leaves every tracked canary byte holding the canary
     lines, live, freed = [], [], []
 
     def write(var, off, length):
@@ -465,27 +519,22 @@ def test_engine_scans_of_written_pages_match_the_whole_bitmap(geometry, data):
     config = small_config(quarantine_max_count=data.draw(st.sampled_from((1, 2, 1024))), **geometry)
     forced = data.draw(st.sets(st.integers(0, 8), max_size=3))
     eng = Engine(parse_trace("\n".join(lines)), config, force_rollback_epochs=forced)
-    canary = config.canary_word
-
-    def corrupted_tracked():
-        return sorted(w for w in bitmap_words(eng) if eng.image.read(w, 8) != canary)
-
     scans = []
     epoch_scan = eng.overflow.epoch_scan
 
     def checked_scan():
         scans.append(epoch_scan())
-        assert scans[-1] == corrupted_tracked()
+        assert scans[-1] == corrupted_tracked(eng)
         return scans[-1]
 
     begin_epoch = eng._begin_epoch
 
     def checked_begin_epoch():
-        assert corrupted_tracked() == []  # the last boundary left canaries only
+        assert corrupted_tracked(eng) == []  # the last boundary left canaries only
         begin_epoch()
 
     eng.overflow.epoch_scan = checked_scan
     eng._begin_epoch = checked_begin_epoch
     out = eng.run()
-    assert corrupted_tracked() == []
+    assert corrupted_tracked(eng) == []
     assert len(scans) == out.epochs

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import tripwire as tw
 from tripwire.engine import Engine
 from tripwire.quarantine import QuarantineEntry
+from tripwire.trace import parse_trace
 from tripwire.vheap import next_pow2
 
 from conftest import small_config
@@ -209,3 +210,40 @@ def test_double_free_does_not_roll_back():
     out = eng.run()
     assert [r.kind for r in out.reports] == ["double-free"]
     assert eng.replay_summaries == []
+
+
+UAF_AT_PREFIX_EDGE = """
+malloc a 100
+reg r0 = a
+free a
+writeabs a+96 1 ff
+call fork
+end
+"""
+
+
+def test_fill_prefix_not_a_multiple_of_eight_tracks_its_last_bytes():
+    # a 100-byte fill prefix ends inside the word at a+96, whose bytes
+    # 96..99 are prefix canaries; a dangling write to one is found by the
+    # epoch scan while the object is still quarantined
+    engine = Engine(parse_trace(UAF_AT_PREFIX_EDGE), tw.EngineConfig(uaf_fill_prefix=100))
+    out = engine.run()
+    a = out.alloc_sequence[0]
+    assert [(r.kind, r.corrupted_addr, r.object_addr) for r in out.reports] == [
+        ("use-after-free", a + 96, a)
+    ]
+    assert [eid for eid, _ in out.reports[0].offending_events] == [3]
+    assert out.reports[0].free_event == 2
+
+
+def test_eviction_checks_the_fill_prefix_to_its_last_byte():
+    eng = harness(quarantine_max_count=1, uaf_fill_prefix=100)
+    a = alloc(eng, 128)
+    free(eng, a)
+    eng.image.write_fill(a + 100, 4, 0x00, internal=False)  # past the prefix: no canaries
+    b = alloc(eng, 128)
+    assert free(eng, b) == []  # evicts a, clean
+    assert eng.allocator.is_free_listed(a)
+    eng.image.write_fill(b + 99, 1, 0x00, internal=False)  # the prefix's last byte
+    reports = free(eng, alloc(eng, 128))  # evicts b
+    assert [(r.kind, r.corrupted_addr) for r in reports] == [("use-after-free", b + 96)]

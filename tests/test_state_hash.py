@@ -4,9 +4,9 @@ final_state_hash is sha256 over the logical heap length, the page
 digests and the globals, and the engine keeps the page digests
 incrementally. These tests recompute it from the raw bytes, so a stale
 page digest fails here even where the golden digests, regenerated from
-the same engine, would pin it. The canary bitmap's shadow store, which
-the per-boundary hash covers, is checked the same way against the raw
-bits.
+the same engine, would pin it. The canary shadow store, which the
+rollback hash covers, is checked the same way against the raw mask
+bytes, one per heap word.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ def from_scratch_hash(image) -> str:
 
 
 def assert_shadow_digest_matches_bits(engine) -> None:
-    bits = bytes(engine.overflow.bitmap.bits)
-    expected = b"".join(hashlib.sha256(bits[i : i + PAGE]).digest() for i in range(0, len(bits), PAGE))
+    masks = bytes(engine.overflow.bitmap.bits)
+    assert len(masks) == engine.image.heap_prefix // 8  # one mask byte per heap word
+    expected = b"".join(hashlib.sha256(masks[i : i + PAGE]).digest() for i in range(0, len(masks), PAGE))
     assert engine.image.shadow.digest() == expected
 
 
