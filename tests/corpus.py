@@ -250,6 +250,14 @@ def _overflow_cases() -> list[Case]:
         Case("of_then_leak_same_epoch", t.text(), (("overflow", (bad,)), ("leak", (b,))), (a, b))
     )
 
+    t = TraceBuilder("off-by-one on a live object: one canary byte of the edge word")
+    a = t.ev("malloc a 100")
+    t.ev("reg r0 = a")
+    bad = t.ev("write a 100 1 ff")
+    t.ev("call fork")
+    t.ev("end")
+    cases.append(Case("of_off_by_one_live", t.text(), (("overflow", (bad,)),), (a,)))
+
     return cases
 
 
@@ -266,6 +274,14 @@ def _clean_cases() -> list[Case]:
     t.ev("stack pop")
     t.ev("end")
     cases.append(Case("clean_fill_exact", t.text()))
+
+    t = TraceBuilder("the requested bytes of a live object's edge word, none of its canaries")
+    t.ev("malloc a 100")
+    t.ev("reg r0 = a")
+    t.ev("write a 96 4 ee")
+    t.ev("call fork")
+    t.ev("end")
+    cases.append(Case("clean_edge_word_requested_bytes", t.text()))
 
     t = TraceBuilder("exact power-of-two sizes, last byte touched")
     t.ev("stack push main")

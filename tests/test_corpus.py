@@ -74,3 +74,18 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 1, done.stderr
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert hashlib.sha256(done.stdout).hexdigest() == golden["text"][case.name]
+
+
+def test_off_by_one_on_a_live_object_names_its_edge_word():
+    (case,) = [case for case in ALL_CASES if case.name == "of_off_by_one_live"]
+    out = tw.run_text(case.text, tw.EngineConfig())
+    (report,) = out.reports
+    assert (report.kind, report.corrupted_addr) == ("overflow", out.alloc_sequence[0] + 96)
+    assert [eid for eid, _ in report.offending_events] == [2]
+
+
+def test_writing_the_requested_bytes_of_an_edge_word_is_clean():
+    (case,) = [case for case in ALL_CASES if case.name == "clean_edge_word_requested_bytes"]
+    engine = tw.Engine(tw.parse_trace(case.text), tw.EngineConfig())
+    out = engine.run()
+    assert out.reports == () and engine.replay_summaries == []  # nothing replayed, nothing trapped
