@@ -12,8 +12,10 @@ eight-byte granule too). A word is corrupted when one of its masked
 bytes no longer holds the canary: (word ^ canary) & expand(mask) is
 nonzero, with expand(mask) the word mask whose byte i is all ones
 where bit i is set. The free check, the quarantine eviction, evidence
-retirement, the epoch scan and replay's trap filter all apply that one
-test. The shadow's bytes live in the memory image's shadow page store:
+retirement and the epoch scan all apply that one test, and replay keeps
+a trap when the write covers a masked byte of the watched word. A
+malloc sets the masks of its whole slot in one shadow write. The
+shadow's bytes live in the memory image's shadow page store:
 each shadow write touches its pages first, so the shadow shares the
 heap's copy-on-write snapshot, restore and per-page digests.
 
@@ -75,6 +77,12 @@ class CanaryBitmap:
         w = (addr - self.heap_base) >> 3
         self.shadow.touch(w, 1)
         self.shadow.data[w] = 0
+
+    def set_masks(self, addr: int, masks: bytes) -> None:
+        """Store the mask bytes of the words from the word at addr on."""
+        w = (addr - self.heap_base) >> 3
+        self.shadow.touch(w, len(masks))
+        self.shadow.data[w : w + len(masks)] = masks
 
     def _span(self, start_addr: int, end_addr: int, value: bool) -> None:
         """Set or clear the mask bits of exactly the bytes [start_addr, end_addr)."""
@@ -147,12 +155,19 @@ class OverflowDetector:
     def plant_on_alloc(self, payload: int, requested: int, capacity: int) -> None:
         """Plant the guard region and the unrequested payload tail.
 
-        Stale mask bits from the slot's previous life are cleared first.
+        One shadow write sets the masks of the whole slot: the guard's
+        and the tail's bytes marked, the requested bytes' cleared of
+        stale bits from the slot's previous life.
         """
-        self.plant(payload - GUARD_BYTES, payload)
-        self.bitmap.clear_range(payload, payload + capacity)
+        fill = self.config.canary_byte
+        self.image.write_fill(payload - GUARD_BYTES, GUARD_BYTES, fill)
         if requested < capacity:
-            self.plant(payload + requested, payload + capacity)
+            self.image.write_fill(payload + requested, capacity - requested, fill)
+        edge = bytes([0xFF << (requested & 7) & 0xFF]) if requested & 7 else b""
+        whole = b"\xff" * ((capacity - requested) >> 3)
+        self.bitmap.set_masks(
+            payload - GUARD_BYTES, b"\xff" * (GUARD_BYTES // WORD) + bytes(requested >> 3) + edge + whole
+        )
 
     def check_on_free(self, payload: int, requested: int, capacity: int) -> list[int]:
         """Free-time verification of the guard region and the payload tail.
