@@ -104,8 +104,8 @@ class QuarantineQueue:
         """Check the canaried prefix of an evicted entry.
 
         Clean entries go back to the allocator free list with their
-        prefix's mask bits cleared. Corrupted entries are reported and withheld
-        from reuse (their slot stays out of circulation).
+        prefix's mask bits cleared. Corrupted entries are reported and
+        withheld from reuse (their slot stays out of circulation).
         """
         if self.fill_enabled:
             start, end = self.region(entry)

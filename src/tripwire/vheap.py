@@ -25,9 +25,9 @@ zeroed reservations with a logical length, a copy-on-write undo log of
 the heap's logical length at an eighth of it; the globals' length is
 fixed. All three share the image's snapshot and restore, so a
 snapshot, a restore or a state hash costs what the epoch wrote, not
-what the heap, the globals or the shadow hold. The heap's undo log keys are also the
-epoch scan's dirty set: a canary can have changed only on a page the
-epoch wrote.
+what the heap, the globals or the shadow hold. The heap's undo log
+keys are also the epoch scan's dirty set: a canary can have changed
+only on a page the epoch wrote.
 """
 
 from __future__ import annotations
