@@ -414,6 +414,9 @@ class Engine:
         addr = self.config.globals_base + 8 * ev.index
         self.image.write_word(addr, self._resolve(ev.value), internal=False)
 
+    def _exec_store(self, ev: TraceEvent) -> None:
+        self.image.write_word(self.bindings[ev.slot] + ev.offset, self._resolve(ev.value), internal=False)
+
     def _exec_ext_call(self, ev: TraceEvent) -> None:
         self.syscalls.handle(ev)
 
@@ -494,6 +497,7 @@ _HANDLERS = {
     EventKind.GLOBAL_SET: Engine._exec_global_set,
     EventKind.EXT_CALL: Engine._exec_ext_call,
     EventKind.END: Engine._exec_end,
+    EventKind.STORE: Engine._exec_store,
 }
 _DISPATCH = tuple(_HANDLERS[kind] for kind in EventKind)
 

@@ -16,6 +16,8 @@ comment-only lines are skipped. The forms, one per line:
     read <var> <offset> <len>             len >= 1
     reg <name> = <value>                  store <value> in a register
     global <index> = <value>              store <value> in global word <index>
+    store <var> <offset> = <value>        store <value> as the 8-byte word at
+                                          <var> + <offset>, e.g. a pointer
     call <name> [<arg> ...]               external call; args are kept as tokens
     end                                   end of the program
 
@@ -26,7 +28,7 @@ register and call names are identifiers, `[A-Za-z_][A-Za-z0-9_]*`. A
 <value> is an integer literal when it starts with a digit, else
 `<var>` or `<var>+<delta>`. `malloc` binds its variable, rebinding
 included; every other use of a variable (free, write, writeabs, read,
-and a <value>) needs it bound by an earlier malloc.
+store, and a <value>) needs it bound by an earlier malloc.
 
 A trace is compiled once: each line becomes a `__slots__` record of its
 kind, with a dense 0-based event id in file order. Each variable gets
@@ -39,6 +41,7 @@ execution never sees an unbound name or an impossible pop.
 from __future__ import annotations
 
 import enum
+import gc
 import re
 
 from .epoch import classify
@@ -57,6 +60,7 @@ class EventKind(enum.Enum):
     GLOBAL_SET = "global"
     EXT_CALL = "call"
     END = "end"
+    STORE = "store"
 
 
 _KINDS = tuple(EventKind)
@@ -67,7 +71,7 @@ _FILLS = {a + b: int(a + b, 16) for a in _HEX for b in _HEX}
 
 
 class ValueExpr:
-    """Right-hand side of a reg/global store: a literal or var+delta."""
+    """Right-hand side of a reg, global or store event: a literal or var+delta."""
 
     __slots__ = ("var", "slot", "delta", "literal")
 
@@ -165,6 +169,14 @@ class GlobalSet(TraceEvent, kind=EventKind.GLOBAL_SET):
 
     def __init__(self, id, line_no, index, value):
         self.id, self.line_no, self.index, self.value = id, line_no, index, value
+
+
+class Store(TraceEvent, kind=EventKind.STORE):
+    __slots__ = ("var", "slot", "offset", "value")
+
+    def __init__(self, id, line_no, var, slot, offset, value):
+        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+        self.offset, self.value = offset, value
 
 
 class ExtCall(TraceEvent, kind=EventKind.EXT_CALL):
@@ -323,6 +335,14 @@ class _Parser:
         index = self.uint(t[1], line_no, "global index")
         return GlobalSet(eid, line_no, index, self.value(t[3], line_no))
 
+    def store(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
+        if len(t) != 5 or t[3] != "=":
+            raise _form_error(line_no, "store <var> <offset> = <value>", raw)
+        return Store(
+            eid, line_no, t[1], self.bound(t[1], line_no, "store to"),
+            self.uint(t[2], line_no, "offset"), self.value(t[4], line_no),
+        )
+
     def call(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
         if len(t) == 1:
             raise TraceSyntaxError(line_no, "expected `call <name> [<arg> ...]`")
@@ -345,6 +365,7 @@ _FORMS = {
     "read": _Parser.read,
     "reg": _Parser.reg,
     "global": _Parser.global_,
+    "store": _Parser.store,
     "call": _Parser.call,
     "end": _Parser.end,
 }
@@ -355,19 +376,27 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
     Rejects malformed lines with the line number and reason. An empty
     source yields an empty list, which the engine treats as an
-    immediate end-of-trace.
+    immediate end-of-trace. The cyclic garbage collector is paused
+    while parsing: the events hold no cycles, and its passes over the
+    growing list cost about a fifth of the parse.
     """
     parser = _Parser()
     events: list[TraceEvent] = []
     append = events.append
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        tokens = raw.split()
-        if tokens:
-            form = _FORMS.get(tokens[0])
-            if form is None:
-                raise TraceSyntaxError(line_no, f"unknown event {tokens[0]!r}")
-            append(form(parser, tokens, len(events), line_no, raw))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            if "#" in raw:
+                raw = raw[: raw.index("#")]
+            tokens = raw.split()
+            if tokens:
+                form = _FORMS.get(tokens[0])
+                if form is None:
+                    raise TraceSyntaxError(line_no, f"unknown event {tokens[0]!r}")
+                append(form(parser, tokens, len(events), line_no, raw))
+    finally:
+        if collecting:
+            gc.enable()
     return events
 

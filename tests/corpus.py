@@ -571,12 +571,78 @@ def _header_cases() -> list[Case]:
     return cases
 
 
+def _store_cases() -> list[Case]:
+    """Pointers held in heap objects, written with `store`."""
+    cases = []
+
+    t = TraceBuilder("a stale global into a slot that a later malloc reuses keeps the new object")
+    t.ev("malloc a 1048576")
+    t.ev("global 0 = a")
+    t.ev("free a")
+    t.comment("sixteen more MiB through the quarantine evict a's slot")
+    for i in range(16):
+        t.ev(f"malloc x{i} 1048576")
+        t.ev(f"free x{i}")
+    t.ev("call fork")
+    t.ev("malloc b 1048576")
+    t.ev("call fork")
+    t.ev("end")
+    cases.append(Case("leak_stale_root_reuse", t.text()))
+
+    t = TraceBuilder("the only pointer to b, held in a, is overwritten in a later epoch")
+    t.ev("malloc a 64")
+    t.ev("global 0 = a")
+    t.ev("malloc b 32")
+    t.ev("store a 0 = b")
+    t.ev("call fork")
+    t.ev("store a 0 = 0")
+    t.ev("call fork")
+    t.ev("end")
+    cases.append(Case("leak_heap_pointer_overwritten", t.text(), (("leak", ()),)))
+
+    t = TraceBuilder("a list linked by stores loses its only root: every node leaks")
+    for i in range(4):
+        t.ev(f"malloc n{i} 48")
+    for i in range(3):
+        t.ev(f"store n{i} 8 = n{i + 1}")
+    t.ev("global 0 = n0")
+    t.ev("call fork")
+    t.ev("global 0 = 0")
+    t.ev("call fork")
+    t.ev("end")
+    cases.append(Case("leak_list_head_dropped", t.text(), (("leak", ()),) * 4))
+
+    t = TraceBuilder("a rooted object takes the only pointer to a fresh one")
+    t.ev("malloc a 64")
+    t.ev("global 0 = a")
+    t.ev("call fork")
+    t.ev("malloc c 32")
+    t.ev("store a 8 = c")
+    t.ev("call fork")
+    t.ev("end")
+    cases.append(Case("clean_store_to_new_object", t.text()))
+
+    t = TraceBuilder("a pointer stored into the canaried prefix of a freed object")
+    t.ev("stack push main")
+    a = t.ev("malloc a 64")
+    t.ev("malloc b 32")
+    t.ev("global 0 = b")
+    f = t.ev("free a")
+    bad = t.ev("store a 8 = b")
+    t.ev("stack pop")
+    t.ev("end")
+    cases.append(Case("uaf_store_into_freed", t.text(), (("use-after-free", (bad,)),), (a,), (f,)))
+
+    return cases
+
+
 OVERFLOW_CASES = _overflow_cases()
 CLEAN_CASES = _clean_cases()
 UAF_CASES, UAF_NEGATIVE = _uaf_cases()
 HEADER_CASES = _header_cases()
+STORE_CASES = _store_cases()
 
-ALL_CASES = OVERFLOW_CASES + CLEAN_CASES + UAF_CASES + [UAF_NEGATIVE] + HEADER_CASES
+ALL_CASES = OVERFLOW_CASES + CLEAN_CASES + UAF_CASES + [UAF_NEGATIVE] + HEADER_CASES + STORE_CASES
 
 
 def render(directory: Path = TRACES_DIR) -> None:

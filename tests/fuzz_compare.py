@@ -10,7 +10,8 @@ under the new one, then diffing the dumps field by field:
 
 `dump` runs `test_replay_fuzz.error_trace` for each seed (0-1499 by
 default, `--seeds START:STOP`) at 30 and 60 operations, each without
-and with dangling detection, with the quarantine count and watchpoint
+and with dangling detection, with pointer stores among the operations
+under `--stores`, with the quarantine count and watchpoint
 budget drawn from the seed as the fuzz test draws them: 6,000 runs by
 default. It writes one JSON line per run: the reports as the CLI's JSON
 renders them, the final state hash, the scan records, the allocation
@@ -72,13 +73,13 @@ FIELDS = (
 )
 
 
-def fuzz_runs(seeds: range):
+def fuzz_runs(seeds: range, stores: bool = False):
     """(run id, trace text, config) for every run of the comparison."""
     for seed in seeds:
         for ops in (30, 60):
             for dangling in (False, True):
                 run_id = f"{seed}/{ops}/{'dangling' if dangling else 'plain'}"
-                yield (run_id, *fuzz_case(seed, ops, dangling=dangling))
+                yield (run_id, *fuzz_case(seed, ops, stores, dangling=dangling))
 
 
 def events_digest(events) -> str:
@@ -106,6 +107,7 @@ def operand_roles(tokens: list[str]) -> dict[int, str]:
         "read": {1: "name", 2: "int", 3: "int"},
         "reg": {1: "name", 3: value_role},
         "global": {1: "int", 3: value_role},
+        "store": {1: "name", 2: "int", 4: value_role},
         "call": {1: "name"},
     }.get(keyword, {})
     return {at: role for at, role in roles.items() if role is not None and at < len(tokens)}
@@ -193,9 +195,9 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
     return record
 
 
-def dump(path: str, seeds: range) -> None:
+def dump(path: str, seeds: range, stores: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for run_id, text, config in fuzz_runs(seeds):
+        for run_id, text, config in fuzz_runs(seeds, stores):
             record = run_one(text, config, run_id)
             f.write(json.dumps({"run": run_id, **record}, sort_keys=True) + "\n")
 
@@ -270,12 +272,13 @@ def main() -> None:
     d = sub.add_parser("dump", help="run every fuzzed case and write one JSON line per run")
     d.add_argument("out")
     d.add_argument("--seeds", type=_seed_range, default=range(1500), help="START:STOP (default 0:1500)")
+    d.add_argument("--stores", action="store_true", help="generate traces with pointer stores")
     c = sub.add_parser("diff", help="count the runs whose fields differ between two dumps")
     c.add_argument("old")
     c.add_argument("new")
     args = parser.parse_args()
     if args.mode == "dump":
-        dump(args.out, args.seeds)
+        dump(args.out, args.seeds, args.stores)
     else:
         diff(args.old, args.new)
 

@@ -89,3 +89,10 @@ def test_writing_the_requested_bytes_of_an_edge_word_is_clean():
     engine = tw.Engine(tw.parse_trace(case.text), tw.EngineConfig())
     out = engine.run()
     assert out.reports == () and engine.replay_summaries == []  # nothing replayed, nothing trapped
+
+
+def test_stale_root_reuse_reallocates_the_slot_the_global_points_into():
+    (case,) = [case for case in ALL_CASES if case.name == "leak_stale_root_reuse"]
+    out = tw.run_text(case.text, tw.EngineConfig())
+    assert out.reports == ()
+    assert out.alloc_sequence[-1] == out.alloc_sequence[0]  # b took a's slot

@@ -155,6 +155,20 @@ def test_global_store_out_of_range_is_a_segfault():
     assert [r.kind for r in out.reports] == ["segfault"]
 
 
+def test_store_writes_one_little_endian_word_at_the_binding_plus_offset():
+    eng = Engine(parse_trace("malloc a 64\nmalloc b 16\nreg r0 = a\nstore a 8 = b+3\nend\n"), small_config())
+    out = eng.run()
+    a, b = out.alloc_sequence
+    assert eng.image.read(a + 8, 8) == (b + 3).to_bytes(8, "little")
+    assert out.reports == ()  # b is reachable through a
+
+
+def test_store_out_of_range_is_a_segfault():
+    out = tw.run_text("malloc a 16\nreg r0 = a\nstore a 100000000 = 7\nend\n", small_config())
+    (seg,) = out.reports
+    assert seg.kind == "segfault" and seg.offending_events[0][0] == 2
+
+
 def test_oversize_malloc_is_a_trace_error_with_event_context():
     with pytest.raises(OversizeRequest) as exc:
         tw.run_text("malloc a 999999999\nend\n", small_config())

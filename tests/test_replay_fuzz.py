@@ -32,7 +32,15 @@ CALLS = (
 )
 
 
-def error_trace(rng: random.Random, ops: int = 30) -> str:
+OPS = ("malloc", "free", "write", "overflow", "uaf", "double_free", "drop", "call")
+WEIGHTS = (5, 3, 4, 3, 2, 1, 1, 2)
+
+
+def error_trace(rng: random.Random, ops: int = 30, stores: bool = False) -> str:
+    """A fuzzed trace of ops operations; with stores, some operations
+    store pointers, offsets into objects and zeros into heap objects,
+    live or freed, so the leak mark sees heap-held pointers."""
+    kinds, weights = (OPS + ("store",), WEIGHTS + (4,)) if stores else (OPS, WEIGHTS)
     lines = ["stack push main"]
     live: list[tuple[str, int]] = []
     freed: list[tuple[str, int]] = []
@@ -43,10 +51,7 @@ def error_trace(rng: random.Random, ops: int = 30) -> str:
         return pool[rng.randrange(len(pool))]
 
     for _ in range(ops):
-        op = rng.choices(
-            ("malloc", "free", "write", "overflow", "uaf", "double_free", "drop", "call"),
-            (5, 3, 4, 3, 2, 1, 1, 2),
-        )[0]
+        op = rng.choices(kinds, weights)[0]
         if op == "malloc" or not live and op in ("free", "write", "overflow", "drop"):
             var, size = f"v{count}", rng.choice(SIZES)
             count += 1
@@ -84,6 +89,13 @@ def error_trace(rng: random.Random, ops: int = 30) -> str:
                 lines.append(f"{rooted.pop(var)} = 0")
         elif op == "call":
             lines.append(rng.choice(CALLS))
+        elif op == "store" and live:
+            # mostly into a live object, sometimes into a freed one or past the request
+            var, size = pick(freed) if freed and rng.random() < 0.15 else pick(live)
+            off = rng.randrange(size + 16)
+            target, target_size = pick(live + freed)
+            value = rng.choice((target, f"{target}+{rng.randrange(target_size)}", "0"))
+            lines.append(f"store {var} {off} = {value}")
     lines += ["stack pop", "end"]
     return "\n".join(lines) + "\n"
 
@@ -97,3 +109,14 @@ def test_generated_error_traces_never_diverge_on_replay(block):
             max_watchpoints=rng.choice((1, 2)),
         )
         tw.run_text(error_trace(rng), config)
+
+
+def test_generated_traces_with_pointer_stores_never_diverge_on_replay():
+    for seed in range(300):
+        rng = random.Random(seed)
+        config = small_config(
+            quarantine_max_count=rng.choice((1, 2, 4, 8)),
+            max_watchpoints=rng.choice((1, 2)),
+            dangling=seed % 2 == 1,
+        )
+        tw.run_text(error_trace(rng, 40, stores=True), config)

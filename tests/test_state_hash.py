@@ -42,7 +42,7 @@ def assert_shadow_digest_matches_bits(engine) -> None:
     assert engine.image.shadow.digest() == expected
 
 
-def fuzz_case(seed: int, ops: int = 30, **overrides) -> tuple[str, tw.EngineConfig]:
+def fuzz_case(seed: int, ops: int = 30, stores: bool = False, **overrides) -> tuple[str, tw.EngineConfig]:
     """The trace and config of test_replay_fuzz for one seed."""
     rng = random.Random(seed)
     config = small_config(
@@ -50,7 +50,7 @@ def fuzz_case(seed: int, ops: int = 30, **overrides) -> tuple[str, tw.EngineConf
         max_watchpoints=rng.choice((1, 2)),
         **overrides,
     )
-    return error_trace(rng, ops), config
+    return error_trace(rng, ops, stores), config
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)

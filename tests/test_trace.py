@@ -70,6 +70,14 @@ def test_reg_and_global_value_forms():
     assert events[4].value.literal == 16
 
 
+def test_store_value_forms():
+    events = parse_trace("malloc a 16\nmalloc b 8\nstore a 8 = b+4\nstore a 0x10 = 7\n")
+    assert events[2].kind is EventKind.STORE
+    assert (events[2].var, events[2].slot, events[2].offset) == ("a", 0, 8)
+    assert (events[2].value.var, events[2].value.slot, events[2].value.delta) == ("b", 1, 4)
+    assert events[3].offset == 16 and events[3].value.literal == 7
+
+
 def test_call_event_keeps_argument_tokens():
     (ev,) = parse_trace("call fcntl F_GETFL 3\n")
     assert ev.kind is EventKind.EXT_CALL
@@ -183,6 +191,15 @@ ERRORS = [
     ("global 1 = b", UnboundVariable, "use of unbound variable 'b'"),
     ("global 1 = 9x", TraceSyntaxError, "literal value must be an integer, got '9x'"),
     ("global 1 = a+z", TraceSyntaxError, "delta must be an integer, got 'z'"),
+    ("store a 0 b", TraceSyntaxError, "expected `store <var> <offset> = <value>`, got 'store a 0 b'"),
+    ("store a 0 = 1 2", TraceSyntaxError,
+     "expected `store <var> <offset> = <value>`, got 'store a 0 = 1 2'"),
+    ("store 9a 0 = 1", TraceSyntaxError, "variable must be an identifier, got '9a'"),
+    ("store b 0 = 1", UnboundVariable, "store to unbound variable 'b'"),
+    ("store a x = 1", TraceSyntaxError, "offset must be an integer, got 'x'"),
+    ("store a -1 = 1", TraceSyntaxError, "offset must be >= 0, got -1"),
+    ("store a 0 = b", UnboundVariable, "use of unbound variable 'b'"),
+    ("store a 0 = 1z", TraceSyntaxError, "literal value must be an integer, got '1z'"),
     ("call", TraceSyntaxError, "expected `call <name> [<arg> ...]`"),
     ("call 9x", TraceSyntaxError, "call name must be an identifier, got '9x'"),
     ("end now", TraceSyntaxError, "expected `end`, got 'end now'"),
