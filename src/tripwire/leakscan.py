@@ -17,15 +17,67 @@ bool array over its flat slot ids, kept outside modeled memory. Whether
 a slot is allocated comes from the allocator's own slot metadata, so a
 mark and sweep write no heap page and no program write can change
 their result except through the pointers it stores.
+
+A mark is incremental when it can be. It keeps its marks, and the
+heap-range values it saw but did not mark: values into uncarved memory
+or into freed slots the quarantine no longer holds. The next mark
+starts from them, as in the mostly parallel marking of Boehm, Demers
+and Shenker (PLDI 1991), when all of these hold:
+
+- the heap and globals undo logs start at the state of the last mark:
+  the image took exactly one snapshot since, and nothing wrote between
+  that mark and the snapshot, as at an engine's epoch boundary;
+- every register that held a heap-range value holds it still;
+- no changed word held a heap-range value at the snapshot, among the
+  words the last mark read: the globals and the payloads of its marked
+  live slots, with old values from the undo logs;
+- every marked slot is still allocated, or still freed and quarantined.
+
+Under these the last marks are all still reachable, so the waves start
+from them and from three sets of values: the new heap-range values of
+the changed words, those of the registers, and the last mark's
+unmarked values resolved again. The last set needs no write to matter:
+a stale pointer into a slot that is reused since, or into memory a
+later malloc carves, makes an object reachable. Otherwise, on a first
+mark, or for a scanner used without snapshots, the full mark runs from
+the roots.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .quarantine import QuarantineQueue
 from .reports import KIND_LEAK, ErrorReport
-from .vheap import Allocator, MemoryImage, SlotTable
+from .vheap import WORD, Allocator, MemoryImage, SlotTable
+
+
+class _Mark(NamedTuple):
+    """What a mark keeps for the next one to start from."""
+
+    table: SlotTable
+    marked: np.ndarray
+    misses: np.ndarray  # heap-range values it saw but did not mark, unique
+    registers: dict[str, int]  # the registers that held heap-range values
+    snapshots: int  # the image's snapshot count when it ran
+
+
+def _remap(old: SlotTable, new: SlotTable, arrays: tuple[np.ndarray, ...]) -> list[np.ndarray] | None:
+    """The per-slot arrays, indexed by old's flat ids, carried over to
+    new's; None when new does not extend old chunk by chunk."""
+    n = len(old.carved)
+    if n > len(new.carved) or (new.stride[:n] != old.stride).any() or (new.carved[:n] < old.carved).any():
+        return None
+    if len(new) == len(old):
+        return [a.copy() for a in arrays]
+    out = [np.zeros(len(new), dtype=a.dtype) for a in arrays]
+    for c in range(n):  # slots newly carved in a chunk shift the ids of every later chunk
+        start, count = int(new.first[c]), int(old.carved[c])
+        for a, b in zip(arrays, out):
+            b[start : start + count] = a[old.first[c] : old.first[c + 1]]
+    return out
 
 
 class LeakScanner:
@@ -38,38 +90,104 @@ class LeakScanner:
         # the last mark's SlotTable and its marks by flat slot id, for the sweep
         self.table: SlotTable | None = None
         self.marked = np.zeros(0, dtype=np.bool_)
+        self._last: _Mark | None = None
 
-    def _roots(self, registers: dict[str, int]) -> np.ndarray:
-        regs = [v for v in registers.values() if self.heap_base <= v < self.heap_end]
-        return np.concatenate(
-            (np.array(regs, dtype=np.uint64), np.frombuffer(self.image.globals, dtype="<u8"))
-        )
+    def _in_heap(self, values: np.ndarray) -> np.ndarray:
+        return values[(values >= self.heap_base) & (values < self.heap_end)]
+
+    def _roots(self, pointers: dict[str, int]) -> np.ndarray:
+        """The full mark's roots: the registers' heap-range values, then
+        the globals words'."""
+        return np.concatenate((
+            np.array(list(pointers.values()), dtype=np.uint64),
+            self._in_heap(np.frombuffer(self.image.globals, dtype="<u8")),
+        ))
+
+    def _held(self, table: SlotTable) -> np.ndarray:
+        """By flat slot id, whether the quarantine holds the slot."""
+        payloads = self.quarantine.by_payload
+        ids = table.slot_ids(np.fromiter(payloads, dtype=np.uint64, count=len(payloads)))
+        held = np.zeros(len(table), dtype=np.bool_)
+        held[ids[ids >= 0]] = True
+        return held
 
     def mark(self, registers: dict[str, int]) -> None:
-        """Breadth-first marking from the conservative root set, a wave
-        at a time.
+        """Mark from the conservative root set, or incrementally from the
+        last mark (see the module docstring).
+
+        The marks and the table they index stay valid until the next
+        allocation or free; sweep uses both, so it expects no allocation
+        or free in between.
+        """
+        table = self.allocator.slot_table()
+        pointers = {name: v for name, v in registers.items() if self.heap_base <= v < self.heap_end}
+        start = self._resume(table, registers)
+        if start is None:
+            marked, values = np.zeros(len(table), dtype=np.bool_), self._roots(pointers)
+        else:
+            marked, values = start
+            values = np.concatenate((values, np.array(list(pointers.values()), dtype=np.uint64)))
+        misses = self._waves(table, marked, values)
+        self.table, self.marked = table, marked
+        self._last = _Mark(table, marked, misses, pointers, self.image.snapshots)
+
+    def _resume(self, table: SlotTable, registers: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
+        """The marks and first wave of an incremental mark, or None when
+        the full mark has to run."""
+        last = self._last
+        if last is None or self.image.snapshots != last.snapshots + 1:
+            return None
+        if not last.registers.items() <= registers.items():
+            return None
+        carried = _remap(last.table, table, (last.marked, last.table.allocated))
+        if carried is None:
+            return None
+        marked, was_allocated = carried
+        if (marked & (was_allocated != table.allocated)).any():
+            return None
+        freed = np.flatnonzero(marked & ~table.allocated)
+        if freed.size and not self._held(table)[freed].all():
+            return None
+        _, globals_old, globals_new = self.image.globals_pages.changed_words()
+        words, heap_old, heap_new = self.image.heap_pages.changed_words()
+        ids = table.slot_ids(self.heap_base + WORD * words.astype(np.uint64), payload=True)
+        scanned = ids >= 0  # the words in payloads of marked live slots
+        scanned[scanned] = marked[ids[scanned]] & table.allocated[ids[scanned]]
+        if self._in_heap(globals_old).size or self._in_heap(heap_old[scanned]).size:
+            return None
+        return marked, np.concatenate((
+            self._in_heap(globals_new), self._in_heap(heap_new[scanned]), last.misses,
+        ))
+
+    def _waves(self, table: SlotTable, marked: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Mark breadth-first from the heap-range values, a wave at a time;
+        return the values seen but not marked, unique.
 
         Each wave resolves its values to slot ids, drops the slots
         already marked, marks the allocated ones and the freed ones the
         quarantine still holds, and takes the next wave from the payload
-        words of the allocated ones. The marks and the table they index
-        stay valid until the next allocation or free; sweep uses both,
-        so it expects no allocation or free in between.
+        words of the allocated ones.
         """
-        table = self.allocator.slot_table()
-        marked = np.zeros(len(table), dtype=np.bool_)
-        wave = table.ids(self._roots(registers))
-        while wave.size:
-            wave = np.unique(wave)
+        held = None
+        misses = []
+        while values.size:
+            ids = table.slot_ids(values)
+            found = ids >= 0
+            wave = np.unique(ids[found])
             wave = wave[~marked[wave]]
             alive = table.allocated[wave]
             live, freed = wave[alive], wave[~alive]
             marked[live] = True
             if self.quarantine is not None and freed.size:
-                held = [self.quarantine.entry_for(p) is not None for p in table.payloads(freed)]
-                marked[freed[np.array(held)]] = True
-            wave = table.ids(table.payload_pointers(live))
-        self.table, self.marked = table, marked
+                if held is None:
+                    held = self._held(table)
+                marked[freed[held[freed]]] = True
+            # unmarked now: no slot, or a freed slot the quarantine does not hold
+            missed = ~found
+            missed[found] = ~marked[ids[found]]
+            misses.append(values[missed])
+            values = table.payload_pointers(live)
+        return np.unique(np.concatenate(misses)) if misses else np.zeros(0, dtype=np.uint64)
 
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> list[ErrorReport]:
         """Report allocated-but-unmarked slots, then clear all marks.
@@ -80,7 +198,7 @@ class LeakScanner:
         come leaked first, each group in address order (flat id order).
         suppress holds payload addresses already reported in an earlier
         epoch (and not since reallocated); they stay leaked but are not
-        reported again.
+        reported again. The next mark may still start from these marks.
         """
         table, marked = self.table, self.marked
         self.table, self.marked = None, np.zeros(0, dtype=np.bool_)

@@ -27,7 +27,8 @@ fixed. All three share the image's snapshot and restore, so a
 snapshot, a restore or a state hash costs what the epoch wrote, not
 what the heap, the globals or the shadow hold. The heap's undo log
 keys are also the epoch scan's dirty set: a canary can have changed
-only on a page the epoch wrote.
+only on a page the epoch wrote. With their old bytes, the heap's and
+the globals' undo logs give the leak mark the words an epoch changed.
 """
 
 from __future__ import annotations
@@ -166,6 +167,24 @@ class PageStore:
         restored pages included; every page ever touched if there was none."""
         return self._saved.keys()
 
+    def changed_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(word index, value at the snapshot, value now) of each
+        eight-byte word of the written pages that differs from its value
+        at the snapshot, read from the undo log; indexes count words from
+        the store's start."""
+        saved = self._saved
+        per_page = PAGE // WORD
+        pages = np.fromiter(saved, dtype=np.int64, count=len(saved))
+        words = (pages[:, None] * per_page + np.arange(per_page)).ravel()
+        # bytes past the snapshot length were zero at the snapshot
+        old = np.frombuffer(b"".join(page.ljust(PAGE, b"\0") for page in saved.values()), dtype="<u8")
+        now = np.frombuffer(self.data, dtype="<u8", count=len(self.data) // WORD)
+        inside = words < len(now)
+        words, old = words[inside], old[inside]
+        new = now[words]
+        changed = old != new
+        return words[changed], old[changed], new[changed]
+
     def snapshot(self) -> dict[int, bytes]:
         """Start a new undo log and return it. The log fills as pages are
         touched and stays valid until the next snapshot."""
@@ -221,6 +240,7 @@ class MemoryImage:
         self.globals_pages.resize(self.globals_size)
         self.globals = self.globals_pages.data
         self.write_observer = None
+        self.snapshots = 0  # snapshots taken, so a reader of the undo logs knows where they start
 
     @property
     def heap_prefix(self) -> int:
@@ -280,6 +300,7 @@ class MemoryImage:
     def snapshot(self) -> tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]:
         """Start new undo logs for the heap, the globals and the shadow,
         and return them in that order."""
+        self.snapshots += 1
         return self.heap_pages.snapshot(), self.globals_pages.snapshot(), self.shadow.snapshot()
 
     def restore(self, snap: tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]) -> None:
@@ -321,7 +342,7 @@ class SlotTable:
     """Every carved slot under a flat id, as numpy arrays.
 
     Flat ids number the slots chunk by chunk in chunk-acquisition order,
-    and by address within a chunk: the order of carved_slots. ids()
+    and by address within a chunk: the order of carved_slots. slot_ids()
     resolves many addresses at once with the arithmetic of
     object_bounds. A table describes the allocator as it was when built;
     build a new one after any allocation, free or restore.
@@ -350,19 +371,24 @@ class SlotTable:
     def _in_heap(self, values: np.ndarray) -> np.ndarray:
         return values[(values >= self.heap_base) & (values < self.heap_end)]
 
-    def ids(self, values: np.ndarray) -> np.ndarray:
-        """Flat ids of the carved slots that hold the uint64 values.
+    def slot_ids(self, values: np.ndarray, payload: bool = False) -> np.ndarray:
+        """The flat id of the carved slot holding each uint64 value of
+        the heap region, or -1 where no carved slot does.
 
         A value anywhere in a slot, guard region included, resolves to
-        it; values outside every carved slot are dropped.
+        it; with payload, a value in a guard region gives -1 too.
         """
-        off = (self._in_heap(values) - self.heap_base).astype(np.int64)
+        off = (values - self.heap_base).astype(np.int64)
+        ids = np.full(len(off), -1, dtype=np.int64)
         chunk = off // self.chunk_size
-        inside = chunk < len(self.base)
-        off, chunk = off[inside], chunk[inside]
-        index = (off - self.base[chunk]) // self.stride[chunk]
+        at = np.flatnonzero(chunk < len(self.base))
+        chunk = chunk[at]
+        index, within = np.divmod(off[at] - self.base[chunk], self.stride[chunk])
         inside = index < self.carved[chunk]
-        return self.first[chunk[inside]] + index[inside]
+        if payload:
+            inside &= within >= GUARD_BYTES
+        ids[at[inside]] = self.first[chunk[inside]] + index[inside]
+        return ids
 
     def _locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(chunk, index within the chunk) of each flat id."""

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 import tripwire as tw
 from tripwire.engine import Engine
+from tripwire.leakscan import LeakScanner
 from tripwire.quarantine import QuarantineEntry
-from tripwire.vheap import next_pow2
+from tripwire.vheap import GUARD_BYTES, next_pow2
 
 from conftest import small_config
 from oracles import reachability_closure, reachable_quarantined
@@ -234,3 +237,104 @@ def test_leak_from_prior_epoch_gets_marker():
     assert leak.alloc_prior_epoch
     assert leak.alloc_stack is None
     assert leak.epoch == 1
+
+
+def test_a_mark_runs_in_full_unless_one_snapshot_separates_it_from_the_last():
+    eng = harness()
+    a = alloc(eng, 32)
+    b = alloc(eng, 32)
+    eng.image.snapshot()
+    eng.image.write_word(a, b)
+    assert leaked(scan(eng, {"r0": a})) == []
+    eng.image.write_word(a, 0)  # no snapshot since: the undo log predates the mark
+    assert leaked(scan(eng, {"r0": a})) == [(b, 32)]
+    eng.image.snapshot()
+    eng.image.write_word(a, b)
+    eng.image.snapshot()  # two snapshots since: the first one's log is gone
+    assert leaked(scan(eng, {"r0": a})) == []
+
+
+def marks_and_sweeps(scanner, registers):
+    """A mark's marks, then its sweeps without and with dangling."""
+    scanner.mark(registers)
+    table, marked = scanner.table, scanner.marked.copy()
+    plain = scanner.sweep(False)
+    scanner.table, scanner.marked = table, marked
+    return marked, plain, scanner.sweep(True)
+
+
+def random_epochs(rng, eng, epochs):
+    """Yield after each of epochs random epochs of allocations, frees
+    through the quarantine, pointer and plain word writes, and register
+    and global changes; the caller ends each epoch at a boundary."""
+    live, freed = [], []
+    config = eng.config
+
+    def stray():
+        if live and rng.random() < 0.5:  # the next slot of a class, not carved yet
+            state = eng.allocator.class_for(eng.allocator.object_bounds(rng.choice(live)).capacity)
+            return state.bump + GUARD_BYTES + 8 * rng.randrange(2)
+        return config.heap_base + eng.image.heap_prefix + rng.choice((40, config.chunk_size + 8))
+
+    def pointer():
+        if not live and not freed or rng.random() < 0.2:
+            return stray()
+        target = rng.choice(live + freed if freed and rng.random() < 0.3 else live)
+        return target + rng.choice((0, 0, 8, 17, -GUARD_BYTES, -8))  # payload, interior or guard
+
+    def payload_word():
+        target = rng.choice(live)
+        return target + 8 * rng.randrange(eng.allocator.object_bounds(target).capacity // 8)
+
+    for _ in range(epochs):
+        for _ in range(rng.randint(0, 10)):
+            op = rng.choices(("alloc", "free", "store", "clear", "reg", "global"), (4, 2, 5, 2, 2, 3))[0]
+            if op == "alloc" or not live:
+                live.append(alloc(eng, rng.choice((16, 24, 40, 100, 300, 2000))))
+            elif op == "free":
+                payload = live.pop(rng.randrange(len(live)))
+                free(eng, payload)
+                freed.append(payload)
+            elif op == "store":
+                eng.image.write_word(payload_word(), pointer())
+            elif op == "clear":
+                eng.image.write_word(payload_word(), rng.choice((0, 12345)))
+            elif op == "reg":
+                name = f"r{rng.randrange(3)}"
+                choice = rng.random()
+                if choice < 0.5:
+                    eng.registers[name] = pointer()
+                elif choice < 0.8:
+                    eng.registers[name] = rng.randrange(1 << 16)
+                else:
+                    eng.registers.pop(name, None)
+            else:
+                value = pointer() if rng.random() < 0.6 else 0
+                eng.image.write_word(config.globals_base + 8 * rng.randrange(6), value)
+        yield
+
+
+def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
+    full = []
+    roots = LeakScanner._roots
+
+    def counted_roots(scanner, pointers):
+        full.append(scanner)
+        return roots(scanner, pointers)
+
+    monkeypatch.setattr(LeakScanner, "_roots", counted_roots)
+    scanners, boundaries = set(), 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        eng = harness(quarantine_max_count=rng.choice((1, 2, 4, 1024)))
+        scanners.add(eng.leaks)
+        eng.image.snapshot()
+        for _ in random_epochs(rng, eng, rng.randint(2, 8)):
+            got = marks_and_sweeps(eng.leaks, eng.registers)
+            want = marks_and_sweeps(LeakScanner(eng.image, eng.allocator, eng.quarantine), eng.registers)
+            assert np.array_equal(got[0], want[0]), seed
+            assert got[1:] == want[1:], seed
+            eng.image.snapshot()
+            boundaries += 1
+    full_marks = sum(scanner in scanners for scanner in full)
+    assert 0 < full_marks < boundaries  # both paths ran
