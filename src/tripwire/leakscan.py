@@ -45,8 +45,6 @@ the roots.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .quarantine import QuarantineQueue
@@ -54,14 +52,18 @@ from .reports import KIND_LEAK, ErrorReport
 from .vheap import WORD, Allocator, MemoryImage, SlotTable
 
 
-class _Mark(NamedTuple):
-    """What a mark keeps for the next one to start from."""
+class _Mark:
+    """What a mark keeps for the next one to start from: its table and
+    marks, the heap-range values it saw but did not mark (unique), the
+    registers that held heap-range values, and the image's snapshot
+    count when it ran."""
 
-    table: SlotTable
-    marked: np.ndarray
-    misses: np.ndarray  # heap-range values it saw but did not mark, unique
-    registers: dict[str, int]  # the registers that held heap-range values
-    snapshots: int  # the image's snapshot count when it ran
+    __slots__ = ("table", "marked", "misses", "registers", "snapshots")
+
+    def __init__(self, table: SlotTable, marked: np.ndarray, misses: np.ndarray,
+                 registers: dict[str, int], snapshots: int):
+        self.table, self.marked, self.misses = table, marked, misses
+        self.registers, self.snapshots = registers, snapshots
 
 
 def _remap(old: SlotTable, new: SlotTable, arrays: tuple[np.ndarray, ...]) -> list[np.ndarray] | None:
