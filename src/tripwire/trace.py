@@ -41,7 +41,6 @@ execution never sees an unbound name or an impossible pop.
 from __future__ import annotations
 
 import enum
-import gc
 import re
 
 from .epoch import classify
@@ -376,27 +375,19 @@ def parse_trace(text: str) -> list[TraceEvent]:
 
     Rejects malformed lines with the line number and reason. An empty
     source yields an empty list, which the engine treats as an
-    immediate end-of-trace. The cyclic garbage collector is paused
-    while parsing: the events hold no cycles, and its passes over the
-    growing list cost about a fifth of the parse.
+    immediate end-of-trace.
     """
     parser = _Parser()
     events: list[TraceEvent] = []
     append = events.append
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            if "#" in raw:
-                raw = raw[: raw.index("#")]
-            tokens = raw.split()
-            if tokens:
-                form = _FORMS.get(tokens[0])
-                if form is None:
-                    raise TraceSyntaxError(line_no, f"unknown event {tokens[0]!r}")
-                append(form(parser, tokens, len(events), line_no, raw))
-    finally:
-        if collecting:
-            gc.enable()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if tokens:
+            form = _FORMS.get(tokens[0])
+            if form is None:
+                raise TraceSyntaxError(line_no, f"unknown event {tokens[0]!r}")
+            append(form(parser, tokens, len(events), line_no, raw))
     return events
 
