@@ -54,7 +54,7 @@ from .vheap import WORD, Allocator, MemoryImage, SlotTable
 
 class _Mark:
     """What a mark keeps for the next one to start from: its table and
-    marks, the heap-range values it saw but did not mark (unique), the
+    marks, the heap-range values it saw but did not mark, the
     registers that held heap-range values, and the image's snapshot
     count when it ran."""
 
@@ -64,22 +64,6 @@ class _Mark:
                  registers: dict[str, int], snapshots: int):
         self.table, self.marked, self.misses = table, marked, misses
         self.registers, self.snapshots = registers, snapshots
-
-
-def _remap(old: SlotTable, new: SlotTable, arrays: tuple[np.ndarray, ...]) -> list[np.ndarray] | None:
-    """The per-slot arrays, indexed by old's flat ids, carried over to
-    new's; None when new does not extend old chunk by chunk."""
-    n = len(old.carved)
-    if n > len(new.carved) or (new.stride[:n] != old.stride).any() or (new.carved[:n] < old.carved).any():
-        return None
-    if len(new) == len(old):
-        return [a.copy() for a in arrays]
-    out = [np.zeros(len(new), dtype=a.dtype) for a in arrays]
-    for c in range(n):  # slots newly carved in a chunk shift the ids of every later chunk
-        start, count = int(new.first[c]), int(old.carved[c])
-        for a, b in zip(arrays, out):
-            b[start : start + count] = a[old.first[c] : old.first[c + 1]]
-    return out
 
 
 class LeakScanner:
@@ -141,20 +125,28 @@ class LeakScanner:
             return None
         if not last.registers.items() <= registers.items():
             return None
-        carried = _remap(last.table, table, (last.marked, last.table.allocated))
-        if carried is None:
+        old = last.table
+        n = len(old.carved)
+        if n > len(table.carved) or (table.stride[:n] != old.stride).any() or (table.carved[:n] < old.carved).any():
             return None
-        marked, was_allocated = carried
-        if (marked & (was_allocated != table.allocated)).any():
+        was = np.flatnonzero(last.marked)
+        if len(table) == len(old):
+            ids = was
+        else:  # slots carved since shift the flat ids of later chunks
+            chunk = np.searchsorted(old.first, was, side="right") - 1
+            ids = was + (table.first[chunk] - old.first[chunk])
+        allocated = table.allocated[ids]
+        if (allocated != old.allocated[was]).any():
             return None
-        freed = np.flatnonzero(marked & ~table.allocated)
-        if freed.size and not self._held(table)[freed].all():
+        if not allocated.all() and not self._held(table)[ids[~allocated]].all():
             return None
+        marked = np.zeros(len(table), dtype=np.bool_)
+        marked[ids] = True
         _, globals_old, globals_new = self.image.globals_pages.changed_words()
         words, heap_old, heap_new = self.image.heap_pages.changed_words()
-        ids = table.slot_ids(self.heap_base + WORD * words.astype(np.uint64), payload=True)
-        scanned = ids >= 0  # the words in payloads of marked live slots
-        scanned[scanned] = marked[ids[scanned]] & table.allocated[ids[scanned]]
+        owners = table.slot_ids(self.heap_base + WORD * words.astype(np.uint64), payload=True)
+        scanned = owners >= 0  # the words in payloads of marked live slots
+        scanned[scanned] = marked[owners[scanned]] & table.allocated[owners[scanned]]
         if self._in_heap(globals_old).size or self._in_heap(heap_old[scanned]).size:
             return None
         return marked, np.concatenate((
@@ -163,7 +155,7 @@ class LeakScanner:
 
     def _waves(self, table: SlotTable, marked: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Mark breadth-first from the heap-range values, a wave at a time;
-        return the values seen but not marked, unique.
+        return the values seen but not marked.
 
         Each wave resolves its values to slot ids, drops the slots
         already marked, marks the allocated ones and the freed ones the
@@ -189,7 +181,7 @@ class LeakScanner:
             missed[found] = ~marked[ids[found]]
             misses.append(values[missed])
             values = table.payload_pointers(live)
-        return np.unique(np.concatenate(misses)) if misses else np.zeros(0, dtype=np.uint64)
+        return np.concatenate(misses) if misses else np.zeros(0, dtype=np.uint64)
 
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> list[ErrorReport]:
         """Report allocated-but-unmarked slots, then clear all marks.

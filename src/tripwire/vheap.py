@@ -383,10 +383,11 @@ class SlotTable:
         chunk = off // self.chunk_size
         at = np.flatnonzero(chunk < len(self.base))
         chunk = chunk[at]
-        index, within = np.divmod(off[at] - self.base[chunk], self.stride[chunk])
+        off = off[at] - self.base[chunk]
+        index = off // self.stride[chunk]
         inside = index < self.carved[chunk]
         if payload:
-            inside &= within >= GUARD_BYTES
+            inside &= off - index * self.stride[chunk] >= GUARD_BYTES
         ids[at[inside]] = self.first[chunk[inside]] + index[inside]
         return ids
 
