@@ -18,14 +18,16 @@ the epoch's events with call-site recording on (a write traps when it
 covers a byte the shadow masks as canary in a watched word), fills in
 each report's epoch, trapped writes and allocation site, and resumes.
 
-Every state hash starts from the memory image's page digests, its
-logical length and the globals (MemoryImage.hash_into): the final
-state hash is exactly that, and the rollback hash adds the canary
-shadow store (its length and page digests), the repr of the machine
-state and the call model's counter. The rollback hash is taken
-only when an epoch is about to roll back, and again after the replay
-to check it; a clean boundary takes none. Page digests are refreshed
-only for pages written since they were last taken.
+A replay is checked by comparing, not hashing. Before a rollback the
+engine records the state the epoch ended in (Engine._end_state): each
+page store's logical length and the bytes of every page in its undo
+log, the machine state and the call model's counter. After the replay
+it records the same again, and any difference is a ReplayDivergence. A
+restore keeps the undo logs' keys, so a replay that writes a page the
+epoch did not write differs even with the same bytes. A clean boundary
+records nothing. The one state hash is the final one, taken once per
+run over the heap's length and page digests and the globals
+(MemoryImage.hash_into).
 
 Identical (trace, config) inputs produce identical outcomes: the
 allocator hands out addresses as a pure function of history, external
@@ -73,7 +75,6 @@ class ReplaySummary:
     armed_words: tuple[int, ...]
     unwatched_words: tuple[int, ...]
     trap_count: int
-    orig_hash: str
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class Engine:
         self._current_event: TraceEvent | None = None
         self._ran = False
 
-    # -- hashing ----------------------------------------------------------
+    # -- state ------------------------------------------------------------
 
     def _machine_state(self) -> tuple:
         """Every piece of state rollback restores besides memory, as values."""
@@ -158,12 +159,17 @@ class Engine:
             self.syscalls.files.snapshot(),
         )
 
+    def _end_state(self) -> tuple:
+        """The state an epoch ended in, which its replay must reproduce:
+        what the epoch wrote to memory, the machine state and the call
+        model's counter, compared as values."""
+        return self.image.epoch_writes(), self._machine_state(), self.syscalls.counter
+
     def full_state_hash(self) -> str:
-        """Hash of all state rollback must reproduce (fidelity checks)."""
+        """The final state hash: sha256 over the memory image. Taken once,
+        by _finish; perfbench/layers.py wraps it by name."""
         h = hashlib.sha256()
         self.image.hash_into(h)
-        self.image.shadow.hash_into(h)
-        h.update(repr((self._machine_state(), self.syscalls.counter)).encode())
         return h.hexdigest()
 
     # -- epoch lifecycle ---------------------------------------------------
@@ -223,16 +229,13 @@ class Engine:
             if evidence:
                 # free-time or eviction-time detection: roll back now,
                 # replay through the detecting event, then continue
-                orig_hash = self.full_state_hash()
-                self._rollback_and_replay(evidence, ev.id + 1, orig_hash)
+                self._rollback_and_replay(evidence, ev.id + 1, self._end_state())
         return self._finish()
 
     def _finish(self) -> RunOutcome:
-        final = hashlib.sha256()
-        self.image.hash_into(final)
         return RunOutcome(
             reports=tuple(sort_reports(self.reports)),
-            final_state_hash=final.hexdigest(),
+            final_state_hash=self.full_state_hash(),
             epochs=self.epochs_begun,
             events_total=len(self.events),
             events_executed=self.cursor,
@@ -257,9 +260,9 @@ class Engine:
             )
         evidence = self._collect_evidence()
         if evidence or self.epoch_index in self.force_rollback_epochs:
-            # the evidence passes write no hashed state, so this is the
+            # the evidence passes write no recorded state, so this is the
             # state the epoch ended in
-            self._rollback_and_replay(evidence, boundary_cursor, self.full_state_hash())
+            self._rollback_and_replay(evidence, boundary_cursor, self._end_state())
         self.syscalls.commit()
         if fault is not None or trigger is None or trigger.kind is EventKind.END:
             return True
@@ -300,8 +303,10 @@ class Engine:
 
     # -- rollback and replay -----------------------------------------------
 
-    def _rollback_and_replay(self, evidence: list[ErrorReport], stop: int, orig_hash: str) -> None:
-        """Restore the epoch snapshot and re-execute events up to stop.
+    def _rollback_and_replay(self, evidence: list[ErrorReport], stop: int, ended: tuple) -> None:
+        """Restore the epoch snapshot and re-execute events up to stop,
+        then check that the replay ended in ended, the _end_state taken
+        before the rollback.
 
         stop is exclusive: the epoch-end path passes the boundary event's
         index (never re-executed); the mid-epoch path passes the
@@ -336,7 +341,7 @@ class Engine:
             raise ReplayDivergence(
                 f"replay stopped at event {self.cursor}, expected {resume_cursor}"
             )
-        if self.full_state_hash() != orig_hash:
+        if self._end_state() != ended:
             raise ReplayDivergence("replayed state differs from the recorded execution")
         self._emit_replay_reports(evidence)
         self.replay_summaries.append(
@@ -347,7 +352,6 @@ class Engine:
                 armed_words=tuple(sorted(wps.traps)),
                 unwatched_words=tuple(unwatched),
                 trap_count=sum(len(t) for t in wps.traps.values()),
-                orig_hash=orig_hash,
             )
         )
         self._wps = None

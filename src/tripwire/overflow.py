@@ -17,7 +17,7 @@ a trap when the write covers a masked byte of the watched word. A
 malloc sets the masks of its whole slot in one shadow write. The
 shadow's bytes live in the memory image's shadow page store:
 each shadow write touches its pages first, so the shadow shares the
-heap's copy-on-write snapshot, restore and per-page digests.
+heap's copy-on-write snapshot, restore and replay check.
 
 Normal execution never checks canaries on the write path, which is
 what keeps per-write overhead at zero. Tracked words are verified in
@@ -56,8 +56,8 @@ class CanaryBitmap:
     the word is a detector-filled canary.
 
     The masks live in the memory image's shadow page store, which every
-    write touches first, so they are snapshotted, restored and hashed
-    with the heap, page by page.
+    write touches first, so they are snapshotted, restored and checked
+    after a replay with the heap, page by page.
     """
 
     def __init__(self, image: MemoryImage):

@@ -20,15 +20,15 @@ addresses.
 
 The heap image, the globals and the overflow detector's canary shadow,
 one mask byte per heap word, are three page stores (PageStore): lazily
-zeroed reservations with a logical length, a copy-on-write undo log of
-4 KiB pages and a sha256 digest per page. The image's shadow follows
-the heap's logical length at an eighth of it; the globals' length is
-fixed. All three share the image's snapshot and restore, so a
-snapshot, a restore or a state hash costs what the epoch wrote, not
-what the heap, the globals or the shadow hold. The heap's undo log
-keys are also the epoch scan's dirty set: a canary can have changed
-only on a page the epoch wrote. With their old bytes, the heap's and
-the globals' undo logs give the leak mark the words an epoch changed.
+zeroed reservations with a logical length and a copy-on-write undo log
+of 4 KiB pages. The image's shadow follows the heap's logical length
+at an eighth of it; the globals' length is fixed. All three share the
+image's snapshot and restore, so a snapshot, a restore or the check of
+a replay costs what the epoch wrote, not what the heap, the globals or
+the shadow hold. The heap's undo log keys are also the epoch scan's
+dirty set: a canary can have changed only on a page the epoch wrote.
+With their old bytes, the heap's and the globals' undo logs give the
+leak mark the words an epoch changed.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def _reserve(size: int, what: str, option: str) -> mmap.mmap:
 
 
 class PageStore:
-    """A fixed, lazily zeroed memory reservation with a logical length,
-    an undo log of 4 KiB pages and a digest per page.
+    """A fixed, lazily zeroed memory reservation with a logical length
+    and an undo log of 4 KiB pages.
 
     The reservation is one anonymous private mapping without swap
     accounting: the kernel zero-fills its pages on first touch, so pages
@@ -90,8 +90,8 @@ class PageStore:
     first write to each page saves that page's bytes below the snapshot
     length (none for a page wholly past it). A restore writes each saved
     page back and zeroes the rest of it, which keeps the zero invariant
-    without truncating anything. The digest of a page covers its bytes
-    below the logical length and is recomputed only after a write.
+    without truncating anything. The store also keeps every page ever
+    written, so digest() hashes only those and the last page.
     """
 
     def __init__(self, size: int, what: str, option: str):
@@ -101,71 +101,48 @@ class PageStore:
         # below the snapshot length, empty for a page wholly past it
         self._saved: dict[int, bytes] = {}
         self._snap_len = 0
-        # DIGEST_BYTES per page, and the pages whose digest is out of date
-        self._digests = bytearray()
-        self._stale: set[int] = set()
-
-    def resize(self, length: int) -> None:
-        """Set the logical length and fit the digest table to it.
-
-        Pages wholly added read as zeros; a page that was or now is cut
-        short by the logical length is re-digested.
-        """
-        old, self.length = self.length, length
-        pages = -(-length // PAGE)
-        if length > old:
-            if old % PAGE:
-                self._stale.add(old >> PAGE_SHIFT)
-            self._digests += _ZERO_PAGE_DIGEST * (pages - len(self._digests) // DIGEST_BYTES)
-        else:
-            del self._digests[pages * DIGEST_BYTES :]
-        if length % PAGE:
-            self._stale.add(pages - 1)
+        self._written: set[int] = set()  # every page ever written; the rest read zero
 
     def touch(self, off: int, length: int) -> None:
-        """Record a write of [off, off + length) before it happens.
-
-        Saves each page on its first write since the snapshot, and marks
-        every written page's digest out of date.
-        """
+        """Record a write of [off, off + length) before it happens:
+        save each page on its first write since the snapshot."""
         first, last = off >> PAGE_SHIFT, (off + length - 1) >> PAGE_SHIFT
-        stale, saved = self._stale, self._saved
+        saved = self._saved
         for page in range(first, last + 1):
-            stale.add(page)
-            if page not in saved:
+            if page not in saved:  # the undo log's pages are already in _written
+                self._written.add(page)
                 start = page << PAGE_SHIFT
                 saved[page] = self.data[start : min(start + PAGE, self._snap_len)]
 
     def digest(self) -> bytes:
         """The sha256 digest of every page below the logical length, in
-        page order; only pages written, restored or grown since the last
-        call are hashed again."""
-        if self._stale:
-            digests, end = self._digests, self.length
-            with memoryview(self.data) as view:
-                for page in self._stale:
-                    start = page << PAGE_SHIFT
-                    if start < end:
-                        at = page * DIGEST_BYTES
-                        digests[at : at + DIGEST_BYTES] = hashlib.sha256(
-                            view[start : min(start + PAGE, end)]
-                        ).digest()
-            self._stale.clear()
-        return bytes(self._digests)
+        page order, each over the page's bytes below the length.
 
-    def hash_into(self, h) -> None:
-        """Feed the logical length and the page digests to the hasher h.
-
-        The page digests stand in for the bytes, like one level of a
-        Merkle tree.
+        Built at each call: a page never written holds zeros, so only
+        the written pages and a last page the length cuts short are
+        hashed.
         """
-        h.update(self.length.to_bytes(8, "little"))
-        h.update(self.digest())
+        end = self.length
+        pages = -(-end // PAGE)
+        hashed = {page for page in self._written if page < pages}
+        if end % PAGE:
+            hashed.add(pages - 1)
+        table = bytearray(_ZERO_PAGE_DIGEST * pages)
+        with memoryview(self.data) as view:
+            for page in hashed:
+                start, at = page << PAGE_SHIFT, page * DIGEST_BYTES
+                table[at : at + DIGEST_BYTES] = hashlib.sha256(view[start : min(start + PAGE, end)]).digest()
+        return bytes(table)
 
     def written_pages(self):
         """The pages written since the snapshot: the undo log's keys,
         restored pages included; every page ever touched if there was none."""
         return self._saved.keys()
+
+    def written_bytes(self) -> dict[int, bytes]:
+        """The current bytes of each page in the undo log, by page index."""
+        data = self.data
+        return {page: data[page << PAGE_SHIFT : (page + 1) << PAGE_SHIFT] for page in self._saved}
 
     def changed_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(word index, value at the snapshot, value now) of each
@@ -205,8 +182,7 @@ class PageStore:
             start = page << PAGE_SHIFT
             end = min(start + PAGE, size)
             data[start:end] = old.ljust(end - start, b"\0")
-            self._stale.add(page)
-        self.resize(self._snap_len)
+        self.length = self._snap_len
 
 
 def _shadow_len(heap_len: int) -> int:  # one mask byte per heap word
@@ -221,7 +197,7 @@ class MemoryImage:
     an observer installed by the engine (the replay watchpoint check) can
     see them; detector writes are internal and invisible to it.
     Every write goes through write_fill, write_bytes or write_word, which
-    keep the undo logs and the page digests current. The heap's bytes
+    keep the undo logs current. The heap's bytes
     live in heap_pages (`heap` is its mapping) and the globals' in
     globals_pages (`globals`); shadow holds the canary masks and is
     resized with the heap. All three are snapshotted and restored together.
@@ -237,7 +213,7 @@ class MemoryImage:
         self.heap = self.heap_pages.data
         self.shadow = PageStore(_shadow_len(self.heap_size), "the canary shadow", "--heap-size")
         self.globals_pages = PageStore(self.globals_size, "the globals", "--globals-words")
-        self.globals_pages.resize(self.globals_size)
+        self.globals_pages.length = self.globals_size
         self.globals = self.globals_pages.data
         self.write_observer = None
         self.snapshots = 0  # snapshots taken, so a reader of the undo logs knows where they start
@@ -252,14 +228,29 @@ class MemoryImage:
         if nbytes <= self.heap_pages.length:
             return
         length = -(-nbytes // self.chunk_size) * self.chunk_size
-        self.heap_pages.resize(length)
-        self.shadow.resize(_shadow_len(length))
+        self.heap_pages.length = length
+        self.shadow.length = _shadow_len(length)
 
     def hash_into(self, h) -> None:
         """Feed the memory image to the hasher h: the logical heap length,
-        the heap's page digests and the globals."""
-        self.heap_pages.hash_into(h)
+        the heap's page digests, which stand in for its bytes like one
+        level of a Merkle tree, and the globals."""
+        h.update(self.heap_pages.length.to_bytes(8, "little"))
+        h.update(self.heap_pages.digest())
         h.update(self.globals)
+
+    def epoch_writes(self) -> tuple:
+        """Per page store (heap, globals, shadow): its logical length and
+        the current bytes of each page in its undo log.
+
+        Two runs from one snapshot leave memory alike and wrote the same
+        pages exactly when these are equal: pages outside the undo logs
+        were written by neither, and a restore keeps the logs' keys.
+        """
+        return tuple(
+            (store.length, store.written_bytes())
+            for store in (self.heap_pages, self.globals_pages, self.shadow)
+        )
 
     def _locate(self, addr: int, length: int) -> tuple[PageStore, int]:
         """The page store holding [addr, addr + length), and addr's offset in it."""

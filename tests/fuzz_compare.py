@@ -16,9 +16,8 @@ budget drawn from the seed as the fuzz test draws them: 6,000 runs by
 default. It writes one JSON line per run: the reports as the CLI's JSON
 renders them, the final state hash, the scan records, the allocation
 sequence, the call results, the exception (type and message) if the
-run raised, and, also when it raised, the state hash each replay
-checked (its summary's orig_hash, in replay order), the sha256 of the
-canary shadow at the end of the run, and `edge_word_write`: whether a
+run raised, and, also when it raised, the sha256 of the canary shadow
+at the end of the run, and `edge_word_write`: whether a
 trace write overlapped the edge word of a slot whose request is not a
 multiple of eight, the bytes [payload + requested, align_up(payload +
 requested)) that a word-granular shadow leaves untracked. The flag is
@@ -31,7 +30,9 @@ are drawn from the run id: drop the line's last token, or replace an
 integer token with `zz`, a fill byte with `-1` or a name with `9x`.
 
 `diff` counts, per field, the runs whose values differ, and how many
-of those are flagged `edge_word_write` under either build. It lists
+of those are flagged `edge_word_write` under either build. A field
+that only one dump has, such as the `replay_hashes` of builds that
+hashed the state at each rollback, is reported as skipped. It lists
 up to ten run ids per field that differ in a run not flagged, and
 counts the parse errors that changed by old and new message. It counts
 the reports, by (kind, corrupted word, object), that only the old or
@@ -62,7 +63,6 @@ from test_state_hash import fuzz_case
 FIELDS = (
     "reports",
     "final_state_hash",
-    "replay_hashes",
     "scan_records",
     "alloc_sequence",
     "extcall_results",
@@ -187,7 +187,6 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
             alloc_sequence=list(out.alloc_sequence),
             extcall_results=[list(r) for r in out.extcall_results],
         )
-    record["replay_hashes"] = [s.orig_hash for s in engine.replay_summaries]
     record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
     record["edge_word_write"] = bool(hit)
     record["events"] = events_digest(events)
@@ -212,10 +211,13 @@ def diff(old_path: str, new_path: str) -> None:
     if old.keys() != new.keys():
         raise SystemExit(f"the dumps cover different runs ({len(old)} and {len(new)})")
     flagged = {run for run in old if old[run]["edge_word_write"] or new[run]["edge_word_write"]}
+    present = [set().union(*dumped.values()) - {"run", "edge_word_write"} for dumped in (old, new)]
+    both = present[0] & present[1]
+    fields = [name for name in FIELDS if name in both] + sorted(both - set(FIELDS))
     differ, differ_flagged = Counter(), Counter()
-    elsewhere: dict[str, list[str]] = {name: [] for name in FIELDS}
+    elsewhere: dict[str, list[str]] = {name: [] for name in fields}
     for run in old:
-        for name in FIELDS:
+        for name in fields:
             if old[run][name] != new[run][name]:
                 differ[name] += 1
                 if run in flagged:
@@ -227,9 +229,12 @@ def diff(old_path: str, new_path: str) -> None:
         print(f"{label}: {raised.total()} of {len(dumped)} runs raised {dict(sorted(raised.items()))}")
     print(f"runs flagged edge_word_write: {len(flagged)}")
     print(f"{'field':<18} {'differ':>7} {'in flagged runs':>16}")
-    for name in FIELDS:
+    for name in fields:
         print(f"{name:<18} {differ[name]:>7} {differ_flagged[name]:>16}")
-    for name in FIELDS:
+    for label, only in (("old", present[0] - both), ("new", present[1] - both)):
+        for name in sorted(only):
+            print(f"{name:<18} skipped: only in the {label} dump")
+    for name in fields:
         if elsewhere[name]:
             print(f"{name} differs outside flagged runs: {' '.join(elsewhere[name][:10])}")
     changed = Counter(

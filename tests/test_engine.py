@@ -56,8 +56,7 @@ def test_identical_runs_are_byte_identical():
     first, second = (engine.run() for engine in engines)
     assert first.reports == second.reports
     assert first.final_state_hash == second.final_state_hash
-    replay_hashes = [[s.orig_hash for s in engine.replay_summaries] for engine in engines]
-    assert replay_hashes[0] == replay_hashes[1] and replay_hashes[0]
+    assert engines[0].replay_summaries == engines[1].replay_summaries and engines[0].replay_summaries
     assert tw.emit_text(first.reports) == tw.emit_text(second.reports)
     assert tw.emit_json(
         first.reports, epochs=first.epochs, final_state_hash=first.final_state_hash,
@@ -285,17 +284,17 @@ def test_a_malloc_writes_the_image_twice_and_a_quarantined_free_once():
     assert per_event == [2, 1]
 
 
-def test_changing_one_binding_changes_the_state_hash():
+def test_changing_one_binding_changes_the_end_state():
     engine = Engine(parse_trace("malloc a 24\nmalloc b 24\nend\n"), small_config())
     engine.run()
     bindings = list(engine.bindings)
-    before = engine.full_state_hash()
+    before = engine._end_state()
     engine.bindings[1] += 8
-    assert engine.full_state_hash() != before
+    assert engine._end_state() != before
     engine.bindings = bindings[::-1]
-    assert engine.full_state_hash() != before
+    assert engine._end_state() != before
     engine.bindings = bindings
-    assert engine.full_state_hash() == before
+    assert engine._end_state() == before
 
 
 def test_normal_mode_writes_make_no_canary_checks():
@@ -367,18 +366,24 @@ def test_normal_mode_writes_make_no_canary_checks():
     assert checks[Mode.REPLAY, "mask"] >= 1
 
 
-def run_counting_state_hashes(text: str, **kwargs):
-    """Run text; return the outcome and the number of full_state_hash calls."""
+def run_counting_checks(text: str, **kwargs):
+    """Run text; return the outcome, the number of end-state records
+    taken for replay checks and the number of state hashes."""
     eng = Engine(parse_trace(text), small_config(), **kwargs)
-    calls = []
-    full_state_hash = eng.full_state_hash
+    calls = Counter()
 
-    def counted():
-        calls.append(None)
-        return full_state_hash()
+    def counted(name):
+        method = getattr(eng, name)
 
-    eng.full_state_hash = counted
-    return eng.run(), len(calls)
+        def wrapper():
+            calls[name] += 1
+            return method()
+
+        setattr(eng, name, wrapper)
+
+    counted("_end_state")
+    counted("full_state_hash")
+    return eng.run(), calls["_end_state"], calls["full_state_hash"]
 
 
 def three_epochs(first_write: str) -> str:
@@ -389,17 +394,18 @@ def three_epochs(first_write: str) -> str:
 
 
 def test_clean_boundaries_take_no_state_hash():
-    out, calls = run_counting_state_hashes(three_epochs("write b 0 32 41"))
+    # nor any record: the one state hash is the final one
+    out, records, hashes = run_counting_checks(three_epochs("write b 0 32 41"))
     assert out.reports == () and out.epochs == 3
-    assert calls == 0
+    assert (records, hashes) == (0, 1)
 
 
-def test_a_boundary_rollback_takes_two_state_hashes():
+def test_a_boundary_rollback_takes_two_end_states():
     # one before the rollback, one to check the replay against it; the
     # write hits b's guard and b is never freed, so the epoch scan finds it
-    out, calls = run_counting_state_hashes(three_epochs("writeabs a+32 8 00"))
+    out, records, hashes = run_counting_checks(three_epochs("writeabs a+32 8 00"))
     assert [r.kind for r in out.reports] == ["overflow"] and out.epochs == 3
-    assert calls == 2
+    assert (records, hashes) == (2, 1)
 
 
 def test_a_clean_epoch_scans_only_the_page_it_wrote():

@@ -185,18 +185,48 @@ def test_second_rollback_in_an_epoch_replays_the_retirement():
     assert len(eng.replay_summaries) == 2
 
 
-def test_write_made_only_during_replay_is_a_divergence():
-    # the stray write lands on a page the epoch never wrote, so only an
-    # up-to-date page digest can tell the replayed heap apart
-    text = "malloc big 16000\nglobal 0 = big\ncall fork\nwrite big 0 8 11\nend\n"
-    eng = Engine(parse_trace(text), small_config(), force_rollback_epochs={1})
+def stray_in_replay(eng, stray) -> None:
+    """Call stray() before each write event that eng replays."""
     execute = eng._execute
 
-    def execute_with_stray_write(ev):
+    def execute_with_stray(ev):
         if eng.mode is Mode.REPLAY and ev.kind is EventKind.WRITE:
-            eng.image.write_fill(eng.bindings[eng.events[0].slot] + 8192, 8, 0x5A)
+            stray()
         return execute(ev)
 
-    eng._execute = execute_with_stray_write
-    with pytest.raises(ReplayDivergence):
+    eng._execute = execute_with_stray
+
+
+# epoch 1 writes one word, on the first page of big
+BIG = "malloc big 16000\nglobal 0 = big\ncall fork\nwrite big 0 8 11\nend\n"
+
+
+def run_with_stray_write(fill: int) -> None:
+    # replay of epoch 1 also makes an internal write two pages further
+    # into big, which the recorded epoch never wrote
+    eng = Engine(parse_trace(BIG), small_config(), force_rollback_epochs={1})
+    stray_in_replay(eng, lambda: eng.image.write_fill(eng.bindings[eng.events[0].slot] + 8192, 8, fill))
+    eng.run()
+
+
+def test_write_made_only_during_replay_is_a_divergence():
+    with pytest.raises(ReplayDivergence, match="replayed state differs"):
+        run_with_stray_write(0x5A)
+
+
+def test_write_of_the_same_bytes_to_a_page_the_epoch_never_wrote_is_a_divergence():
+    # the page already holds zeros, so only the undo log's new key differs
+    with pytest.raises(ReplayDivergence, match="replayed state differs"):
+        run_with_stray_write(0x00)
+
+
+@pytest.mark.parametrize(
+    "text,force",
+    [(BIG, {1}), ("malloc a 24\nwrite a 24 1 42\nfree a\nend\n", ())],
+    ids=["boundary", "free"],
+)
+def test_replay_that_leaves_a_register_different_is_a_divergence(text, force):
+    eng = Engine(parse_trace(text), small_config(), force_rollback_epochs=force)
+    stray_in_replay(eng, lambda: eng.registers.__setitem__("r0", 1))
+    with pytest.raises(ReplayDivergence, match="replayed state differs"):
         eng.run()
