@@ -122,8 +122,9 @@ class Engine:
 
         self.registers: dict[str, int] = {}
         self.call_stack: list[str] = []
-        slots = {ev.slot for ev in events if ev.kind is EventKind.MALLOC}
-        self.bindings: list[int | None] = [None] * len(slots)  # by variable slot
+        # by variable slot, grown by each slot's first malloc; the parser
+        # numbers slots in first-malloc order
+        self.bindings: list[int | None] = []
         self.cursor = 0
 
         self.mode = Mode.NORMAL
@@ -435,7 +436,10 @@ class Engine:
         if self.config.detector_enabled("overflow"):
             capacity = next_pow2(max(ev.size, self.config.min_class))
             self.overflow.plant_on_alloc(payload, ev.size, capacity)
-        self.bindings[ev.slot] = payload
+        bindings = self.bindings
+        if ev.slot >= len(bindings):  # the slot's first malloc
+            bindings += [None] * (ev.slot + 1 - len(bindings))
+        bindings[ev.slot] = payload
         if self.mode is Mode.NORMAL:
             self.alloc_sequence.append(payload)
             self.reported_evidence.discard(payload)
@@ -473,15 +477,10 @@ class Engine:
         if self.config.detector_enabled("overflow"):
             words = self.overflow.check_on_free(payload, view.requested, view.capacity)
             evidence = [self._overflow_report(word, view) for word in words]
-        self.allocator.set_allocated(payload, False)
+        view.chunk.allocated[view.index] = False  # through object_bounds' lookup, not a second one
         if self.quarantine is not None:
-            entry = QuarantineEntry(
-                payload=payload,
-                capacity=view.capacity,
-                requested=view.requested,
-                free_stack=tuple(self.call_stack),
-                free_event=ev.id,
-            )
+            # payload, capacity, requested, free_stack, free_event
+            entry = QuarantineEntry(payload, view.capacity, view.requested, tuple(self.call_stack), ev.id)
             evidence += self.quarantine.on_free(entry)
         else:
             self.allocator.release_slot(payload)

@@ -15,6 +15,7 @@ result, in execution order. Rollback leaves it be; replay checks against it.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -65,26 +66,45 @@ class FileState:
 
 
 class ModeledFileTable:
-    """fd -> (position, open) map standing in for real descriptors."""
+    """fd -> (position, open) map standing in for real descriptors.
+
+    open_new hands out the lowest fd from 3 up that is absent or closed.
+    Closed fds wait in a min-heap, checked when they reach its top (an
+    fd there may have been reopened since), and the lowest absent fd is
+    a cursor that only moves up, since entries are only ever added;
+    restore rebuilds both.
+    """
+
+    FIRST_FD = 3
 
     def __init__(self):
         self.files: dict[int, FileState] = {0: FileState(), 1: FileState(), 2: FileState()}
+        self._closed: list[int] = []  # min-heap of fds >= FIRST_FD, each closed when pushed
+        self._absent = self.FIRST_FD  # the lowest fd >= FIRST_FD with no entry
 
     def _entry(self, fd: int) -> FileState:
         state = self.files.get(fd)
         if state is None:
-            state = self.files[fd] = FileState()
+            state = self._add(fd)
+        return state
+
+    def _add(self, fd: int) -> FileState:
+        """A new open entry for fd, replacing any it had."""
+        state = self.files[fd] = FileState()
+        while self._absent in self.files:
+            self._absent += 1
         return state
 
     def open_new(self) -> int:
-        fd = 3
-        while fd in self.files and self.files[fd].open:
-            fd += 1
-        self.files[fd] = FileState()
+        closed, files = self._closed, self.files
+        while closed and files[closed[0]].open:
+            heapq.heappop(closed)  # reopened since it was closed
+        fd = heapq.heappop(closed) if closed and closed[0] < self._absent else self._absent
+        self._add(fd)
         return fd
 
     def reopen(self, fd: int) -> None:
-        self.files[fd] = FileState()
+        self._add(fd)
 
     def advance(self, fd: int, nbytes: int) -> None:
         self._entry(fd).position += nbytes
@@ -93,13 +113,20 @@ class ModeledFileTable:
         self._entry(fd).position = position
 
     def close(self, fd: int) -> None:
-        self._entry(fd).open = False
+        state = self._entry(fd)
+        if state.open and fd >= self.FIRST_FD:
+            heapq.heappush(self._closed, fd)
+        state.open = False
 
     def snapshot(self):
         return {fd: (s.position, s.open) for fd, s in self.files.items()}
 
     def restore(self, snap) -> None:
         self.files = {fd: FileState(pos, op) for fd, (pos, op) in snap.items()}
+        self._closed = sorted(fd for fd, (_, op) in snap.items() if not op and fd >= self.FIRST_FD)
+        self._absent = self.FIRST_FD
+        while self._absent in self.files:
+            self._absent += 1
 
 
 class SyscallModel:

@@ -51,6 +51,20 @@ def byte_mask(lo: int, hi: int) -> int:
     return ((1 << (hi - lo)) - 1) << lo
 
 
+# plant_on_alloc caches the masks of slots of this capacity and below,
+# so the cache holds at most a few thousand entries, whatever the sizes
+MASK_CACHE_CAPACITY = 4096
+
+
+def slot_masks(requested: int, capacity: int) -> bytes:
+    """The mask bytes of a freshly allocated slot, guard region first:
+    the guard's words all canary, the requested bytes none, an edge word
+    canary above the request's last byte, then the tail's words."""
+    edge = bytes([0xFF << (requested & 7) & 0xFF]) if requested & 7 else b""
+    whole = b"\xff" * ((capacity - requested) >> 3)
+    return b"\xff" * (GUARD_BYTES // WORD) + bytes(requested >> 3) + edge + whole
+
+
 class CanaryBitmap:
     """One mask byte per eight-byte heap word; bit i set means byte i of
     the word is a detector-filled canary.
@@ -90,11 +104,14 @@ class CanaryBitmap:
         if hi <= lo:
             return
         w0, w1 = lo >> 3, (hi - 1) >> 3
+        self.shadow.touch(w0, w1 - w0 + 1)
+        masks = self.shadow.data
+        if not (lo | hi) & 7:  # whole words, as every quarantine prefix is
+            masks[w0 : w1 + 1] = (b"\xff" if value else b"\0") * (w1 - w0 + 1)
+            return
         head = (0xFF << (lo & 7)) & 0xFF
         tail = 0xFF >> (7 - ((hi - 1) & 7))
         fill = 0xFF if value else 0x00
-        self.shadow.touch(w0, w1 - w0 + 1)
-        masks = self.shadow.data
         if w0 == w1:
             head &= tail
         else:
@@ -124,6 +141,7 @@ class OverflowDetector:
         self._canary_byte = bytes([config.canary_byte])
         self._canary_int = int.from_bytes(config.canary_word, "little")
         self._canary = np.uint64(self._canary_int)
+        self._slot_masks: dict[tuple[int, int], bytes] = {}  # (requested, capacity) -> slot_masks
         # (words with a nonzero mask on written pages, words compared) per epoch scan
         self.scan_records: list[tuple[int, int]] = []
 
@@ -157,17 +175,20 @@ class OverflowDetector:
 
         One shadow write sets the masks of the whole slot: the guard's
         and the tail's bytes marked, the requested bytes' cleared of
-        stale bits from the slot's previous life.
+        stale bits from the slot's previous life. The masks of slots up
+        to MASK_CACHE_CAPACITY are built once per (requested, capacity).
         """
         fill = self.config.canary_byte
         self.image.write_fill(payload - GUARD_BYTES, GUARD_BYTES, fill)
         if requested < capacity:
             self.image.write_fill(payload + requested, capacity - requested, fill)
-        edge = bytes([0xFF << (requested & 7) & 0xFF]) if requested & 7 else b""
-        whole = b"\xff" * ((capacity - requested) >> 3)
-        self.bitmap.set_masks(
-            payload - GUARD_BYTES, b"\xff" * (GUARD_BYTES // WORD) + bytes(requested >> 3) + edge + whole
-        )
+        key = (requested, capacity)
+        masks = self._slot_masks.get(key)
+        if masks is None:
+            masks = slot_masks(requested, capacity)
+            if capacity <= MASK_CACHE_CAPACITY:
+                self._slot_masks[key] = masks
+        self.bitmap.set_masks(payload - GUARD_BYTES, masks)
 
     def check_on_free(self, payload: int, requested: int, capacity: int) -> list[int]:
         """Free-time verification of the guard region and the payload tail.

@@ -16,7 +16,7 @@ carrying the object and the free site of its entry.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import EngineConfig
 from .errors import NotAHeapObject
@@ -25,8 +25,9 @@ from .reports import KIND_LEAK, KIND_UAF, ErrorReport
 from .vheap import Allocator
 
 
-@dataclass(frozen=True)
-class QuarantineEntry:
+class QuarantineEntry(NamedTuple):
+    """A freed slot in the queue; a tuple, so that building one per free is cheap."""
+
     payload: int
     capacity: int
     requested: int
@@ -86,18 +87,17 @@ class QuarantineQueue:
         """
         if self.fill_enabled:
             self.detector.plant(*self.region(entry))
-        self.entries.append(entry)
+        entries = self.entries
+        entries.append(entry)
         self.by_payload[entry.payload] = entry
         self.total_bytes += entry.capacity
         evidence: list[ErrorReport] = []
-        while (
-            len(self.entries) > self.config.quarantine_max_count
-            or self.total_bytes > self.config.quarantine_max_bytes
-        ):
-            oldest = self.entries.popleft()
+        max_count, max_bytes = self.config.quarantine_max_count, self.config.quarantine_max_bytes
+        while len(entries) > max_count or self.total_bytes > max_bytes:
+            oldest = entries.popleft()
             del self.by_payload[oldest.payload]
             self.total_bytes -= oldest.capacity
-            evidence.extend(self.verify_and_release(oldest))
+            evidence += self.verify_and_release(oldest)
         return evidence
 
     def verify_and_release(self, entry: QuarantineEntry) -> list[ErrorReport]:

@@ -61,6 +61,10 @@ _ZERO_PAGE_DIGEST = hashlib.sha256(bytes(PAGE)).digest()
 _MAP_NORESERVE = getattr(mmap, "MAP_NORESERVE", 0x4000)
 
 
+# _FILLS[b]: the one-byte bytes of b, so a fill of n bytes is one repeat
+_FILLS = tuple(bytes([b]) for b in range(256))
+
+
 def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
@@ -108,6 +112,8 @@ class PageStore:
         save each page on its first write since the snapshot."""
         first, last = off >> PAGE_SHIFT, (off + length - 1) >> PAGE_SHIFT
         saved = self._saved
+        if first == last and first in saved:
+            return  # the common case: one page, already saved
         for page in range(first, last + 1):
             if page not in saved:  # the undo log's pages are already in _written
                 self._written.add(page)
@@ -209,6 +215,8 @@ class MemoryImage:
         self.chunk_size = config.chunk_size
         self.globals_base = config.globals_base
         self.globals_size = 8 * config.globals_words
+        self._heap_end = self.heap_base + self.heap_size
+        self._globals_end = self.globals_base + self.globals_size
         self.heap_pages = PageStore(self.heap_size, "the heap", "--heap-size")
         self.heap = self.heap_pages.data
         self.shadow = PageStore(_shadow_len(self.heap_size), "the canary shadow", "--heap-size")
@@ -256,9 +264,9 @@ class MemoryImage:
         """The page store holding [addr, addr + length), and addr's offset in it."""
         if length < 0:
             raise SegfaultModel(addr, length)
-        if self.heap_base <= addr and addr + length <= self.heap_base + self.heap_size:
+        if self.heap_base <= addr and addr + length <= self._heap_end:
             return self.heap_pages, addr - self.heap_base
-        if self.globals_base <= addr and addr + length <= self.globals_base + self.globals_size:
+        if self.globals_base <= addr and addr + length <= self._globals_end:
             return self.globals_pages, addr - self.globals_base
         raise SegfaultModel(addr, length)
 
@@ -267,26 +275,28 @@ class MemoryImage:
         return store.data[off : off + length]
 
     def write_fill(self, addr: int, length: int, fill: int, internal: bool = True) -> None:
-        self._locate(addr, length)  # a bad length faults before the fill is built
-        self._write(addr, bytes([fill]) * length, internal)
+        store, off = self._locate(addr, length)  # a bad length faults before the fill is built
+        self._write(store, off, addr, _FILLS[fill] * length, internal)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """An internal write of data at addr. Nothing in the package calls
         it; perfbench/layers.py wraps it by name."""
-        self._write(addr, data, True)
+        store, off = self._locate(addr, len(data))
+        self._write(store, off, addr, data, True)
 
     def write_word(self, addr: int, value: int, internal: bool = True) -> None:
-        self._write(addr, (value & U64_MASK).to_bytes(8, "little"), internal)
+        store, off = self._locate(addr, WORD)
+        self._write(store, off, addr, (value & U64_MASK).to_bytes(8, "little"), internal)
 
-    def _write(self, addr: int, data: bytes, internal: bool) -> None:
-        length = len(data)
-        store, off = self._locate(addr, length)
+    def _write(self, store: PageStore, off: int, addr: int, data: bytes, internal: bool) -> None:
+        """Write data at offset off of store, which _locate found for addr."""
+        end = off + len(data)
         if not internal and self.write_observer is not None:
-            self.write_observer(addr, length)
-        if store is self.heap_pages:
-            self.ensure_heap(off + length)
-        store.touch(off, length)
-        store.data[off : off + length] = data
+            self.write_observer(addr, len(data))
+        if end > store.length:  # only the heap's: the globals' length is their whole range
+            self.ensure_heap(end)
+        store.touch(off, len(data))
+        store.data[off:end] = data
 
     def snapshot(self) -> tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]:
         """Start new undo logs for the heap, the globals and the shadow,
@@ -302,9 +312,10 @@ class MemoryImage:
         self.shadow.restore(shadow_log)
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectView:
-    """Resolved slot: payload bounds plus the allocator's slot metadata."""
+    """Resolved slot: payload bounds plus the allocator's slot metadata,
+    and the chunk and index that hold the metadata."""
 
     slot: int
     payload: int
@@ -312,6 +323,8 @@ class ObjectView:
     requested: int
     allocated: bool
     class_shift: int
+    chunk: _Chunk = field(repr=False, compare=False)
+    index: int
 
 
 @dataclass
@@ -437,6 +450,8 @@ class Allocator:
         self.classes: dict[int, _ClassState] = {}
         self._free_set: set[int] = set()
         self._max_chunks = config.heap_size // config.chunk_size
+        self._heap_base, self._heap_end = config.heap_base, config.heap_base + config.heap_size
+        self._chunk_size = config.chunk_size
 
     # -- slot metadata ---------------------------------------------------
 
@@ -455,10 +470,9 @@ class Allocator:
     def class_for(self, size: int) -> _ClassState:
         if size < 1:
             raise OversizeRequest(f"allocation size must be positive, got {size}")
-        capacity = next_pow2(max(size, self.config.min_class))
-        if capacity > self.config.max_class:
+        shift = (max(size, self.config.min_class) - 1).bit_length()  # of next_pow2
+        if 1 << shift > self.config.max_class:
             raise OversizeRequest(f"{size} bytes exceeds the largest class ({self.config.max_class})")
-        shift = capacity.bit_length() - 1
         state = self.classes.get(shift)
         if state is None:
             state = self.classes[shift] = _ClassState(shift)
@@ -475,7 +489,9 @@ class Allocator:
         if state.free_list:
             payload = state.free_list.pop()
             self._free_set.discard(payload)
-            chunk, index = self._slot_at(payload)
+            # release_slot checked that payload starts a carved slot
+            chunk = self.chunks[(payload - self._heap_base) // self._chunk_size]
+            index = (payload - chunk.base) // chunk.stride
             chunk.requested[index] = size
             chunk.allocated[index] = True
         else:
@@ -503,16 +519,16 @@ class Allocator:
     def release_slot(self, payload: int) -> None:
         """Return a quarantine-evicted slot to its class free list (LIFO)."""
         try:
-            view = self.object_bounds(payload)
+            chunk, index = self._slot_at(payload)
         except NotAHeapObject:
             raise NotQuarantined(f"0x{payload:x} was never carved from the heap")
-        if view.payload != payload:
+        if chunk.base + index * chunk.stride + GUARD_BYTES != payload:
             raise NotQuarantined(f"0x{payload:x} is not a payload start")
-        if view.allocated:
+        if chunk.allocated[index]:
             raise NotQuarantined(f"0x{payload:x} is still allocated")
         if payload in self._free_set:
             raise NotQuarantined(f"0x{payload:x} is already on a free list")
-        self.classes[view.class_shift].free_list.append(payload)
+        self.classes[chunk.class_shift].free_list.append(payload)
         self._free_set.add(payload)
 
     def is_free_listed(self, payload: int) -> bool:
@@ -522,10 +538,9 @@ class Allocator:
 
     def _slot_at(self, addr: int) -> tuple[_Chunk, int]:
         """The chunk and slot index of the carved slot holding addr."""
-        base = self.config.heap_base
-        if not base <= addr < base + self.config.heap_size:
+        if not self._heap_base <= addr < self._heap_end:
             raise NotAHeapObject(f"0x{addr:x} outside the heap region")
-        chunk_idx = (addr - base) // self.config.chunk_size
+        chunk_idx = (addr - self._heap_base) // self._chunk_size
         if chunk_idx >= len(self.chunks):
             raise NotAHeapObject(f"0x{addr:x} in an unassigned chunk")
         chunk = self.chunks[chunk_idx]
@@ -537,13 +552,9 @@ class Allocator:
     def _view(self, chunk: _Chunk, index: int) -> ObjectView:
         slot = chunk.base + index * chunk.stride
         requested, allocated = self.read_header(chunk, index)
+        # slot, payload, capacity, requested, allocated, class_shift, chunk, index
         return ObjectView(
-            slot=slot,
-            payload=slot + GUARD_BYTES,
-            capacity=chunk.stride - GUARD_BYTES,
-            requested=requested,
-            allocated=allocated,
-            class_shift=chunk.class_shift,
+            slot, slot + GUARD_BYTES, chunk.stride - GUARD_BYTES, requested, allocated, chunk.class_shift, chunk, index
         )
 
     def object_bounds(self, addr: int) -> ObjectView:

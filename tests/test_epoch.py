@@ -3,10 +3,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tripwire as tw
 from tripwire.engine import Engine
-from tripwire.epoch import Category, SyscallModel, classify
+from tripwire.epoch import Category, ModeledFileTable, SyscallModel, classify
 from tripwire.errors import LogUnderrun, ReplayDivergence
 from tripwire.quarantine import QuarantineEntry
 from tripwire.trace import parse_trace
@@ -87,6 +89,72 @@ def test_deferred_close_leaves_file_open_within_epoch():
     assert model.files.files[fd].open is True
     model.commit()
     assert model.files.files[fd].open is False
+
+
+class ScanFileTable:
+    """The file table as it was: open_new scans up from fd 3 for the
+    first fd that is absent or closed."""
+
+    def __init__(self):
+        self.files = {0: [0, True], 1: [0, True], 2: [0, True]}
+
+    def open_new(self):
+        fd = 3
+        while fd in self.files and self.files[fd][1]:
+            fd += 1
+        self.files[fd] = [0, True]
+        return fd
+
+    def reopen(self, fd):
+        self.files[fd] = [0, True]
+
+    def advance(self, fd, nbytes):
+        self.files.setdefault(fd, [0, True])[0] += nbytes
+
+    def set_position(self, fd, position):
+        self.files.setdefault(fd, [0, True])[0] = position
+
+    def close(self, fd):
+        self.files.setdefault(fd, [0, True])[1] = False
+
+    def snapshot(self):
+        return {fd: tuple(state) for fd, state in self.files.items()}
+
+    def restore(self, snap):
+        self.files = {fd: list(state) for fd, state in snap.items()}
+
+
+_fds = st.integers(min_value=-1, max_value=8)
+_file_ops = st.lists(
+    st.one_of(
+        st.just(("open_new",)),
+        st.tuples(st.just("reopen"), _fds),
+        st.tuples(st.just("advance"), _fds, st.integers(0, 9)),
+        st.tuples(st.just("set_position"), _fds, st.integers(0, 9)),
+        st.tuples(st.just("close"), _fds),
+        st.just(("snapshot",)),
+        st.just(("restore",)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_file_ops)
+# an fd closed at the snapshot, handed out again, then closed by the restore
+@example([("open_new",), ("close", 3), ("snapshot",), ("open_new",), ("restore",), ("open_new",)])
+def test_open_new_hands_out_the_fds_of_a_linear_scan(ops):
+    table, scan = ModeledFileTable(), ScanFileTable()
+    snaps = table.snapshot(), scan.snapshot()
+    for op, *args in ops:
+        if op == "snapshot":
+            snaps = table.snapshot(), scan.snapshot()
+        elif op == "restore":
+            table.restore(snaps[0])
+            scan.restore(snaps[1])
+        else:
+            assert getattr(table, op)(*args) == getattr(scan, op)(*args)
+        assert table.snapshot() == scan.snapshot()
 
 
 def test_deferred_calls_survive_rollback_and_apply_once():
@@ -184,7 +252,8 @@ STATE_MUTATIONS = {
     "cursor": lambda eng, p: setattr(eng, "cursor", eng.cursor + 1),
     "register": lambda eng, p: eng.registers.__setitem__("r0", p),
     "frame": lambda eng, p: eng.call_stack.append("main"),
-    "binding": lambda eng, p: eng.bindings.__setitem__(0, p),
+    # bindings grow at a slot's first malloc, which this engine has not run
+    "binding": lambda eng, p: eng.bindings.__setitem__(slice(0, 1), [p]),
     "global_word": lambda eng, p: eng.image.write_word(eng.config.globals_base + 8, 1),
     "canary_region": lambda eng, p: eng.overflow.plant(p + 64, p + 128),
     "allocation": lambda eng, p: eng.allocator.allocate(16),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import tripwire as tw
 from tripwire.engine import Engine
+from tripwire.overflow import MASK_CACHE_CAPACITY
 from tripwire.quarantine import QuarantineEntry
 from tripwire.trace import parse_trace
 from tripwire.vheap import PAGE, next_pow2
@@ -123,6 +124,53 @@ def test_plant_20_of_32_tracks_the_edge_word_bytes():
     assert eng.image.read(a + 20, 12) == bytes([CANARY]) * 12
     # bytes 20..23 of the edge word and the whole word 24..31
     assert bitmap_masks(eng) == guard(a) | {a + 16: 0xF0} | full(a + 24)
+
+
+def planted_slot(requested, capacity, before):
+    """The reference for plant_on_alloc: (mask bytes, heap bytes) of a
+    slot whose bytes were `before`. Bit k of one integer stands for byte
+    k of the slot and is set for the guard's and the tail's bytes, the
+    canaries; its little-endian bytes are the words' masks. The
+    requested bytes keep their value."""
+    size = 32 + capacity
+    canary_bits = (1 << size) - 1 & ~(((1 << requested) - 1) << 32)
+    heap = bytes([CANARY]) * 32 + before[32 : 32 + requested] + bytes([CANARY]) * (capacity - requested)
+    return canary_bits.to_bytes(size // 8, "little"), heap
+
+
+def slot_state(eng, payload, capacity):
+    """(mask bytes, heap bytes) of the slot of payload."""
+    off = payload - 32 - eng.image.heap_base
+    return (
+        eng.image.shadow.data[off // 8 : (off + 32 + capacity) // 8],
+        eng.image.heap[off : off + 32 + capacity],
+    )
+
+
+def test_plant_on_alloc_masks_match_the_reference_on_fresh_and_reused_slots():
+    eng = harness(heap_size=64 * 1024 * 1024, max_class=16 * 1024)
+    det, rng = eng.overflow, random.Random(21)
+    capacity, cases = 16, []
+    while capacity <= eng.config.max_class:
+        if capacity <= MASK_CACHE_CAPACITY:
+            requests = range(1, capacity + 1)
+        else:  # uncached: the edges of the range and a sample between them
+            requests = [1, 7, 8, 9, capacity // 2 + 1, capacity - 1, capacity]
+            requests += rng.sample(range(1, capacity + 1), 10)
+        cases += [(requested, capacity) for requested in requests]
+        capacity *= 2
+    for requested, capacity in cases:
+        payload = eng.allocator.allocate(capacity)  # a fresh slot: zero bytes, zero masks
+        det.plant_on_alloc(payload, requested, capacity)
+        assert slot_state(eng, payload, capacity) == planted_slot(requested, capacity, bytes(32 + capacity))
+        # the slot's next life, over stale bytes and the stale masks of another request
+        stale = rng.randbytes(32 + capacity)
+        eng.image.write_bytes(payload - 32, stale)
+        det.bitmap.set_masks(payload - 32, rng.randbytes((32 + capacity) // 8))
+        det.plant_on_alloc(payload, requested, capacity)
+        assert slot_state(eng, payload, capacity) == planted_slot(requested, capacity, stale)
+    cached = {key for key in cases if key[1] <= MASK_CACHE_CAPACITY}
+    assert set(det._slot_masks) == cached
 
 
 def test_free_of_untouched_object_yields_no_evidence():

@@ -264,7 +264,19 @@ _writes = st.tuples(
     st.integers(min_value=1, max_value=5000),
     st.integers(min_value=0, max_value=255),
 )
-_steps = st.lists(st.one_of(_writes, st.just(("restore",)), st.just(("snapshot",))), max_size=30)
+# the same write to one page, repeated; a write that ends exactly on a
+# page edge; a fill that starts at or past the logical heap length
+_repeats = st.tuples(st.just("repeat"), st.integers(0, 47), st.integers(0, PAGE - 64), st.integers(1, 64),
+                     st.integers(2, 5))
+_edges = st.tuples(st.just("edge"), st.integers(1, 48), st.integers(1, 2 * PAGE))
+_grows = st.tuples(st.just("grow"), st.integers(0, 3 * PAGE), st.integers(1, 3 * PAGE))
+_steps = st.lists(
+    st.one_of(_writes, _repeats, _edges, _grows, st.just(("restore",)), st.just(("snapshot",))), max_size=30
+)
+
+
+def pages_of(off: int, length: int) -> set[int]:
+    return set(range(off // PAGE, (off + length - 1) // PAGE + 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,6 +288,7 @@ def test_undo_log_restores_like_a_full_copy_and_digests_stay_current(chunk, star
     snap = image.snapshot()
     reference = logical_heap(image)
     written_end = 0  # one past the highest heap offset ever written
+    touched: set[int] = set()  # heap pages written since the snapshot
     for step in steps:
         if step[0] == "restore":
             image.restore(snap)
@@ -284,6 +297,26 @@ def test_undo_log_restores_like_a_full_copy_and_digests_stay_current(chunk, star
         elif step[0] == "snapshot":
             snap = image.snapshot()
             reference = logical_heap(image)
+            touched = set()
+        elif step[0] == "repeat":
+            _, page, at, length, times = step
+            for value in range(times):
+                image.write_fill(config.heap_base + page * PAGE + at, length, value)
+            touched |= pages_of(page * PAGE + at, length)
+            written_end = max(written_end, page * PAGE + at + length)
+        elif step[0] == "edge":
+            _, page, length = step
+            off = max(0, page * PAGE - length)
+            image.write_fill(config.heap_base + off, page * PAGE - off, length & 0xFF)
+            touched |= pages_of(off, page * PAGE - off)
+            written_end = max(written_end, page * PAGE)
+        elif step[0] == "grow":
+            _, past, length = step
+            off = min(image.heap_prefix + past, config.heap_size - length)
+            image.write_fill(config.heap_base + off, length, 0x5A)
+            assert image.heap_prefix >= off + length  # grown to cover the fill
+            touched |= pages_of(off, length)
+            written_end = max(written_end, off + length)
         else:
             kind, page, delta, length, value = step
             off = max(0, page * PAGE + delta)
@@ -296,7 +329,13 @@ def test_undo_log_restores_like_a_full_copy_and_digests_stay_current(chunk, star
                 length = 8
                 image.write_word(addr, value * 0x0101010101010101)
             written_end = max(written_end, off + length)
+            touched |= pages_of(off, length)
         assert image.heap_pages.digest() == page_digests(logical_heap(image))
+        # the undo log holds exactly the written pages, each as a full
+        # copy of the heap at the snapshot has it
+        assert set(snap[0]) == touched
+        for page, saved in snap[0].items():
+            assert saved == reference[page * PAGE : (page + 1) * PAGE]
     image.restore(snap)
     assert logical_heap(image) == reference
     assert_zero_between(image, image.heap_prefix, written_end)
