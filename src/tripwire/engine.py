@@ -5,16 +5,17 @@ Execution is divided into epochs. Each epoch starts with a snapshot:
 undo logs for the memory image's three page stores (heap, globals, and
 the canary masks in the shadow store), which save each page on its
 first write and restore byte-exact, plus the machine state as values
-(Engine._machine_state): event cursor, registers, call stack, variable
-bindings, and the allocator, quarantine and file-position state.
-Events then run at full speed with no per-write checking. An epoch
-ends at an irrevocable external call, a modeled segfault, or the end
-of the trace; the detectors inspect state there. Their evidence is a
-list of unattributed reports (reports.ErrorReport). Corrupted canaries
-found at a free or an eviction end-run the boundary and trigger the
-same path immediately. On any evidence the engine restores the
-snapshot, arms watchpoints on the reports' corrupted words, re-executes
-the epoch's events with call-site recording on (a write traps when it
+(Engine._machine_state): event cursor, registers, and the allocator,
+quarantine and file-position state. Bindings and call stacks are read
+from the trace (TraceEvent.alloc, trace.CallStacks). Events then run
+at full speed with no per-write checking. An epoch ends at an
+irrevocable external call, a modeled segfault, or the end of the
+trace; the detectors inspect state there. Their evidence is a list of
+unattributed reports (reports.ErrorReport). Corrupted canaries found
+at a free or an eviction end-run the boundary and trigger the same
+path immediately. On any evidence the engine restores the snapshot,
+arms watchpoints on the reports' corrupted words, re-executes the
+epoch's events with call-site recording on (a write traps when it
 covers a byte the shadow masks as canary in a watched word), fills in
 each report's epoch, trapped writes and allocation site, and resumes.
 
@@ -56,7 +57,7 @@ from .overflow import OverflowDetector, byte_mask
 from .quarantine import QuarantineEntry, QuarantineQueue
 from .replay import WatchpointSet, build_reports
 from .reports import KIND_DOUBLE_FREE, KIND_LEAK, KIND_OVERFLOW, KIND_SEGFAULT, ErrorReport, sort_reports
-from .trace import EventKind, TraceEvent, ValueExpr, parse_trace
+from .trace import CallStacks, EventKind, TraceEvent, ValueExpr, parse_trace
 from .vheap import WORD, Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
 
 
@@ -121,16 +122,13 @@ class Engine:
         self.syscalls = SyscallModel()
 
         self.registers: dict[str, int] = {}
-        self.call_stack: list[str] = []
-        # by variable slot, grown by each slot's first malloc; the parser
-        # numbers slots in first-malloc order
-        self.bindings: list[int | None] = []
         self.cursor = 0
+        self.stacks = CallStacks(events)
 
         self.mode = Mode.NORMAL
         self.reports: list[ErrorReport] = []
         self.reported_evidence: set[int] = set()  # leak/dangling payloads already reported
-        self.alloc_sequence = array("Q")
+        self.alloc_sequence = array("Q")  # payload by malloc ordinal (TraceEvent.alloc)
         self.replay_summaries: list[ReplaySummary] = []
         # (cursor, words) per retirement this epoch; like the call log it
         # survives rollback, so replay redoes each retirement where it happened
@@ -140,10 +138,8 @@ class Engine:
         self.epoch_index = -1
         self.snapshot: EpochSnapshot | None = None
         self._wps: WatchpointSet | None = None
-        # payload -> (stack, event id) of its latest allocation, kept during replay
-        self._alloc_sites: dict[int, tuple[tuple[str, ...], int]] = {}
-        self._replay_alloc_count = 0
-        self._current_event: TraceEvent | None = None
+        # payload -> event id of its latest allocation, kept during replay
+        self._alloc_sites: dict[int, int] = {}
         self._ran = False
 
     # -- state ------------------------------------------------------------
@@ -153,8 +149,6 @@ class Engine:
         return (
             self.cursor,
             tuple(sorted(self.registers.items())),
-            tuple(self.call_stack),
-            tuple(self.bindings),
             self.allocator.snapshot(),
             self.quarantine.snapshot() if self.quarantine is not None else None,
             self.syscalls.files.snapshot(),
@@ -175,20 +169,10 @@ class Engine:
 
     # -- epoch lifecycle ---------------------------------------------------
 
-    def _capture_snapshot(self) -> EpochSnapshot:
-        return EpochSnapshot(
-            event_cursor=self.cursor,
-            image=self.image.snapshot(),
-            state=self._machine_state(),
-            alloc_seq_len=len(self.alloc_sequence),
-        )
-
     def _restore_snapshot(self, snap: EpochSnapshot) -> None:
         self.image.restore(snap.image)
-        self.cursor, registers, call_stack, bindings, allocator, quarantine, files = snap.state
+        self.cursor, registers, allocator, quarantine, files = snap.state
         self.registers = dict(registers)
-        self.call_stack = list(call_stack)
-        self.bindings = list(bindings)
         self.allocator.restore(allocator)
         if self.quarantine is not None:
             self.quarantine.restore(quarantine)
@@ -197,7 +181,9 @@ class Engine:
     def _begin_epoch(self) -> None:
         self.epoch_index = self.epochs_begun
         self.epochs_begun += 1
-        self.snapshot = self._capture_snapshot()
+        self.snapshot = EpochSnapshot(
+            event_cursor=self.cursor, image=self.image.snapshot(), state=self._machine_state()
+        )
         self._retirements = []
 
     # -- main loop ----------------------------------------------------------
@@ -256,7 +242,7 @@ class Engine:
                     kind=KIND_SEGFAULT,
                     epoch=self.epoch_index,
                     corrupted_addr=fault.addr,
-                    offending_events=((trigger.id, tuple(self.call_stack)),),
+                    offending_events=((trigger.id, self.stacks.at(trigger.id)),),
                 )
             )
         evidence = self._collect_evidence()
@@ -319,7 +305,6 @@ class Engine:
         wps, unwatched = WatchpointSet.arm(words, self.config.max_watchpoints)
         self._wps = wps
         self._alloc_sites = {}
-        self._replay_alloc_count = 0
         self.syscalls.begin_replay()
         self.mode = Mode.REPLAY
         self.image.write_observer = self._observe_write
@@ -358,7 +343,9 @@ class Engine:
         self._wps = None
 
     def _emit_replay_reports(self, evidence: list[ErrorReport]) -> None:
-        self.reports += build_reports(self.epoch_index, evidence, self._wps.traps, self._alloc_sites)
+        self.reports += build_reports(
+            self.epoch_index, evidence, self._wps.traps, self._alloc_sites, self.stacks
+        )
         # retire what was just reported so later boundaries stay quiet
         retired = [r.corrupted_addr for r in evidence if r.corrupted_addr is not None]
         self.overflow.retire_words(retired)
@@ -366,11 +353,9 @@ class Engine:
         self.reported_evidence.update(r.object_addr for r in evidence if r.kind == KIND_LEAK)
 
     def _observe_write(self, addr: int, length: int) -> None:
-        if self._wps is None:
-            return
         for word in self._wps.overlapping(addr, length):
             if self._write_hits_canary(word, addr, length):
-                self._wps.record(word, self._current_event.id, tuple(self.call_stack))
+                self._wps.traps[word].append(self.cursor)  # the event replaying now
 
     def _write_hits_canary(self, word: int, addr: int, length: int) -> bool:
         """True when the write touches bytes the detectors currently own:
@@ -390,27 +375,23 @@ class Engine:
     def _resolve(self, value: ValueExpr) -> int:
         if value.literal is not None:
             return value.literal & U64_MASK
-        return (self.bindings[value.slot] + value.delta) & U64_MASK
+        return (self.alloc_sequence[value.alloc] + value.delta) & U64_MASK
 
     def _execute(self, ev: TraceEvent) -> list[ErrorReport] | None:
         """Run one event; a free returns the evidence it found."""
-        self._current_event = ev
         return _DISPATCH[ev.op](self, ev)
 
-    def _exec_stack_push(self, ev: TraceEvent) -> None:
-        self.call_stack.append(ev.frame)
-
-    def _exec_stack_pop(self, ev: TraceEvent) -> None:
-        self.call_stack.pop()
+    def _exec_stack(self, ev: TraceEvent) -> None:
+        """A push or pop changes no state: self.stacks derives the stack."""
 
     def _exec_write(self, ev: TraceEvent) -> None:
-        self.image.write_fill(self.bindings[ev.slot] + ev.offset, ev.length, ev.fill, internal=False)
+        self.image.write_fill(self.alloc_sequence[ev.alloc] + ev.offset, ev.length, ev.fill, internal=False)
 
     def _exec_write_abs(self, ev: TraceEvent) -> None:
-        self.image.write_fill(self.bindings[ev.slot] + ev.delta, ev.length, ev.fill, internal=False)
+        self.image.write_fill(self.alloc_sequence[ev.alloc] + ev.delta, ev.length, ev.fill, internal=False)
 
     def _exec_read(self, ev: TraceEvent) -> None:
-        self.image.read(self.bindings[ev.slot] + ev.offset, ev.length)
+        self.image.read(self.alloc_sequence[ev.alloc] + ev.offset, ev.length)
 
     def _exec_reg_set(self, ev: TraceEvent) -> None:
         self.registers[ev.reg] = self._resolve(ev.value)
@@ -420,7 +401,7 @@ class Engine:
         self.image.write_word(addr, self._resolve(ev.value), internal=False)
 
     def _exec_store(self, ev: TraceEvent) -> None:
-        self.image.write_word(self.bindings[ev.slot] + ev.offset, self._resolve(ev.value), internal=False)
+        self.image.write_word(self.alloc_sequence[ev.alloc] + ev.offset, self._resolve(ev.value), internal=False)
 
     def _exec_ext_call(self, ev: TraceEvent) -> None:
         self.syscalls.handle(ev)
@@ -436,27 +417,16 @@ class Engine:
         if self.config.detector_enabled("overflow"):
             capacity = next_pow2(max(ev.size, self.config.min_class))
             self.overflow.plant_on_alloc(payload, ev.size, capacity)
-        bindings = self.bindings
-        if ev.slot >= len(bindings):  # the slot's first malloc
-            bindings += [None] * (ev.slot + 1 - len(bindings))
-        bindings[ev.slot] = payload
         if self.mode is Mode.NORMAL:
             self.alloc_sequence.append(payload)
             self.reported_evidence.discard(payload)
         else:
-            expected_idx = self.snapshot.alloc_seq_len + self._replay_alloc_count
-            if (
-                expected_idx >= len(self.alloc_sequence)
-                or self.alloc_sequence[expected_idx] != payload
-            ):
-                raise ReplayDivergence(
-                    f"event {ev.id}: replayed allocation at 0x{payload:x} diverges"
-                )
-            self._replay_alloc_count += 1
-            self._alloc_sites[payload] = (tuple(self.call_stack), ev.id)
+            if self.alloc_sequence[ev.alloc] != payload:
+                raise ReplayDivergence(f"event {ev.id}: replayed allocation at 0x{payload:x} diverges")
+            self._alloc_sites[payload] = ev.id
 
     def _exec_free(self, ev: TraceEvent) -> list[ErrorReport] | None:
-        payload = self.bindings[ev.slot]
+        payload = self.alloc_sequence[ev.alloc]
         view = self.allocator.object_bounds(payload)
         if not view.allocated:
             if self.mode is Mode.NORMAL:
@@ -467,8 +437,8 @@ class Engine:
                         epoch=self.epoch_index,
                         object_addr=payload,
                         object_size=view.requested,
-                        offending_events=((ev.id, tuple(self.call_stack)),),
-                        prior_free_stack=entry.free_stack if entry else None,
+                        offending_events=((ev.id, self.stacks.at(ev.id)),),
+                        prior_free_stack=self.stacks.at(entry.free_event) if entry else None,
                         prior_free_event=entry.free_event if entry else None,
                     )
                 )
@@ -479,8 +449,8 @@ class Engine:
             evidence = [self._overflow_report(word, view) for word in words]
         view.chunk.allocated[view.index] = False  # through object_bounds' lookup, not a second one
         if self.quarantine is not None:
-            # payload, capacity, requested, free_stack, free_event
-            entry = QuarantineEntry(payload, view.capacity, view.requested, tuple(self.call_stack), ev.id)
+            # payload, capacity, requested, free_event
+            entry = QuarantineEntry(payload, view.capacity, view.requested, ev.id)
             evidence += self.quarantine.on_free(entry)
         else:
             self.allocator.release_slot(payload)
@@ -489,8 +459,8 @@ class Engine:
 
 # Engine._execute's table: the handler of each event kind, indexed by TraceEvent.op
 _HANDLERS = {
-    EventKind.STACK_PUSH: Engine._exec_stack_push,
-    EventKind.STACK_POP: Engine._exec_stack_pop,
+    EventKind.STACK_PUSH: Engine._exec_stack,
+    EventKind.STACK_POP: Engine._exec_stack,
     EventKind.MALLOC: Engine._exec_malloc,
     EventKind.FREE: Engine._exec_free,
     EventKind.WRITE: Engine._exec_write,

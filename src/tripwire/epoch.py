@@ -239,10 +239,9 @@ class SyscallModel:
 class EpochSnapshot:
     """Everything rollback restores: the memory image's undo logs (heap,
     globals, shadow) and the engine's machine state as values
-    (Engine._machine_state), plus where the epoch's allocations start in
-    the allocation sequence. The call log is deliberately absent."""
+    (Engine._machine_state). The call log and the allocation sequence
+    are deliberately absent: replay checks against them."""
 
     event_cursor: int
     image: tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]
     state: tuple
-    alloc_seq_len: int

@@ -10,7 +10,7 @@ whenever the queue exceeds its object-count or capacity-sum threshold;
 each evicted slot is verified before the allocator may reuse it. A
 slot evicted with corrupted canaries is withheld from reuse entirely.
 Evidence is an unattributed use-after-free report per corrupted word,
-carrying the object and the free site of its entry.
+carrying the object and the free event of its entry.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class QuarantineEntry(NamedTuple):
     payload: int
     capacity: int
     requested: int
-    free_stack: tuple[str, ...]
     free_event: int
 
     def report(self, word: int | None = None) -> ErrorReport:
@@ -43,7 +42,6 @@ class QuarantineEntry(NamedTuple):
             corrupted_addr=word,
             object_addr=self.payload,
             object_size=self.requested,
-            free_stack=self.free_stack,
             free_event=self.free_event,
             reachable_freed=word is None,
         )

@@ -31,11 +31,12 @@ included; every other use of a variable (free, write, writeabs, read,
 store, and a <value>) needs it bound by an earlier malloc.
 
 A trace is compiled once: each line becomes a `__slots__` record of its
-kind, with a dense 0-based event id in file order. Each variable gets
-a dense integer slot, numbered in first-binding order and kept on
-rebinding, so the engine holds its bindings in a list; each call event
-carries its `Category`. Bindings and stack depth are checked here, so
-execution never sees an unbound name or an impossible pop.
+kind, with a dense 0-based event id in file order. A malloc's `alloc`
+is its ordinal among the trace's mallocs, any other use of a variable
+carries the `alloc` of the malloc that last bound it, and each call
+event carries its `Category`. Bindings and stack depth are checked
+here, so execution never sees an unbound name or an impossible pop,
+and `CallStacks` derives the call stack at an event for reports.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ _FILLS = {a + b: int(a + b, 16) for a in _HEX for b in _HEX}
 class ValueExpr:
     """Right-hand side of a reg, global or store event: a literal or var+delta."""
 
-    __slots__ = ("var", "slot", "delta", "literal")
+    __slots__ = ("var", "alloc", "delta", "literal")
 
-    def __init__(self, var: str | None = None, slot: int | None = None, delta: int = 0,
+    def __init__(self, var: str | None = None, alloc: int | None = None, delta: int = 0,
                  literal: int | None = None):
-        self.var, self.slot, self.delta, self.literal = var, slot, delta, literal
+        self.var, self.alloc, self.delta, self.literal = var, alloc, delta, literal
 
 
 class TraceEvent:
@@ -90,7 +91,7 @@ class TraceEvent:
     __slots__ = ("id", "line_no")
     kind: EventKind
     op: int
-    var = slot = size = offset = delta = length = fill = None
+    var = alloc = size = offset = delta = length = fill = None
     frame = reg = index = value = call_name = category = None
     call_args: tuple[str, ...] = ()
 
@@ -119,40 +120,40 @@ class StackPop(TraceEvent, kind=EventKind.STACK_POP):
 
 
 class Malloc(TraceEvent, kind=EventKind.MALLOC):
-    __slots__ = ("var", "slot", "size")
+    __slots__ = ("var", "alloc", "size")
 
-    def __init__(self, id, line_no, var, slot, size):
-        self.id, self.line_no, self.var, self.slot, self.size = id, line_no, var, slot, size
+    def __init__(self, id, line_no, var, alloc, size):
+        self.id, self.line_no, self.var, self.alloc, self.size = id, line_no, var, alloc, size
 
 
 class Free(TraceEvent, kind=EventKind.FREE):
-    __slots__ = ("var", "slot")
+    __slots__ = ("var", "alloc")
 
-    def __init__(self, id, line_no, var, slot):
-        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+    def __init__(self, id, line_no, var, alloc):
+        self.id, self.line_no, self.var, self.alloc = id, line_no, var, alloc
 
 
 class Write(TraceEvent, kind=EventKind.WRITE):
-    __slots__ = ("var", "slot", "offset", "length", "fill")
+    __slots__ = ("var", "alloc", "offset", "length", "fill")
 
-    def __init__(self, id, line_no, var, slot, offset, length, fill):
-        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+    def __init__(self, id, line_no, var, alloc, offset, length, fill):
+        self.id, self.line_no, self.var, self.alloc = id, line_no, var, alloc
         self.offset, self.length, self.fill = offset, length, fill
 
 
 class WriteAbs(TraceEvent, kind=EventKind.WRITE_ABS):
-    __slots__ = ("var", "slot", "delta", "length", "fill")
+    __slots__ = ("var", "alloc", "delta", "length", "fill")
 
-    def __init__(self, id, line_no, var, slot, delta, length, fill):
-        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+    def __init__(self, id, line_no, var, alloc, delta, length, fill):
+        self.id, self.line_no, self.var, self.alloc = id, line_no, var, alloc
         self.delta, self.length, self.fill = delta, length, fill
 
 
 class Read(TraceEvent, kind=EventKind.READ):
-    __slots__ = ("var", "slot", "offset", "length")
+    __slots__ = ("var", "alloc", "offset", "length")
 
-    def __init__(self, id, line_no, var, slot, offset, length):
-        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+    def __init__(self, id, line_no, var, alloc, offset, length):
+        self.id, self.line_no, self.var, self.alloc = id, line_no, var, alloc
         self.offset, self.length = offset, length
 
 
@@ -171,10 +172,10 @@ class GlobalSet(TraceEvent, kind=EventKind.GLOBAL_SET):
 
 
 class Store(TraceEvent, kind=EventKind.STORE):
-    __slots__ = ("var", "slot", "offset", "value")
+    __slots__ = ("var", "alloc", "offset", "value")
 
-    def __init__(self, id, line_no, var, slot, offset, value):
-        self.id, self.line_no, self.var, self.slot = id, line_no, var, slot
+    def __init__(self, id, line_no, var, alloc, offset, value):
+        self.id, self.line_no, self.var, self.alloc = id, line_no, var, alloc
         self.offset, self.value = offset, value
 
 
@@ -204,10 +205,11 @@ class _Parser:
     and the line without its comment, and returns the event.
     """
 
-    __slots__ = ("slots", "names", "ints", "depth")
+    __slots__ = ("allocs", "mallocs", "names", "ints", "depth")
 
     def __init__(self):
-        self.slots: dict[str, int] = {}  # bound variable -> slot
+        self.allocs: dict[str, int] = {}  # bound variable -> ordinal of the malloc that bound it
+        self.mallocs = 0
         self.names: set[str] = set()  # tokens already found to be identifiers
         self.ints: dict[str, int] = {}  # integer tokens already parsed
         self.depth = 0
@@ -234,19 +236,19 @@ class _Parser:
         return value
 
     def bound(self, var: str, line_no: int, use: str) -> int:
-        """The slot of a bound variable; `use` words the error ("free of")."""
-        slot = self.slots.get(var)
-        if slot is None:
+        """The malloc ordinal of a bound variable; `use` words the error ("free of")."""
+        alloc = self.allocs.get(var)
+        if alloc is None:
             self.name(var, line_no, "variable")
             raise UnboundVariable(line_no, f"{use} unbound variable {var!r}")
-        return slot
+        return alloc
 
     def value(self, token: str, line_no: int) -> ValueExpr:
         if token[0].isdigit():
             return ValueExpr(literal=self.uint(token, line_no, "literal value"))
         var, plus, delta = token.partition("+")
-        slot = self.bound(var, line_no, "use of")
-        return ValueExpr(var, slot, self.uint(delta, line_no, "delta") if plus else 0)
+        alloc = self.bound(var, line_no, "use of")
+        return ValueExpr(var, alloc, self.uint(delta, line_no, "delta") if plus else 0)
 
     @staticmethod
     def fill(token: str, line_no: int) -> int:
@@ -278,13 +280,12 @@ class _Parser:
         if len(t) != 3:
             raise _form_error(line_no, "malloc <var> <size>", raw)
         var = t[1]
-        slot = self.slots.get(var)
-        if slot is None:
+        if var not in self.allocs:
             self.name(var, line_no, "variable")
         size = self.uint(t[2], line_no, "size", 1)
-        if slot is None:
-            slot = self.slots[var] = len(self.slots)
-        return Malloc(eid, line_no, var, slot, size)
+        alloc = self.allocs[var] = self.mallocs
+        self.mallocs += 1
+        return Malloc(eid, line_no, var, alloc, size)
 
     def free(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
         if len(t) != 2:
@@ -307,10 +308,10 @@ class _Parser:
         if not m:
             raise TraceSyntaxError(line_no, f"expected <var>(+|-)<delta>, got {t[1]!r}")
         var, sign, magnitude = m.groups()
-        slot = self.bound(var, line_no, "use of")
+        alloc = self.bound(var, line_no, "use of")
         delta = self.uint(magnitude, line_no, "delta")
         return WriteAbs(
-            eid, line_no, var, slot, delta if sign == "+" else -delta,
+            eid, line_no, var, alloc, delta if sign == "+" else -delta,
             self.uint(t[2], line_no, "length", 1), self.fill(t[3], line_no),
         )
 
@@ -391,3 +392,34 @@ def parse_trace(text: str) -> list[TraceEvent]:
             append(form(parser, tokens, len(events), line_no, raw))
     return events
 
+
+
+class CallStacks:
+    """The call stack at each event of a trace, from its pushes and pops.
+
+    The first `at` gives each event the id of its innermost open push
+    (-1 at top level) in one pass; a push's own entry is its caller's
+    push, so a stack is a chain of entries.
+    """
+
+    def __init__(self, events: list[TraceEvent]):
+        self.events = events
+        self._innermost: list[int] = []
+
+    def at(self, event_id: int) -> tuple[str, ...]:
+        """The frames open when event event_id runs, outermost first."""
+        innermost = self._innermost
+        if not innermost:
+            top = -1
+            for ev in self.events:
+                innermost.append(top)
+                if ev.kind is EventKind.STACK_PUSH:
+                    top = ev.id
+                elif ev.kind is EventKind.STACK_POP:
+                    top = innermost[top]
+        frames = []
+        push = innermost[event_id]
+        while push >= 0:
+            frames.append(self.events[push].frame)
+            push = innermost[push]
+        return tuple(reversed(frames))

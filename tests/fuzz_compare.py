@@ -11,7 +11,8 @@ under the new one, then diffing the dumps field by field:
 `dump` runs `test_replay_fuzz.error_trace` for each seed (0-1499 by
 default, `--seeds START:STOP`) at 30 and 60 operations, each without
 and with dangling detection, with pointer stores among the operations
-under `--stores`, with the quarantine count and watchpoint
+under `--stores` and with nested frames and rebound variable names
+under `--frames`, with the quarantine count and watchpoint
 budget drawn from the seed as the fuzz test draws them: 6,000 runs by
 default. It writes one JSON line per run: the reports as the CLI's JSON
 renders them, the final state hash, the scan records, the allocation
@@ -73,13 +74,13 @@ FIELDS = (
 )
 
 
-def fuzz_runs(seeds: range, stores: bool = False):
+def fuzz_runs(seeds: range, stores: bool = False, frames: bool = False):
     """(run id, trace text, config) for every run of the comparison."""
     for seed in seeds:
         for ops in (30, 60):
             for dangling in (False, True):
                 run_id = f"{seed}/{ops}/{'dangling' if dangling else 'plain'}"
-                yield (run_id, *fuzz_case(seed, ops, stores, dangling=dangling))
+                yield (run_id, *fuzz_case(seed, ops, stores, frames, dangling=dangling))
 
 
 def events_digest(events) -> str:
@@ -194,9 +195,9 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
     return record
 
 
-def dump(path: str, seeds: range, stores: bool = False) -> None:
+def dump(path: str, seeds: range, stores: bool = False, frames: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for run_id, text, config in fuzz_runs(seeds, stores):
+        for run_id, text, config in fuzz_runs(seeds, stores, frames):
             record = run_one(text, config, run_id)
             f.write(json.dumps({"run": run_id, **record}, sort_keys=True) + "\n")
 
@@ -278,12 +279,13 @@ def main() -> None:
     d.add_argument("out")
     d.add_argument("--seeds", type=_seed_range, default=range(1500), help="START:STOP (default 0:1500)")
     d.add_argument("--stores", action="store_true", help="generate traces with pointer stores")
+    d.add_argument("--frames", action="store_true", help="generate traces with nested frames and rebinding")
     c = sub.add_parser("diff", help="count the runs whose fields differ between two dumps")
     c.add_argument("old")
     c.add_argument("new")
     args = parser.parse_args()
     if args.mode == "dump":
-        dump(args.out, args.seeds, args.stores)
+        dump(args.out, args.seeds, args.stores, args.frames)
     else:
         diff(args.old, args.new)
 

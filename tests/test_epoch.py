@@ -241,7 +241,7 @@ def _heap_writes(eng, payload):
 def _quarantined_free(eng, payload):
     view = eng.allocator.object_bounds(payload)
     eng.allocator.set_allocated(payload, False)
-    eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, ("main",), 0))
+    eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, 0))
 
 
 # one change per piece of state rollback restores, made after the snapshot;
@@ -251,9 +251,6 @@ STATE_MUTATIONS = {
     "heap_bytes": _heap_writes,
     "cursor": lambda eng, p: setattr(eng, "cursor", eng.cursor + 1),
     "register": lambda eng, p: eng.registers.__setitem__("r0", p),
-    "frame": lambda eng, p: eng.call_stack.append("main"),
-    # bindings grow at a slot's first malloc, which this engine has not run
-    "binding": lambda eng, p: eng.bindings.__setitem__(slice(0, 1), [p]),
     "global_word": lambda eng, p: eng.image.write_word(eng.config.globals_base + 8, 1),
     "canary_region": lambda eng, p: eng.overflow.plant(p + 64, p + 128),
     "allocation": lambda eng, p: eng.allocator.allocate(16),

@@ -27,7 +27,7 @@ def alloc(eng, size):
 def free(eng, payload):
     view = eng.allocator.object_bounds(payload)
     eng.allocator.set_allocated(payload, False)
-    eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, (), 0))
+    eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, 0))
 
 
 def scan(eng, registers, dangling=False):

@@ -26,12 +26,10 @@ def alloc(eng, size):
     return payload
 
 
-def free(eng, payload, event=0, stack=()):
+def free(eng, payload, event=0):
     view = eng.allocator.object_bounds(payload)
     eng.allocator.set_allocated(payload, False)
-    return eng.quarantine.on_free(
-        QuarantineEntry(payload, view.capacity, view.requested, tuple(stack), event)
-    )
+    return eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, event))
 
 
 def test_small_object_fully_canaried():
@@ -86,13 +84,12 @@ def test_evicted_clean_slot_is_reusable_at_same_address():
 def test_corrupted_eviction_returns_evidence_and_withholds_slot():
     eng = harness(quarantine_max_count=1)
     a = alloc(eng, 64)
-    free(eng, a, event=3, stack=("main", "drop"))
+    free(eng, a, event=3)
     eng.image.write_fill(a, 4, 0x00, internal=False)  # dangling write
     b = alloc(eng, 64)
     reports = free(eng, b)  # evicts a, finds the corruption
     assert [(r.kind, r.corrupted_addr, r.object_addr) for r in reports] == [("use-after-free", a, a)]
     assert reports[0].free_event == 3
-    assert reports[0].free_stack == ("main", "drop")
     assert not eng.allocator.is_free_listed(a)  # withheld from reuse
     assert alloc(eng, 64) != a
 

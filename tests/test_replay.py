@@ -120,6 +120,21 @@ def test_trap_stacks_match_pushpop_derivation():
     assert stack == stack_at_event(events, event_id) == ("main", "helper", "inner")
 
 
+def test_uaf_three_frames_deep_names_the_oracles_stacks():
+    text = "stack push main\n"
+    for step, line in (("make", "malloc a 64"), ("drop", "free a"), ("use", "write a 8 4 00")):
+        pushes = "".join(f"stack push {step}{depth}\n" for depth in range(3))
+        text += pushes + line + "\n" + "stack pop\n" * 3
+    events = parse_trace(text + "stack pop\nend\n")
+    (report,) = tw.run_events(events, small_config()).reports
+    assert report.kind == KIND_UAF
+    ((write_event, write_stack),) = report.offending_events
+    assert events[write_event].kind is EventKind.WRITE
+    assert write_stack == stack_at_event(events, write_event) == ("main", "use0", "use1", "use2")
+    assert report.alloc_stack == stack_at_event(events, report.alloc_event) == ("main", "make0", "make1", "make2")
+    assert report.free_stack == stack_at_event(events, report.free_event) == ("main", "drop0", "drop1", "drop2")
+
+
 def test_replay_purity_log_does_not_grow():
     text = """
     malloc a 24
@@ -205,7 +220,7 @@ def run_with_stray_write(fill: int) -> None:
     # replay of epoch 1 also makes an internal write two pages further
     # into big, which the recorded epoch never wrote
     eng = Engine(parse_trace(BIG), small_config(), force_rollback_epochs={1})
-    stray_in_replay(eng, lambda: eng.image.write_fill(eng.bindings[eng.events[0].slot] + 8192, 8, fill))
+    stray_in_replay(eng, lambda: eng.image.write_fill(eng.alloc_sequence[eng.events[0].alloc] + 8192, 8, fill))
     eng.run()
 
 
@@ -229,4 +244,14 @@ def test_replay_that_leaves_a_register_different_is_a_divergence(text, force):
     eng = Engine(parse_trace(text), small_config(), force_rollback_epochs=force)
     stray_in_replay(eng, lambda: eng.registers.__setitem__("r0", 1))
     with pytest.raises(ReplayDivergence, match="replayed state differs"):
+        eng.run()
+
+
+def test_replayed_malloc_that_gets_another_address_is_a_divergence():
+    # epoch 1 writes, then mallocs; its replay allocates an extra object
+    # at the write, so the replayed malloc gets the next slot
+    text = "malloc a 16\nglobal 0 = a\ncall fork\nwrite a 0 8 11\nmalloc b 16\nglobal 1 = b\nend\n"
+    eng = Engine(parse_trace(text), small_config(), force_rollback_epochs={1})
+    stray_in_replay(eng, lambda: eng.allocator.allocate(16))
+    with pytest.raises(ReplayDivergence, match=r"event 4: replayed allocation at 0x[0-9a-f]+ diverges"):
         eng.run()

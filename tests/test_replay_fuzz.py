@@ -36,25 +36,38 @@ OPS = ("malloc", "free", "write", "overflow", "uaf", "double_free", "drop", "cal
 WEIGHTS = (5, 3, 4, 3, 2, 1, 1, 2)
 
 
-def error_trace(rng: random.Random, ops: int = 30, stores: bool = False) -> str:
+def error_trace(rng: random.Random, ops: int = 30, stores: bool = False, frames: bool = False) -> str:
     """A fuzzed trace of ops operations; with stores, some operations
     store pointers, offsets into objects and zeros into heap objects,
-    live or freed, so the leak mark sees heap-held pointers."""
+    live or freed, so the leak mark sees heap-held pointers. With
+    frames, operations run in nested frames `f<k>`, pushed and popped
+    between them, and a malloc may rebind the name of a freed object."""
     kinds, weights = (OPS + ("store",), WEIGHTS + (4,)) if stores else (OPS, WEIGHTS)
     lines = ["stack push main"]
     live: list[tuple[str, int]] = []
     freed: list[tuple[str, int]] = []
     rooted: dict[str, str] = {}  # var -> the global or register holding it
-    count = 0
+    count = depth = 0
 
     def pick(pool):
         return pool[rng.randrange(len(pool))]
 
     for _ in range(ops):
+        if frames:
+            step = rng.random()
+            if step < 0.2:
+                lines.append(f"stack push f{rng.randrange(4)}")
+                depth += 1
+            elif step < 0.35 and depth:
+                lines.append("stack pop")
+                depth -= 1
         op = rng.choices(kinds, weights)[0]
         if op == "malloc" or not live and op in ("free", "write", "overflow", "drop"):
             var, size = f"v{count}", rng.choice(SIZES)
             count += 1
+            if frames and freed and rng.random() < 0.4:
+                # rebind a freed name: its later uses mean the new object
+                var = freed.pop(rng.randrange(len(freed)))[0]
             lines.append(f"malloc {var} {size}")
             root = rng.choice((f"global {count % 16}", f"reg r{count % 4}", None))
             if root is not None:
@@ -96,7 +109,7 @@ def error_trace(rng: random.Random, ops: int = 30, stores: bool = False) -> str:
             target, target_size = pick(live + freed)
             value = rng.choice((target, f"{target}+{rng.randrange(target_size)}", "0"))
             lines.append(f"store {var} {off} = {value}")
-    lines += ["stack pop", "end"]
+    lines += ["stack pop"] * (depth + 1) + ["end"]
     return "\n".join(lines) + "\n"
 
 
@@ -120,3 +133,14 @@ def test_generated_traces_with_pointer_stores_never_diverge_on_replay():
             dangling=seed % 2 == 1,
         )
         tw.run_text(error_trace(rng, 40, stores=True), config)
+
+
+def test_generated_traces_with_frames_and_rebinding_never_diverge_on_replay():
+    for seed in range(300):
+        rng = random.Random(seed)
+        config = small_config(
+            quarantine_max_count=rng.choice((1, 2, 4, 8)),
+            max_watchpoints=rng.choice((1, 2)),
+            dangling=seed % 2 == 1,
+        )
+        tw.run_text(error_trace(rng, 40, frames=True), config)

@@ -42,7 +42,9 @@ def assert_shadow_digest_matches_bits(engine) -> None:
     assert engine.image.shadow.digest() == expected
 
 
-def fuzz_case(seed: int, ops: int = 30, stores: bool = False, **overrides) -> tuple[str, tw.EngineConfig]:
+def fuzz_case(
+    seed: int, ops: int = 30, stores: bool = False, frames: bool = False, **overrides
+) -> tuple[str, tw.EngineConfig]:
     """The trace and config of test_replay_fuzz for one seed."""
     rng = random.Random(seed)
     config = small_config(
@@ -50,7 +52,7 @@ def fuzz_case(seed: int, ops: int = 30, stores: bool = False, **overrides) -> tu
         max_watchpoints=rng.choice((1, 2)),
         **overrides,
     )
-    return error_trace(rng, ops, stores), config
+    return error_trace(rng, ops, stores, frames), config
 
 
 def record_end_states(engine) -> list:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tripwire.epoch import Category, classify
 from tripwire.errors import StackUnderflow, TraceError, TraceSyntaxError, UnboundVariable
-from tripwire.trace import EventKind, parse_trace
+from tripwire.trace import CallStacks, EventKind, parse_trace
+
+from oracles import stack_at_event
+from test_replay_fuzz import error_trace
 
 
 def test_malloc_line_binds_variable():
@@ -73,8 +78,8 @@ def test_reg_and_global_value_forms():
 def test_store_value_forms():
     events = parse_trace("malloc a 16\nmalloc b 8\nstore a 8 = b+4\nstore a 0x10 = 7\n")
     assert events[2].kind is EventKind.STORE
-    assert (events[2].var, events[2].slot, events[2].offset) == ("a", 0, 8)
-    assert (events[2].value.var, events[2].value.slot, events[2].value.delta) == ("b", 1, 4)
+    assert (events[2].var, events[2].alloc, events[2].offset) == ("a", 0, 8)
+    assert (events[2].value.var, events[2].value.alloc, events[2].value.delta) == ("b", 1, 4)
     assert events[3].offset == 16 and events[3].value.literal == 7
 
 
@@ -229,15 +234,16 @@ def test_rebinding_a_variable_is_allowed():
     assert events[2].size == 32
 
 
-def test_variable_slots_are_dense_in_first_binding_order():
+def test_variable_uses_carry_the_ordinal_of_their_binding_malloc():
+    # each malloc is numbered in trace order, a rebinding included
     events = parse_trace(
         "malloc b 8\nmalloc a 8\nfree b\nmalloc b 16\nmalloc c 8\n"
         "write a 0 1 00\nwriteabs c-8 1 00\nread b 0 1\nreg r0 = c+4\nglobal 0 = a\n"
     )
-    assert [(ev.var, ev.slot) for ev in events[:5]] == [("b", 0), ("a", 1), ("b", 0), ("b", 0), ("c", 2)]
-    assert [ev.slot for ev in events[5:8]] == [1, 2, 0]
-    assert (events[8].value.var, events[8].value.slot) == ("c", 2)
-    assert (events[9].value.var, events[9].value.slot) == ("a", 1)
+    assert [(ev.var, ev.alloc) for ev in events[:5]] == [("b", 0), ("a", 1), ("b", 0), ("b", 2), ("c", 3)]
+    assert [ev.alloc for ev in events[5:8]] == [1, 3, 2]
+    assert (events[8].value.var, events[8].value.alloc) == ("c", 3)
+    assert (events[9].value.var, events[9].value.alloc) == ("a", 1)
     assert events[0].size == 8 and events[3].size == 16
 
 
@@ -252,7 +258,35 @@ def test_call_events_carry_their_category():
 
 def test_fields_a_kind_lacks_read_as_none():
     (push, malloc, free, call, end) = parse_trace("stack push f\nmalloc a 8\nfree a\ncall fork\nend\n")
-    assert push.var is None and push.slot is None and push.call_args == ()
+    assert push.var is None and push.alloc is None and push.call_args == ()
     assert malloc.offset is None and malloc.value is None and malloc.category is None
     assert free.size is None and call.frame is None
     assert end.kind is EventKind.END and end.id == 4 and end.line_no == 5
+
+
+def assert_stacks_match_the_oracle(events) -> None:
+    stacks = CallStacks(events)
+    assert [stacks.at(ev.id) for ev in events] == [stack_at_event(events, ev.id) for ev in events]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_call_stacks_match_the_push_pop_oracle_on_fuzzed_frames(seed):
+    assert_stacks_match_the_oracle(parse_trace(error_trace(random.Random(seed), 60, frames=True)))
+
+
+def test_call_stacks_of_an_empty_trace_and_of_one_without_frames():
+    assert_stacks_match_the_oracle(parse_trace(""))
+    events = parse_trace("malloc a 8\nfree a\nend\n")
+    assert_stacks_match_the_oracle(events)
+    assert CallStacks(events).at(2) == ()
+
+
+def test_call_stacks_of_a_2000_deep_nest():
+    # the oracle replays the trace up to each event, so the walk back
+    # out is only begun; the fuzzed traces pop at every depth
+    text = "".join(f"stack push f{k}\n" for k in range(2000)) + "malloc a 8\nstack pop\nstack pop\n"
+    events = parse_trace(text + "free a\nend\n")
+    assert_stacks_match_the_oracle(events)
+    stacks = CallStacks(events)
+    assert stacks.at(2000) == tuple(f"f{k}" for k in range(2000))
+    assert stacks.at(2003) == tuple(f"f{k}" for k in range(1998))
