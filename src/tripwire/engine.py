@@ -2,13 +2,13 @@
 boundaries, rollback and instrumented replay when evidence turns up.
 
 Execution is divided into epochs. Each epoch starts with a snapshot:
-undo logs for the memory image's three page stores (heap, globals, and
-the canary masks in the shadow store), which save each page on its
-first write and restore byte-exact, plus the machine state as values
-(Engine._machine_state): event cursor, registers, and the allocator,
-quarantine and file-position state. Bindings and call stacks are read
-from the trace (TraceEvent.alloc, trace.CallStacks). Events then run
-at full speed with no per-write checking. An epoch ends at an
+undo logs for the memory image's page stores (heap, globals, canary
+shadow, and the slot store with all allocator and quarantine state),
+which save each page on its first write and restore byte-exact, plus
+the machine state as values (Engine._machine_state): event cursor,
+registers and file positions. Bindings and call stacks are read from
+the trace (TraceEvent.alloc, trace.CallStacks). Events then run at
+full speed with no per-write checking. An epoch ends at an
 irrevocable external call, a modeled segfault, or the end of the
 trace; the detectors inspect state there. Their evidence is a list of
 unattributed reports (reports.ErrorReport). Corrupted canaries found
@@ -54,11 +54,11 @@ from .errors import (
 )
 from .leakscan import LeakScanner
 from .overflow import OverflowDetector, byte_mask
-from .quarantine import QuarantineEntry, QuarantineQueue
+from .quarantine import QuarantineQueue
 from .replay import WatchpointSet, build_reports
 from .reports import KIND_DOUBLE_FREE, KIND_LEAK, KIND_OVERFLOW, KIND_SEGFAULT, ErrorReport, sort_reports
 from .trace import CallStacks, EventKind, TraceEvent, ValueExpr, parse_trace
-from .vheap import WORD, Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
+from .vheap import QUARANTINED, WORD, Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
 
 
 class Mode(enum.Enum):
@@ -118,7 +118,7 @@ class Engine:
             if self.config.detector_enabled("uaf") or self.config.dangling
             else None
         )
-        self.leaks = LeakScanner(self.image, self.allocator, self.quarantine)
+        self.leaks = LeakScanner(self.image, self.allocator)
         self.syscalls = SyscallModel()
 
         self.registers: dict[str, int] = {}
@@ -146,13 +146,7 @@ class Engine:
 
     def _machine_state(self) -> tuple:
         """Every piece of state rollback restores besides memory, as values."""
-        return (
-            self.cursor,
-            tuple(sorted(self.registers.items())),
-            self.allocator.snapshot(),
-            self.quarantine.snapshot() if self.quarantine is not None else None,
-            self.syscalls.files.snapshot(),
-        )
+        return self.cursor, tuple(sorted(self.registers.items())), self.syscalls.files.snapshot()
 
     def _end_state(self) -> tuple:
         """The state an epoch ended in, which its replay must reproduce:
@@ -171,11 +165,8 @@ class Engine:
 
     def _restore_snapshot(self, snap: EpochSnapshot) -> None:
         self.image.restore(snap.image)
-        self.cursor, registers, allocator, quarantine, files = snap.state
+        self.cursor, registers, files = snap.state
         self.registers = dict(registers)
-        self.allocator.restore(allocator)
-        if self.quarantine is not None:
-            self.quarantine.restore(quarantine)
         self.syscalls.files.restore(files)
 
     def _begin_epoch(self) -> None:
@@ -430,7 +421,7 @@ class Engine:
         view = self.allocator.object_bounds(payload)
         if not view.allocated:
             if self.mode is Mode.NORMAL:
-                entry = self.quarantine.entry_for(payload) if self.quarantine is not None else None
+                prior = view.free_event if view.state == QUARANTINED else None
                 self.reports.append(
                     ErrorReport(
                         kind=KIND_DOUBLE_FREE,
@@ -438,8 +429,8 @@ class Engine:
                         object_addr=payload,
                         object_size=view.requested,
                         offending_events=((ev.id, self.stacks.at(ev.id)),),
-                        prior_free_stack=self.stacks.at(entry.free_event) if entry else None,
-                        prior_free_event=entry.free_event if entry else None,
+                        prior_free_stack=None if prior is None else self.stacks.at(prior),
+                        prior_free_event=prior,
                     )
                 )
             return None
@@ -447,12 +438,10 @@ class Engine:
         if self.config.detector_enabled("overflow"):
             words = self.overflow.check_on_free(payload, view.requested, view.capacity)
             evidence = [self._overflow_report(word, view) for word in words]
-        view.chunk.allocated[view.index] = False  # through object_bounds' lookup, not a second one
         if self.quarantine is not None:
-            # payload, capacity, requested, free_event
-            entry = QuarantineEntry(payload, view.capacity, view.requested, ev.id)
-            evidence += self.quarantine.on_free(entry)
+            evidence += self.quarantine.on_free(view, ev.id)
         else:
+            self.allocator.set_allocated(payload, False)
             self.allocator.release_slot(payload)
         return evidence
 

@@ -238,10 +238,10 @@ class SyscallModel:
 @dataclass
 class EpochSnapshot:
     """Everything rollback restores: the memory image's undo logs (heap,
-    globals, shadow) and the engine's machine state as values
+    globals, shadow, slot store) and the engine's machine state as values
     (Engine._machine_state). The call log and the allocation sequence
     are deliberately absent: replay checks against them."""
 
     event_cursor: int
-    image: tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]
+    image: tuple[dict[int, bytes], ...]
     state: tuple

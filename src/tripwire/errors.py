@@ -50,7 +50,7 @@ class OversizeRequest(TripwireError):
 
 
 class NotQuarantined(TripwireError):
-    """release_slot called for a slot that is not leaving quarantine."""
+    """release_slot called for a slot that is not withheld."""
 
 
 class NotAHeapObject(TripwireError):

@@ -14,9 +14,10 @@ clears all marks.
 Both passes run over arrays: candidate values are resolved to slots a
 wave at a time through the allocator's SlotTable, and the marks are a
 bool array over its flat slot ids, kept outside modeled memory. Whether
-a slot is allocated comes from the allocator's own slot metadata, so a
-mark and sweep write no heap page and no program write can change
-their result except through the pointers it stores.
+a slot is live or quarantined comes from the state of its record in
+the allocator's slot store, copied into the table, so a mark and sweep
+write no page and no program write can change their result except
+through the pointers it stores.
 
 A mark is incremental when it can be. It keeps its marks, and the
 heap-range values it saw but did not mark: values into uncarved memory
@@ -31,7 +32,7 @@ and Shenker (PLDI 1991), when all of these hold:
 - no changed word held a heap-range value at the snapshot, among the
   words the last mark read: the globals and the payloads of its marked
   live slots, with old values from the undo logs;
-- every marked slot is still allocated, or still freed and quarantined.
+- every marked slot has the state it had then, live or quarantined.
 
 Under these the last marks are all still reachable, so the waves start
 from them and from three sets of values: the new heap-range values of
@@ -47,16 +48,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quarantine import QuarantineQueue
+from .quarantine import freed_report
 from .reports import KIND_LEAK, ErrorReport
 from .vheap import WORD, Allocator, MemoryImage, SlotTable
 
 
 class _Mark:
-    """What a mark keeps for the next one to start from: its table and
-    marks, the heap-range values it saw but did not mark, the
-    registers that held heap-range values, and the image's snapshot
-    count when it ran."""
+    """What a mark keeps for the next one to start from: its table (with
+    a copy of the slot states) and marks, the heap-range values it saw
+    but did not mark, the registers that held heap-range values, and the
+    image's snapshot count when it ran."""
 
     __slots__ = ("table", "marked", "misses", "registers", "snapshots")
 
@@ -67,10 +68,9 @@ class _Mark:
 
 
 class LeakScanner:
-    def __init__(self, image: MemoryImage, allocator: Allocator, quarantine: QuarantineQueue | None):
+    def __init__(self, image: MemoryImage, allocator: Allocator):
         self.image = image
         self.allocator = allocator
-        self.quarantine = quarantine
         self.heap_base = image.heap_base
         self.heap_end = image.heap_base + image.heap_size
         # the last mark's SlotTable and its marks by flat slot id, for the sweep
@@ -88,14 +88,6 @@ class LeakScanner:
             np.array(list(pointers.values()), dtype=np.uint64),
             self._in_heap(np.frombuffer(self.image.globals, dtype="<u8")),
         ))
-
-    def _held(self, table: SlotTable) -> np.ndarray:
-        """By flat slot id, whether the quarantine holds the slot."""
-        payloads = self.quarantine.by_payload
-        ids = table.slot_ids(np.fromiter(payloads, dtype=np.uint64, count=len(payloads)))
-        held = np.zeros(len(table), dtype=np.bool_)
-        held[ids[ids >= 0]] = True
-        return held
 
     def mark(self, registers: dict[str, int]) -> None:
         """Mark from the conservative root set, or incrementally from the
@@ -135,10 +127,7 @@ class LeakScanner:
         else:  # slots carved since shift the flat ids of later chunks
             chunk = np.searchsorted(old.first, was, side="right") - 1
             ids = was + (table.first[chunk] - old.first[chunk])
-        allocated = table.allocated[ids]
-        if (allocated != old.allocated[was]).any():
-            return None
-        if not allocated.all() and not self._held(table)[ids[~allocated]].all():
+        if (table.state[ids] != old.state[was]).any():
             return None
         marked = np.zeros(len(table), dtype=np.bool_)
         marked[ids] = True
@@ -162,7 +151,6 @@ class LeakScanner:
         quarantine still holds, and takes the next wave from the payload
         words of the allocated ones.
         """
-        held = None
         misses = []
         while values.size:
             ids = table.slot_ids(values)
@@ -170,12 +158,8 @@ class LeakScanner:
             wave = np.unique(ids[found])
             wave = wave[~marked[wave]]
             alive = table.allocated[wave]
-            live, freed = wave[alive], wave[~alive]
-            marked[live] = True
-            if self.quarantine is not None and freed.size:
-                if held is None:
-                    held = self._held(table)
-                marked[freed[held[freed]]] = True
+            marked[wave[alive | table.held[wave]]] = True
+            live = wave[alive]
             # unmarked now: no slot, or a freed slot the quarantine does not hold
             missed = ~found
             missed[found] = ~marked[ids[found]]
@@ -187,7 +171,7 @@ class LeakScanner:
         """Report allocated-but-unmarked slots, then clear all marks.
 
         The leaked slots are allocated & ~marked and, with dangling, the
-        reachable freed ones ~allocated & marked, each as one array
+        reachable quarantined ones held & marked, each as one array
         pass; only those slots are looked at one by one. Their reports
         come leaked first, each group in address order (flat id order).
         suppress holds payload addresses already reported in an earlier
@@ -202,9 +186,8 @@ class LeakScanner:
             for payload, requested in zip(table.payloads(leaked), table.requested(leaked))
             if payload not in suppress
         ]
-        if dangling and self.quarantine is not None:
-            for payload in table.payloads(np.flatnonzero(~table.allocated & marked)):
-                entry = self.quarantine.entry_for(payload)
-                if entry is not None and payload not in suppress:
-                    found.append(entry.report())
+        if dangling:
+            for payload in table.payloads(np.flatnonzero(table.held & marked)):
+                if payload not in suppress:
+                    found.append(freed_report(self.allocator.object_bounds(payload)))
         return found

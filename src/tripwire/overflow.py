@@ -213,7 +213,7 @@ class OverflowDetector:
         """
         shadow = self.image.shadow
         masks = np.frombuffer(shadow.data, dtype=np.uint8, count=shadow.length)
-        rows = np.sort(np.fromiter(self.image.heap_pages.written_pages(), dtype=np.intp)) * ROW
+        rows = np.sort(np.fromiter(self.image.heap_pages.log, dtype=np.intp)) * ROW
         words = (rows[:, None] + np.arange(ROW)).ravel()
         words = words[words < len(masks)]
         words = words[masks[words] != 0]

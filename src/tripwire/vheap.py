@@ -11,32 +11,28 @@ history. Each slot is laid out as:
 
 with capacity the next power of two >= max(request, min class). The
 allocator never writes a slot; the overflow detector fills the guard
-region with canaries. As in DieHard, slot metadata (requested size,
-allocated state) lives outside modeled memory, so no program write
-changes what the allocator, quarantine or leak scanner believe about
-a slot. Engine bookkeeping (chunk table, slot metadata, free lists,
-cursors) lives in ordinary Python objects, never at modeled heap
-addresses.
+region with canaries. As in DieHard, slot metadata lives outside the
+heap region, so no program write changes what the allocator, quarantine
+or leak scanner believe about a slot. It is still ordinary memory, the
+slot store, laid out below, so rollback restores it like the heap.
 
-The heap image, the globals and the overflow detector's canary shadow,
-one mask byte per heap word, are three page stores (PageStore): lazily
-zeroed reservations with a logical length and a copy-on-write undo log
-of 4 KiB pages. The image's shadow follows the heap's logical length
-at an eighth of it; the globals' length is fixed. All three share the
-image's snapshot and restore, so a snapshot, a restore or the check of
-a replay costs what the epoch wrote, not what the heap, the globals or
-the shadow hold. The heap's undo log keys are also the epoch scan's
-dirty set: a canary can have changed only on a page the epoch wrote.
-With their old bytes, the heap's and the globals' undo logs give the
-leak mark the words an epoch changed.
+The heap image, the globals, the overflow detector's canary shadow (one
+mask byte per heap word) and the slot store are four page stores
+(PageStore): lazily zeroed reservations with a logical length and a
+copy-on-write undo log of 4 KiB pages. They share the image's snapshot
+and restore, so a snapshot, a restore or the check of a replay costs
+what the epoch wrote, not what the stores hold. The heap's undo log
+keys are also the epoch scan's dirty set: a canary can have changed
+only on a page the epoch wrote. With their old bytes, the heap's and
+the globals' undo logs give the leak mark the words an epoch changed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import mmap
-from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +98,9 @@ class PageStore:
         self.data = _reserve(size, what, option)
         self.length = 0
         # undo log of the latest snapshot: page index -> the page's bytes
-        # below the snapshot length, empty for a page wholly past it
-        self._saved: dict[int, bytes] = {}
+        # below the snapshot length, empty for a page wholly past it; its
+        # keys are the pages written since, restored ones included
+        self.log: dict[int, bytes] = {}
         self._snap_len = 0
         self._written: set[int] = set()  # every page ever written; the rest read zero
 
@@ -111,7 +108,7 @@ class PageStore:
         """Record a write of [off, off + length) before it happens:
         save each page on its first write since the snapshot."""
         first, last = off >> PAGE_SHIFT, (off + length - 1) >> PAGE_SHIFT
-        saved = self._saved
+        saved = self.log
         if first == last and first in saved:
             return  # the common case: one page, already saved
         for page in range(first, last + 1):
@@ -140,22 +137,12 @@ class PageStore:
                 table[at : at + DIGEST_BYTES] = hashlib.sha256(view[start : min(start + PAGE, end)]).digest()
         return bytes(table)
 
-    def written_pages(self):
-        """The pages written since the snapshot: the undo log's keys,
-        restored pages included; every page ever touched if there was none."""
-        return self._saved.keys()
-
-    def written_bytes(self) -> dict[int, bytes]:
-        """The current bytes of each page in the undo log, by page index."""
-        data = self.data
-        return {page: data[page << PAGE_SHIFT : (page + 1) << PAGE_SHIFT] for page in self._saved}
-
     def changed_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(word index, value at the snapshot, value now) of each
         eight-byte word of the written pages that differs from its value
         at the snapshot, read from the undo log; indexes count words from
         the store's start."""
-        saved = self._saved
+        saved = self.log
         per_page = PAGE // WORD
         pages = np.fromiter(saved, dtype=np.int64, count=len(saved))
         words = (pages[:, None] * per_page + np.arange(per_page)).ravel()
@@ -171,9 +158,9 @@ class PageStore:
     def snapshot(self) -> dict[int, bytes]:
         """Start a new undo log and return it. The log fills as pages are
         touched and stays valid until the next snapshot."""
-        self._saved = {}
+        self.log = {}
         self._snap_len = self.length
-        return self._saved
+        return self.log
 
     def restore(self, saved: dict[int, bytes]) -> None:
         """Write the saved pages back and return to the snapshot length.
@@ -181,7 +168,7 @@ class PageStore:
         The undo log stays active, so the same snapshot can be restored
         again later.
         """
-        if saved is not self._saved:
+        if saved is not self.log:
             raise ValueError("only the latest snapshot can be restored")
         data, size = self.data, len(self.data)
         for page, old in saved.items():
@@ -195,18 +182,36 @@ def _shadow_len(heap_len: int) -> int:  # one mask byte per heap word
     return heap_len // WORD
 
 
+# The slot store, in eight-byte words. Page 0, which every snapshot
+# saves up front, holds the quarantine's FIFO (head and tail record, 0
+# for none, count and capacity sum), the chunk count and three words per
+# class shift. From _RECORDS on, each chunk has a region sized for the
+# most slots a chunk of any class holds: a record-sized head with its
+# class shift (0: not acquired), then one record per slot, so records
+# are dense and none crosses a page. A slot is on at most one list, its
+# class's LIFO free list or the quarantine, so one link serves both.
+Q_HEAD, Q_TAIL, Q_COUNT, Q_BYTES, CHUNKS = range(5)
+_CLASS_WORDS = 5
+BUMP, LIMIT, FREE = range(3)  # per class: next fresh slot, its chunk's end, top free record
+_RECORDS = PAGE // WORD
+REQUESTED, STATE, LINK, FREE_EVENT = range(4)  # the words of a record
+RECORD_WORDS = 4
+_PAGE_WORDS_SHIFT = PAGE_SHIFT - 3  # word index -> page
+LIVE, QUARANTINED, FREE_LISTED, WITHHELD = 1, 2, 3, 4  # a record's state; withheld: freed, on no list
+
+
 class MemoryImage:
-    """The modeled program's writable memory: heap region plus globals.
+    """The modeled program's writable memory, heap region plus globals,
+    and the allocator's slot store.
 
     All access is bounds-checked against the two mapped ranges; anything
     else raises SegfaultModel. Trace-driven writes pass internal=False so
     an observer installed by the engine (the replay watchpoint check) can
-    see them; detector writes are internal and invisible to it.
-    Every write goes through write_fill, write_bytes or write_word, which
-    keep the undo logs current. The heap's bytes
-    live in heap_pages (`heap` is its mapping) and the globals' in
-    globals_pages (`globals`); shadow holds the canary masks and is
-    resized with the heap. All three are snapshotted and restored together.
+    see them; detector writes are internal and invisible to it. Every
+    write goes through write_fill, write_bytes or write_word, which keep
+    the undo logs current. The stores: heap_pages (`heap` is its
+    mapping), globals_pages (`globals`), shadow, resized with the heap,
+    and slots, which grows by slot_region words per chunk.
     """
 
     def __init__(self, config: EngineConfig):
@@ -223,6 +228,11 @@ class MemoryImage:
         self.globals_pages = PageStore(self.globals_size, "the globals", "--globals-words")
         self.globals_pages.length = self.globals_size
         self.globals = self.globals_pages.data
+        self.slot_region = RECORD_WORDS * (1 + self.chunk_size // (GUARD_BYTES + config.min_class))
+        chunks = self.heap_size // self.chunk_size
+        self.slots = PageStore(WORD * (_RECORDS + chunks * self.slot_region), "the slot records", "--heap-size")
+        self.slots.length = WORD * _RECORDS
+        self.stores = self.heap_pages, self.globals_pages, self.shadow, self.slots
         self.write_observer = None
         self.snapshots = 0  # snapshots taken, so a reader of the undo logs knows where they start
 
@@ -248,16 +258,16 @@ class MemoryImage:
         h.update(self.globals)
 
     def epoch_writes(self) -> tuple:
-        """Per page store (heap, globals, shadow): its logical length and
-        the current bytes of each page in its undo log.
+        """Per page store (heap, globals, shadow, slots): its logical
+        length and the current bytes of each page in its undo log.
 
         Two runs from one snapshot leave memory alike and wrote the same
         pages exactly when these are equal: pages outside the undo logs
         were written by neither, and a restore keeps the logs' keys.
         """
         return tuple(
-            (store.length, store.written_bytes())
-            for store in (self.heap_pages, self.globals_pages, self.shadow)
+            (store.length, {page: store.data[page << PAGE_SHIFT : (page + 1) << PAGE_SHIFT] for page in store.log})
+            for store in self.stores
         )
 
     def _locate(self, addr: int, length: int) -> tuple[PageStore, int]:
@@ -298,48 +308,43 @@ class MemoryImage:
         store.touch(off, len(data))
         store.data[off:end] = data
 
-    def snapshot(self) -> tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]:
-        """Start new undo logs for the heap, the globals and the shadow,
-        and return them in that order."""
+    def snapshot(self) -> tuple[dict[int, bytes], ...]:
+        """Start new undo logs for the heap, the globals, the shadow and
+        the slot store, and return them in that order."""
         self.snapshots += 1
-        return self.heap_pages.snapshot(), self.globals_pages.snapshot(), self.shadow.snapshot()
+        logs = tuple(store.snapshot() for store in self.stores)
+        self.slots.touch(0, WORD)  # the slot store's header page, which most epochs write
+        return logs
 
-    def restore(self, snap: tuple[dict[int, bytes], dict[int, bytes], dict[int, bytes]]) -> None:
-        """Return the heap, the globals and the shadow to the latest snapshot."""
-        heap_log, globals_log, shadow_log = snap
-        self.heap_pages.restore(heap_log)
-        self.globals_pages.restore(globals_log)
-        self.shadow.restore(shadow_log)
+    def restore(self, snap: tuple[dict[int, bytes], ...]) -> None:
+        """Return the heap, the globals, the shadow and the slot store to
+        the latest snapshot."""
+        for store, log in zip(self.stores, snap, strict=True):
+            store.restore(log)
+
 
 
 @dataclass(slots=True)
 class ObjectView:
-    """Resolved slot: payload bounds plus the allocator's slot metadata,
-    and the chunk and index that hold the metadata."""
+    """Resolved slot: payload bounds, and the requested size, state
+    (allocated: state == LIVE) and last free event of its record, at
+    word `record`."""
 
     slot: int
     payload: int
     capacity: int
     requested: int
     allocated: bool
-    class_shift: int
-    chunk: _Chunk = field(repr=False, compare=False)
-    index: int
+    state: int
+    free_event: int
+    record: int
 
 
-@dataclass
-class _Chunk:
-    """A chunk of one size class and the metadata of its carved slots."""
-
+class _Chunk(NamedTuple):
     base: int
     class_shift: int
     stride: int
-    requested: array = field(default_factory=lambda: array("Q"))
-    allocated: bytearray = field(default_factory=bytearray)
-
-    @property
-    def carved(self) -> int:
-        return len(self.allocated)
+    carved: int
 
 
 class SlotTable:
@@ -348,29 +353,36 @@ class SlotTable:
     Flat ids number the slots chunk by chunk in chunk-acquisition order,
     and by address within a chunk: the order of carved_slots. slot_ids()
     resolves many addresses at once with the arithmetic of
-    object_bounds. A table describes the allocator as it was when built;
-    build a new one after any allocation, free or restore.
+    object_bounds. The slots' states are a copy; build a new table after
+    any allocation, free or restore.
     """
 
-    def __init__(self, config: EngineConfig, chunks: list[_Chunk], heap: mmap.mmap):
-        self.chunks = chunks
-        # the heap is one fixed mapping that never resizes, so a view of
-        # it stays valid and costs nothing for pages never touched
-        self.heap_words = np.frombuffer(heap, dtype="<u8")
+    def __init__(self, config: EngineConfig, image: MemoryImage, chunks: list[_Chunk]):
+        # the heap and the slot store are fixed mappings that never
+        # resize, so views of them stay valid and cost nothing for pages
+        # never touched
+        self.heap_words = np.frombuffer(image.heap, dtype="<u8")
+        self.slot_words = np.frombuffer(image.slots.data, dtype=np.uint64)
         self.heap_base = config.heap_base
         self.heap_end = config.heap_base + config.heap_size
         self.chunk_size = config.chunk_size
-        # per chunk: heap offset of its first slot, stride, carved count
-        # and the flat id of its first slot
-        self.base = np.array([c.base - config.heap_base for c in chunks], dtype=np.int64)
+        # per chunk: heap offset of its first slot, stride, carved count,
+        # the flat id of its first slot and the word of its first record
+        self.base = np.arange(len(chunks), dtype=np.int64) * config.chunk_size
         self.stride = np.array([c.stride for c in chunks], dtype=np.int64)
         self.carved = np.array([c.carved for c in chunks], dtype=np.int64)
         self.first = np.concatenate(([0], np.cumsum(self.carved)))
-        # a copy, so no chunk's bytearray stays exported
-        self.allocated = np.frombuffer(b"".join(c.allocated for c in chunks), dtype=np.bool_)
+        self.record = _RECORDS + RECORD_WORDS + image.slot_region * np.arange(len(chunks), dtype=np.int64)
+        states = [
+            self.slot_words[r + STATE : r + RECORD_WORDS * c.carved : RECORD_WORDS]
+            for r, c in zip(self.record.tolist(), chunks)
+        ]
+        self.state = np.concatenate(states).astype(np.uint8) if states else np.zeros(0, dtype=np.uint8)
+        self.allocated = self.state == LIVE
+        self.held = self.state == QUARANTINED
 
     def __len__(self) -> int:
-        return len(self.allocated)
+        return len(self.state)
 
     def _in_heap(self, values: np.ndarray) -> np.ndarray:
         return values[(values >= self.heap_base) & (values < self.heap_end)]
@@ -407,8 +419,7 @@ class SlotTable:
 
     def requested(self, ids: np.ndarray) -> list[int]:
         chunk, index = self._locate(ids)
-        chunks = self.chunks
-        return [chunks[c].requested[i] for c, i in zip(chunk.tolist(), index.tolist())]
+        return self.slot_words[self.record[chunk] + RECORD_WORDS * index + REQUESTED].tolist()
 
     def payload_pointers(self, ids: np.ndarray) -> np.ndarray:
         """The payload words of the given slots that point into the heap
@@ -429,167 +440,214 @@ class SlotTable:
 
 
 class _ClassState:
-    __slots__ = ("shift", "capacity", "stride", "bump", "limit", "free_list")
+    """A size class's constants; its BUMP, LIMIT and FREE words start at `word`."""
 
-    def __init__(self, shift: int):
+    __slots__ = ("shift", "capacity", "stride", "slots", "word")
+
+    def __init__(self, shift: int, chunk_size: int):
         self.shift = shift
         self.capacity = 1 << shift
         self.stride = GUARD_BYTES + self.capacity
-        self.bump = 0  # next fresh slot address; 0 = no chunk yet
-        self.limit = 0
-        self.free_list: list[int] = []  # payload addrs, LIFO
+        self.slots = chunk_size // self.stride  # per chunk
+        self.word = _CLASS_WORDS + 3 * shift
 
 
 class Allocator:
-    """Power-of-two size classes over chunked regions of the heap."""
+    """Power-of-two size classes over chunked regions of the heap, with
+    all slot metadata in the image's slot store. A record is named by its
+    first word; links hold record words, 0 for none."""
 
     def __init__(self, config: EngineConfig, image: MemoryImage):
         self.config = config
         self.image = image
-        self.chunks: list[_Chunk] = []
-        self.classes: dict[int, _ClassState] = {}
-        self._free_set: set[int] = set()
-        self._max_chunks = config.heap_size // config.chunk_size
-        self._heap_base, self._heap_end = config.heap_base, config.heap_base + config.heap_size
+        self._words = memoryview(image.slots.data).cast("Q")
+        self._slots = image.slots
+        self._region = image.slot_region
+        self._classes: list[_ClassState | None] = [None] * 64  # by shift, once allocated
+        self._heap_base, self._heap_size = config.heap_base, config.heap_size
         self._chunk_size = config.chunk_size
 
-    # -- slot metadata ---------------------------------------------------
+    # -- slot records -----------------------------------------------------
 
-    def read_header(self, chunk: _Chunk, index: int) -> tuple[int, bool]:
-        """(requested size, allocated) of a carved slot, from the
-        allocator's own metadata. perfbench/layers.py wraps it by name to
-        count slot lookups."""
-        return chunk.requested[index], bool(chunk.allocated[index])
+    def read_header(self, record: int) -> tuple[int, int]:
+        """(requested size, state) of a carved slot, from its record.
+        perfbench/layers.py wraps it by name to count slot lookups."""
+        return self._words[record + REQUESTED], self._words[record + STATE]
+
+    def _touch_record(self, record: int) -> None:
+        if record >> _PAGE_WORDS_SHIFT not in self._slots.log:  # a logged page needs no touch()
+            self._slots.touch(WORD * record, WORD * RECORD_WORDS)
 
     def set_allocated(self, payload: int, value: bool) -> None:
-        chunk, index = self._slot_at(payload)
-        chunk.allocated[index] = value
+        """Mark a slot live, or freed but on no list (withheld) until a
+        release_slot or the quarantine takes it."""
+        record = self._slot_at(payload)[1]
+        self._touch_record(record)
+        self._words[record + STATE] = LIVE if value else WITHHELD
+
+    def _slot_of(self, record: int) -> tuple[int, _ClassState]:
+        """(slot address, class) of a record."""
+        chunk, at = divmod(record - _RECORDS, self._region)
+        cls = self._classes[self._words[record - at]]
+        return self._heap_base + chunk * self._chunk_size + (at // RECORD_WORDS - 1) * cls.stride, cls
 
     # -- allocation -----------------------------------------------------
 
-    def class_for(self, size: int) -> _ClassState:
+    def allocate(self, size: int) -> int:
+        """Reuse the top slot of the class's free list, or carve the next
+        one; returns the payload address. The record takes the requested
+        size and the live state; the overflow detector plants canaries."""
         if size < 1:
             raise OversizeRequest(f"allocation size must be positive, got {size}")
         shift = (max(size, self.config.min_class) - 1).bit_length()  # of next_pow2
         if 1 << shift > self.config.max_class:
             raise OversizeRequest(f"{size} bytes exceeds the largest class ({self.config.max_class})")
-        state = self.classes.get(shift)
-        if state is None:
-            state = self.classes[shift] = _ClassState(shift)
-        return state
-
-    def allocate(self, size: int) -> int:
-        """Carve or reuse a slot; returns the payload address.
-
-        The slot's metadata records the requested size and the
-        allocated state. Canary planting is the overflow detector's job
-        and happens separately.
-        """
-        state = self.class_for(size)
-        if state.free_list:
-            payload = state.free_list.pop()
-            self._free_set.discard(payload)
-            # release_slot checked that payload starts a carved slot
-            chunk = self.chunks[(payload - self._heap_base) // self._chunk_size]
-            index = (payload - chunk.base) // chunk.stride
-            chunk.requested[index] = size
-            chunk.allocated[index] = True
+        cls = self._classes[shift]
+        if cls is None:
+            cls = self._classes[shift] = _ClassState(shift, self._chunk_size)
+        words, word, stride = self._words, cls.word, cls.stride
+        record = words[word + FREE]
+        if record:
+            words[word + FREE] = words[record + LINK]
+            slot = self._slot_of(record)[0]
         else:
-            if state.bump + state.stride > state.limit:
-                self._acquire_chunk(state)
-            slot = state.bump
-            state.bump += state.stride
-            chunk = self.chunks[(slot - self.config.heap_base) // self.config.chunk_size]
-            chunk.requested.append(size)
-            chunk.allocated.append(True)
-            payload = slot + GUARD_BYTES
-        return payload
+            slot = words[word + BUMP]
+            if slot + stride > words[word + LIMIT]:
+                slot = self._acquire_chunk(cls)
+            words[word + BUMP] = slot + stride
+            chunk, at = divmod(slot - self._heap_base, self._chunk_size)
+            record = _RECORDS + chunk * self._region + RECORD_WORDS * (1 + at // stride)
+        self._touch_record(record)
+        words[record + REQUESTED] = size
+        words[record + STATE] = LIVE
+        return slot + GUARD_BYTES
 
-    def _acquire_chunk(self, state: _ClassState) -> None:
-        if len(self.chunks) >= self._max_chunks:
-            raise OutOfVirtualHeap(
-                f"heap region exhausted after {len(self.chunks)} chunks"
-            )
-        base = self.config.heap_base + len(self.chunks) * self.config.chunk_size
-        self.chunks.append(_Chunk(base, state.shift, state.stride))
-        state.bump = base
-        state.limit = base + self.config.chunk_size
-        self.image.ensure_heap(state.limit - self.config.heap_base)
+    def _acquire_chunk(self, cls: _ClassState) -> int:
+        """Give the class the next chunk and grow the slot store over its
+        records; returns its base."""
+        words = self._words
+        chunk = words[CHUNKS]
+        if chunk >= self._heap_size // self._chunk_size:
+            raise OutOfVirtualHeap(f"heap region exhausted after {chunk} chunks")
+        base = self._heap_base + chunk * self._chunk_size
+        head = _RECORDS + chunk * self._region
+        self._slots.length = WORD * (head + self._region)
+        self._slots.touch(WORD * head, WORD)
+        words[head] = cls.shift
+        words[CHUNKS] = chunk + 1
+        words[cls.word + LIMIT] = base + self._chunk_size
+        self.image.ensure_heap(base + self._chunk_size - self._heap_base)
+        return base
 
     def release_slot(self, payload: int) -> None:
-        """Return a quarantine-evicted slot to its class free list (LIFO)."""
+        """Push a slot set_allocated(False) withheld on its free list (LIFO)."""
         try:
-            chunk, index = self._slot_at(payload)
+            slot, record, cls = self._slot_at(payload)
         except NotAHeapObject:
             raise NotQuarantined(f"0x{payload:x} was never carved from the heap")
-        if chunk.base + index * chunk.stride + GUARD_BYTES != payload:
-            raise NotQuarantined(f"0x{payload:x} is not a payload start")
-        if chunk.allocated[index]:
-            raise NotQuarantined(f"0x{payload:x} is still allocated")
-        if payload in self._free_set:
-            raise NotQuarantined(f"0x{payload:x} is already on a free list")
-        self.classes[chunk.class_shift].free_list.append(payload)
-        self._free_set.add(payload)
+        if slot + GUARD_BYTES != payload or self._words[record + STATE] != WITHHELD:
+            raise NotQuarantined(f"0x{payload:x} is not the payload of a withheld slot")
+        self._touch_record(record)
+        self._push_free(record, cls)
 
-    def is_free_listed(self, payload: int) -> bool:
-        return payload in self._free_set
+    def _push_free(self, record: int, cls: _ClassState) -> None:
+        """Put a record, already touched, on top of its class's free list."""
+        words = self._words
+        words[record + STATE] = FREE_LISTED
+        words[record + LINK] = words[cls.word + FREE]
+        words[cls.word + FREE] = record
+
+    # -- the quarantine's FIFO ---------------------------------------------
+
+    def enqueue(self, view: ObjectView, free_event: int) -> tuple[int, int]:
+        """Append a freed slot, live or withheld, to the quarantine;
+        returns its new (slot count, capacity sum)."""
+        words, record = self._words, view.record
+        self._touch_record(record)
+        words[record + STATE] = QUARANTINED
+        words[record + LINK] = 0
+        words[record + FREE_EVENT] = free_event
+        tail = words[Q_TAIL]
+        if tail:
+            self._touch_record(tail)
+            words[tail + LINK] = record
+        else:
+            words[Q_HEAD] = record
+        words[Q_TAIL] = record
+        count = words[Q_COUNT] = words[Q_COUNT] + 1
+        total = words[Q_BYTES] = words[Q_BYTES] + view.capacity
+        return count, total
+
+    def oldest(self) -> ObjectView:
+        """The view of the quarantine's oldest slot."""
+        record = self._words[Q_HEAD]
+        slot, cls = self._slot_of(record)
+        return self._view(slot, record, cls)
+
+    def dequeue(self, view: ObjectView, release: bool) -> None:
+        """Take the oldest slot, whose view is given, out of the quarantine:
+        onto its class's free list with release, else withheld."""
+        words, record = self._words, view.record
+        self._touch_record(record)
+        head = words[Q_HEAD] = words[record + LINK]
+        if not head:
+            words[Q_TAIL] = 0
+        words[Q_COUNT] -= 1
+        words[Q_BYTES] -= view.capacity
+        if release:
+            self._push_free(record, self._classes[view.capacity.bit_length() - 1])
+        else:
+            words[record + STATE] = WITHHELD
 
     # -- lookup ----------------------------------------------------------
 
-    def _slot_at(self, addr: int) -> tuple[_Chunk, int]:
-        """The chunk and slot index of the carved slot holding addr."""
-        if not self._heap_base <= addr < self._heap_end:
+    def _slot_at(self, addr: int) -> tuple[int, int, _ClassState]:
+        """(slot address, record, class) of the carved slot holding addr."""
+        off = addr - self._heap_base
+        if not 0 <= off < self._heap_size:
             raise NotAHeapObject(f"0x{addr:x} outside the heap region")
-        chunk_idx = (addr - self._heap_base) // self._chunk_size
-        if chunk_idx >= len(self.chunks):
+        chunk, at = divmod(off, self._chunk_size)
+        head = _RECORDS + chunk * self._region
+        cls = self._classes[self._words[head]]  # None: not acquired
+        if cls is None:
             raise NotAHeapObject(f"0x{addr:x} in an unassigned chunk")
-        chunk = self.chunks[chunk_idx]
-        index = (addr - chunk.base) // chunk.stride
-        if index >= chunk.carved:
+        index = at // cls.stride
+        record = head + RECORD_WORDS * (1 + index)
+        if index >= cls.slots or not self._words[record + STATE]:
             raise NotAHeapObject(f"0x{addr:x} past the carve cursor")
-        return chunk, index
+        return addr - at + index * cls.stride, record, cls
 
-    def _view(self, chunk: _Chunk, index: int) -> ObjectView:
-        slot = chunk.base + index * chunk.stride
-        requested, allocated = self.read_header(chunk, index)
-        # slot, payload, capacity, requested, allocated, class_shift, chunk, index
-        return ObjectView(
-            slot, slot + GUARD_BYTES, chunk.stride - GUARD_BYTES, requested, allocated, chunk.class_shift, chunk, index
-        )
+    def _view(self, slot: int, record: int, cls: _ClassState) -> ObjectView:
+        requested, state = self.read_header(record)
+        free_event = self._words[record + FREE_EVENT]
+        # slot, payload, capacity, requested, allocated, state, free_event, record
+        return ObjectView(slot, slot + GUARD_BYTES, cls.capacity, requested, state == LIVE, state, free_event, record)
 
     def object_bounds(self, addr: int) -> ObjectView:
         """Resolve any address inside a carved slot (interior included)."""
         return self._view(*self._slot_at(addr))
 
+    @property
+    def chunks(self) -> list[_Chunk]:
+        """The chunks acquired, in order. A chunk is full unless its
+        class's limit ends it: then its class's bump ends its carved slots."""
+        words, out, base = self._words, [], self._heap_base
+        for head in range(_RECORDS, _RECORDS + self._region * words[CHUNKS], self._region):
+            cls = self._classes[words[head]]
+            end = base + self._chunk_size
+            carved = (words[cls.word + BUMP] - base) // cls.stride if words[cls.word + LIMIT] == end else cls.slots
+            out.append(_Chunk(base, cls.shift, cls.stride, carved))
+            base = end
+        return out
+
     def carved_slots(self):
         """Yield an ObjectView for every slot ever carved, in address order
         within each chunk and chunk-acquisition order overall."""
-        for chunk in self.chunks:
+        for n, chunk in enumerate(self.chunks):
+            cls, first = self._classes[chunk.class_shift], _RECORDS + n * self._region + RECORD_WORDS
             for i in range(chunk.carved):
-                yield self._view(chunk, i)
+                yield self._view(chunk.base + i * chunk.stride, first + RECORD_WORDS * i, cls)
 
     def slot_table(self) -> SlotTable:
         """The carved slots as arrays, for passes over many addresses."""
-        return SlotTable(self.config, self.chunks, self.image.heap)
-
-    # -- snapshot ---------------------------------------------------------
-
-    def snapshot(self):
-        return (
-            [(c.base, c.class_shift, c.stride, c.requested.tobytes(), bytes(c.allocated))
-             for c in self.chunks],
-            {s: (st.bump, st.limit, tuple(st.free_list)) for s, st in self.classes.items()},
-        )
-
-    def restore(self, snap) -> None:
-        chunk_rows, class_rows = snap
-        self.chunks = [_Chunk(b, s, t, array("Q", r), bytearray(a)) for (b, s, t, r, a) in chunk_rows]
-        self.classes = {}
-        self._free_set = set()
-        for shift, (bump, limit, free_list) in class_rows.items():
-            state = _ClassState(shift)
-            state.bump = bump
-            state.limit = limit
-            state.free_list = list(free_list)
-            self.classes[shift] = state
-            self._free_set.update(free_list)
+        return SlotTable(self.config, self.image, self.chunks)

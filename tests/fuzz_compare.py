@@ -14,7 +14,11 @@ and with dangling detection, with pointer stores among the operations
 under `--stores` and with nested frames and rebound variable names
 under `--frames`, with the quarantine count and watchpoint
 budget drawn from the seed as the fuzz test draws them: 6,000 runs by
-default. It writes one JSON line per run: the reports as the CLI's JSON
+default. `--detectors LIST` enables only the listed detectors (all
+three by default; without `uaf`, a run without dangling detection frees
+straight to the free lists and one with it quarantines without canary
+fills), and `--quarantine-bytes N` sets the quarantine's capacity-sum
+threshold, which the fuzzed traces reach only when it is small. It writes one JSON line per run: the reports as the CLI's JSON
 renders them, the final state hash, the scan records, the allocation
 sequence, the call results, the exception (type and message) if the
 run raised, and, also when it raised, the sha256 of the canary shadow
@@ -54,6 +58,7 @@ import re
 from collections import Counter
 
 import tripwire as tw
+from tripwire.config import parse_detectors
 from tripwire.engine import Engine
 from tripwire.errors import NotAHeapObject
 from tripwire.reports import report_to_dict
@@ -74,13 +79,14 @@ FIELDS = (
 )
 
 
-def fuzz_runs(seeds: range, stores: bool = False, frames: bool = False):
-    """(run id, trace text, config) for every run of the comparison."""
+def fuzz_runs(seeds: range, stores: bool = False, frames: bool = False, **overrides):
+    """(run id, trace text, config) for every run of the comparison;
+    overrides are EngineConfig fields."""
     for seed in seeds:
         for ops in (30, 60):
             for dangling in (False, True):
                 run_id = f"{seed}/{ops}/{'dangling' if dangling else 'plain'}"
-                yield (run_id, *fuzz_case(seed, ops, stores, frames, dangling=dangling))
+                yield (run_id, *fuzz_case(seed, ops, stores, frames, dangling=dangling, **overrides))
 
 
 def events_digest(events) -> str:
@@ -195,9 +201,9 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
     return record
 
 
-def dump(path: str, seeds: range, stores: bool = False, frames: bool = False) -> None:
+def dump(path: str, seeds: range, stores: bool = False, frames: bool = False, **overrides) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for run_id, text, config in fuzz_runs(seeds, stores, frames):
+        for run_id, text, config in fuzz_runs(seeds, stores, frames, **overrides):
             record = run_one(text, config, run_id)
             f.write(json.dumps({"run": run_id, **record}, sort_keys=True) + "\n")
 
@@ -280,12 +286,16 @@ def main() -> None:
     d.add_argument("--seeds", type=_seed_range, default=range(1500), help="START:STOP (default 0:1500)")
     d.add_argument("--stores", action="store_true", help="generate traces with pointer stores")
     d.add_argument("--frames", action="store_true", help="generate traces with nested frames and rebinding")
+    d.add_argument("--detectors", type=parse_detectors, help="comma-separated detectors to enable (default: all)")
+    d.add_argument("--quarantine-bytes", type=int, help="the quarantine's capacity-sum threshold")
     c = sub.add_parser("diff", help="count the runs whose fields differ between two dumps")
     c.add_argument("old")
     c.add_argument("new")
     args = parser.parse_args()
     if args.mode == "dump":
-        dump(args.out, args.seeds, args.stores, args.frames)
+        overrides = {"detectors": args.detectors, "quarantine_max_bytes": args.quarantine_bytes}
+        overrides = {name: value for name, value in overrides.items() if value is not None}
+        dump(args.out, args.seeds, args.stores, args.frames, **overrides)
     else:
         diff(args.old, args.new)
 

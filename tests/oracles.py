@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections import deque
 
 from tripwire.config import GUARD_BYTES
+from tripwire.vheap import FREE_LISTED, LINK, Q_BYTES, Q_COUNT, Q_HEAD, QUARANTINED
 
 
 def masks_of(byte_addrs) -> dict[int, int]:
@@ -38,7 +39,6 @@ def expected_canary_masks(engine) -> dict[int, int]:
     """
     config = engine.config
     overflow_on = config.detector_enabled("overflow")
-    uaf_on = engine.quarantine is not None
     canary: set[int] = set()
     for view in engine.allocator.carved_slots():
         payload, cap, req = view.payload, view.capacity, view.requested
@@ -48,9 +48,9 @@ def expected_canary_masks(engine) -> dict[int, int]:
         prefix = set(range(payload, payload + min(config.uaf_fill_prefix, cap)))
         if view.allocated:
             canary |= tail
-        elif uaf_on and engine.quarantine.entry_for(payload) is not None:
+        elif view.state == QUARANTINED:
             canary |= tail | prefix
-        elif engine.allocator.is_free_listed(payload):
+        elif view.state == FREE_LISTED:
             canary |= tail - prefix
         else:
             # withheld after a corrupted eviction; unreachable without writes
@@ -150,17 +150,31 @@ def reachability_closure(engine) -> set[int]:
 def reachable_quarantined(engine) -> set[int]:
     """Dangling-pointer oracle: payloads of freed objects still in
     quarantine that a root or a reachable live object points into."""
-    return {p for p in _reach(engine)[1] if engine.quarantine.entry_for(p) is not None}
+    return {p for p in _reach(engine)[1] if engine.allocator.object_bounds(p).state == QUARANTINED}
 
 
-def stack_at_event(events, event_id: int) -> tuple[str, ...]:
-    """Replay only the push/pop events to derive the stack at event_id."""
+def quarantine_fifo(engine) -> tuple[list[int], int, int]:
+    """The quarantine as the slot store holds it: its payloads oldest
+    first, following the links from the head record, then the header's
+    slot count and capacity sum."""
+    payload_of = {view.record: view.payload for view in engine.allocator.carved_slots()}
+    words = memoryview(engine.image.slots.data).cast("Q")
+    fifo, record = [], words[Q_HEAD]
+    while record:
+        fifo.append(payload_of[record])
+        record = words[record + LINK]
+    return fifo, words[Q_COUNT], words[Q_BYTES]
+
+
+def stacks_at_events(events) -> list[tuple[str, ...]]:
+    """The stack at each event, by event id: one replay of the push and
+    pop events over a list, taking the stack before each event."""
     stack: list[str] = []
+    stacks = []
     for ev in events:
-        if ev.id >= event_id:
-            break
+        stacks.append(tuple(stack))
         if ev.kind.name == "STACK_PUSH":
             stack.append(ev.frame)
         elif ev.kind.name == "STACK_POP":
             stack.pop()
-    return tuple(stack)
+    return stacks

@@ -10,10 +10,10 @@ import tripwire as tw
 from tripwire.engine import Engine
 from tripwire.epoch import Category, ModeledFileTable, SyscallModel, classify
 from tripwire.errors import LogUnderrun, ReplayDivergence
-from tripwire.quarantine import QuarantineEntry
 from tripwire.trace import parse_trace
 
 from conftest import small_config
+from oracles import quarantine_fifo
 
 
 @pytest.mark.parametrize(
@@ -214,12 +214,14 @@ def test_open_returns_lowest_free_fd_and_replays_it():
 def raw_state(eng) -> tuple:
     """What a restore must bring back, read from raw memory and the
     machine state, not through the engine's replay record: the heap
-    prefix, the globals and the shadow's mask bytes."""
+    prefix, the globals, the shadow's mask bytes and the slot store,
+    which holds the allocator's and the quarantine's state."""
     image = eng.image
     return (
         image.heap[: image.heap_prefix],
         bytes(image.globals),
         bytes(eng.overflow.bitmap.bits),
+        bytes(image.slots.data),
         eng._machine_state(),
     )
 
@@ -239,9 +241,7 @@ def _heap_writes(eng, payload):
 
 
 def _quarantined_free(eng, payload):
-    view = eng.allocator.object_bounds(payload)
-    eng.allocator.set_allocated(payload, False)
-    eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, 0))
+    eng.quarantine.on_free(eng.allocator.object_bounds(payload), 0)
 
 
 # one change per piece of state rollback restores, made after the snapshot;
@@ -341,7 +341,7 @@ def test_rollback_restores_quarantine_fifo_exactly():
     out = eng.run()
     assert [r.kind for r in out.reports] == ["overflow"]
     # after the replayed epoch the quarantine holds a then b, FIFO intact
-    assert [e.payload for e in eng.quarantine.entries] == [
+    assert quarantine_fifo(eng)[0] == [
         out.alloc_sequence[0],
         out.alloc_sequence[1],
     ]

@@ -7,7 +7,6 @@ import numpy as np
 import tripwire as tw
 from tripwire.engine import Engine
 from tripwire.leakscan import LeakScanner
-from tripwire.quarantine import QuarantineEntry
 from tripwire.vheap import GUARD_BYTES, next_pow2
 
 from conftest import small_config
@@ -25,9 +24,7 @@ def alloc(eng, size):
 
 
 def free(eng, payload):
-    view = eng.allocator.object_bounds(payload)
-    eng.allocator.set_allocated(payload, False)
-    eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, 0))
+    eng.quarantine.on_free(eng.allocator.object_bounds(payload), 0)
 
 
 def scan(eng, registers, dangling=False):
@@ -144,12 +141,13 @@ def test_mark_and_sweep_write_no_heap_page():
     eng.image.write_word(a, b)
     eng.image.write_word(eng.config.globals_base, a)
     digest = eng.image.heap_pages.digest()
-    heap_log, _, shadow_log = eng.image.snapshot()
+    heap_log, _, shadow_log, slot_log = eng.image.snapshot()
     found = scan(eng, {"r0": freed}, dangling=True)
     assert leaked(found) == [(lost, 100)]
     assert reachable_freed(found) == [freed]
     assert heap_log == {}
     assert shadow_log == {}
+    assert list(slot_log) == [0]  # the header page every snapshot saves: no record written
     assert eng.image.heap_pages.digest() == digest
 
 
@@ -272,8 +270,9 @@ def random_epochs(rng, eng, epochs):
 
     def stray():
         if live and rng.random() < 0.5:  # the next slot of a class, not carved yet
-            state = eng.allocator.class_for(eng.allocator.object_bounds(rng.choice(live)).capacity)
-            return state.bump + GUARD_BYTES + 8 * rng.randrange(2)
+            stride = GUARD_BYTES + eng.allocator.object_bounds(rng.choice(live)).capacity
+            chunk = [c for c in eng.allocator.chunks if c.stride == stride][-1]  # the class's current one
+            return chunk.base + chunk.carved * stride + GUARD_BYTES + 8 * rng.randrange(2)
         return config.heap_base + eng.image.heap_prefix + rng.choice((40, config.chunk_size + 8))
 
     def pointer():
@@ -331,7 +330,7 @@ def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
         eng.image.snapshot()
         for _ in random_epochs(rng, eng, rng.randint(2, 8)):
             got = marks_and_sweeps(eng.leaks, eng.registers)
-            want = marks_and_sweeps(LeakScanner(eng.image, eng.allocator, eng.quarantine), eng.registers)
+            want = marks_and_sweeps(LeakScanner(eng.image, eng.allocator), eng.registers)
             assert np.array_equal(got[0], want[0]), seed
             assert got[1:] == want[1:], seed
             eng.image.snapshot()

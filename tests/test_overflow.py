@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import tripwire as tw
 from tripwire.engine import Engine
 from tripwire.overflow import MASK_CACHE_CAPACITY
-from tripwire.quarantine import QuarantineEntry
 from tripwire.trace import parse_trace
 from tripwire.vheap import PAGE, next_pow2
 
@@ -40,10 +39,7 @@ def alloc(eng, size):
 def free(eng, payload, event=0):
     view = eng.allocator.object_bounds(payload)
     found = eng.overflow.check_on_free(payload, view.requested, view.capacity)
-    eng.allocator.set_allocated(payload, False)
-    evicted = eng.quarantine.on_free(
-        QuarantineEntry(payload, view.capacity, view.requested, event)
-    )
+    evicted = eng.quarantine.on_free(view, event)
     return found, evicted
 
 
@@ -439,7 +435,7 @@ def test_shadow_undo_log_holds_only_the_pages_bitmap_writes_touched():
     far = base + 3 * SHADOW_PAGE_SPAN
     eng.overflow.plant(far, far + 64)
     a = alloc(eng, 24)
-    heap_log, _, shadow_log = image.snapshot()
+    heap_log, _, shadow_log, _ = image.snapshot()
     image.write_fill(a, 24, 0x11, internal=False)  # a program write: heap pages only
     assert heap_log and shadow_log == {}
     eng.overflow.plant(far + 128, far + 192)

@@ -2,16 +2,16 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tripwire as tw
 from tripwire.engine import Engine
-from tripwire.quarantine import QuarantineEntry
 from tripwire.trace import parse_trace
-from tripwire.vheap import next_pow2
+from tripwire.vheap import FREE_LISTED, LIVE, QUARANTINED, WITHHELD, next_pow2
 
 from conftest import small_config
+from oracles import quarantine_fifo
 
 CANARY = 0xCA
 
@@ -27,9 +27,11 @@ def alloc(eng, size):
 
 
 def free(eng, payload, event=0):
-    view = eng.allocator.object_bounds(payload)
-    eng.allocator.set_allocated(payload, False)
-    return eng.quarantine.on_free(QuarantineEntry(payload, view.capacity, view.requested, event))
+    return eng.quarantine.on_free(eng.allocator.object_bounds(payload), event)
+
+
+def free_listed(eng, payload) -> bool:
+    return eng.allocator.object_bounds(payload).state == FREE_LISTED
 
 
 def test_small_object_fully_canaried():
@@ -53,11 +55,11 @@ def test_count_threshold_evicts_first_freed():
     payloads = [alloc(eng, 16) for _ in range(9)]
     for p in payloads[:8]:
         assert free(eng, p) == []
-        assert len(eng.quarantine) <= 8
+        assert quarantine_fifo(eng)[1] <= 8
     free(eng, payloads[8])
-    assert len(eng.quarantine) == 8
+    assert quarantine_fifo(eng)[1] == 8
     assert eng.quarantine.entry_for(payloads[0]) is None  # oldest left
-    assert eng.allocator.is_free_listed(payloads[0])
+    assert free_listed(eng, payloads[0])
     assert eng.quarantine.entry_for(payloads[1]) is not None
 
 
@@ -66,10 +68,10 @@ def test_capacity_threshold_drains_until_under():
     payloads = [alloc(eng, 1024) for _ in range(5)]
     for p in payloads[:4]:
         free(eng, p)
-    assert eng.quarantine.total_bytes == 4096
+    assert quarantine_fifo(eng)[2] == 4096
     free(eng, payloads[4])  # 5120 > 4096: evict oldest once
-    assert eng.quarantine.total_bytes == 4096
-    assert eng.allocator.is_free_listed(payloads[0])
+    assert quarantine_fifo(eng)[2] == 4096
+    assert free_listed(eng, payloads[0])
 
 
 def test_evicted_clean_slot_is_reusable_at_same_address():
@@ -90,7 +92,7 @@ def test_corrupted_eviction_returns_evidence_and_withholds_slot():
     reports = free(eng, b)  # evicts a, finds the corruption
     assert [(r.kind, r.corrupted_addr, r.object_addr) for r in reports] == [("use-after-free", a, a)]
     assert reports[0].free_event == 3
-    assert not eng.allocator.is_free_listed(a)  # withheld from reuse
+    assert not free_listed(eng, a)  # withheld from reuse
     assert alloc(eng, 64) != a
 
 
@@ -102,7 +104,7 @@ def test_write_beyond_fill_prefix_goes_undetected():
     eng.image.write_fill(a + 200, 4, 0x00, internal=False)
     b = alloc(eng, 256)
     assert free(eng, b) == []  # eviction of a saw nothing
-    assert eng.allocator.is_free_listed(a)
+    assert free_listed(eng, a)
 
 
 def test_epoch_scan_attribution_uaf_vs_overflow():
@@ -144,11 +146,11 @@ def test_freed_address_never_returned_while_quarantined():
         freed.append(p)
         evicted = free(eng, p)
         assert evicted == []
-        for entry in list(eng.quarantine.entries):
+        for held in quarantine_fifo(eng)[0]:
             fresh = alloc(eng, 48)
-            assert fresh != entry.payload
+            assert fresh != held
     # delay guarantee held throughout; queue stayed bounded
-    assert len(eng.quarantine) <= 4
+    assert quarantine_fifo(eng)[1] <= 4
 
 
 @settings(max_examples=50, deadline=None)
@@ -177,8 +179,8 @@ def test_threshold_safety_after_every_free():
     for _ in range(60):
         p = alloc(eng, rng.randint(1, 900))
         free(eng, p)
-        assert len(eng.quarantine) <= 5
-        assert eng.quarantine.total_bytes <= 2048
+        assert quarantine_fifo(eng)[1] <= 5
+        assert quarantine_fifo(eng)[2] <= 2048
 
 
 def test_double_free_reported_with_both_stacks():
@@ -240,7 +242,130 @@ def test_eviction_checks_the_fill_prefix_to_its_last_byte():
     eng.image.write_fill(a + 100, 4, 0x00, internal=False)  # past the prefix: no canaries
     b = alloc(eng, 128)
     assert free(eng, b) == []  # evicts a, clean
-    assert eng.allocator.is_free_listed(a)
+    assert free_listed(eng, a)
     eng.image.write_fill(b + 99, 1, 0x00, internal=False)  # the prefix's last byte
     reports = free(eng, alloc(eng, 128))  # evicts b
     assert [(r.kind, r.corrupted_addr) for r in reports] == [("use-after-free", b + 96)]
+
+
+# -- the allocator and the queue against a reference model --------------------
+
+GUARD = 32
+STATE_NAMES = {LIVE: "live", QUARANTINED: "quarantined", FREE_LISTED: "free", WITHHELD: "withheld"}
+
+
+class SlotModel:
+    """A pure-Python allocator and quarantine: per-class bump chunks and
+    LIFO free lists, and a FIFO with count and byte thresholds whose
+    evictions go to the free lists unless a dangling write corrupted
+    them, in which case they are withheld."""
+
+    def __init__(self, config):
+        self.config = config
+        self.chunks = 0
+        self.bump: dict[int, tuple[int, int]] = {}  # class capacity -> (next slot, chunk end)
+        self.free_lists: dict[int, list[int]] = {}
+        self.queue: list[int] = []
+        self.state: dict[int, str] = {}
+        self.requested: dict[int, int] = {}
+        self.corrupted: set[int] = set()
+
+    def capacity(self, payload: int) -> int:
+        return next_pow2(max(self.requested[payload], self.config.min_class))
+
+    def malloc(self, size: int) -> int:
+        cap = next_pow2(max(size, self.config.min_class))
+        free = self.free_lists.setdefault(cap, [])
+        if free:
+            payload = free.pop()
+        else:
+            slot, end = self.bump.get(cap, (0, 0))
+            if slot + GUARD + cap > end:
+                slot = self.config.heap_base + self.chunks * self.config.chunk_size
+                end = slot + self.config.chunk_size
+                self.chunks += 1
+            self.bump[cap] = (slot + GUARD + cap, end)
+            payload = slot + GUARD
+        self.state[payload], self.requested[payload] = "live", size
+        return payload
+
+    def free(self, payload: int) -> list[int]:
+        """Quarantine payload; returns the corrupted evictions' payloads."""
+        self.queue.append(payload)
+        self.state[payload] = "quarantined"
+        withheld = []
+        while (len(self.queue) > self.config.quarantine_max_count
+               or sum(map(self.capacity, self.queue)) > self.config.quarantine_max_bytes):
+            oldest = self.queue.pop(0)
+            if oldest in self.corrupted:
+                self.corrupted.discard(oldest)
+                self.state[oldest] = "withheld"
+                withheld.append(oldest)
+            else:
+                self.state[oldest] = "free"
+                self.free_lists[self.capacity(oldest)].append(oldest)
+        return withheld
+
+    def copy(self) -> SlotModel:
+        twin = SlotModel(self.config)
+        twin.chunks, twin.bump = self.chunks, dict(self.bump)
+        twin.free_lists = {cap: list(free) for cap, free in self.free_lists.items()}
+        twin.queue, twin.corrupted = list(self.queue), set(self.corrupted)
+        twin.state, twin.requested = dict(self.state), dict(self.requested)
+        return twin
+
+
+def assert_matches(eng, model: SlotModel) -> None:
+    views = list(eng.allocator.carved_slots())
+    assert {v.payload: (STATE_NAMES[v.state], v.requested) for v in views} == {
+        p: (state, model.requested[p]) for p, state in model.state.items()
+    }
+    assert quarantine_fifo(eng) == (model.queue, len(model.queue), sum(map(model.capacity, model.queue)))
+
+
+_model_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("malloc"), st.sampled_from((17, 24, 40, 300, 5000))),
+        st.tuples(st.just("free"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("dangle"), st.integers(0, 1 << 16)),
+        st.just(("snapshot",)),
+        st.just(("restore",)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.sampled_from((64, 300, 1024, 1 << 20)), _model_steps)
+# two slots of one class evicted to its free list, then reused: LIFO
+@example(1, 1 << 20, [("malloc", 40)] * 3 + [("free", 0)] * 3 + [("malloc", 40)])
+# the queue's old tail, in another chunk, is linked to a slot freed after
+# the snapshot; the restore must unlink it
+@example(3, 1 << 20, [("malloc", 5000), ("malloc", 40), ("free", 0), ("snapshot",), ("free", 0), ("restore",)])
+def test_allocator_and_queue_match_a_reference_model(max_count, max_bytes, steps):
+    # LIFO free lists, a FIFO quarantine under both thresholds, withheld
+    # corrupted evictions, and restores of the image's undo log, which
+    # must bring all of it back: the same payloads, states and queue
+    eng = harness(quarantine_max_count=max_count, quarantine_max_bytes=max_bytes)
+    model = SlotModel(eng.config)
+    saved = snap = None
+    for step in steps:
+        live = sorted(p for p, state in model.state.items() if state == "live")
+        if step[0] == "malloc":
+            assert eng.allocator.allocate(step[1]) == model.malloc(step[1])
+        elif step[0] == "free" and live:
+            payload = live[step[1] % len(live)]
+            evidence = eng.quarantine.on_free(eng.allocator.object_bounds(payload), 0)
+            assert [r.object_addr for r in evidence] == model.free(payload)
+        elif step[0] == "dangle" and model.queue:
+            payload = model.queue[step[1] % len(model.queue)]
+            eng.image.write_fill(payload, 1, 0x00, internal=False)
+            model.corrupted.add(payload)
+        elif step[0] == "snapshot":
+            snap, saved = eng.image.snapshot(), model.copy()
+        elif step[0] == "restore" and snap is not None:
+            eng.image.restore(snap)
+            model = saved.copy()
+            assert_matches(eng, model)
+        assert quarantine_fifo(eng)[0] == model.queue
+    assert_matches(eng, model)

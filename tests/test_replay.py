@@ -10,7 +10,7 @@ from tripwire.reports import KIND_UAF
 from tripwire.trace import EventKind, parse_trace
 
 from conftest import small_config
-from oracles import stack_at_event
+from oracles import stacks_at_events
 
 
 def test_watch_check_traps_overlapping_write():
@@ -117,7 +117,7 @@ def test_trap_stacks_match_pushpop_derivation():
     out = tw.run_events(events, small_config())
     (report,) = out.reports
     (event_id, stack) = report.offending_events[0]
-    assert stack == stack_at_event(events, event_id) == ("main", "helper", "inner")
+    assert stack == stacks_at_events(events)[event_id] == ("main", "helper", "inner")
 
 
 def test_uaf_three_frames_deep_names_the_oracles_stacks():
@@ -130,9 +130,9 @@ def test_uaf_three_frames_deep_names_the_oracles_stacks():
     assert report.kind == KIND_UAF
     ((write_event, write_stack),) = report.offending_events
     assert events[write_event].kind is EventKind.WRITE
-    assert write_stack == stack_at_event(events, write_event) == ("main", "use0", "use1", "use2")
-    assert report.alloc_stack == stack_at_event(events, report.alloc_event) == ("main", "make0", "make1", "make2")
-    assert report.free_stack == stack_at_event(events, report.free_event) == ("main", "drop0", "drop1", "drop2")
+    assert write_stack == stacks_at_events(events)[write_event] == ("main", "use0", "use1", "use2")
+    assert report.alloc_stack == stacks_at_events(events)[report.alloc_event] == ("main", "make0", "make1", "make2")
+    assert report.free_stack == stacks_at_events(events)[report.free_event] == ("main", "drop0", "drop1", "drop2")
 
 
 def test_replay_purity_log_does_not_grow():

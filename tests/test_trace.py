@@ -8,7 +8,7 @@ from tripwire.epoch import Category, classify
 from tripwire.errors import StackUnderflow, TraceError, TraceSyntaxError, UnboundVariable
 from tripwire.trace import CallStacks, EventKind, parse_trace
 
-from oracles import stack_at_event
+from oracles import stacks_at_events
 from test_replay_fuzz import error_trace
 
 
@@ -266,7 +266,7 @@ def test_fields_a_kind_lacks_read_as_none():
 
 def assert_stacks_match_the_oracle(events) -> None:
     stacks = CallStacks(events)
-    assert [stacks.at(ev.id) for ev in events] == [stack_at_event(events, ev.id) for ev in events]
+    assert [stacks.at(ev.id) for ev in events] == stacks_at_events(events)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -282,11 +282,12 @@ def test_call_stacks_of_an_empty_trace_and_of_one_without_frames():
 
 
 def test_call_stacks_of_a_2000_deep_nest():
-    # the oracle replays the trace up to each event, so the walk back
-    # out is only begun; the fuzzed traces pop at every depth
-    text = "".join(f"stack push f{k}\n" for k in range(2000)) + "malloc a 8\nstack pop\nstack pop\n"
-    events = parse_trace(text + "free a\nend\n")
+    # in and back out, with a malloc at the bottom and a free on the way out
+    pushes = "".join(f"stack push f{k}\n" for k in range(2000))
+    pops = "stack pop\n" * 1000 + "free a\n" + "stack pop\n" * 1000
+    events = parse_trace(pushes + "malloc a 8\n" + pops + "end\n")
     assert_stacks_match_the_oracle(events)
     stacks = CallStacks(events)
     assert stacks.at(2000) == tuple(f"f{k}" for k in range(2000))
-    assert stacks.at(2003) == tuple(f"f{k}" for k in range(1998))
+    assert stacks.at(3001) == tuple(f"f{k}" for k in range(1000))
+    assert stacks.at(4002) == ()

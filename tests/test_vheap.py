@@ -13,7 +13,8 @@ from tripwire.errors import (
     OversizeRequest,
     SegfaultModel,
 )
-from tripwire.vheap import PAGE, Allocator, MemoryImage, next_pow2
+from tripwire.engine import Engine
+from tripwire.vheap import PAGE, PAGE_SHIFT, WORD, Allocator, MemoryImage, next_pow2
 
 from conftest import small_config
 
@@ -227,14 +228,14 @@ def test_image_snapshot_restore_is_byte_exact():
 
 
 def test_allocator_snapshot_restore_resumes_identically():
-    _, _, h1 = make_heap()
+    _, image, h1 = make_heap()
     _, _, h2 = make_heap()
     for h in (h1, h2):
         for size in (24, 24, 100):
             h.allocate(size)
-    snap = h1.snapshot()
+    snap = image.snapshot()  # the slot store's undo log covers the allocator
     tail1 = [h1.allocate(s) for s in (24, 100, 9)]
-    h1.restore(snap)
+    image.restore(snap)
     tail1_again = [h1.allocate(s) for s in (24, 100, 9)]
     tail2 = [h2.allocate(s) for s in (24, 100, 9)]
     assert tail1 == tail1_again == tail2
@@ -349,3 +350,19 @@ def test_only_the_latest_snapshot_restores():
     image.snapshot()
     with pytest.raises(ValueError):
         image.restore(old)
+
+
+def test_an_epoch_logs_only_the_slot_records_it_wrote():
+    # a boundary costs what the epoch did: after 32,000 live mallocs, an
+    # epoch with one malloc and one free saves only the header page and
+    # the pages of those two records in the slot store's undo log
+    eng = Engine([], small_config())
+    allocator, image = eng.allocator, eng.image
+    live = [allocator.allocate(16) for _ in range(32_000)]
+    image.snapshot()
+    fresh = allocator.object_bounds(allocator.allocate(16))
+    freed = allocator.object_bounds(live[12_345])
+    eng.quarantine.on_free(freed, 0)
+    pages = {0} | {WORD * view.record >> PAGE_SHIFT for view in (fresh, freed)}
+    assert len(pages) == 3
+    assert set(image.slots.log) == pages
