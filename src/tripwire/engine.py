@@ -6,18 +6,19 @@ undo logs for the memory image's page stores (heap, globals, canary
 shadow, and the slot store with all allocator and quarantine state),
 which save each page on its first write and restore byte-exact, plus
 the machine state as values (Engine._machine_state): event cursor,
-registers and file positions. Bindings and call stacks are read from
-the trace (TraceEvent.alloc, trace.CallStacks). Events then run at
-full speed with no per-write checking. An epoch ends at an
-irrevocable external call, a modeled segfault, or the end of the
-trace; the detectors inspect state there. Their evidence is a list of
-unattributed reports (reports.ErrorReport). Corrupted canaries found
-at a free or an eviction end-run the boundary and trigger the same
-path immediately. On any evidence the engine restores the snapshot,
-arms watchpoints on the reports' corrupted words, re-executes the
-epoch's events with call-site recording on (a write traps when it
+registers and file positions. Bindings, call stacks and allocation
+sites are read from the trace (TraceEvent.alloc, trace.CallStacks,
+trace.AllocSites). Events then run at full speed with no per-write
+checking. An epoch ends at an irrevocable external call, a modeled
+segfault, or the end of the trace; the detectors inspect state there.
+Their evidence is a list of unattributed reports (reports.ErrorReport).
+Corrupted canaries found at a free or an eviction end-run the boundary
+and trigger the same path immediately. When some evidence names a
+corrupted word, the engine restores the snapshot, arms watchpoints on
+those words, re-executes the epoch's events (a write traps when it
 covers a byte the shadow masks as canary in a watched word), fills in
-each report's epoch, trapped writes and allocation site, and resumes.
+the reports and resumes. Leaks and reachable freed objects have no word
+to watch, so evidence of only those is reported without a replay.
 
 A replay is checked by comparing, not hashing. Before a rollback the
 engine records the state the epoch ended in (Engine._end_state): each
@@ -57,7 +58,7 @@ from .overflow import OverflowDetector, byte_mask
 from .quarantine import QuarantineQueue
 from .replay import WatchpointSet, build_reports
 from .reports import KIND_DOUBLE_FREE, KIND_LEAK, KIND_OVERFLOW, KIND_SEGFAULT, ErrorReport, sort_reports
-from .trace import CallStacks, EventKind, TraceEvent, ValueExpr, parse_trace
+from .trace import AllocSites, CallStacks, EventKind, TraceEvent, ValueExpr, parse_trace
 from .vheap import QUARANTINED, WORD, Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
 
 
@@ -129,6 +130,7 @@ class Engine:
         self.reports: list[ErrorReport] = []
         self.reported_evidence: set[int] = set()  # leak/dangling payloads already reported
         self.alloc_sequence = array("Q")  # payload by malloc ordinal (TraceEvent.alloc)
+        self.sites = AllocSites(events, self.alloc_sequence)
         self.replay_summaries: list[ReplaySummary] = []
         # (cursor, words) per retirement this epoch; like the call log it
         # survives rollback, so replay redoes each retirement where it happened
@@ -138,8 +140,6 @@ class Engine:
         self.epoch_index = -1
         self.snapshot: EpochSnapshot | None = None
         self._wps: WatchpointSet | None = None
-        # payload -> event id of its latest allocation, kept during replay
-        self._alloc_sites: dict[int, int] = {}
         self._ran = False
 
     # -- state ------------------------------------------------------------
@@ -237,10 +237,13 @@ class Engine:
                 )
             )
         evidence = self._collect_evidence()
-        if evidence or self.epoch_index in self.force_rollback_epochs:
+        watched = any(r.corrupted_addr is not None for r in evidence)
+        if watched or self.epoch_index in self.force_rollback_epochs:
             # the evidence passes write no recorded state, so this is the
             # state the epoch ended in
             self._rollback_and_replay(evidence, boundary_cursor, self._end_state())
+        elif evidence:
+            self._emit_reports(evidence, {})  # no word to watch: nothing to replay
         self.syscalls.commit()
         if fault is not None or trigger is None or trigger.kind is EventKind.END:
             return True
@@ -295,7 +298,6 @@ class Engine:
         words = [r.corrupted_addr for r in evidence if r.corrupted_addr is not None]
         wps, unwatched = WatchpointSet.arm(words, self.config.max_watchpoints)
         self._wps = wps
-        self._alloc_sites = {}
         self.syscalls.begin_replay()
         self.mode = Mode.REPLAY
         self.image.write_observer = self._observe_write
@@ -315,9 +317,7 @@ class Engine:
             self.mode = Mode.NORMAL
         self.syscalls.finish_replay()
         if self.cursor != resume_cursor:
-            raise ReplayDivergence(
-                f"replay stopped at event {self.cursor}, expected {resume_cursor}"
-            )
+            raise ReplayDivergence(f"replay stopped at event {self.cursor}, expected {resume_cursor}")
         if self._end_state() != ended:
             raise ReplayDivergence("replayed state differs from the recorded execution")
         self._emit_replay_reports(evidence)
@@ -334,13 +334,14 @@ class Engine:
         self._wps = None
 
     def _emit_replay_reports(self, evidence: list[ErrorReport]) -> None:
-        self.reports += build_reports(
-            self.epoch_index, evidence, self._wps.traps, self._alloc_sites, self.stacks
-        )
+        self._emit_reports(evidence, self._wps.traps)
         # retire what was just reported so later boundaries stay quiet
         retired = [r.corrupted_addr for r in evidence if r.corrupted_addr is not None]
         self.overflow.retire_words(retired)
         self._retirements.append((self.cursor, retired))
+
+    def _emit_reports(self, evidence: list[ErrorReport], traps: dict[int, list[int]]) -> None:
+        self.reports += build_reports(self.epoch_index, evidence, traps, self.stacks, self.sites)
         self.reported_evidence.update(r.object_addr for r in evidence if r.kind == KIND_LEAK)
 
     def _observe_write(self, addr: int, length: int) -> None:
@@ -411,10 +412,8 @@ class Engine:
         if self.mode is Mode.NORMAL:
             self.alloc_sequence.append(payload)
             self.reported_evidence.discard(payload)
-        else:
-            if self.alloc_sequence[ev.alloc] != payload:
-                raise ReplayDivergence(f"event {ev.id}: replayed allocation at 0x{payload:x} diverges")
-            self._alloc_sites[payload] = ev.id
+        elif self.alloc_sequence[ev.alloc] != payload:
+            raise ReplayDivergence(f"event {ev.id}: replayed allocation at 0x{payload:x} diverges")
 
     def _exec_free(self, ev: TraceEvent) -> list[ErrorReport] | None:
         payload = self.alloc_sequence[ev.alloc]
@@ -422,6 +421,7 @@ class Engine:
         if not view.allocated:
             if self.mode is Mode.NORMAL:
                 prior = view.free_event if view.state == QUARANTINED else None
+                site = self.sites.at(payload)
                 self.reports.append(
                     ErrorReport(
                         kind=KIND_DOUBLE_FREE,
@@ -429,6 +429,8 @@ class Engine:
                         object_addr=payload,
                         object_size=view.requested,
                         offending_events=((ev.id, self.stacks.at(ev.id)),),
+                        alloc_stack=self.stacks.at(site),
+                        alloc_event=site,
                         prior_free_stack=None if prior is None else self.stacks.at(prior),
                         prior_free_event=prior,
                     )

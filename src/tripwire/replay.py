@@ -6,13 +6,13 @@ on corrupted canary words, ordered by address. Every trace-driven write
 is checked for overlap with the armed words; engine-internal writes
 such as canary planting never reach the check. Traps do not stop the
 replay: the whole epoch range re-executes so one report can accumulate
-every write that hit a watched word. Allocation sites are recorded,
-as event ids like the traps, only here, never during normal execution,
-in a plain dict the engine passes to build_reports.
+every write that hit a watched word.
 
 Evidence is a list of unattributed reports.ErrorReport: each detector
 fills in what it found, a freed object's free event included, and
-build_reports adds what replay learned.
+build_reports adds the traps replay collected and what the trace tells:
+call stacks and allocation sites. Evidence with no corrupted word
+(leaks, reachable freed objects) needs no replay and gets no traps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from . import reports as rp
-from .trace import CallStacks
+from .trace import AllocSites, CallStacks
 from .vheap import WORD
 
 
@@ -47,31 +47,24 @@ class WatchpointSet:
         return [w for w in self._words if w < end and addr < w + WORD]
 
 
-def build_reports(
-    epoch: int,
-    evidence: list[rp.ErrorReport],
-    traps: dict[int, list[int]],
-    alloc_sites: dict[int, int],
-    stacks: CallStacks,
-) -> list[rp.ErrorReport]:
+def build_reports(epoch: int, evidence: list[rp.ErrorReport], traps: dict[int, list[int]],
+                  stacks: CallStacks, sites: AllocSites) -> list[rp.ErrorReport]:
     """Attribute each unattributed report: its epoch, the events behind
     it, the allocation site of its object and the call stack of each.
 
     A corrupted word's report lists the writes that trapped on it, and
-    is marked unattributed when none did; a leak's lists its allocation
-    when replay saw it. alloc_sites maps a payload to the event id of
-    its latest allocation that replay executed; a freed object's report
-    already carries the free event of its quarantine entry.
+    is marked unattributed when none did; a leak's lists its
+    allocation. An object's allocation site is the latest malloc run so
+    far that returned its payload; a freed object's report already
+    carries the free event of its quarantine entry.
     """
     out = []
     for report in evidence:
-        word, site = report.corrupted_addr, alloc_sites.get(report.object_addr)
+        word, site = report.corrupted_addr, sites.at(report.object_addr)
         if word is not None:
             events = traps.get(word, ())
-        elif not report.reachable_freed and site is not None:
-            events = (site,)
-        else:
-            events = ()
+        else:  # a leaked object's allocation is its offending event
+            events = () if report.reachable_freed else (site,)
         out.append(
             replace(
                 report,
@@ -79,7 +72,6 @@ def build_reports(
                 offending_events=tuple((eid, stacks.at(eid)) for eid in events),
                 alloc_stack=stacks.at(site) if site is not None else None,
                 alloc_event=site,
-                alloc_prior_epoch=report.object_addr is not None and site is None,
                 free_stack=None if report.free_event is None else stacks.at(report.free_event),
                 unattributed=word is not None and not events,
             )

@@ -31,7 +31,8 @@ _KIND_TITLE = {
 @dataclass(frozen=True)
 class ErrorReport:
     """One error. A detector's evidence is a report without the epoch,
-    offending events and allocation site that replay.build_reports adds."""
+    offending events and allocation site; replay.build_reports adds
+    them, the site from the trace."""
 
     kind: str
     epoch: int = -1  # -1 until replay attributes the report
@@ -42,7 +43,6 @@ class ErrorReport:
     offending_events: tuple[tuple[int, tuple[str, ...]], ...] = ()
     alloc_stack: tuple[str, ...] | None = None
     alloc_event: int | None = None
-    alloc_prior_epoch: bool = False
     free_stack: tuple[str, ...] | None = None
     free_event: int | None = None
     prior_free_stack: tuple[str, ...] | None = None
@@ -90,21 +90,13 @@ def _render_one(r: ErrorReport) -> list[str]:
         lines.extend(_stack_lines(stack))
     if r.unattributed:
         lines.append("  note: no watchpoint available; offending writes not attributed")
-    if r.kind != KIND_LEAK or not r.offending_events:
-        if r.alloc_prior_epoch:
-            lines.append("  allocated in a prior epoch")
-        elif r.alloc_stack is not None:
-            where = f" event {r.alloc_event}" if r.alloc_event is not None else ""
-            lines.append(f"  allocated by{where}:")
-            lines.extend(_stack_lines(r.alloc_stack))
-    if r.free_stack is not None:
-        where = f" event {r.free_event}" if r.free_event is not None else ""
-        lines.append(f"  freed by{where}:")
-        lines.extend(_stack_lines(r.free_stack))
-    if r.prior_free_stack is not None:
-        where = f" event {r.prior_free_event}" if r.prior_free_event is not None else ""
-        lines.append(f"  first freed by{where}:")
-        lines.extend(_stack_lines(r.prior_free_stack))
+    sites = (("allocated", r.alloc_stack, r.alloc_event), ("freed", r.free_stack, r.free_event),
+             ("first freed", r.prior_free_stack, r.prior_free_event))
+    for label, stack, event_id in sites:
+        # a leak's offending event is its allocation already
+        if stack is not None and not (label == "allocated" and r.kind == KIND_LEAK and r.offending_events):
+            lines.append(f"  {label} by event {event_id}:")
+            lines.extend(_stack_lines(stack))
     return lines
 
 
@@ -117,6 +109,10 @@ def emit_text(reports) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def _site(stack: tuple[str, ...] | None, event_id: int | None) -> dict | None:
+    return None if stack is None else {"stack": list(stack), "event_id": event_id}
+
+
 def report_to_dict(r: ErrorReport) -> dict:
     return {
         "kind": r.kind,
@@ -127,19 +123,9 @@ def report_to_dict(r: ErrorReport) -> dict:
         "offending_events": [
             {"event_id": event_id, "stack": list(stack)} for event_id, stack in r.offending_events
         ],
-        "alloc_site": None
-        if r.alloc_stack is None and not r.alloc_prior_epoch
-        else {
-            "stack": None if r.alloc_stack is None else list(r.alloc_stack),
-            "event_id": r.alloc_event,
-            "prior_epoch": r.alloc_prior_epoch,
-        },
-        "free_site": None
-        if r.free_stack is None
-        else {"stack": list(r.free_stack), "event_id": r.free_event},
-        "prior_free_site": None
-        if r.prior_free_stack is None
-        else {"stack": list(r.prior_free_stack), "event_id": r.prior_free_event},
+        "alloc_site": _site(r.alloc_stack, r.alloc_event),
+        "free_site": _site(r.free_stack, r.free_event),
+        "prior_free_site": _site(r.prior_free_stack, r.prior_free_event),
         "unattributed": r.unattributed,
         "reachable_freed": r.reachable_freed,
     }

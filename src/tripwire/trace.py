@@ -423,3 +423,22 @@ class CallStacks:
             frames.append(self.events[push].frame)
             push = innermost[push]
         return tuple(reversed(frames))
+
+
+class AllocSites:
+    """The latest malloc event of each payload, given the payload of each
+    malloc ordinal run so far. Each lookup folds in the mallocs run since
+    the last one, so a run that looks nothing up pays nothing."""
+
+    def __init__(self, events: list[TraceEvent], payloads):
+        self.payloads = payloads
+        self._mallocs = (ev for ev in events if ev.kind is EventKind.MALLOC)
+        self._latest: dict[int, int] = {}
+        self._folded = 0
+
+    def at(self, payload: int | None) -> int | None:
+        """The event id of the latest malloc so far that returned payload."""
+        for ordinal in range(self._folded, len(self.payloads)):
+            self._latest[self.payloads[ordinal]] = next(self._mallocs).id
+        self._folded = len(self.payloads)
+        return self._latest.get(payload)

@@ -240,7 +240,7 @@ def _overflow_cases() -> list[Case]:
     t.ev("end")
     cases.append(Case("of_prior_epoch_alloc", t.text(), (("overflow", (bad,)),), (a,)))
 
-    t = TraceBuilder("overflow caught at free time, then a leak rolls the same epoch back again")
+    t = TraceBuilder("overflow caught at free time, then a leak found at the same epoch's end")
     a = t.ev("malloc a 200")
     bad = t.ev("write a 200 1 42")
     t.ev("free a")
@@ -590,19 +590,18 @@ def _store_cases() -> list[Case]:
     cases.append(Case("leak_stale_root_reuse", t.text()))
 
     t = TraceBuilder("the only pointer to b, held in a, is overwritten in a later epoch")
-    t.ev("malloc a 64")
+    a = t.ev("malloc a 64")
     t.ev("global 0 = a")
-    t.ev("malloc b 32")
+    b = t.ev("malloc b 32")
     t.ev("store a 0 = b")
     t.ev("call fork")
     t.ev("store a 0 = 0")
     t.ev("call fork")
     t.ev("end")
-    cases.append(Case("leak_heap_pointer_overwritten", t.text(), (("leak", ()),)))
+    cases.append(Case("leak_heap_pointer_overwritten", t.text(), (("leak", (b,)),), (a, b)))
 
     t = TraceBuilder("a list linked by stores loses its only root: every node leaks")
-    for i in range(4):
-        t.ev(f"malloc n{i} 48")
+    nodes = tuple(t.ev(f"malloc n{i} 48") for i in range(4))
     for i in range(3):
         t.ev(f"store n{i} 8 = n{i + 1}")
     t.ev("global 0 = n0")
@@ -610,7 +609,7 @@ def _store_cases() -> list[Case]:
     t.ev("global 0 = 0")
     t.ev("call fork")
     t.ev("end")
-    cases.append(Case("leak_list_head_dropped", t.text(), (("leak", ()),) * 4))
+    cases.append(Case("leak_list_head_dropped", t.text(), tuple(("leak", (n,)) for n in nodes), nodes))
 
     t = TraceBuilder("a rooted object takes the only pointer to a fresh one")
     t.ev("malloc a 64")

@@ -27,7 +27,11 @@ trace write overlapped the edge word of a slot whose request is not a
 multiple of eight, the bytes [payload + requested, align_up(payload +
 requested)) that a word-granular shadow leaves untracked. The flag is
 computed through `allocator.object_bounds`, so both builds flag the
-same runs. Two fields check the
+same runs. Two more flags are built the same way, from what both builds
+share: `prior_epoch_object`, whether some detector evidence is on an
+object that no malloc of the detecting epoch, before the detection,
+returned (so its allocation site lies in an earlier epoch), and
+`double_free`, whether the run reports a double free. Two fields check the
 parser: `events`, the sha256 of every parsed event's fields, and
 `parse_error`, what parsing the trace with one line broken raises
 (`type: message`, or null). The broken line and the way it is broken
@@ -35,7 +39,14 @@ are drawn from the run id: drop the line's last token, or replace an
 integer token with `zz`, a fill byte with `-1` or a name with `9x`.
 
 `diff` counts, per field, the runs whose values differ, and how many
-of those are flagged `edge_word_write` under either build. A field
+of those carry one of the three flags under either build. It first
+drops the `prior_epoch` key of each `alloc_site` in both dumps, and
+reads an `alloc_site` with no stack, which marked a site the old build's
+replay did not see, as no site. It counts the reports of flagged runs
+that gained an allocation site (and, for a leak, its allocation as the
+offending event), apart for double frees, for the other reports of
+`prior_epoch_object` runs and for the rest, and those that changed in
+any other way. A field
 that only one dump has, such as the `replay_hashes` of builds that
 hashed the state at each rollback, is reported as skipped. It lists
 up to ten run ids per field that differ in a run not flagged, and
@@ -62,7 +73,7 @@ from tripwire.config import parse_detectors
 from tripwire.engine import Engine
 from tripwire.errors import NotAHeapObject
 from tripwire.reports import report_to_dict
-from tripwire.trace import parse_trace
+from tripwire.trace import EventKind, parse_trace
 
 from test_state_hash import fuzz_case
 
@@ -77,6 +88,7 @@ FIELDS = (
     "events",
     "parse_error",
 )
+FLAGS = ("edge_word_write", "prior_epoch_object", "double_free")
 
 
 def fuzz_runs(seeds: range, stores: bool = False, frames: bool = False, **overrides):
@@ -177,10 +189,36 @@ def watch_edge_words(engine) -> list[int]:
     return hit
 
 
+def watch_evidence(engine) -> list[tuple[int, int, int]]:
+    """Record, for the evidence the engine's detectors return on heap
+    objects (at boundaries, frees and evictions, not in replay), each
+    object, the epoch's first event and the event the detection ran up to."""
+    found = []
+    collect, execute = engine._collect_evidence, engine._execute
+
+    def note(evidence, stop):
+        start = engine.snapshot.event_cursor
+        found.extend((r.object_addr, start, stop) for r in evidence or () if r.object_addr is not None)
+        return evidence
+
+    engine._collect_evidence = lambda: note(collect(), engine.cursor)
+    engine._execute = lambda ev: note(execute(ev), ev.id + 1) if engine.mode.name == "NORMAL" else execute(ev)
+    return found
+
+
+def malloc_in(events, alloc_sequence, payload: int, start: int, stop: int) -> bool:
+    """True when a malloc among events [start, stop) returned payload."""
+    return any(
+        ev.kind is EventKind.MALLOC and ev.alloc < len(alloc_sequence) and alloc_sequence[ev.alloc] == payload
+        for ev in events[start:stop]
+    )
+
+
 def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
     events = parse_trace(text)
     engine = Engine(events, config)
     hit = watch_edge_words(engine)
+    found = watch_evidence(engine)
     record = dict.fromkeys(FIELDS)
     try:
         out = engine.run()
@@ -196,6 +234,10 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
         )
     record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
     record["edge_word_write"] = bool(hit)
+    record["prior_epoch_object"] = any(
+        not malloc_in(events, engine.alloc_sequence, *evidence) for evidence in found
+    )
+    record["double_free"] = any(r["kind"] == "double-free" for r in record["reports"] or ())
     record["events"] = events_digest(events)
     record["parse_error"] = parse_error(text, run_id)
     return record
@@ -209,16 +251,38 @@ def dump(path: str, seeds: range, stores: bool = False, frames: bool = False, **
 
 
 def load(path: str) -> dict[str, dict]:
+    """The runs of a dump by id, each report's `alloc_site` without its
+    `prior_epoch` key, and None where it named no stack."""
     with open(path, encoding="utf-8") as f:
-        return {rec["run"]: rec for rec in map(json.loads, f)}
+        runs = {rec["run"]: rec for rec in map(json.loads, f)}
+    for rec in runs.values():
+        for report in rec["reports"] or ():
+            site = report["alloc_site"]
+            if site is not None:
+                site.pop("prior_epoch", None)
+                if site["stack"] is None:
+                    report["alloc_site"] = None
+    return runs
+
+
+def gained_only(was: dict, now: dict) -> bool:
+    """True when report now equals report was, or was plus an allocation
+    site and, for a leak, its allocation as the offending event."""
+    was = dict(was)
+    if was["alloc_site"] is None:
+        was["alloc_site"] = now["alloc_site"]
+        if was["kind"] == "leak" and not was["offending_events"]:
+            was["offending_events"] = now["offending_events"]
+    return was == now
 
 
 def diff(old_path: str, new_path: str) -> None:
     old, new = load(old_path), load(new_path)
     if old.keys() != new.keys():
         raise SystemExit(f"the dumps cover different runs ({len(old)} and {len(new)})")
-    flagged = {run for run in old if old[run]["edge_word_write"] or new[run]["edge_word_write"]}
-    present = [set().union(*dumped.values()) - {"run", "edge_word_write"} for dumped in (old, new)]
+    flags = {flag: {run for run in old if old[run].get(flag) or new[run].get(flag)} for flag in FLAGS}
+    flagged = set().union(*flags.values())
+    present = [set().union(*dumped.values()) - {"run", *FLAGS} for dumped in (old, new)]
     both = present[0] & present[1]
     fields = [name for name in FIELDS if name in both] + sorted(both - set(FIELDS))
     differ, differ_flagged = Counter(), Counter()
@@ -234,7 +298,7 @@ def diff(old_path: str, new_path: str) -> None:
     for label, dumped in (("old", old), ("new", new)):
         raised = Counter(rec["error"].split(":")[0] for rec in dumped.values() if rec["error"])
         print(f"{label}: {raised.total()} of {len(dumped)} runs raised {dict(sorted(raised.items()))}")
-    print(f"runs flagged edge_word_write: {len(flagged)}")
+    print("runs flagged: " + ", ".join(f"{flag} {len(runs)}" for flag, runs in flags.items()) + f", any {len(flagged)}")
     print(f"{'field':<18} {'differ':>7} {'in flagged runs':>16}")
     for name in fields:
         print(f"{name:<18} {differ[name]:>7} {differ_flagged[name]:>16}")
@@ -256,6 +320,22 @@ def diff(old_path: str, new_path: str) -> None:
         lost += was - now
         added += now - was
     print(f"reports by (kind, word, object): {lost.total()} only old, {added.total()} only new")
+    gained, changed = Counter(), 0
+    for run in flagged:
+        was_reports, now_reports = old[run]["reports"] or [], new[run]["reports"] or []
+        if len(was_reports) != len(now_reports):
+            changed += max(len(was_reports), len(now_reports))
+            continue
+        for was, now in zip(was_reports, now_reports):
+            if was == now:
+                continue
+            if not gained_only(was, now):
+                changed += 1
+            elif now["kind"] == "double-free":
+                gained["double frees"] += 1
+            else:
+                gained["in prior_epoch_object runs" if run in flags["prior_epoch_object"] else "elsewhere"] += 1
+    print(f"reports of flagged runs that gained an allocation site: {dict(sorted(gained.items()))}; changed otherwise: {changed}")
     unattributed = [sum(r["unattributed"] for run in flagged for r in dumped[run]["reports"] or ())
                     for dumped in (old, new)]
     print(f"unattributed reports in flagged runs: {unattributed[0]} old, {unattributed[1]} new")

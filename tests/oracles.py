@@ -178,3 +178,39 @@ def stacks_at_events(events) -> list[tuple[str, ...]]:
         elif ev.kind.name == "STACK_POP":
             stack.pop()
     return stacks
+
+
+
+def epoch_closers(events) -> list[int]:
+    """The id of the event that closes each epoch, by epoch: each
+    irrevocable call, then len(events) for the end of the trace."""
+    closers = [ev.id for ev in events if ev.kind.name == "EXT_CALL" and ev.category.name == "IRREVOCABLE"]
+    return closers + [len(events)]
+
+
+def latest_malloc(events, alloc_sequence, payload: int, before: int) -> int | None:
+    """The id of the latest malloc before event `before` that returned
+    payload, by a walk of the trace and the payload of each ordinal."""
+    site = None
+    for ev in events[:before]:
+        if ev.kind.name == "MALLOC" and alloc_sequence[ev.alloc] == payload:
+            site = ev.id
+    return site
+
+
+def alloc_site(events, alloc_sequence, report) -> int | None:
+    """The allocation site a report on a heap object should name, read
+    from the trace alone: for a leak, the latest malloc of its object
+    before the irrevocable call (or end) that closed its epoch; for any
+    other report, the latest before its last offending event. Not the
+    first: a replay traps on every write to a watched canary word since
+    the epoch began, so a report can also list a write into an earlier
+    object in the same slot. None for a report with no offending event
+    that is not a leak: the trace does not say where it was found."""
+    if report.kind == "leak":
+        before = epoch_closers(events)[report.epoch]
+    elif report.offending_events:
+        before = report.offending_events[-1][0]
+    else:
+        return None
+    return latest_malloc(events, alloc_sequence, report.object_addr, before)

@@ -28,6 +28,17 @@ def test_case_reports_match_expected(case):
     assert got == sorted(case.expected)
 
 
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.name)
+def test_case_reports_name_the_builders_malloc_and_free_events(case):
+    out = tw.run_text(case.text, tw.EngineConfig())
+    for r in out.reports:
+        if r.object_addr is not None:
+            assert r.alloc_event in case.alloc_events
+            assert r.alloc_stack is not None
+        if r.free_event is not None:
+            assert r.free_event in case.free_events
+
+
 # (kind, offending event ids, object size) per report. An allocator that
 # read a clobbered in-band header back stopped on these at quarantine
 # count 2, on the first with "still allocated" and on the second with a

@@ -220,7 +220,7 @@ def test_dangling_option_reports_reachable_freed():
     (report,) = loud.reports
     assert report.kind == "leak" and report.reachable_freed
     assert report.free_event == 3
-    assert report.alloc_event == 1  # replay recorded the allocation site
+    assert report.alloc_event == 1  # the latest malloc of its payload, read from the trace
 
 
 def test_no_duplicate_reports_across_epochs():
@@ -260,6 +260,69 @@ def test_reallocated_address_can_be_reported_again():
     leaks = [r for r in out.reports if r.kind == "leak"]
     assert len(leaks) == 2
     assert leaks[0].object_addr == leaks[1].object_addr  # same slot, two lives
+
+
+def test_a_forced_rollback_of_a_leak_only_epoch_gives_the_same_reports():
+    # a leak has no word to watch, so it is reported without a replay
+    # unless the epoch is forced to roll back
+    text = """
+    stack push main
+    malloc a 24
+    call fork
+    stack push make
+    malloc b 40
+    stack pop
+    reg r0 = b
+    reg r0 = 0
+    end
+    """
+    plain = Engine(parse_trace(text), small_config())
+    forced = Engine(parse_trace(text), small_config(), force_rollback_epochs=(0, 1))
+    out, forced_out = plain.run(), forced.run()
+    assert out == forced_out
+    assert plain.replay_summaries == []
+    assert [s.epoch for s in forced.replay_summaries] == [0, 1]
+    sites = [(r.kind, r.epoch, r.alloc_event, r.alloc_stack, r.offending_events) for r in out.reports]
+    assert sites == [
+        ("leak", 0, 1, ("main",), ((1, ("main",)),)),
+        ("leak", 1, 4, ("main", "make"), ((4, ("main", "make")),)),
+    ]
+
+
+@pytest.mark.parametrize("text, site, stack", [
+    # a's slot leaves quarantine and b reuses it, so freeing a again is a
+    # double free of b's payload: b's malloc is the latest
+    ("""
+    stack push main
+    malloc a 24
+    free a
+    malloc pad 24
+    free pad
+    stack push reuse
+    malloc b 24
+    stack pop
+    free b
+    free a
+    stack pop
+    end
+    """, 6, ("main", "reuse")),
+    # the malloc ran in an earlier epoch
+    ("""
+    stack push main
+    malloc a 24
+    call fork
+    free a
+    free a
+    stack pop
+    end
+    """, 1, ("main",)),
+], ids=["slot_reuse", "prior_epoch"])
+def test_a_double_free_names_the_latest_malloc_of_its_payload(text, site, stack):
+    out = tw.run_text(text, small_config(quarantine_max_count=1))
+    (report,) = [r for r in out.reports if r.kind == "double-free"]
+    assert out.alloc_sequence.count(report.object_addr) == 1 + (site == 6)
+    assert (report.alloc_event, report.alloc_stack) == (site, stack)
+    assert f"allocated by event {site}:" in tw.emit_text(out.reports)
 
 
 def test_a_malloc_writes_the_image_twice_and_a_quarantined_free_once():

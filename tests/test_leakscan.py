@@ -222,19 +222,23 @@ def test_leak_sites_from_replay_pick_last_allocation():
     assert out.alloc_sequence[0] != out.alloc_sequence[1]  # not same-slot reuse
 
 
-def test_leak_from_prior_epoch_gets_marker():
+def test_leak_from_prior_epoch_names_its_malloc_without_a_replay():
     text = """
+    stack push main
     malloc a 32
     reg r0 = a
     call fork
     reg r0 = 0
+    stack pop
     end
     """
-    out = tw.run_text(text, small_config())
+    eng = Engine(tw.parse_trace(text), small_config())
+    out = eng.run()
     (leak,) = [r for r in out.reports if r.kind == "leak"]
-    assert leak.alloc_prior_epoch
-    assert leak.alloc_stack is None
     assert leak.epoch == 1
+    assert leak.offending_events == ((1, ("main",)),)
+    assert (leak.alloc_event, leak.alloc_stack) == (1, ("main",))
+    assert eng.replay_summaries == []
 
 
 def test_a_mark_runs_in_full_unless_one_snapshot_separates_it_from_the_last():

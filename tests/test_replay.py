@@ -187,16 +187,17 @@ def test_unwatched_words_reported_without_attribution():
 
 
 def test_second_rollback_in_an_epoch_replays_the_retirement():
-    # the free-time rollback retires the corrupted word; the leak found at
-    # the end boundary rolls the same epoch back again, and that replay
-    # must clear the word's bit where the first rollback did
+    # the free-time rollback retires the corrupted word; a leak alone
+    # needs no replay, but a forced rollback of the same epoch at its end
+    # boundary must clear the word's bit where the first rollback did
     events = parse_trace("malloc a 200\nwrite a 200 1 42\nfree a\nmalloc b 40\nend\n")
-    eng = Engine(events, small_config())
+    eng = Engine(events, small_config(), force_rollback_epochs=(0,))
     out = eng.run()
     overflow, leak = sorted(out.reports, key=lambda r: r.kind != "overflow")
     assert overflow.kind == "overflow"
     assert [eid for eid, _ in overflow.offending_events] == [1]
     assert leak.kind == "leak" and leak.object_addr == out.alloc_sequence[1]
+    assert [eid for eid, _ in leak.offending_events] == [3]
     assert len(eng.replay_summaries) == 2
 
 

@@ -6,7 +6,8 @@ calls of every category, so epochs see several rollbacks, evidence
 retirements and boundaries. Whatever the detectors report, replay must
 reproduce the recorded execution, and no trace may raise at all: not
 ReplayDivergence, and not NotQuarantined, which an overflow into a
-neighbour's header could once provoke.
+neighbour's header could once provoke. Every report on a heap object
+must name the allocation site oracles.alloc_site reads from the trace.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 import tripwire as tw
 
 from conftest import small_config
+from oracles import alloc_site, epoch_closers, stacks_at_events
 
 SIZES = (1, 8, 20, 24, 32, 40, 100, 200, 256, 1000)
 CALLS = (
@@ -113,6 +115,25 @@ def error_trace(rng: random.Random, ops: int = 30, stores: bool = False, frames:
     return "\n".join(lines) + "\n"
 
 
+def run_checking_sites(text: str, config: tw.EngineConfig) -> tw.RunOutcome:
+    """Run text and check each heap-object report's allocation site
+    against the oracle's. A report the oracle cannot anchor (an
+    unattributed word) must still name a malloc of its object from
+    before its epoch closed."""
+    events = tw.parse_trace(text)
+    out = tw.run_events(events, config)
+    stacks, closers = stacks_at_events(events), epoch_closers(events)
+    for r in out.reports:
+        if r.object_addr is None:
+            continue
+        site = alloc_site(events, out.alloc_sequence, r)
+        if site is None:
+            site = r.alloc_event
+            assert site < closers[r.epoch] and out.alloc_sequence[events[site].alloc] == r.object_addr, r
+        assert (r.alloc_event, r.alloc_stack) == (site, stacks[site]), r
+    return out
+
+
 @pytest.mark.parametrize("block", range(10))
 def test_generated_error_traces_never_diverge_on_replay(block):
     for seed in range(30 * block, 30 * block + 30):
@@ -121,7 +142,7 @@ def test_generated_error_traces_never_diverge_on_replay(block):
             quarantine_max_count=rng.choice((1, 2, 4, 8)),
             max_watchpoints=rng.choice((1, 2)),
         )
-        tw.run_text(error_trace(rng), config)
+        run_checking_sites(error_trace(rng), config)
 
 
 def test_generated_traces_with_pointer_stores_never_diverge_on_replay():
@@ -132,7 +153,7 @@ def test_generated_traces_with_pointer_stores_never_diverge_on_replay():
             max_watchpoints=rng.choice((1, 2)),
             dangling=seed % 2 == 1,
         )
-        tw.run_text(error_trace(rng, 40, stores=True), config)
+        run_checking_sites(error_trace(rng, 40, stores=True), config)
 
 
 def test_generated_traces_with_frames_and_rebinding_never_diverge_on_replay():
@@ -143,4 +164,4 @@ def test_generated_traces_with_frames_and_rebinding_never_diverge_on_replay():
             max_watchpoints=rng.choice((1, 2)),
             dangling=seed % 2 == 1,
         )
-        tw.run_text(error_trace(rng, 40, frames=True), config)
+        run_checking_sites(error_trace(rng, 40, frames=True), config)

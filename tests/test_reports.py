@@ -85,10 +85,16 @@ def test_overflow_block_has_figure_content_categories():
     assert "main" in text
 
 
-def test_prior_epoch_marker_in_text():
-    out = tw.run_text("malloc a 32\nreg r0 = a\ncall fork\nreg r0 = 0\nend\n", small_config())
-    text = emit_text(out.reports)
-    assert "allocated in a prior epoch" in text
+def test_prior_epoch_allocation_named_in_text_and_json():
+    config = small_config()
+    out = tw.run_text("malloc a 32\nreg r0 = a\ncall fork\nreg r0 = 0\nend\n", config)
+    assert emit_text(out.reports).splitlines()[2:] == ["  allocated by event 0:", "      (top level)"]
+    doc = json.loads(
+        emit_json(out.reports, epochs=out.epochs, final_state_hash=out.final_state_hash,
+                  events=out.events_total, config=config)
+    )
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["reports"][0]["alloc_site"] == {"stack": [], "event_id": 0}
 
 
 def test_report_ordering_is_epoch_then_address_then_kind():

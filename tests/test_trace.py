@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from tripwire.epoch import Category, classify
 from tripwire.errors import StackUnderflow, TraceError, TraceSyntaxError, UnboundVariable
-from tripwire.trace import CallStacks, EventKind, parse_trace
+from tripwire.trace import AllocSites, CallStacks, EventKind, parse_trace
 
 from oracles import stacks_at_events
 from test_replay_fuzz import error_trace
@@ -291,3 +292,14 @@ def test_call_stacks_of_a_2000_deep_nest():
     assert stacks.at(2000) == tuple(f"f{k}" for k in range(2000))
     assert stacks.at(3001) == tuple(f"f{k}" for k in range(1000))
     assert stacks.at(4002) == ()
+
+
+def test_alloc_sites_name_the_latest_malloc_of_each_payload_run_so_far():
+    events = parse_trace("malloc a 8\nmalloc b 8\nfree a\nmalloc c 8\nend\n")
+    payloads = array("Q")
+    sites = AllocSites(events, payloads)
+    assert sites.at(0x10) is None  # no malloc has run
+    payloads.extend([0x10, 0x20])
+    assert (sites.at(0x10), sites.at(0x20), sites.at(0x30)) == (0, 1, None)
+    payloads.append(0x10)  # c took a's slot
+    assert (sites.at(0x10), sites.at(0x20)) == (3, 1)
