@@ -44,9 +44,9 @@ drops the `prior_epoch` key of each `alloc_site` in both dumps, and
 reads an `alloc_site` with no stack, which marked a site the old build's
 replay did not see, as no site. It counts the reports of flagged runs
 that gained an allocation site (and, for a leak, its allocation as the
-offending event), apart for double frees, for the other reports of
-`prior_epoch_object` runs and for the rest, and those that changed in
-any other way. A field
+offending event), separately for double frees, for the other reports
+of `prior_epoch_object` runs and for the rest, and those that changed
+in any other way. A field
 that only one dump has, such as the `replay_hashes` of builds that
 hashed the state at each rollback, is reported as skipped. It lists
 up to ten run ids per field that differ in a run not flagged, and

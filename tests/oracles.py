@@ -180,7 +180,6 @@ def stacks_at_events(events) -> list[tuple[str, ...]]:
     return stacks
 
 
-
 def epoch_closers(events) -> list[int]:
     """The id of the event that closes each epoch, by epoch: each
     irrevocable call, then len(events) for the end of the trace."""

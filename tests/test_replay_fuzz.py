@@ -129,7 +129,8 @@ def run_checking_sites(text: str, config: tw.EngineConfig) -> tw.RunOutcome:
         site = alloc_site(events, out.alloc_sequence, r)
         if site is None:
             site = r.alloc_event
-            assert site < closers[r.epoch] and out.alloc_sequence[events[site].alloc] == r.object_addr, r
+            assert site is not None and site < closers[r.epoch], r
+            assert out.alloc_sequence[events[site].alloc] == r.object_addr, r
         assert (r.alloc_event, r.alloc_stack) == (site, stacks[site]), r
     return out
 
