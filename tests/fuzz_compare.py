@@ -22,7 +22,9 @@ threshold, which the fuzzed traces reach only when it is small. It writes one JS
 renders them, the final state hash, the scan records, the allocation
 sequence, the call results, the exception (type and message) if the
 run raised, and, also when it raised, the sha256 of the canary shadow
-at the end of the run, and `edge_word_write`: whether a
+at the end of the run, `withheld`, the payload of each slot that a
+quarantine eviction in normal execution found corrupted and withheld
+from reuse, in order, and `edge_word_write`: whether a
 trace write overlapped the edge word of a slot whose request is not a
 multiple of eight, the bytes [payload + requested, align_up(payload +
 requested)) that a word-granular shadow leaves untracked. The flag is
@@ -31,7 +33,12 @@ same runs. Two more flags are built the same way, from what both builds
 share: `prior_epoch_object`, whether some detector evidence is on an
 object that no malloc of the detecting epoch, before the detection,
 returned (so its allocation site lies in an earlier epoch), and
-`double_free`, whether the run reports a double free. Two fields check the
+`double_free`, whether the run reports a double free. Two flags mark
+the runs whose reports depend on where an epoch ends: `mid_epoch_end`,
+whether some free or quarantine eviction in normal execution returned
+evidence, and `pre_malloc_trap`, whether some report other than a leak
+lists an offending event before its allocation site (a write into the
+slot's previous object). Two fields check the
 parser: `events`, the sha256 of every parsed event's fields, and
 `parse_error`, what parsing the trace with one line broken raises
 (`type: message`, or null). The broken line and the way it is broken
@@ -39,21 +46,33 @@ are drawn from the run id: drop the line's last token, or replace an
 integer token with `zz`, a fill byte with `-1` or a name with `9x`.
 
 `diff` counts, per field, the runs whose values differ, and how many
-of those carry one of the three flags under either build. It first
-drops the `prior_epoch` key of each `alloc_site` in both dumps, and
-reads an `alloc_site` with no stack, which marked a site the old build's
-replay did not see, as no site. It counts the reports of flagged runs
-that gained an allocation site (and, for a leak, its allocation as the
-offending event), separately for double frees, for the other reports
-of `prior_epoch_object` runs and for the rest, and those that changed
-in any other way. A field
-that only one dump has, such as the `replay_hashes` of builds that
-hashed the state at each rollback, is reported as skipped. It lists
-up to ten run ids per field that differ in a run not flagged, and
-counts the parse errors that changed by old and new message. It counts
-the reports, by (kind, corrupted word, object), that only the old or
-only the new build gives, and the unattributed reports of the
-flagged runs under each build.
+of those carry one of the flags under either build. It first drops
+each report's epoch, since where epochs end may differ, and the
+`prior_epoch` key of each `alloc_site`, and reads an `alloc_site` with
+no stack, which marked a site an older build's replay did not see, as
+no site. A field that only one dump has, such as the `replay_hashes`
+of builds that hashed the state at each rollback, is reported as
+skipped. It lists up to ten run ids per field that differ in a run not
+flagged, and counts the parse errors that changed by old and new
+message. It counts the reports, by (kind, corrupted word, object,
+allocation event), that only the old or only the new build gives, in
+all runs and in the runs whose history agrees: the same `withheld`,
+allocation sequence and call results. A change to where scans run can
+change which slots are withheld, and with them what later writes hit
+and which slots are reused, and a call's result can depend on when
+deferred calls commit. It pairs the rest by that key and counts the
+pairs whose offending events differ, by cause: a `pre_malloc_trap` run
+whose new events are the old ones after the allocation site
+("pre-malloc trap dropped"); a `mid_epoch_end` run where one build
+attributes the word and the other does not, since the free's words and
+the scan's share one replay's watchpoints ("budget shared at a
+mid-epoch end"), or where the new events are some of the old, the
+others having fallen in another epoch ("epoch cut at a mid-epoch
+end"); or none of these, in a run whose history agrees ("other") or
+not ("other, history differs"). It also counts the pairs that differ
+in another field, in all runs and in those whose history agrees. Last
+it counts the unattributed reports of the flagged runs under each
+build.
 
 This is a tool, not a test: it imports the fuzz generator from the
 tests directory, so run it from the repository root as above.
@@ -85,10 +104,13 @@ FIELDS = (
     "extcall_results",
     "error",
     "bitmap_sha256",
+    "withheld",
     "events",
     "parse_error",
 )
-FLAGS = ("edge_word_write", "prior_epoch_object", "double_free")
+# the fields whose agreement says two runs took the same course
+HISTORY = ("withheld", "alloc_sequence", "extcall_results")
+FLAGS = ("edge_word_write", "prior_epoch_object", "double_free", "mid_epoch_end", "pre_malloc_trap")
 
 
 def fuzz_runs(seeds: range, stores: bool = False, frames: bool = False, **overrides):
@@ -189,21 +211,43 @@ def watch_edge_words(engine) -> list[int]:
     return hit
 
 
-def watch_evidence(engine) -> list[tuple[int, int, int]]:
-    """Record, for the evidence the engine's detectors return on heap
-    objects (at boundaries, frees and evictions, not in replay), each
-    object, the epoch's first event and the event the detection ran up to."""
-    found = []
-    collect, execute = engine._collect_evidence, engine._execute
+def watch_evidence(engine) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """Record, for the evidence the engine reports on heap objects, each
+    object, the first event of the epoch that found it and the event the
+    replay or report ran up to; and the id of each free that returned
+    evidence in normal execution."""
+    found, freed = [], []
+    emit, execute = engine._emit_reports, engine._execute
 
-    def note(evidence, stop):
+    def emit_noting(evidence, traps):
         start = engine.snapshot.event_cursor
-        found.extend((r.object_addr, start, stop) for r in evidence or () if r.object_addr is not None)
+        found.extend((r.object_addr, start, engine.cursor) for r in evidence if r.object_addr is not None)
+        return emit(evidence, traps)
+
+    def execute_noting(ev):
+        evidence = execute(ev)
+        if evidence and engine.mode.name == "NORMAL":
+            freed.append(ev.id)
         return evidence
 
-    engine._collect_evidence = lambda: note(collect(), engine.cursor)
-    engine._execute = lambda ev: note(execute(ev), ev.id + 1) if engine.mode.name == "NORMAL" else execute(ev)
-    return found
+    engine._emit_reports, engine._execute = emit_noting, execute_noting
+    return found, freed
+
+
+def watch_withheld(engine) -> list[int]:
+    """Record the payload of each slot a normal-mode eviction withholds."""
+    withheld = []
+    if engine.quarantine is not None:
+        release = engine.quarantine.verify_and_release
+
+        def release_noting(entry):
+            evidence = release(entry)
+            if evidence and engine.mode.name == "NORMAL":
+                withheld.append(entry.payload)
+            return evidence
+
+        engine.quarantine.verify_and_release = release_noting
+    return withheld
 
 
 def malloc_in(events, alloc_sequence, payload: int, start: int, stop: int) -> bool:
@@ -218,7 +262,8 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
     events = parse_trace(text)
     engine = Engine(events, config)
     hit = watch_edge_words(engine)
-    found = watch_evidence(engine)
+    found, freed = watch_evidence(engine)
+    withheld = watch_withheld(engine)
     record = dict.fromkeys(FIELDS)
     try:
         out = engine.run()
@@ -233,11 +278,18 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
             extcall_results=[list(r) for r in out.extcall_results],
         )
     record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
+    record["withheld"] = withheld
     record["edge_word_write"] = bool(hit)
     record["prior_epoch_object"] = any(
         not malloc_in(events, engine.alloc_sequence, *evidence) for evidence in found
     )
     record["double_free"] = any(r["kind"] == "double-free" for r in record["reports"] or ())
+    record["mid_epoch_end"] = bool(freed)
+    record["pre_malloc_trap"] = any(
+        r["kind"] != "leak" and r["alloc_site"] is not None
+        and any(e["event_id"] < r["alloc_site"]["event_id"] for e in r["offending_events"])
+        for r in record["reports"] or ()
+    )
     record["events"] = events_digest(events)
     record["parse_error"] = parse_error(text, run_id)
     return record
@@ -251,29 +303,20 @@ def dump(path: str, seeds: range, stores: bool = False, frames: bool = False, **
 
 
 def load(path: str) -> dict[str, dict]:
-    """The runs of a dump by id, each report's `alloc_site` without its
-    `prior_epoch` key, and None where it named no stack."""
+    """The runs of a dump by id, each report without its epoch, its
+    `alloc_site` without its `prior_epoch` key, and None where it named
+    no stack."""
     with open(path, encoding="utf-8") as f:
         runs = {rec["run"]: rec for rec in map(json.loads, f)}
     for rec in runs.values():
         for report in rec["reports"] or ():
+            del report["epoch"]
             site = report["alloc_site"]
             if site is not None:
                 site.pop("prior_epoch", None)
                 if site["stack"] is None:
                     report["alloc_site"] = None
     return runs
-
-
-def gained_only(was: dict, now: dict) -> bool:
-    """True when report now equals report was, or was plus an allocation
-    site and, for a leak, its allocation as the offending event."""
-    was = dict(was)
-    if was["alloc_site"] is None:
-        was["alloc_site"] = now["alloc_site"]
-        if was["kind"] == "leak" and not was["offending_events"]:
-            was["offending_events"] = now["offending_events"]
-    return was == now
 
 
 def diff(old_path: str, new_path: str) -> None:
@@ -314,28 +357,28 @@ def diff(old_path: str, new_path: str) -> None:
     )
     for (was, now), count in changed.most_common():
         print(f"parse_error in {count} runs: {was} -> {now}")
-    lost, added = Counter(), Counter()
+    lost, added, causes, otherwise = Counter(), Counter(), Counter(), Counter()
     for run in old:
-        was, now = (Counter(map(report_key, rec["reports"] or ())) for rec in (old[run], new[run]))
-        lost += was - now
-        added += now - was
-    print(f"reports by (kind, word, object): {lost.total()} only old, {added.total()} only new")
-    gained, changed = Counter(), 0
-    for run in flagged:
-        was_reports, now_reports = old[run]["reports"] or [], new[run]["reports"] or []
-        if len(was_reports) != len(now_reports):
-            changed += max(len(was_reports), len(now_reports))
-            continue
-        for was, now in zip(was_reports, now_reports):
-            if was == now:
-                continue
-            if not gained_only(was, now):
-                changed += 1
-            elif now["kind"] == "double-free":
-                gained["double frees"] += 1
-            else:
-                gained["in prior_epoch_object runs" if run in flags["prior_epoch_object"] else "elsewhere"] += 1
-    print(f"reports of flagged runs that gained an allocation site: {dict(sorted(gained.items()))}; changed otherwise: {changed}")
+        was, now = (by_key(rec["reports"]) for rec in (old[run], new[run]))
+        agree = all(old[run][name] == new[run][name] for name in HISTORY)
+        for counts, ours, theirs in ((lost, was, now), (added, now, was)):
+            for key in ours:
+                gone = max(len(ours[key]) - len(theirs.get(key, ())), 0)
+                counts["all"] += gone
+                counts["agreeing"] += gone if agree else 0
+        run_flags = {flag for flag, runs in flags.items() if run in runs}
+        for key in was.keys() & now.keys():
+            for a, b in zip(was[key], now[key]):
+                if a["offending_events"] != b["offending_events"]:
+                    cause = event_change(a, b, run_flags)
+                    causes[cause if agree or cause != "other" else "other, history differs"] += 1
+                if strip_events(a) != strip_events(b):
+                    otherwise["all"] += 1
+                    otherwise["agreeing"] += agree
+    print(f"reports by (kind, word, object, allocation event): {lost['all']} only old, {added['all']} only new; "
+          f"in runs whose history agrees: {lost['agreeing']} only old, {added['agreeing']} only new")
+    print(f"paired reports whose offending events differ, by cause: {dict(sorted(causes.items()))}; "
+          f"that differ otherwise: {otherwise['all']}, {otherwise['agreeing']} in runs whose history agrees")
     unattributed = [sum(r["unattributed"] for run in flagged for r in dumped[run]["reports"] or ())
                     for dumped in (old, new)]
     print(f"unattributed reports in flagged runs: {unattributed[0]} old, {unattributed[1]} new")
@@ -345,7 +388,38 @@ def report_key(report: dict) -> tuple:
     """What a report says was found, without when or how replay
     attributed it: a write into an edge word may be found at an earlier
     boundary by one build and at the object's free by the other."""
-    return report["kind"], report["corrupted_addr"], report["object_addr"]
+    site = report["alloc_site"]
+    return report["kind"], report["corrupted_addr"], report["object_addr"], site and site["event_id"]
+
+
+def by_key(reports) -> dict[tuple, list[dict]]:
+    """A run's reports grouped by report_key, in report order."""
+    grouped: dict[tuple, list[dict]] = {}
+    for report in reports or ():
+        grouped.setdefault(report_key(report), []).append(report)
+    return grouped
+
+
+def event_ids(report: dict) -> list[int]:
+    return [event["event_id"] for event in report["offending_events"]]
+
+
+def event_change(was: dict, now: dict, run_flags: set[str]) -> str:
+    """Why two reports of one key list different offending events."""
+    site = now["alloc_site"] and now["alloc_site"]["event_id"]
+    old_ids, new_ids = event_ids(was), event_ids(now)
+    if "pre_malloc_trap" in run_flags and site is not None and [e for e in old_ids if e > site] == new_ids:
+        return "pre-malloc trap dropped"
+    if "mid_epoch_end" in run_flags and bool(old_ids) != bool(new_ids):
+        return "budget shared at a mid-epoch end"
+    if "mid_epoch_end" in run_flags and new_ids and set(new_ids) < set(old_ids):
+        return "epoch cut at a mid-epoch end"
+    return "other"
+
+
+def strip_events(report: dict) -> dict:
+    """A report without what replay attributes to it."""
+    return {name: value for name, value in report.items() if name not in ("offending_events", "unattributed")}
 
 
 def without_line(error: str | None) -> str | None:
