@@ -10,15 +10,19 @@ registers and file positions. Bindings, call stacks and allocation
 sites are read from the trace (TraceEvent.alloc, trace.CallStacks,
 trace.AllocSites). Events then run at full speed with no per-write
 checking. An epoch ends at an irrevocable external call, a modeled
-segfault, or the end of the trace; the detectors inspect state there.
-Their evidence is a list of unattributed reports (reports.ErrorReport).
-Corrupted canaries found at a free or an eviction end-run the boundary
-and trigger the same path immediately. When some evidence names a
-corrupted word, the engine restores the snapshot, arms watchpoints on
-those words, re-executes the epoch's events (a write traps when it
-covers a byte the shadow masks as canary in a watched word), fills in
-the reports and resumes. Leaks and reachable freed objects have no word
-to watch, so evidence of only those is reported without a replay.
+segfault, the end of the trace, or right after a free whose check or
+quarantine eviction finds corrupted canaries; the detectors inspect
+state there. Their evidence is a list of unattributed reports
+(reports.ErrorReport). When some evidence names a corrupted word, the
+engine restores the snapshot, arms watchpoints on those words,
+re-executes the epoch's events once (a write traps when it covers a
+byte the shadow masks as canary in a watched word), fills in the
+reports and begins the next epoch. The paper ends epochs only at
+irrevocable calls, but the end of a checked replay is as safe a point
+to snapshot, since nothing before it can need undoing. Leaks and
+reachable freed objects have no word to watch, so evidence of only
+those is reported without a replay; the leak sweep skips the ends at
+frees, where it could report an object the next events root again.
 
 A replay is checked by comparing, not hashing. Before a rollback the
 engine records the state the epoch ended in (Engine._end_state): each
@@ -132,9 +136,6 @@ class Engine:
         self.alloc_sequence = array("Q")  # payload by malloc ordinal (TraceEvent.alloc)
         self.sites = AllocSites(events, self.alloc_sequence)
         self.replay_summaries: list[ReplaySummary] = []
-        # (cursor, words) per retirement this epoch; like the call log it
-        # survives rollback, so replay redoes each retirement where it happened
-        self._retirements: list[tuple[int, list[int]]] = []
 
         self.epochs_begun = 0
         self.epoch_index = -1
@@ -175,7 +176,7 @@ class Engine:
         self.snapshot = EpochSnapshot(
             event_cursor=self.cursor, image=self.image.snapshot(), state=self._machine_state()
         )
-        self._retirements = []
+        self.syscalls.begin_epoch()
 
     # -- main loop ----------------------------------------------------------
 
@@ -205,9 +206,7 @@ class Engine:
                 break
             self.cursor += 1
             if evidence:
-                # free-time or eviction-time detection: roll back now,
-                # replay through the detecting event, then continue
-                self._rollback_and_replay(evidence, ev.id + 1, self._end_state())
+                self._boundary(ev, found=evidence)
         return self._finish()
 
     def _finish(self) -> RunOutcome:
@@ -224,9 +223,10 @@ class Engine:
 
     # -- boundaries -----------------------------------------------------------
 
-    def _boundary(self, trigger: TraceEvent | None, fault: SegfaultModel | None = None) -> bool:
-        """End the current epoch. Returns True when the run is over."""
-        boundary_cursor = self.cursor
+    def _boundary(self, trigger: TraceEvent | None, fault: SegfaultModel | None = None,
+                  found: list[ErrorReport] | None = None) -> bool:
+        """End the current epoch at trigger, or after it when it is a free
+        that found evidence. Returns True when the run is over."""
         if fault is not None and trigger is not None:
             self.reports.append(
                 ErrorReport(
@@ -236,27 +236,34 @@ class Engine:
                     offending_events=((trigger.id, self.stacks.at(trigger.id)),),
                 )
             )
-        evidence = self._collect_evidence()
+        evidence = self._collect_evidence()  # at a free too: the next scan reads only the next epoch's pages
+        if found:
+            words = {r.corrupted_addr for r in found}  # the scan finds them again
+            evidence = found + [r for r in evidence if r.corrupted_addr not in words]
+        elif self.config.detector_enabled("leak"):
+            self.leaks.mark(self.registers)
+            evidence += self.leaks.sweep(self.config.dangling, self.reported_evidence)
         watched = any(r.corrupted_addr is not None for r in evidence)
         if watched or self.epoch_index in self.force_rollback_epochs:
             # the evidence passes write no recorded state, so this is the
             # state the epoch ended in
-            self._rollback_and_replay(evidence, boundary_cursor, self._end_state())
+            self._rollback_and_replay(evidence, self.cursor, self._end_state())
         elif evidence:
             self._emit_reports(evidence, {})  # no word to watch: nothing to replay
         self.syscalls.commit()
         if fault is not None or trigger is None or trigger.kind is EventKind.END:
             return True
-        self.syscalls.apply_irrevocable(trigger)
-        self.cursor += 1
-        if trigger.call_name == "exit":
-            return True
+        if not found:
+            self.syscalls.apply_irrevocable(trigger)
+            self.cursor += 1
+            if trigger.call_name == "exit":
+                return True
         self._begin_epoch()
         return False
 
     def _collect_evidence(self) -> list[ErrorReport]:
-        """The epoch scan's and the leak sweep's unattributed reports:
-        overflows, then uses after free, then leaks."""
+        """The epoch scan's unattributed reports: overflows, then uses
+        after free."""
         evidence = []
         if self.config.detector_enabled("overflow") or self.config.detector_enabled("uaf"):
             words = self.overflow.epoch_scan()
@@ -271,9 +278,6 @@ class Engine:
                 except NotAHeapObject:
                     evidence.append(ErrorReport(KIND_OVERFLOW, corrupted_addr=word))
             evidence += uaf
-        if self.config.detector_enabled("leak"):
-            self.leaks.mark(self.registers)
-            evidence += self.leaks.sweep(self.config.dangling, self.reported_evidence)
         return evidence
 
     @staticmethod
@@ -289,11 +293,10 @@ class Engine:
         then check that the replay ended in ended, the _end_state taken
         before the rollback.
 
-        stop is exclusive: the epoch-end path passes the boundary event's
-        index (never re-executed); the mid-epoch path passes the
-        detecting event's index + 1 so the free itself replays too.
+        Its one caller, _boundary, passes the cursor the epoch ended at
+        as stop (exclusive): an irrevocable call's index, never
+        re-executed, or a free's index + 1, so the free replays too.
         """
-        resume_cursor = self.cursor
         self._restore_snapshot(self.snapshot)
         words = [r.corrupted_addr for r in evidence if r.corrupted_addr is not None]
         wps, unwatched = WatchpointSet.arm(words, self.config.max_watchpoints)
@@ -301,23 +304,14 @@ class Engine:
         self.syscalls.begin_replay()
         self.mode = Mode.REPLAY
         self.image.write_observer = self._observe_write
-        retirements = iter(self._retirements)
-        retirement = next(retirements, None)
         try:
-            while True:
-                while retirement is not None and retirement[0] == self.cursor:
-                    self.overflow.retire_words(retirement[1])
-                    retirement = next(retirements, None)
-                if self.cursor >= stop:
-                    break
+            while self.cursor < stop:
                 self._execute(self.events[self.cursor])
                 self.cursor += 1
         finally:
             self.image.write_observer = None
             self.mode = Mode.NORMAL
         self.syscalls.finish_replay()
-        if self.cursor != resume_cursor:
-            raise ReplayDivergence(f"replay stopped at event {self.cursor}, expected {resume_cursor}")
         if self._end_state() != ended:
             raise ReplayDivergence("replayed state differs from the recorded execution")
         self._emit_replay_reports(evidence)
@@ -336,9 +330,7 @@ class Engine:
     def _emit_replay_reports(self, evidence: list[ErrorReport]) -> None:
         self._emit_reports(evidence, self._wps.traps)
         # retire what was just reported so later boundaries stay quiet
-        retired = [r.corrupted_addr for r in evidence if r.corrupted_addr is not None]
-        self.overflow.retire_words(retired)
-        self._retirements.append((self.cursor, retired))
+        self.overflow.retire_words([r.corrupted_addr for r in evidence if r.corrupted_addr is not None])
 
     def _emit_reports(self, evidence: list[ErrorReport], traps: dict[int, list[int]]) -> None:
         self.reports += build_reports(self.epoch_index, evidence, traps, self.stacks, self.sites)

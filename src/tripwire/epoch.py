@@ -10,6 +10,7 @@ any unknown call name, conservatively.
 
 The call log lasts the whole run: every call's event id, name and
 result, in execution order. Rollback leaves it be; replay checks against it.
+An epoch's calls are those logged since its snapshot (begin_epoch).
 """
 
 from __future__ import annotations
@@ -203,13 +204,16 @@ class SyscallModel:
 
     def apply_irrevocable(self, event: TraceEvent) -> None:
         """Run and log the modeled effect of the epoch-ending call,
-        post-commit; the next epoch's calls start after it."""
+        post-commit."""
         result = 0
         if event.call_name == "lseek":
             fd = self._int_arg(event, 0)
             result = self._int_arg(event, 1, default=0)
             self.files.set_position(fd, result)
         self.log[event.id] = (event.call_name, result)
+
+    def begin_epoch(self) -> None:
+        """The calls logged from here on are the new epoch's, for its replay to re-run."""
         self._epoch_start = len(self.log)
 
     def begin_replay(self) -> None:

@@ -52,17 +52,18 @@ def build_reports(epoch: int, evidence: list[rp.ErrorReport], traps: dict[int, l
     """Attribute each unattributed report: its epoch, the events behind
     it, the allocation site of its object and the call stack of each.
 
-    A corrupted word's report lists the writes that trapped on it, and
-    is marked unattributed when none did; a leak's lists its
-    allocation. An object's allocation site is the latest malloc run so
-    far that returned its payload; a freed object's report already
+    A corrupted word's report lists the writes that trapped on it after
+    its object's allocation (an earlier one hit the slot's previous
+    object), and is marked unattributed when none did; a leak's lists
+    its allocation. An object's allocation site is the latest malloc run
+    so far that returned its payload; a freed object's report already
     carries the free event of its quarantine entry.
     """
     out = []
     for report in evidence:
         word, site = report.corrupted_addr, sites.at(report.object_addr)
         if word is not None:
-            events = traps.get(word, ())
+            events = [eid for eid in traps.get(word, ()) if site is None or eid > site]
         else:  # a leaked object's allocation is its offending event
             events = () if report.reachable_freed else (site,)
         out.append(

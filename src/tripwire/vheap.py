@@ -165,8 +165,8 @@ class PageStore:
     def restore(self, saved: dict[int, bytes]) -> None:
         """Write the saved pages back and return to the snapshot length.
 
-        The undo log stays active, so the same snapshot can be restored
-        again later.
+        The undo log stays active and keeps its keys, so the replay that
+        follows logs into it and its pages can be compared (epoch_writes).
         """
         if saved is not self.log:
             raise ValueError("only the latest snapshot can be restored")

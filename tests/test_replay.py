@@ -186,19 +186,20 @@ def test_unwatched_words_reported_without_attribution():
     assert max(summary.unwatched_words) > max(summary.armed_words)
 
 
-def test_second_rollback_in_an_epoch_replays_the_retirement():
-    # the free-time rollback retires the corrupted word; a leak alone
-    # needs no replay, but a forced rollback of the same epoch at its end
-    # boundary must clear the word's bit where the first rollback did
+def test_evidence_at_a_free_ends_the_epoch_with_one_replay():
+    # the free's evidence ends epoch 0 after the free, with the one replay
+    # the forced rollback asks for; the leak waits for the end boundary
     events = parse_trace("malloc a 200\nwrite a 200 1 42\nfree a\nmalloc b 40\nend\n")
     eng = Engine(events, small_config(), force_rollback_epochs=(0,))
     out = eng.run()
+    assert out.epochs == 2
+    replayed = [s.epoch for s in eng.replay_summaries]
+    assert len(replayed) == len(set(replayed))
     overflow, leak = sorted(out.reports, key=lambda r: r.kind != "overflow")
-    assert overflow.kind == "overflow"
+    assert overflow.kind == "overflow" and overflow.epoch == 0
     assert [eid for eid, _ in overflow.offending_events] == [1]
-    assert leak.kind == "leak" and leak.object_addr == out.alloc_sequence[1]
+    assert leak.kind == "leak" and leak.epoch == 1 and leak.object_addr == out.alloc_sequence[1]
     assert [eid for eid, _ in leak.offending_events] == [3]
-    assert len(eng.replay_summaries) == 2
 
 
 def stray_in_replay(eng, stray) -> None:

@@ -2,12 +2,13 @@
 
 Each trace mixes clean heap traffic with injected errors (out-of-bounds
 writes, writes after free, double frees, dropped roots) and external
-calls of every category, so epochs see several rollbacks, evidence
+calls of every category, so runs see several rollbacks, evidence
 retirements and boundaries. Whatever the detectors report, replay must
 reproduce the recorded execution, and no trace may raise at all: not
 ReplayDivergence, and not NotQuarantined, which an overflow into a
 neighbour's header could once provoke. Every report on a heap object
-must name the allocation site oracles.alloc_site reads from the trace.
+must name the allocation site oracles.alloc_site reads from the trace,
+and no epoch may roll back twice, even when every epoch is forced to.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 import tripwire as tw
 
 from conftest import small_config
-from oracles import alloc_site, epoch_closers, stacks_at_events
+from oracles import alloc_site, stacks_at_events
 
 SIZES = (1, 8, 20, 24, 32, 40, 100, 200, 256, 1000)
 CALLS = (
@@ -115,24 +116,41 @@ def error_trace(rng: random.Random, ops: int = 30, stores: bool = False, frames:
     return "\n".join(lines) + "\n"
 
 
-def run_checking_sites(text: str, config: tw.EngineConfig) -> tw.RunOutcome:
-    """Run text and check each heap-object report's allocation site
-    against the oracle's. A report the oracle cannot anchor (an
-    unattributed word) must still name a malloc of its object from
-    before its epoch closed."""
+def run_checking_sites(text: str, config: tw.EngineConfig, force_rollback_epochs=()) -> tw.Engine:
+    """Run text and return the engine that ran it. Check each
+    heap-object report's allocation site against the oracle's, and that
+    no offending event of a report other than a leak comes before that
+    site. A report the oracle cannot anchor (an unattributed word) must
+    still name a malloc of its object from before its epoch closed.
+
+    An epoch closes at an irrevocable call, the end of the run or, when
+    a free found evidence, that free. The run is wrapped to record where
+    each epoch begins: the event before is the one that closed the last.
+    """
     events = tw.parse_trace(text)
-    out = tw.run_events(events, config)
-    stacks, closers = stacks_at_events(events), epoch_closers(events)
+    engine = tw.Engine(events, config, force_rollback_epochs)
+    starts, begin_epoch = [], engine._begin_epoch
+
+    def begin_recording():
+        starts.append(engine.cursor)
+        begin_epoch()
+
+    engine._begin_epoch = begin_recording
+    out = engine.run()
+    stacks = stacks_at_events(events)
+    closers = [start - 1 for start in starts[1:]] + [out.events_executed]
     for r in out.reports:
         if r.object_addr is None:
             continue
-        site = alloc_site(events, out.alloc_sequence, r)
+        site = alloc_site(events, out.alloc_sequence, r, closers)
         if site is None:
             site = r.alloc_event
             assert site is not None and site < closers[r.epoch], r
             assert out.alloc_sequence[events[site].alloc] == r.object_addr, r
         assert (r.alloc_event, r.alloc_stack) == (site, stacks[site]), r
-    return out
+        if r.kind != "leak":
+            assert all(eid > site for eid, _ in r.offending_events), r
+    return engine
 
 
 @pytest.mark.parametrize("block", range(10))
@@ -166,3 +184,17 @@ def test_generated_traces_with_frames_and_rebinding_never_diverge_on_replay():
             dangling=seed % 2 == 1,
         )
         run_checking_sites(error_trace(rng, 40, frames=True), config)
+
+
+def test_every_epoch_rolled_back_replays_once():
+    for seed in range(300):
+        rng = random.Random(seed)
+        config = small_config(
+            quarantine_max_count=rng.choice((1, 2, 4, 8)),
+            max_watchpoints=rng.choice((1, 2)),
+            dangling=seed % 2 == 1,
+        )
+        text = error_trace(rng, 40, stores=seed % 4 >= 2, frames=seed % 3 == 0)
+        engine = run_checking_sites(text, config, force_rollback_epochs=range(text.count("\n")))
+        replayed = [s.epoch for s in engine.replay_summaries]
+        assert len(replayed) == len(set(replayed)), seed
