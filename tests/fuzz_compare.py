@@ -22,9 +22,7 @@ threshold, which the fuzzed traces reach only when it is small. It writes one JS
 renders them, the final state hash, the scan records, the allocation
 sequence, the call results, the exception (type and message) if the
 run raised, and, also when it raised, the sha256 of the canary shadow
-at the end of the run, `withheld`, the payload of each slot that a
-quarantine eviction in normal execution found corrupted and withheld
-from reuse, in order, and `edge_word_write`: whether a
+at the end of the run, and `edge_word_write`: whether a
 trace write overlapped the edge word of a slot whose request is not a
 multiple of eight, the bytes [payload + requested, align_up(payload +
 requested)) that a word-granular shadow leaves untracked. The flag is
@@ -38,7 +36,12 @@ the runs whose reports depend on where an epoch ends: `mid_epoch_end`,
 whether some free or quarantine eviction in normal execution returned
 evidence, and `pre_malloc_trap`, whether some report other than a leak
 lists an offending event before its allocation site (a write into the
-slot's previous object). Two fields check the
+slot's previous object). One more, `reused_reported_slot`, marks the
+runs where a quarantine eviction in normal execution put a slot on the
+free lists after a use after free on it had been reported, so that a
+later malloc could take a slot a dangling pointer still writes into,
+and later objects may lie at other addresses than under a build that
+withholds the slot. Two fields check the
 parser: `events`, the sha256 of every parsed event's fields, and
 `parse_error`, what parsing the trace with one line broken raises
 (`type: message`, or null). The broken line and the way it is broken
@@ -56,23 +59,19 @@ skipped. It lists up to ten run ids per field that differ in a run not
 flagged, and counts the parse errors that changed by old and new
 message. It counts the reports, by (kind, corrupted word, object,
 allocation event), that only the old or only the new build gives, in
-all runs and in the runs whose history agrees: the same `withheld`,
-allocation sequence and call results. A change to where scans run can
-change which slots are withheld, and with them what later writes hit
-and which slots are reused, and a call's result can depend on when
-deferred calls commit. It pairs the rest by that key and counts the
-pairs whose offending events differ, by cause: a `pre_malloc_trap` run
-whose new events are the old ones after the allocation site
-("pre-malloc trap dropped"); a `mid_epoch_end` run where one build
-attributes the word and the other does not, since the free's words and
-the scan's share one replay's watchpoints ("budget shared at a
-mid-epoch end"), or where the new events are some of the old, the
-others having fallen in another epoch ("epoch cut at a mid-epoch
-end"); or none of these, in a run whose history agrees ("other") or
-not ("other, history differs"). It also counts the pairs that differ
-in another field, in all runs and in those whose history agrees. Last
-it counts the unattributed reports of the flagged runs under each
-build.
+all runs and in the runs flagged `reused_reported_slot` under neither
+build. For each key both builds report, it sets aside each report
+whose offending events a report of the other build lists too, and
+counts the keys left with reports under both builds, by cause: a
+`pre_malloc_trap` run whose new events are the old ones after the
+allocation site ("pre-malloc trap dropped"); a `mid_epoch_end` or
+`reused_reported_slot` run where some report of the key is
+unattributed under either build, since the free's words and the scan's
+share one replay's watchpoints and a withheld slot's words join a
+scan's, or where the new events left are some of the old, the rest
+having come after the epoch's end ("budget shared"); or neither
+("other"). Last it counts the unattributed reports of the flagged runs
+under each build.
 
 This is a tool, not a test: it imports the fuzz generator from the
 tests directory, so run it from the repository root as above.
@@ -91,8 +90,9 @@ import tripwire as tw
 from tripwire.config import parse_detectors
 from tripwire.engine import Engine
 from tripwire.errors import NotAHeapObject
-from tripwire.reports import report_to_dict
+from tripwire.reports import KIND_UAF, report_to_dict
 from tripwire.trace import EventKind, parse_trace
+from tripwire.vheap import FREE_LISTED
 
 from test_state_hash import fuzz_case
 
@@ -104,13 +104,17 @@ FIELDS = (
     "extcall_results",
     "error",
     "bitmap_sha256",
-    "withheld",
     "events",
     "parse_error",
 )
-# the fields whose agreement says two runs took the same course
-HISTORY = ("withheld", "alloc_sequence", "extcall_results")
-FLAGS = ("edge_word_write", "prior_epoch_object", "double_free", "mid_epoch_end", "pre_malloc_trap")
+FLAGS = (
+    "edge_word_write",
+    "prior_epoch_object",
+    "double_free",
+    "mid_epoch_end",
+    "pre_malloc_trap",
+    "reused_reported_slot",
+)
 
 
 def fuzz_runs(seeds: range, stores: bool = False, frames: bool = False, **overrides):
@@ -234,20 +238,23 @@ def watch_evidence(engine) -> tuple[list[tuple[int, int, int]], list[int]]:
     return found, freed
 
 
-def watch_withheld(engine) -> list[int]:
-    """Record the payload of each slot a normal-mode eviction withholds."""
-    withheld = []
+def watch_reuse(engine) -> list[int]:
+    """Record the payload of each slot that a normal-mode eviction put on
+    the free lists after a use after free on it was reported."""
+    reused = []
     if engine.quarantine is not None:
         release = engine.quarantine.verify_and_release
 
         def release_noting(entry):
             evidence = release(entry)
-            if evidence and engine.mode.name == "NORMAL":
-                withheld.append(entry.payload)
+            if engine.mode.name == "NORMAL" and engine.allocator.object_bounds(entry.payload).state == FREE_LISTED:
+                if any(r.kind == KIND_UAF and r.object_addr == entry.payload and r.free_event == entry.free_event
+                       for r in engine.reports):
+                    reused.append(entry.payload)
             return evidence
 
         engine.quarantine.verify_and_release = release_noting
-    return withheld
+    return reused
 
 
 def malloc_in(events, alloc_sequence, payload: int, start: int, stop: int) -> bool:
@@ -263,7 +270,7 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
     engine = Engine(events, config)
     hit = watch_edge_words(engine)
     found, freed = watch_evidence(engine)
-    withheld = watch_withheld(engine)
+    reused = watch_reuse(engine)
     record = dict.fromkeys(FIELDS)
     try:
         out = engine.run()
@@ -278,7 +285,6 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
             extcall_results=[list(r) for r in out.extcall_results],
         )
     record["bitmap_sha256"] = hashlib.sha256(engine.overflow.bitmap.bits).hexdigest()
-    record["withheld"] = withheld
     record["edge_word_write"] = bool(hit)
     record["prior_epoch_object"] = any(
         not malloc_in(events, engine.alloc_sequence, *evidence) for evidence in found
@@ -290,6 +296,7 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
         and any(e["event_id"] < r["alloc_site"]["event_id"] for e in r["offending_events"])
         for r in record["reports"] or ()
     )
+    record["reused_reported_slot"] = bool(reused)
     record["events"] = events_digest(events)
     record["parse_error"] = parse_error(text, run_id)
     return record
@@ -357,28 +364,22 @@ def diff(old_path: str, new_path: str) -> None:
     )
     for (was, now), count in changed.most_common():
         print(f"parse_error in {count} runs: {was} -> {now}")
-    lost, added, causes, otherwise = Counter(), Counter(), Counter(), Counter()
+    lost, added, causes = Counter(), Counter(), Counter()
     for run in old:
         was, now = (by_key(rec["reports"]) for rec in (old[run], new[run]))
-        agree = all(old[run][name] == new[run][name] for name in HISTORY)
         for counts, ours, theirs in ((lost, was, now), (added, now, was)):
             for key in ours:
                 gone = max(len(ours[key]) - len(theirs.get(key, ())), 0)
                 counts["all"] += gone
-                counts["agreeing"] += gone if agree else 0
+                counts["unflagged"] += 0 if run in flags["reused_reported_slot"] else gone
         run_flags = {flag for flag, runs in flags.items() if run in runs}
         for key in was.keys() & now.keys():
-            for a, b in zip(was[key], now[key]):
-                if a["offending_events"] != b["offending_events"]:
-                    cause = event_change(a, b, run_flags)
-                    causes[cause if agree or cause != "other" else "other, history differs"] += 1
-                if strip_events(a) != strip_events(b):
-                    otherwise["all"] += 1
-                    otherwise["agreeing"] += agree
+            cause = event_change(was[key], now[key], run_flags)
+            if cause is not None:
+                causes[cause] += 1
     print(f"reports by (kind, word, object, allocation event): {lost['all']} only old, {added['all']} only new; "
-          f"in runs whose history agrees: {lost['agreeing']} only old, {added['agreeing']} only new")
-    print(f"paired reports whose offending events differ, by cause: {dict(sorted(causes.items()))}; "
-          f"that differ otherwise: {otherwise['all']}, {otherwise['agreeing']} in runs whose history agrees")
+          f"in runs not flagged reused_reported_slot: {lost['unflagged']} only old, {added['unflagged']} only new")
+    print(f"keys whose offending events differ, by cause: {dict(sorted(causes.items()))}")
     unattributed = [sum(r["unattributed"] for run in flagged for r in dumped[run]["reports"] or ())
                     for dumped in (old, new)]
     print(f"unattributed reports in flagged runs: {unattributed[0]} old, {unattributed[1]} new")
@@ -404,22 +405,27 @@ def event_ids(report: dict) -> list[int]:
     return [event["event_id"] for event in report["offending_events"]]
 
 
-def event_change(was: dict, now: dict, run_flags: set[str]) -> str:
-    """Why two reports of one key list different offending events."""
-    site = now["alloc_site"] and now["alloc_site"]["event_id"]
-    old_ids, new_ids = event_ids(was), event_ids(now)
+def event_change(was: list[dict], now: list[dict], run_flags: set[str]) -> str | None:
+    """Why the reports of one key list different offending events, once
+    each report whose events the other build lists too is set aside;
+    None when one build's are all set aside (the rest count as reports
+    only the other build gives)."""
+    old_rest, new_rest = [], [event_ids(report) for report in now]
+    for ids in map(event_ids, was):
+        if ids in new_rest:
+            new_rest.remove(ids)
+        else:
+            old_rest.append(ids)
+    if not old_rest or not new_rest:
+        return None
+    site = now[0]["alloc_site"] and now[0]["alloc_site"]["event_id"]
+    old_ids, new_ids = (sorted(set().union(*rest)) for rest in (old_rest, new_rest))
     if "pre_malloc_trap" in run_flags and site is not None and [e for e in old_ids if e > site] == new_ids:
         return "pre-malloc trap dropped"
-    if "mid_epoch_end" in run_flags and bool(old_ids) != bool(new_ids):
-        return "budget shared at a mid-epoch end"
-    if "mid_epoch_end" in run_flags and new_ids and set(new_ids) < set(old_ids):
-        return "epoch cut at a mid-epoch end"
+    unattributed = not all(report["offending_events"] for report in was + now)
+    if run_flags & {"mid_epoch_end", "reused_reported_slot"} and (unattributed or set(new_ids) < set(old_ids)):
+        return "budget shared"
     return "other"
-
-
-def strip_events(report: dict) -> dict:
-    """A report without what replay attributes to it."""
-    return {name: value for name, value in report.items() if name not in ("offending_events", "unattributed")}
 
 
 def without_line(error: str | None) -> str | None:
