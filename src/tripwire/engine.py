@@ -282,9 +282,7 @@ class Engine:
 
     @staticmethod
     def _overflow_report(word: int, view: ObjectView) -> ErrorReport:
-        return ErrorReport(
-            KIND_OVERFLOW, corrupted_addr=word, object_addr=view.payload, object_size=view.requested
-        )
+        return ErrorReport(KIND_OVERFLOW, corrupted_addr=word, object_addr=view.payload, object_size=view.requested)
 
     # -- rollback and replay -----------------------------------------------
 

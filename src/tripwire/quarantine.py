@@ -8,7 +8,8 @@ prefix that is not a multiple of eight is tracked to its last byte
 like any other. Slots leave the queue oldest-first
 whenever the queue exceeds its object-count or capacity-sum threshold;
 each evicted slot is verified before the allocator may reuse it. A
-slot evicted with corrupted canaries is withheld from reuse entirely.
+slot evicted with corrupted canaries, or with a prefix word a scan
+already reported, is withheld from reuse entirely.
 Evidence is an unattributed use-after-free report per corrupted word,
 carrying the object and the free event of its entry. This module is
 the policy; the queue itself lives in the allocator's slot store.
@@ -85,11 +86,14 @@ class QuarantineQueue:
     def verify_and_release(self, entry: ObjectView) -> list[ErrorReport]:
         """Evict the oldest entry, checking its canaried prefix. A clean one
         goes to its class's free list with its prefix's mask bits cleared;
-        a corrupted one is reported and withheld from reuse."""
+        a corrupted one is reported and withheld from reuse, and so, without
+        a report, is one with a word a scan reported (retiring it cleared its mask)."""
         if self.fill_enabled:
             start, end = self.region(entry)
             corrupted = self.detector.corrupted(start, end)
-            if corrupted:
+            base = self.config.heap_base
+            masks = self.detector.bitmap.bits[(start - base) >> 3 : (end - base) >> 3]
+            if corrupted or masks != b"\xff" * len(masks):
                 self.allocator.dequeue(entry, release=False)
                 return [freed_report(entry, word) for word in corrupted]
             self.detector.bitmap.clear_range(start, end)

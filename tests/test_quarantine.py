@@ -96,6 +96,33 @@ def test_corrupted_eviction_returns_evidence_and_withholds_slot():
     assert alloc(eng, 64) != a
 
 
+SCAN_THEN_EVICT = """
+malloc a 64
+free a
+write a 0 1 11
+call fork
+malloc b 64
+free b
+malloc c 64
+reg r0 = c
+write a 8 1 22
+end
+"""
+
+
+def test_slot_whose_word_a_scan_reported_is_withheld_at_eviction():
+    # the scan at the fork reports the use after free and retires its word,
+    # so the eviction at b's free finds the prefix clean; it withholds the
+    # slot all the same, c lands elsewhere and the later dangling write is found
+    out = tw.run_text(SCAN_THEN_EVICT, small_config(quarantine_max_count=1))
+    a, _, c = out.alloc_sequence
+    assert c != a
+    assert [(r.kind, r.corrupted_addr, [eid for eid, _ in r.offending_events]) for r in out.reports] == [
+        ("use-after-free", a, [2]),
+        ("overflow", a + 8, [8]),
+    ]
+
+
 def test_write_beyond_fill_prefix_goes_undetected():
     # documented false negative: dangling write past the canaried prefix
     eng = harness(quarantine_max_count=1)
