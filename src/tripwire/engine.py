@@ -63,7 +63,7 @@ from .quarantine import QuarantineQueue
 from .replay import WatchpointSet, build_reports
 from .reports import KIND_DOUBLE_FREE, KIND_LEAK, KIND_OVERFLOW, KIND_SEGFAULT, ErrorReport, sort_reports
 from .trace import AllocSites, CallStacks, EventKind, TraceEvent, ValueExpr, parse_trace
-from .vheap import QUARANTINED, WORD, Allocator, MemoryImage, ObjectView, U64_MASK, next_pow2
+from .vheap import QUARANTINED, WORD, Allocator, MemoryImage, ObjectView, U64_MASK
 
 
 class Mode(enum.Enum):
@@ -111,6 +111,7 @@ class Engine:
         self.image = MemoryImage(self.config)
         self.allocator = Allocator(self.config, self.image)
         self.overflow = OverflowDetector(self.config, self.image)
+        self._canaries = self.config.detector_enabled("overflow")  # guard and tail, planted and checked
         # the queue also runs fill-free when only dangling detection
         # needs its delayed reuse
         self.quarantine = (
@@ -396,9 +397,8 @@ class Engine:
             payload = self.allocator.allocate(ev.size)
         except (OversizeRequest, OutOfVirtualHeap) as exc:
             raise type(exc)(f"event {ev.id} (line {ev.line_no}): {exc}") from exc
-        if self.config.detector_enabled("overflow"):
-            capacity = next_pow2(max(ev.size, self.config.min_class))
-            self.overflow.plant_on_alloc(payload, ev.size, capacity)
+        if self._canaries:
+            self.overflow.plant_on_alloc(payload, ev.size, self.allocator.last_capacity)
         if self.mode is Mode.NORMAL:
             self.alloc_sequence.append(payload)
             self.reported_evidence.discard(payload)
@@ -427,9 +427,10 @@ class Engine:
                 )
             return None
         evidence = []
-        if self.config.detector_enabled("overflow"):
+        if self._canaries:
             words = self.overflow.check_on_free(payload, view.requested, view.capacity)
-            evidence = [self._overflow_report(word, view) for word in words]
+            if words:
+                evidence = [self._overflow_report(word, view) for word in words]
         if self.quarantine is not None:
             evidence += self.quarantine.on_free(view, ev.id)
         else:

@@ -119,9 +119,6 @@ class CanaryBitmap:
             masks[w0 + 1 : w1] = bytes([fill]) * (w1 - w0 - 1)
         masks[w0] = masks[w0] & ~head | fill & head
 
-    def set_range(self, start: int, end: int) -> None:
-        self._span(start, end, True)
-
     def clear_range(self, start: int, end: int) -> None:
         self._span(start, end, False)
 
@@ -139,6 +136,7 @@ class OverflowDetector:
         self.image = image
         self.bitmap = CanaryBitmap(image)
         self._canary_byte = bytes([config.canary_byte])
+        self._guard = self._canary_byte * GUARD_BYTES
         self._canary_int = int.from_bytes(config.canary_word, "little")
         self._canary = np.uint64(self._canary_int)
         self._slot_masks: dict[tuple[int, int], bytes] = {}  # (requested, capacity) -> slot_masks
@@ -148,9 +146,16 @@ class OverflowDetector:
     # -- canary regions -----------------------------------------------------
 
     def plant(self, start: int, end: int) -> None:
-        """Fill the region [start, end) and set the mask bits of its bytes."""
-        self.image.write_fill(start, end - start, self.config.canary_byte)
-        self.bitmap.set_range(start, end)
+        """Fill the region [start, end) and set the mask bits of its bytes,
+        with one touch of the heap and one of the shadow. The heap's
+        logical length grows to cover the region, as a write's does."""
+        image = self.image
+        heap, lo, hi = image.heap_pages, start - image.heap_base, end - image.heap_base
+        if hi > heap.length:
+            image.ensure_heap(hi)
+        heap.touch(lo, hi - lo)
+        heap.data[lo:hi] = self._canary_byte * (hi - lo)
+        self.bitmap._span(start, end, True)
 
     def damaged(self, addr: int, bytes_mask: int = 0xFF) -> bool:
         """The masked test: True when a byte of the word at addr that is
@@ -171,17 +176,27 @@ class OverflowDetector:
         ]
 
     def plant_on_alloc(self, payload: int, requested: int, capacity: int) -> None:
-        """Plant the guard region and the unrequested payload tail.
+        """Plant the guard region and the unrequested payload tail, each
+        with one heap touch: the whole slot is never touched, as a large
+        class's would save pages nobody writes. One shadow write sets the
+        masks of the whole slot: the guard's and the tail's bytes marked,
+        the requested bytes' cleared of stale bits from the slot's
+        previous life; those of slots up to MASK_CACHE_CAPACITY are built
+        once per (requested, capacity).
 
-        One shadow write sets the masks of the whole slot: the guard's
-        and the tail's bytes marked, the requested bytes' cleared of
-        stale bits from the slot's previous life. The masks of slots up
-        to MASK_CACHE_CAPACITY are built once per (requested, capacity).
+        The old guard and tail are overwritten unchecked, so corruption
+        written there after the slot's free (an overflow from the slot
+        below, say) is lost when the slot is reused before the next epoch
+        scan: a documented false negative.
         """
-        fill = self.config.canary_byte
-        self.image.write_fill(payload - GUARD_BYTES, GUARD_BYTES, fill)
+        heap = self.image.heap_pages
+        guard = payload - GUARD_BYTES - self.image.heap_base
+        heap.touch(guard, GUARD_BYTES)
+        heap.data[guard : guard + GUARD_BYTES] = self._guard
         if requested < capacity:
-            self.image.write_fill(payload + requested, capacity - requested, fill)
+            tail = guard + GUARD_BYTES + requested
+            heap.touch(tail, capacity - requested)
+            heap.data[tail : tail + capacity - requested] = self._canary_byte * (capacity - requested)
         key = (requested, capacity)
         masks = self._slot_masks.get(key)
         if masks is None:
@@ -194,9 +209,13 @@ class OverflowDetector:
         """Free-time verification of the guard region and the payload tail.
 
         A request that fills its size class (requested == capacity) has
-        an empty tail, so only its guard is checked. Returns corrupted
-        word addresses; the caller decides what to do.
+        an empty tail, so only its guard is checked. An intact slot, the
+        common case, costs two slice compares. Returns corrupted word
+        addresses; the caller decides what to do.
         """
+        heap, off, tail = self.image.heap, payload - self.image.heap_base, self._canary_byte * (capacity - requested)
+        if heap[off - GUARD_BYTES : off] == self._guard and heap[off + requested : off + capacity] == tail:
+            return []
         return self.corrupted(payload - GUARD_BYTES, payload) + self.corrupted(
             payload + requested, payload + capacity
         )

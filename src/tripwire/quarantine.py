@@ -4,15 +4,18 @@ Freed slots are withheld from reuse in a FIFO queue, and the leading
 prefix of each payload, [payload, payload + min(128, capacity)) by
 default, is planted as a canary region of the overflow detector: filled
 with canaries and its bytes marked in the shared mask shadow, so a fill
-prefix that is not a multiple of eight is tracked to its last byte
-like any other. Slots leave the queue oldest-first
-whenever the queue exceeds its object-count or capacity-sum threshold;
-each evicted slot is verified before the allocator may reuse it. A
-slot evicted with corrupted canaries, or with a prefix word a scan
-already reported, is withheld from reuse entirely.
+prefix that is not a multiple of eight is tracked to its last byte like
+any other. Slots leave the queue oldest-first whenever it exceeds its
+object-count or capacity-sum threshold. Each evicted slot is checked
+before the allocator may reuse it: its prefix's bytes against the
+canary and its whole words' masks against 0xff, which costs two slice
+compares when the slot is clean. A slot evicted with corrupted canaries,
+or with a prefix word a scan already reported (retiring the word
+cleared its mask), is withheld from reuse entirely.
 Evidence is an unattributed use-after-free report per corrupted word,
 carrying the object and the free event of its entry. This module is
-the policy; the queue itself lives in the allocator's slot store.
+the policy; the queue itself lives in the allocator's slot store, which
+names an entry by its record.
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ class QuarantineQueue:
         self.detector = detector
         # off when the queue only delays reuse for dangling detection
         self.fill_enabled = fill_enabled
+        self._heap, self._shadow = allocator.image.heap, allocator.image.shadow
+        self._fill = bytes([config.canary_byte]) * config.uaf_fill_prefix
 
     def entry_for(self, addr: int) -> ObjectView | None:
         """The view of the quarantined slot holding addr, if one does."""
@@ -78,26 +83,32 @@ class QuarantineQueue:
         evidence: list[ErrorReport] = []
         max_count, max_bytes = self.config.quarantine_max_count, self.config.quarantine_max_bytes
         while count > max_count or total > max_bytes:
-            entry = allocator.oldest()
-            evidence += self.verify_and_release(entry)
-            count, total = count - 1, total - entry.capacity
+            record, payload, capacity = allocator.oldest()
+            evidence += self.verify_and_release(record, payload, capacity)
+            count, total = count - 1, total - capacity
         return evidence
 
-    def verify_and_release(self, entry: ObjectView) -> list[ErrorReport]:
-        """Evict the oldest entry, checking its canaried prefix. A clean one
-        goes to its class's free list with its prefix's mask bits cleared;
-        a corrupted one is reported and withheld from reuse, and so, without
-        a report, is one with a word a scan reported (retiring it cleared its mask)."""
+    def verify_and_release(self, record: int, payload: int, capacity: int) -> list[ErrorReport]:
+        """Evict the oldest entry, at record, checking its canaried prefix:
+        its bytes against the canary and its whole words' masks against
+        0xff, two slice compares. A clean one goes to its class's free list
+        with its prefix's mask bits cleared. A corrupted one is reported,
+        from a view built for it, and withheld from reuse, and so, without
+        a report, is one with a word a scan reported (retiring it cleared
+        its mask)."""
         if self.fill_enabled:
-            start, end = self.region(entry)
-            corrupted = self.detector.corrupted(start, end)
-            base = self.config.heap_base
-            masks = self.detector.bitmap.bits[(start - base) >> 3 : (end - base) >> 3]
-            if corrupted or masks != b"\xff" * len(masks):
-                self.allocator.dequeue(entry, release=False)
-                return [freed_report(entry, word) for word in corrupted]
-            self.detector.bitmap.clear_range(start, end)
-        self.allocator.dequeue(entry, release=True)
+            detector, end = self.detector, payload + min(self.config.uaf_fill_prefix, capacity)
+            lo, hi = payload - self.config.heap_base, end - self.config.heap_base
+            masks = self._shadow.data[lo >> 3 : hi >> 3]
+            whole = masks == b"\xff" * len(masks)
+            if not (whole and self._heap[lo:hi] == self._fill[: hi - lo]):
+                corrupted = detector.corrupted(payload, end)
+                if corrupted or not whole:
+                    view = self.allocator.object_bounds(payload)
+                    self.allocator.dequeue(record, capacity, release=False)
+                    return [freed_report(view, word) for word in corrupted]
+            detector.bitmap.clear_range(payload, end)
+        self.allocator.dequeue(record, capacity, release=True)
         return []
 
     # -- epoch-boundary attribution ----------------------------------------

@@ -21,7 +21,10 @@ mask byte per heap word) and the slot store are four page stores
 (PageStore): lazily zeroed reservations with a logical length and a
 copy-on-write undo log of 4 KiB pages. They share the image's snapshot
 and restore, so a snapshot, a restore or the check of a replay costs
-what the epoch wrote, not what the stores hold. The heap's undo log
+what the epoch wrote, not what the stores hold. Trace writes go through
+MemoryImage.write_fill and write_word; the allocator and the detectors
+write a store's data directly, after touching each range they write, so
+the undo logs stay current on every path. The heap's undo log
 keys are also the epoch scan's dirty set: a canary can have changed
 only on a page the epoch wrote. With their old bytes, the heap's and
 the globals' undo logs give the leak mark the words an epoch changed.
@@ -204,14 +207,15 @@ class MemoryImage:
     """The modeled program's writable memory, heap region plus globals,
     and the allocator's slot store.
 
-    All access is bounds-checked against the two mapped ranges; anything
-    else raises SegfaultModel. Trace-driven writes pass internal=False so
-    an observer installed by the engine (the replay watchpoint check) can
-    see them; detector writes are internal and invisible to it. Every
-    write goes through write_fill, write_bytes or write_word, which keep
-    the undo logs current. The stores: heap_pages (`heap` is its
-    mapping), globals_pages (`globals`), shadow, resized with the heap,
-    and slots, which grows by slot_region words per chunk.
+    Reads and writes are bounds-checked against the two mapped ranges;
+    anything else raises SegfaultModel. Trace-driven writes go through
+    write_fill or write_word with internal=False, so an observer
+    installed by the engine (the replay watchpoint check) can see them.
+    The detectors and the allocator write the stores' data directly,
+    after a touch() of each range, and the observer never sees them. The
+    stores: heap_pages (`heap` is its mapping), globals_pages
+    (`globals`), shadow, resized with the heap, and slots, which grows
+    by slot_region words per chunk.
     """
 
     def __init__(self, config: EngineConfig):
@@ -285,25 +289,37 @@ class MemoryImage:
         return store.data[off : off + length]
 
     def write_fill(self, addr: int, length: int, fill: int, internal: bool = True) -> None:
-        store, off = self._locate(addr, length)  # a bad length faults before the fill is built
-        self._write(store, off, addr, _FILLS[fill] * length, internal)
+        store, off = self.heap_pages, addr - self.heap_base
+        if length < 0 or off < 0 or off + length > self.heap_size:
+            store, off = self._locate(addr, length)  # the globals, or a fault before the fill is built
+        if not internal and self.write_observer is not None:
+            self.write_observer(addr, length)
+        end = off + length
+        if end > store.length:  # only the heap's: the globals' length is their whole range
+            self.ensure_heap(end)
+        store.touch(off, length)
+        store.data[off:end] = _FILLS[fill] * length
+
+    def write_word(self, addr: int, value: int, internal: bool = True) -> None:
+        store, off = self.heap_pages, addr - self.heap_base
+        if off < 0 or off > self.heap_size - WORD:
+            store, off = self.globals_pages, addr - self.globals_base
+            if off < 0 or off > self.globals_size - WORD:
+                raise SegfaultModel(addr, WORD)
+        if not internal and self.write_observer is not None:
+            self.write_observer(addr, WORD)
+        end = off + WORD
+        if end > store.length:
+            self.ensure_heap(end)
+        store.touch(off, WORD)
+        store.data[off:end] = (value & U64_MASK).to_bytes(8, "little")
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """An internal write of data at addr. Nothing in the package calls
         it; perfbench/layers.py wraps it by name."""
         store, off = self._locate(addr, len(data))
-        self._write(store, off, addr, data, True)
-
-    def write_word(self, addr: int, value: int, internal: bool = True) -> None:
-        store, off = self._locate(addr, WORD)
-        self._write(store, off, addr, (value & U64_MASK).to_bytes(8, "little"), internal)
-
-    def _write(self, store: PageStore, off: int, addr: int, data: bytes, internal: bool) -> None:
-        """Write data at offset off of store, which _locate found for addr."""
         end = off + len(data)
-        if not internal and self.write_observer is not None:
-            self.write_observer(addr, len(data))
-        if end > store.length:  # only the heap's: the globals' length is their whole range
+        if end > store.length:
             self.ensure_heap(end)
         store.touch(off, len(data))
         store.data[off:end] = data
@@ -466,12 +482,14 @@ class Allocator:
         self._classes: list[_ClassState | None] = [None] * 64  # by shift, once allocated
         self._heap_base, self._heap_size = config.heap_base, config.heap_size
         self._chunk_size = config.chunk_size
+        self.last_capacity = 0  # the class capacity of the slot allocate() last returned
 
     # -- slot records -----------------------------------------------------
 
     def read_header(self, record: int) -> tuple[int, int]:
         """(requested size, state) of a carved slot, from its record.
-        perfbench/layers.py wraps it by name to count slot lookups."""
+        Nothing in the package calls it; perfbench/layers.py wraps it by
+        name."""
         return self._words[record + REQUESTED], self._words[record + STATE]
 
     def _touch_record(self, record: int) -> None:
@@ -484,12 +502,6 @@ class Allocator:
         record = self._slot_at(payload)[1]
         self._touch_record(record)
         self._words[record + STATE] = LIVE if value else WITHHELD
-
-    def _slot_of(self, record: int) -> tuple[int, _ClassState]:
-        """(slot address, class) of a record."""
-        chunk, at = divmod(record - _RECORDS, self._region)
-        cls = self._classes[self._words[record - at]]
-        return self._heap_base + chunk * self._chunk_size + (at // RECORD_WORDS - 1) * cls.stride, cls
 
     # -- allocation -----------------------------------------------------
 
@@ -509,7 +521,8 @@ class Allocator:
         record = words[word + FREE]
         if record:
             words[word + FREE] = words[record + LINK]
-            slot = self._slot_of(record)[0]
+            chunk, at = divmod(record - _RECORDS, self._region)  # the record's slot, as in oldest()
+            slot = self._heap_base + chunk * self._chunk_size + (at // RECORD_WORDS - 1) * stride
         else:
             slot = words[word + BUMP]
             if slot + stride > words[word + LIMIT]:
@@ -520,6 +533,7 @@ class Allocator:
         self._touch_record(record)
         words[record + REQUESTED] = size
         words[record + STATE] = LIVE
+        self.last_capacity = cls.capacity
         return slot + GUARD_BYTES
 
     def _acquire_chunk(self, cls: _ClassState) -> int:
@@ -578,24 +592,26 @@ class Allocator:
         total = words[Q_BYTES] = words[Q_BYTES] + view.capacity
         return count, total
 
-    def oldest(self) -> ObjectView:
-        """The view of the quarantine's oldest slot."""
+    def oldest(self) -> tuple[int, int, int]:
+        """(record, payload, capacity) of the quarantine's oldest slot."""
         record = self._words[Q_HEAD]
-        slot, cls = self._slot_of(record)
-        return self._view(slot, record, cls)
+        chunk, at = divmod(record - _RECORDS, self._region)
+        cls = self._classes[self._words[record - at]]  # the chunk's head holds its class shift
+        payload = self._heap_base + chunk * self._chunk_size + (at // RECORD_WORDS - 1) * cls.stride + GUARD_BYTES
+        return record, payload, cls.capacity
 
-    def dequeue(self, view: ObjectView, release: bool) -> None:
-        """Take the oldest slot, whose view is given, out of the quarantine:
-        onto its class's free list with release, else withheld."""
-        words, record = self._words, view.record
+    def dequeue(self, record: int, capacity: int, release: bool) -> None:
+        """Take the oldest slot, at record, out of the quarantine: onto its
+        class's free list with release, else withheld."""
+        words = self._words
         self._touch_record(record)
         head = words[Q_HEAD] = words[record + LINK]
         if not head:
             words[Q_TAIL] = 0
         words[Q_COUNT] -= 1
-        words[Q_BYTES] -= view.capacity
+        words[Q_BYTES] -= capacity
         if release:
-            self._push_free(record, self._classes[view.capacity.bit_length() - 1])
+            self._push_free(record, self._classes[capacity.bit_length() - 1])
         else:
             words[record + STATE] = WITHHELD
 
@@ -617,15 +633,14 @@ class Allocator:
             raise NotAHeapObject(f"0x{addr:x} past the carve cursor")
         return addr - at + index * cls.stride, record, cls
 
-    def _view(self, slot: int, record: int, cls: _ClassState) -> ObjectView:
-        requested, state = self.read_header(record)
-        free_event = self._words[record + FREE_EVENT]
-        # slot, payload, capacity, requested, allocated, state, free_event, record
-        return ObjectView(slot, slot + GUARD_BYTES, cls.capacity, requested, state == LIVE, state, free_event, record)
-
     def object_bounds(self, addr: int) -> ObjectView:
         """Resolve any address inside a carved slot (interior included)."""
-        return self._view(*self._slot_at(addr))
+        slot, record, cls = self._slot_at(addr)
+        words = self._words
+        state = words[record + STATE]
+        # slot, payload, capacity, requested, allocated, state, free_event, record
+        return ObjectView(slot, slot + GUARD_BYTES, cls.capacity, words[record + REQUESTED], state == LIVE, state,
+                          words[record + FREE_EVENT], record)
 
     @property
     def chunks(self) -> list[_Chunk]:
@@ -643,10 +658,9 @@ class Allocator:
     def carved_slots(self):
         """Yield an ObjectView for every slot ever carved, in address order
         within each chunk and chunk-acquisition order overall."""
-        for n, chunk in enumerate(self.chunks):
-            cls, first = self._classes[chunk.class_shift], _RECORDS + n * self._region + RECORD_WORDS
-            for i in range(chunk.carved):
-                yield self._view(chunk.base + i * chunk.stride, first + RECORD_WORDS * i, cls)
+        for chunk in self.chunks:
+            for slot in range(chunk.base, chunk.base + chunk.carved * chunk.stride, chunk.stride):
+                yield self.object_bounds(slot)
 
     def slot_table(self) -> SlotTable:
         """The carved slots as arrays, for passes over many addresses."""

@@ -245,12 +245,15 @@ def watch_reuse(engine) -> list[int]:
     if engine.quarantine is not None:
         release = engine.quarantine.verify_and_release
 
-        def release_noting(entry):
-            evidence = release(entry)
-            if engine.mode.name == "NORMAL" and engine.allocator.object_bounds(entry.payload).state == FREE_LISTED:
-                if any(r.kind == KIND_UAF and r.object_addr == entry.payload and r.free_event == entry.free_event
+        def release_noting(*args):
+            # older builds pass the entry's view, newer ones (record, payload, capacity)
+            payload = args[0].payload if len(args) == 1 else args[1]
+            free_event = engine.allocator.object_bounds(payload).free_event
+            evidence = release(*args)
+            if engine.mode.name == "NORMAL" and engine.allocator.object_bounds(payload).state == FREE_LISTED:
+                if any(r.kind == KIND_UAF and r.object_addr == payload and r.free_event == free_event
                        for r in engine.reports):
-                    reused.append(entry.payload)
+                    reused.append(payload)
             return evidence
 
         engine.quarantine.verify_and_release = release_noting

@@ -325,26 +325,57 @@ def test_a_double_free_names_the_latest_malloc_of_its_payload(text, site, stack)
     assert f"allocated by event {site}:" in tw.emit_text(out.reports)
 
 
-def test_a_malloc_writes_the_image_twice_and_a_quarantined_free_once():
-    # the guard region and the unrequested tail, then the quarantine
-    # prefix; the allocator itself writes no slot
-    engine = Engine(parse_trace("malloc a 24\nfree a\nend\n"), tw.EngineConfig())
-    writes = []
-    for attr in ("write_fill", "write_bytes", "write_word"):
-        method = getattr(engine.image, attr)
-        setattr(engine.image, attr, lambda *args, _method=method: writes.append(args) or _method(*args))
+def test_a_malloc_and_a_free_touch_each_store_once_per_range():
+    # the undo-log touches of each page store, per event, as (store,
+    # offset, length): a malloc touches the guard and the unrequested
+    # tail, never the whole slot, and the slot's masks once; a
+    # quarantined free the prefix and its masks; a free that evicts also
+    # clears the evicted prefix's masks. The chunk's acquisition logs the
+    # page of its records, and the snapshot the slot store's header page.
+    config = small_config(quarantine_max_count=1)
+    engine = Engine(parse_trace("malloc a 24\nfree a\nmalloc b 24\nfree b\nend\n"), config)
+    image, touched = engine.image, []
+    for name, store in zip(("heap", "globals", "shadow", "slots"), image.stores):
+        def touch(off, length, _name=name, _touch=store.touch):
+            touched.append((_name, off, length))
+            _touch(off, length)
+
+        store.touch = touch
+    # the allocator itself writes no heap byte
+    allocate = engine.allocator.allocate
+
+    def allocate_writing_no_heap(size):
+        heap, before = bytes(image.heap[: config.chunk_size]), len(touched)
+        payload = allocate(size)
+        assert bytes(image.heap[: config.chunk_size]) == heap
+        assert [t for t in touched[before:] if t[0] == "heap"] == []
+        return payload
+
+    engine.allocator.allocate = allocate_writing_no_heap
     per_event = []
     execute = engine._execute
 
     def counted_execute(ev):
-        before = len(writes)
+        before = len(touched)
         result = execute(ev)
-        per_event.append(len(writes) - before)
+        per_event.append(touched[before:])
         return result
 
     engine._execute = counted_execute
-    assert engine.run().reports == ()
-    assert per_event == [2, 1]
+    out = engine.run()
+    assert out.reports == ()
+    a, b = (payload - config.heap_base for payload in out.alloc_sequence)
+
+    def planted(p):  # guard, tail, then the masks of the whole slot
+        return [("heap", p - 32, 32), ("heap", p + 24, 8), ("shadow", (p - 32) // 8, 8)]
+
+    records = 8 * 512  # the first chunk's records start on the store's second page
+    assert per_event == [
+        [("slots", records, 8), *planted(a)],
+        [("heap", a, 32), ("shadow", a // 8, 4)],
+        planted(b),
+        [("heap", b, 32), ("shadow", b // 8, 4), ("shadow", a // 8, 4)],
+    ]
 
 
 def test_normal_mode_writes_make_no_canary_checks():

@@ -271,6 +271,36 @@ def test_non_contiguous_overflow_that_skips_canaries_is_missed():
     del a
 
 
+REPLANTED_GUARD = """
+malloc a 24
+malloc b 24
+free b
+writeabs a+32 8 ee
+malloc x 24
+free x
+{}call fork
+end
+"""
+REPLANTED_CONFIG = tw.EngineConfig(detectors=frozenset({"overflow", "uaf"}), quarantine_max_count=1)
+
+
+def test_a_guard_corrupted_after_its_free_is_found_by_the_scan():
+    # a's overflow lands in the guard of b, freed; x's free evicts b clean
+    # (the eviction checks only its prefix), and the scan finds the word
+    out = tw.run_text(REPLANTED_GUARD.format(""), REPLANTED_CONFIG)
+    assert [(r.kind, r.corrupted_addr, r.object_addr, r.offending_events) for r in out.reports] == [
+        ("overflow", 0x1_0000_0040, 0x1_0000_0060, ((3, ()),))
+    ]
+
+
+def test_a_guard_replanted_by_a_malloc_before_the_scan_is_a_false_negative():
+    # documented: c takes b's slot from the free list, and its malloc
+    # re-plants the guard unchecked, so the overflow leaves no evidence
+    out = tw.run_text(REPLANTED_GUARD.format("malloc c 24\n"), REPLANTED_CONFIG)
+    assert out.alloc_sequence[3] == 0x1_0000_0060
+    assert out.reports == ()
+
+
 def test_scan_word_comparisons_bounded_by_set_bits():
     eng = harness()
     for size in (24, 32, 100, 1000):

@@ -187,9 +187,9 @@ def test_fifo_eviction_order_matches_insertion_order(sizes):
     evicted_order = []
     original = eng.quarantine.verify_and_release
 
-    def spying_release(entry):
-        evicted_order.append(entry.payload)
-        return original(entry)
+    def spying_release(record, payload, capacity):
+        evicted_order.append(payload)
+        return original(record, payload, capacity)
 
     eng.quarantine.verify_and_release = spying_release
     freed_order = []
@@ -284,8 +284,10 @@ STATE_NAMES = {LIVE: "live", QUARANTINED: "quarantined", FREE_LISTED: "free", WI
 class SlotModel:
     """A pure-Python allocator and quarantine: per-class bump chunks and
     LIFO free lists, and a FIFO with count and byte thresholds whose
-    evictions go to the free lists unless a dangling write corrupted
-    them, in which case they are withheld."""
+    evictions go to the free lists unless dangling writes left them
+    corrupted, in which case they are reported and withheld, or a
+    retirement cleared the masks of a whole word of their prefix, in
+    which case they are withheld unreported."""
 
     def __init__(self, config):
         self.config = config
@@ -295,10 +297,16 @@ class SlotModel:
         self.queue: list[int] = []
         self.state: dict[int, str] = {}
         self.requested: dict[int, int] = {}
-        self.corrupted: set[int] = set()
+        # per quarantined payload: the prefix offsets of the bytes that hold
+        # no canary, and the offsets of the words whose masks are cleared
+        self.bad: dict[int, set[int]] = {}
+        self.retired: dict[int, set[int]] = {}
 
     def capacity(self, payload: int) -> int:
         return next_pow2(max(self.requested[payload], self.config.min_class))
+
+    def prefix(self, payload: int) -> int:
+        return min(self.config.uaf_fill_prefix, self.capacity(payload))
 
     def malloc(self, size: int) -> int:
         cap = next_pow2(max(size, self.config.min_class))
@@ -316,28 +324,35 @@ class SlotModel:
         self.state[payload], self.requested[payload] = "live", size
         return payload
 
-    def free(self, payload: int) -> list[int]:
-        """Quarantine payload; returns the corrupted evictions' payloads."""
+    def free(self, payload: int) -> list[tuple[int, int]]:
+        """Quarantine payload; returns the evictions' reports as (object,
+        corrupted word)."""
         self.queue.append(payload)
         self.state[payload] = "quarantined"
-        withheld = []
+        self.bad[payload], self.retired[payload] = set(), set()
+        reports = []
         while (len(self.queue) > self.config.quarantine_max_count
                or sum(map(self.capacity, self.queue)) > self.config.quarantine_max_bytes):
             oldest = self.queue.pop(0)
-            if oldest in self.corrupted:
-                self.corrupted.discard(oldest)
+            bad, retired = self.bad.pop(oldest), self.retired.pop(oldest)
+            # a retired word has no mask left, so its bytes are not checked;
+            # the masks compared are those of the prefix's whole words
+            words = sorted({off & ~7 for off in bad} - retired)
+            if words or any(word + 8 <= self.prefix(oldest) for word in retired):
                 self.state[oldest] = "withheld"
-                withheld.append(oldest)
+                reports += [(oldest, oldest + word) for word in words]
             else:
                 self.state[oldest] = "free"
                 self.free_lists[self.capacity(oldest)].append(oldest)
-        return withheld
+        return reports
 
     def copy(self) -> SlotModel:
         twin = SlotModel(self.config)
         twin.chunks, twin.bump = self.chunks, dict(self.bump)
         twin.free_lists = {cap: list(free) for cap, free in self.free_lists.items()}
-        twin.queue, twin.corrupted = list(self.queue), set(self.corrupted)
+        twin.queue = list(self.queue)
+        twin.bad = {payload: set(offs) for payload, offs in self.bad.items()}
+        twin.retired = {payload: set(words) for payload, words in self.retired.items()}
         twin.state, twin.requested = dict(self.state), dict(self.requested)
         return twin
 
@@ -354,7 +369,7 @@ _model_steps = st.lists(
     st.one_of(
         st.tuples(st.just("malloc"), st.sampled_from((17, 24, 40, 300, 5000))),
         st.tuples(st.just("free"), st.integers(0, 1 << 16)),
-        st.tuples(st.just("dangle"), st.integers(0, 1 << 16)),
+        st.tuples(st.sampled_from(("dangle", "heal", "retire")), st.integers(0, 1 << 16), st.integers(0, 1 << 16)),
         st.just(("snapshot",)),
         st.just(("restore",)),
     ),
@@ -363,17 +378,24 @@ _model_steps = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 3), st.sampled_from((64, 300, 1024, 1 << 20)), _model_steps)
+@given(st.integers(1, 3), st.sampled_from((64, 300, 1024, 1 << 20)), st.sampled_from((128, 20)), _model_steps)
 # two slots of one class evicted to its free list, then reused: LIFO
-@example(1, 1 << 20, [("malloc", 40)] * 3 + [("free", 0)] * 3 + [("malloc", 40)])
+@example(1, 1 << 20, 128, [("malloc", 40)] * 3 + [("free", 0)] * 3 + [("malloc", 40)])
 # the queue's old tail, in another chunk, is linked to a slot freed after
 # the snapshot; the restore must unlink it
-@example(3, 1 << 20, [("malloc", 5000), ("malloc", 40), ("free", 0), ("snapshot",), ("free", 0), ("restore",)])
-def test_allocator_and_queue_match_a_reference_model(max_count, max_bytes, steps):
-    # LIFO free lists, a FIFO quarantine under both thresholds, withheld
-    # corrupted evictions, and restores of the image's undo log, which
-    # must bring all of it back: the same payloads, states and queue
-    eng = harness(quarantine_max_count=max_count, quarantine_max_bytes=max_bytes)
+@example(3, 1 << 20, 128, [("malloc", 5000), ("malloc", 40), ("free", 0), ("snapshot",), ("free", 0), ("restore",)])
+# a 20-byte prefix: a retired whole word withholds its slot, and a
+# retired edge word (bytes 16..19), outside the masks compared, does not
+@example(1, 1 << 20, 20, [("malloc", 40)] * 3 + [("free", 0), ("dangle", 0, 9), ("retire", 0, 0), ("heal", 0, 0),
+                          ("free", 0), ("dangle", 0, 17), ("retire", 0, 0), ("free", 0)])
+# a healed byte leaves its slot clean
+@example(1, 1 << 20, 128, [("malloc", 40)] * 2 + [("free", 0), ("dangle", 0, 60), ("heal", 0, 0), ("free", 0)])
+def test_allocator_and_queue_match_a_reference_model(max_count, max_bytes, prefix, steps):
+    # LIFO free lists, a FIFO quarantine under both thresholds, evictions
+    # withheld for changed bytes (reported) and for cleared masks (not
+    # reported), and restores of the image's undo log, which must bring
+    # all of it back: the same payloads, states and queue
+    eng = harness(quarantine_max_count=max_count, quarantine_max_bytes=max_bytes, uaf_fill_prefix=prefix)
     model = SlotModel(eng.config)
     saved = snap = None
     for step in steps:
@@ -383,11 +405,24 @@ def test_allocator_and_queue_match_a_reference_model(max_count, max_bytes, steps
         elif step[0] == "free" and live:
             payload = live[step[1] % len(live)]
             evidence = eng.quarantine.on_free(eng.allocator.object_bounds(payload), 0)
-            assert [r.object_addr for r in evidence] == model.free(payload)
+            assert [(r.object_addr, r.corrupted_addr) for r in evidence] == model.free(payload)
         elif step[0] == "dangle" and model.queue:
             payload = model.queue[step[1] % len(model.queue)]
-            eng.image.write_fill(payload, 1, 0x00, internal=False)
-            model.corrupted.add(payload)
+            off = step[2] % model.prefix(payload)
+            eng.image.write_fill(payload + off, 1, 0x00, internal=False)
+            model.bad[payload].add(off)
+        elif step[0] in ("heal", "retire") and model.queue:
+            payload = model.queue[step[1] % len(model.queue)]
+            bad = sorted(model.bad[payload])
+            if not bad:
+                continue
+            off = bad[step[2] % len(bad)]
+            if step[0] == "heal":  # the canary byte written back
+                eng.image.write_fill(payload + off, 1, CANARY, internal=False)
+                model.bad[payload].discard(off)
+            else:  # a scan reported the word, and the replay retired it
+                eng.overflow.retire_words([payload + (off & ~7)])
+                model.retired[payload].add(off & ~7)
         elif step[0] == "snapshot":
             snap, saved = eng.image.snapshot(), model.copy()
         elif step[0] == "restore" and snap is not None:
