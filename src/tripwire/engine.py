@@ -188,15 +188,16 @@ class Engine:
         self._begin_epoch()
         events = self.events
         total = len(events)
+        end, irrevocable = EventKind.END, Category.IRREVOCABLE  # an enum member costs a lookup per read
         while True:
             if self.cursor >= total:
                 self._boundary(None)
                 break
             ev = events[self.cursor]
-            if ev.kind is EventKind.END:
+            if ev.kind is end:
                 self._boundary(ev)
                 break
-            if ev.category is Category.IRREVOCABLE:
+            if ev.category is irrevocable:
                 if self._boundary(ev):
                     break
                 continue
