@@ -2,12 +2,12 @@
 boundaries, rollback and instrumented replay when evidence turns up.
 
 Execution is divided into epochs. Each epoch starts with a snapshot:
-undo logs for the memory image's page stores (heap, globals, canary
-shadow, and the slot store with all allocator and quarantine state),
-which save each page on its first write and restore byte-exact, plus
-the machine state as values (Engine._machine_state): event cursor,
-registers and file positions. Bindings, call stacks and allocation
-sites are read from the trace (TraceEvent.alloc, trace.CallStacks,
+undo logs for the memory image's page stores (heap, globals with the
+registers past them, canary shadow, and the slot store with all
+allocator and quarantine state), which save each page on its first
+write and restore byte-exact, plus the event cursor and the file
+positions as values. Bindings, call stacks and allocation sites are
+read from the trace (TraceEvent.alloc, trace.CallStacks,
 trace.AllocSites). Events then run at full speed with no per-write
 checking. An epoch ends at an irrevocable external call, a modeled
 segfault, the end of the trace, or right after a free whose check or
@@ -27,11 +27,11 @@ frees, where it could report an object the next events root again.
 A replay is checked by comparing, not hashing. Before a rollback the
 engine records the state the epoch ended in (Engine._end_state): each
 page store's logical length and the bytes of every page in its undo
-log, the machine state and the call model's counter. After the replay
-it records the same again, and any difference is a ReplayDivergence. A
-restore keeps the undo logs' keys, so a replay that writes a page the
-epoch did not write differs even with the same bytes. A clean boundary
-records nothing. The one state hash is the final one, taken once per
+log (registers included), the cursor, the files and the call model's
+counter. After the replay it records the same again, and any
+difference is a ReplayDivergence. A restore keeps the undo logs' keys,
+so a replay that writes a page the epoch did not write differs even
+with the same bytes. A clean boundary records nothing. The one state hash is the final one, taken once per
 run over the heap's length and page digests and the globals
 (MemoryImage.hash_into).
 
@@ -108,7 +108,7 @@ class Engine:
         self.config = config or EngineConfig()
         self.force_rollback_epochs = frozenset(force_rollback_epochs)
 
-        self.image = MemoryImage(self.config)
+        self.image = MemoryImage(self.config, registers=len(events))  # a trace has no more registers than events
         self.allocator = Allocator(self.config, self.image)
         self.overflow = OverflowDetector(self.config, self.image)
         self._canaries = self.config.detector_enabled("overflow")  # guard and tail, planted and checked
@@ -127,7 +127,6 @@ class Engine:
         self.leaks = LeakScanner(self.image, self.allocator)
         self.syscalls = SyscallModel()
 
-        self.registers: dict[str, int] = {}
         self.cursor = 0
         self.stacks = CallStacks(events)
 
@@ -146,15 +145,11 @@ class Engine:
 
     # -- state ------------------------------------------------------------
 
-    def _machine_state(self) -> tuple:
-        """Every piece of state rollback restores besides memory, as values."""
-        return self.cursor, tuple(sorted(self.registers.items())), self.syscalls.files.snapshot()
-
     def _end_state(self) -> tuple:
         """The state an epoch ended in, which its replay must reproduce:
-        what the epoch wrote to memory, the machine state and the call
-        model's counter, compared as values."""
-        return self.image.epoch_writes(), self._machine_state(), self.syscalls.counter
+        what the epoch wrote to memory and registers, the cursor, the
+        files and the call model's counter, compared as values."""
+        return self.image.epoch_writes(), self.cursor, self.syscalls.files.snapshot(), self.syscalls.counter
 
     def full_state_hash(self) -> str:
         """The final state hash: sha256 over the memory image. Taken once,
@@ -167,16 +162,13 @@ class Engine:
 
     def _restore_snapshot(self, snap: EpochSnapshot) -> None:
         self.image.restore(snap.image)
-        self.cursor, registers, files = snap.state
-        self.registers = dict(registers)
-        self.syscalls.files.restore(files)
+        self.cursor = snap.event_cursor
+        self.syscalls.files.restore(snap.files)
 
     def _begin_epoch(self) -> None:
         self.epoch_index = self.epochs_begun
         self.epochs_begun += 1
-        self.snapshot = EpochSnapshot(
-            event_cursor=self.cursor, image=self.image.snapshot(), state=self._machine_state()
-        )
+        self.snapshot = EpochSnapshot(self.cursor, self.image.snapshot(), self.syscalls.files.snapshot())
         self.syscalls.begin_epoch()
 
     # -- main loop ----------------------------------------------------------
@@ -243,7 +235,7 @@ class Engine:
             words = {r.corrupted_addr for r in found}  # the scan finds them again
             evidence = found + [r for r in evidence if r.corrupted_addr not in words]
         elif self.config.detector_enabled("leak"):
-            self.leaks.mark(self.registers)
+            self.leaks.mark()
             evidence += self.leaks.sweep(self.config.dangling, self.reported_evidence)
         watched = any(r.corrupted_addr is not None for r in evidence)
         if watched or self.epoch_index in self.force_rollback_epochs:
@@ -369,23 +361,23 @@ class Engine:
         """A push or pop changes no state: self.stacks derives the stack."""
 
     def _exec_write(self, ev: TraceEvent) -> None:
-        self.image.write_fill(self.alloc_sequence[ev.alloc] + ev.offset, ev.length, ev.fill, internal=False)
+        self.image.write_fill(self.alloc_sequence[ev.alloc] + ev.offset, ev.length, ev.fill)
 
     def _exec_write_abs(self, ev: TraceEvent) -> None:
-        self.image.write_fill(self.alloc_sequence[ev.alloc] + ev.delta, ev.length, ev.fill, internal=False)
+        self.image.write_fill(self.alloc_sequence[ev.alloc] + ev.delta, ev.length, ev.fill)
 
     def _exec_read(self, ev: TraceEvent) -> None:
         self.image.read(self.alloc_sequence[ev.alloc] + ev.offset, ev.length)
 
     def _exec_reg_set(self, ev: TraceEvent) -> None:
-        self.registers[ev.reg] = self._resolve(ev.value)
+        self.image.write_register(ev.ordinal, self._resolve(ev.value))
 
     def _exec_global_set(self, ev: TraceEvent) -> None:
         addr = self.config.globals_base + 8 * ev.index
-        self.image.write_word(addr, self._resolve(ev.value), internal=False)
+        self.image.write_word(addr, self._resolve(ev.value))
 
     def _exec_store(self, ev: TraceEvent) -> None:
-        self.image.write_word(self.alloc_sequence[ev.alloc] + ev.offset, self._resolve(ev.value), internal=False)
+        self.image.write_word(self.alloc_sequence[ev.alloc] + ev.offset, self._resolve(ev.value))
 
     def _exec_ext_call(self, ev: TraceEvent) -> None:
         self.syscalls.handle(ev)

@@ -241,11 +241,11 @@ class SyscallModel:
 
 @dataclass
 class EpochSnapshot:
-    """Everything rollback restores: the memory image's undo logs (heap,
-    globals, shadow, slot store) and the engine's machine state as values
-    (Engine._machine_state). The call log and the allocation sequence
-    are deliberately absent: replay checks against them."""
+    """Everything rollback restores: the event cursor, the memory image's
+    undo logs (heap, globals with the registers, shadow, slot store) and
+    the modeled files as values. The call log and the allocation
+    sequence are deliberately absent: replay checks against them."""
 
     event_cursor: int
     image: tuple[dict[int, bytes], ...]
-    state: tuple
+    files: dict[int, tuple[int, bool]]

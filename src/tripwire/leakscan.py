@@ -1,15 +1,15 @@
 """Conservative reachability-based leak detection at epoch boundaries.
 
-Marking is a breadth-first scan seeded from register values and every
-eight-byte-aligned globals word: any value that resolves to a carved
-slot (interior addresses and guard region included) is treated
-as a reference. Marked live objects contribute every eight-byte-aligned
-word of their full payload capacity to the next wave. Freed objects
-are never scanned, but a freed object still sitting in quarantine is
-marked when reached so the optional reachable-freed ("potential
-dangling pointer") report can pick it up. The sweep then returns an
-unattributed leak report for every allocated-but-unmarked slot and
-clears all marks.
+Marking is a breadth-first scan seeded from every word of the globals
+store below its length, the globals then the registers set so far: any
+value that resolves to a carved slot (interior addresses and guard
+region included) is treated as a reference. Marked live objects
+contribute every eight-byte-aligned word of their full payload
+capacity to the next wave. Freed objects are never scanned, but a freed
+object still sitting in quarantine is marked when reached so the
+optional reachable-freed ("potential dangling pointer") report can
+pick it up. The sweep then returns an unattributed leak report for
+every allocated-but-unmarked slot and clears all marks.
 
 Both passes run over arrays: candidate values are resolved to slots a
 wave at a time through the allocator's SlotTable, and the marks are a
@@ -28,20 +28,19 @@ and Shenker (PLDI 1991), when all of these hold:
 - the heap and globals undo logs start at the state of the last mark:
   the image took exactly one snapshot since, and nothing wrote between
   that mark and the snapshot, as at an engine's epoch boundary;
-- every register that held a heap-range value holds it still;
 - no changed word held a heap-range value at the snapshot, among the
-  words the last mark read: the globals and the payloads of its marked
-  live slots, with old values from the undo logs;
+  words the last mark read: the globals store's and the payloads of its
+  marked live slots, with old values from the undo logs (a register
+  first set since reads zero there);
 - every marked slot has the state it had then, live or quarantined.
 
 Under these the last marks are all still reachable, so the waves start
-from them and from three sets of values: the new heap-range values of
-the changed words, those of the registers, and the last mark's
-unmarked values resolved again. The last set needs no write to matter:
-a stale pointer into a slot that is reused since, or into memory a
-later malloc carves, makes an object reachable. Otherwise, on a first
-mark, or for a scanner used without snapshots, the full mark runs from
-the roots.
+from them and from two sets of values: the new heap-range values of the
+changed words, and the last mark's unmarked values resolved again. The
+last set needs no write to matter: a stale pointer into a slot that is
+reused since, or into memory a later malloc carves, makes an object
+reachable. Otherwise, on a first mark, or for a scanner used without
+snapshots, the full mark runs from the roots.
 """
 
 from __future__ import annotations
@@ -56,15 +55,13 @@ from .vheap import WORD, Allocator, MemoryImage, SlotTable
 class _Mark:
     """What a mark keeps for the next one to start from: its table (with
     a copy of the slot states) and marks, the heap-range values it saw
-    but did not mark, the registers that held heap-range values, and the
-    image's snapshot count when it ran."""
+    but did not mark, and the image's snapshot count when it ran; the
+    globals store's undo log keeps its roots' old values."""
 
-    __slots__ = ("table", "marked", "misses", "registers", "snapshots")
+    __slots__ = ("table", "marked", "misses", "snapshots")
 
-    def __init__(self, table: SlotTable, marked: np.ndarray, misses: np.ndarray,
-                 registers: dict[str, int], snapshots: int):
-        self.table, self.marked, self.misses = table, marked, misses
-        self.registers, self.snapshots = registers, snapshots
+    def __init__(self, table: SlotTable, marked: np.ndarray, misses: np.ndarray, snapshots: int):
+        self.table, self.marked, self.misses, self.snapshots = table, marked, misses, snapshots
 
 
 class LeakScanner:
@@ -81,15 +78,13 @@ class LeakScanner:
     def _in_heap(self, values: np.ndarray) -> np.ndarray:
         return values[(values >= self.heap_base) & (values < self.heap_end)]
 
-    def _roots(self, pointers: dict[str, int]) -> np.ndarray:
-        """The full mark's roots: the registers' heap-range values, then
-        the globals words'."""
-        return np.concatenate((
-            np.array(list(pointers.values()), dtype=np.uint64),
-            self._in_heap(np.frombuffer(self.image.globals, dtype="<u8")),
-        ))
+    def _roots(self) -> np.ndarray:
+        """The full mark's roots: the heap-range words of the globals
+        store below its length, the globals then the registers set."""
+        store = self.image.globals_pages
+        return self._in_heap(np.frombuffer(store.data, dtype="<u8", count=store.length // WORD))
 
-    def mark(self, registers: dict[str, int]) -> None:
+    def mark(self) -> None:
         """Mark from the conservative root set, or incrementally from the
         last mark (see the module docstring).
 
@@ -98,24 +93,17 @@ class LeakScanner:
         or free in between.
         """
         table = self.allocator.slot_table()
-        pointers = {name: v for name, v in registers.items() if self.heap_base <= v < self.heap_end}
-        start = self._resume(table, registers)
-        if start is None:
-            marked, values = np.zeros(len(table), dtype=np.bool_), self._roots(pointers)
-        else:
-            marked, values = start
-            values = np.concatenate((values, np.array(list(pointers.values()), dtype=np.uint64)))
+        start = self._resume(table)
+        marked, values = (np.zeros(len(table), dtype=np.bool_), self._roots()) if start is None else start
         misses = self._waves(table, marked, values)
         self.table, self.marked = table, marked
-        self._last = _Mark(table, marked, misses, pointers, self.image.snapshots)
+        self._last = _Mark(table, marked, misses, self.image.snapshots)
 
-    def _resume(self, table: SlotTable, registers: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
+    def _resume(self, table: SlotTable) -> tuple[np.ndarray, np.ndarray] | None:
         """The marks and first wave of an incremental mark, or None when
         the full mark has to run."""
         last = self._last
         if last is None or self.image.snapshots != last.snapshots + 1:
-            return None
-        if not last.registers.items() <= registers.items():
             return None
         old = last.table
         n = len(old.carved)

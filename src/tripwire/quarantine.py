@@ -8,8 +8,8 @@ prefix that is not a multiple of eight is tracked to its last byte like
 any other. Slots leave the queue oldest-first whenever it exceeds its
 object-count or capacity-sum threshold. Each evicted slot is checked
 before the allocator may reuse it: its prefix's bytes against the
-canary and its whole words' masks against 0xff, which costs two slice
-compares when the slot is clean. A slot evicted with corrupted canaries,
+canary and its masks against all set, which costs two slice compares
+when the slot is clean. A slot evicted with corrupted canaries,
 or with a prefix word a scan already reported (retiring the word
 cleared its mask), is withheld from reuse entirely.
 Evidence is an unattributed use-after-free report per corrupted word,
@@ -90,17 +90,19 @@ class QuarantineQueue:
 
     def verify_and_release(self, record: int, payload: int, capacity: int) -> list[ErrorReport]:
         """Evict the oldest entry, at record, checking its canaried prefix:
-        its bytes against the canary and its whole words' masks against
-        0xff, two slice compares. A clean one goes to its class's free list
-        with its prefix's mask bits cleared. A corrupted one is reported,
-        from a view built for it, and withheld from reuse, and so, without
-        a report, is one with a word a scan reported (retiring it cleared
-        its mask)."""
+        its bytes against the canary and its masks against all set, two
+        slice compares and, for a prefix that ends inside a word, a test
+        of that word's prefix bits (its other bits may be tail canaries).
+        A clean one goes to its class's free list with its prefix's mask
+        bits cleared. A corrupted one is reported, from a view built for
+        it, and withheld from reuse, and so, without a report, is one with
+        a word a scan reported (retiring it cleared its mask)."""
         if self.fill_enabled:
             detector, end = self.detector, payload + min(self.config.uaf_fill_prefix, capacity)
             lo, hi = payload - self.config.heap_base, end - self.config.heap_base
             masks = self._shadow.data[lo >> 3 : hi >> 3]
-            whole = masks == b"\xff" * len(masks)
+            edge = (1 << (hi & 7)) - 1  # the prefix bits of a word the prefix ends inside
+            whole = masks == b"\xff" * len(masks) and (not edge or self._shadow.data[hi >> 3] & edge == edge)
             if not (whole and self._heap[lo:hi] == self._fill[: hi - lo]):
                 corrupted = detector.corrupted(payload, end)
                 if corrupted or not whole:

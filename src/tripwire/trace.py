@@ -33,10 +33,11 @@ store, and a <value>) needs it bound by an earlier malloc.
 A trace is compiled once: each line becomes a `__slots__` record of its
 kind, with a dense 0-based event id in file order. A malloc's `alloc`
 is its ordinal among the trace's mallocs, any other use of a variable
-carries the `alloc` of the malloc that last bound it, and each call
-event carries its `Category`. Bindings and stack depth are checked
-here, so execution never sees an unbound name or an impossible pop,
-and `CallStacks` derives the call stack at an event for reports.
+carries the `alloc` of the malloc that last bound it, a `reg` event
+its register's `ordinal` in order of first use, and each call event
+its `Category`. Bindings and stack depth are checked here, so
+execution never sees an unbound name or an impossible pop, and
+`CallStacks` derives the call stack at an event for reports.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class TraceEvent:
     kind: EventKind
     op: int
     var = alloc = size = offset = delta = length = fill = None
-    frame = reg = index = value = call_name = category = None
+    frame = reg = ordinal = index = value = call_name = category = None
     call_args: tuple[str, ...] = ()
 
     def __init_subclass__(cls, kind: EventKind, **kwargs):
@@ -158,10 +159,10 @@ class Read(TraceEvent, kind=EventKind.READ):
 
 
 class RegSet(TraceEvent, kind=EventKind.REG_SET):
-    __slots__ = ("reg", "value")
+    __slots__ = ("reg", "ordinal", "value")
 
-    def __init__(self, id, line_no, reg, value):
-        self.id, self.line_no, self.reg, self.value = id, line_no, reg, value
+    def __init__(self, id, line_no, reg, ordinal, value):
+        self.id, self.line_no, self.reg, self.ordinal, self.value = id, line_no, reg, ordinal, value
 
 
 class GlobalSet(TraceEvent, kind=EventKind.GLOBAL_SET):
@@ -205,11 +206,12 @@ class _Parser:
     and the line without its comment, and returns the event.
     """
 
-    __slots__ = ("allocs", "mallocs", "names", "ints", "depth")
+    __slots__ = ("allocs", "mallocs", "regs", "names", "ints", "depth")
 
     def __init__(self):
         self.allocs: dict[str, int] = {}  # bound variable -> ordinal of the malloc that bound it
         self.mallocs = 0
+        self.regs: dict[str, int] = {}  # register name -> its ordinal, in order of first use
         self.names: set[str] = set()  # tokens already found to be identifiers
         self.ints: dict[str, int] = {}  # integer tokens already parsed
         self.depth = 0
@@ -327,7 +329,8 @@ class _Parser:
         if len(t) != 4 or t[2] != "=":
             raise _form_error(line_no, "reg <name> = <value>", raw)
         reg = self.name(t[1], line_no, "register name")
-        return RegSet(eid, line_no, reg, self.value(t[3], line_no))
+        ordinal = self.regs.setdefault(reg, len(self.regs))
+        return RegSet(eid, line_no, reg, ordinal, self.value(t[3], line_no))
 
     def global_(self, t: list[str], eid: int, line_no: int, raw: str) -> TraceEvent:
         if len(t) != 4 or t[2] != "=":

@@ -19,15 +19,16 @@ slot store, laid out below, so rollback restores it like the heap.
 The heap image, the globals, the overflow detector's canary shadow (one
 mask byte per heap word) and the slot store are four page stores
 (PageStore): lazily zeroed reservations with a logical length and a
-copy-on-write undo log of 4 KiB pages. They share the image's snapshot
+copy-on-write undo log of 4 KiB pages. The globals store holds the
+registers too, past the globals. The stores share the image's snapshot
 and restore, so a snapshot, a restore or the check of a replay costs
 what the epoch wrote, not what the stores hold. Trace writes go through
-MemoryImage.write_fill and write_word; the allocator and the detectors
-write a store's data directly, after touching each range they write, so
-the undo logs stay current on every path. The heap's undo log
-keys are also the epoch scan's dirty set: a canary can have changed
-only on a page the epoch wrote. With their old bytes, the heap's and
-the globals' undo logs give the leak mark the words an epoch changed.
+MemoryImage.write_fill, write_word and write_register; the allocator
+and the detectors write a store's data directly, after touching each
+range they write, so the undo logs stay current on every path. The
+heap's undo log keys are also the epoch scan's dirty set. With their
+old bytes, the heap's and the globals' undo logs give the leak mark the
+words an epoch changed.
 """
 
 from __future__ import annotations
@@ -141,21 +142,21 @@ class PageStore:
         return bytes(table)
 
     def changed_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(word index, value at the snapshot, value now) of each
-        eight-byte word of the written pages that differs from its value
-        at the snapshot, read from the undo log; indexes count words from
-        the store's start."""
+        """(word index, value at the snapshot, value now) of each word of
+        the written pages below the logical length that differs from its
+        value at the snapshot or lay past the snapshot length, from the
+        undo log; indexes count words from the store's start."""
         saved = self.log
         per_page = PAGE // WORD
         pages = np.fromiter(saved, dtype=np.int64, count=len(saved))
         words = (pages[:, None] * per_page + np.arange(per_page)).ravel()
         # bytes past the snapshot length were zero at the snapshot
         old = np.frombuffer(b"".join(page.ljust(PAGE, b"\0") for page in saved.values()), dtype="<u8")
-        now = np.frombuffer(self.data, dtype="<u8", count=len(self.data) // WORD)
+        now = np.frombuffer(self.data, dtype="<u8", count=self.length // WORD)
         inside = words < len(now)
         words, old = words[inside], old[inside]
         new = now[words]
-        changed = old != new
+        changed = (old != new) | (words >= self._snap_len // WORD)
         return words[changed], old[changed], new[changed]
 
     def snapshot(self) -> dict[int, bytes]:
@@ -205,20 +206,22 @@ LIVE, QUARANTINED, FREE_LISTED, WITHHELD = 1, 2, 3, 4  # a record's state; withh
 
 class MemoryImage:
     """The modeled program's writable memory, heap region plus globals,
-    and the allocator's slot store.
+    its registers and the allocator's slot store.
 
     Reads and writes are bounds-checked against the two mapped ranges;
-    anything else raises SegfaultModel. Trace-driven writes go through
-    write_fill or write_word with internal=False, so an observer
-    installed by the engine (the replay watchpoint check) can see them.
-    The detectors and the allocator write the stores' data directly,
-    after a touch() of each range, and the observer never sees them. The
-    stores: heap_pages (`heap` is its mapping), globals_pages
-    (`globals`), shadow, resized with the heap, and slots, which grows
-    by slot_region words per chunk.
+    anything else raises SegfaultModel. Trace-driven writes to memory go
+    through write_fill or write_word, so an observer installed by the
+    engine (the replay watchpoint check) sees them. The detectors and the
+    allocator write the stores' data directly, after a touch() of each
+    range, and the observer never sees them. The stores: heap_pages
+    (`heap` is its mapping), globals_pages (`globals` views the globals
+    alone), shadow, resized with the heap, and slots, which grows by
+    slot_region words per chunk. globals_pages has room for `registers`
+    registers after the globals. They are numbered in order of first use
+    (TraceEvent.ordinal), so its length covers exactly the registers set.
     """
 
-    def __init__(self, config: EngineConfig):
+    def __init__(self, config: EngineConfig, registers: int = 0):
         self.heap_base = config.heap_base
         self.heap_size = config.heap_size
         self.chunk_size = config.chunk_size
@@ -229,9 +232,9 @@ class MemoryImage:
         self.heap_pages = PageStore(self.heap_size, "the heap", "--heap-size")
         self.heap = self.heap_pages.data
         self.shadow = PageStore(_shadow_len(self.heap_size), "the canary shadow", "--heap-size")
-        self.globals_pages = PageStore(self.globals_size, "the globals", "--globals-words")
+        self.globals_pages = PageStore(self.globals_size + WORD * registers, "the globals", "--globals-words")
         self.globals_pages.length = self.globals_size
-        self.globals = self.globals_pages.data
+        self.globals = memoryview(self.globals_pages.data)[: self.globals_size]
         self.slot_region = RECORD_WORDS * (1 + self.chunk_size // (GUARD_BYTES + config.min_class))
         chunks = self.heap_size // self.chunk_size
         self.slots = PageStore(WORD * (_RECORDS + chunks * self.slot_region), "the slot records", "--heap-size")
@@ -288,31 +291,40 @@ class MemoryImage:
         store, off = self._locate(addr, length)
         return store.data[off : off + length]
 
-    def write_fill(self, addr: int, length: int, fill: int, internal: bool = True) -> None:
+    def write_fill(self, addr: int, length: int, fill: int) -> None:
         store, off = self.heap_pages, addr - self.heap_base
         if length < 0 or off < 0 or off + length > self.heap_size:
             store, off = self._locate(addr, length)  # the globals, or a fault before the fill is built
-        if not internal and self.write_observer is not None:
+        if self.write_observer is not None:
             self.write_observer(addr, length)
         end = off + length
-        if end > store.length:  # only the heap's: the globals' length is their whole range
+        if end > store.length:  # only the heap's: the globals' length covers their whole range
             self.ensure_heap(end)
         store.touch(off, length)
         store.data[off:end] = _FILLS[fill] * length
 
-    def write_word(self, addr: int, value: int, internal: bool = True) -> None:
+    def write_word(self, addr: int, value: int) -> None:
         store, off = self.heap_pages, addr - self.heap_base
         if off < 0 or off > self.heap_size - WORD:
             store, off = self.globals_pages, addr - self.globals_base
             if off < 0 or off > self.globals_size - WORD:
                 raise SegfaultModel(addr, WORD)
-        if not internal and self.write_observer is not None:
+        if self.write_observer is not None:
             self.write_observer(addr, WORD)
         end = off + WORD
         if end > store.length:
             self.ensure_heap(end)
         store.touch(off, WORD)
         store.data[off:end] = (value & U64_MASK).to_bytes(8, "little")
+
+    def write_register(self, ordinal: int, value: int) -> None:
+        """Set register ordinal, the ordinal-th word past the globals, and
+        raise the globals store's length over it. No observer sees it."""
+        store, off = self.globals_pages, self.globals_size + WORD * ordinal
+        store.touch(off, WORD)
+        if off + WORD > store.length:
+            store.length = off + WORD
+        store.data[off : off + WORD] = (value & U64_MASK).to_bytes(8, "little")
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """An internal write of data at addr. Nothing in the package calls

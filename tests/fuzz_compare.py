@@ -203,10 +203,10 @@ def watch_edge_words(engine) -> list[int]:
     image, hit = engine.image, []
 
     def watched(write, length_of):
-        def wrapper(addr, *args, internal=True):
-            if not internal and edge_words_hit(engine.allocator, addr, length_of(args)):
+        def wrapper(addr, *args, **internal):  # every call is a trace write; older builds pass internal=False
+            if edge_words_hit(engine.allocator, addr, length_of(args)):
                 hit.append(addr)
-            return write(addr, *args, internal=internal)
+            return write(addr, *args, **internal)
 
         return wrapper
 

@@ -113,11 +113,9 @@ def _reach(engine) -> tuple[set[int], set[int]]:
             return slots[idx]
         return None
 
-    roots = [v for v in engine.registers.values() if lo <= v < hi]
-    globals_bytes = bytes(engine.image.globals)
-    for (word,) in struct.iter_unpack("<Q", globals_bytes):
-        if lo <= word < hi:
-            roots.append(word)
+    # the globals, then the registers set so far, which the store's length covers
+    store = engine.image.globals_pages
+    roots = [word for (word,) in struct.iter_unpack("<Q", store.data[: store.length]) if lo <= word < hi]
 
     reached: set[int] = set()
     reached_freed: set[int] = set()

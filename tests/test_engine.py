@@ -422,13 +422,11 @@ def test_normal_mode_writes_make_no_canary_checks():
             return getattr(self._bitmap, name)
 
     def trace_write(write):
-        def wrapper(*args, internal=True, **kwargs):
-            if internal:
-                return write(*args, **kwargs)
+        def wrapper(*args, **kwargs):
             writes[eng.mode] += 1
             running.append(eng.mode)
             try:
-                return write(*args, internal=False, **kwargs)
+                return write(*args, **kwargs)
             finally:
                 running.pop()
 
@@ -540,9 +538,9 @@ def test_components_are_called_through_instance_attributes(case):
 
     write_fill = engine.image.write_fill
 
-    def trace_write_fill(addr, length, fill, internal=True):
-        calls["trace write_fill"] += not internal
-        return write_fill(addr, length, fill, internal)
+    def trace_write_fill(addr, length, fill):
+        calls["trace write_fill"] += 1
+        return write_fill(addr, length, fill)
 
     engine.image.write_fill = trace_write_fill
     counted(engine.allocator, "allocate")

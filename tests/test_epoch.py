@@ -212,18 +212,45 @@ def test_open_returns_lowest_free_fd_and_replays_it():
 
 
 def raw_state(eng) -> tuple:
-    """What a restore must bring back, read from raw memory and the
-    machine state, not through the engine's replay record: the heap
-    prefix, the globals, the shadow's mask bytes and the slot store,
-    which holds the allocator's and the quarantine's state."""
+    """What a restore must bring back, read from raw memory, the cursor
+    and the files, not through the engine's replay record: the heap
+    prefix, the globals and the registers set, the shadow's mask bytes
+    and the slot store, which holds the allocator's and the quarantine's
+    state."""
     image = eng.image
     return (
         image.heap[: image.heap_prefix],
-        bytes(image.globals),
+        image.globals_pages.data[: image.globals_pages.length],
         bytes(eng.overflow.bitmap.bits),
         bytes(image.slots.data),
-        eng._machine_state(),
+        eng.cursor,
+        eng.syscalls.files.snapshot(),
     )
+
+
+def test_registers_set_in_an_earlier_epoch_cost_a_boundary_nothing():
+    # 8,000 registers set in epoch 0, then three epochs that set none:
+    # their snapshots save no globals page, and their leak marks resume
+    # from the last one instead of reading every root again
+    text = "malloc a 16\n" + "".join(f"reg r{i} = a\n" for i in range(8000))
+    text += "call fork\nmalloc b 16\nwrite b 0 8 11\nfree b\n" * 3 + "end\n"
+    eng = Engine(parse_trace(text), small_config())
+    globals_logs, full_marks = [], []
+    boundary, roots = eng._boundary, eng.leaks._roots
+
+    def noted_boundary(*args, **kwargs):
+        globals_logs.append(len(eng.snapshot.image[1]))  # the ending epoch's globals pages
+        return boundary(*args, **kwargs)
+
+    def noted_roots():
+        full_marks.append(eng.cursor)
+        return roots()
+
+    eng._boundary, eng.leaks._roots = noted_boundary, noted_roots
+    out = eng.run()
+    assert out.reports == () and out.epochs == 4
+    assert globals_logs[0] > 0 and globals_logs[1:] == [0, 0, 0]
+    assert full_marks == [8001]  # the first mark, at the first fork; the next three resume
 
 
 def test_snapshot_then_immediate_rollback_preserves_state():
@@ -250,7 +277,7 @@ def _quarantined_free(eng, payload):
 STATE_MUTATIONS = {
     "heap_bytes": _heap_writes,
     "cursor": lambda eng, p: setattr(eng, "cursor", eng.cursor + 1),
-    "register": lambda eng, p: eng.registers.__setitem__("r0", p),
+    "register": lambda eng, p: eng.image.write_register(0, p),
     "global_word": lambda eng, p: eng.image.write_word(eng.config.globals_base + 8, 1),
     "canary_region": lambda eng, p: eng.overflow.plant(p + 64, p + 128),
     "allocation": lambda eng, p: eng.allocator.allocate(16),

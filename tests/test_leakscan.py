@@ -14,7 +14,8 @@ from oracles import reachability_closure, reachable_quarantined
 
 
 def harness(**overrides):
-    return Engine([], small_config(**overrides))
+    # the image keeps a register word per event: room for three registers
+    return Engine(tw.parse_trace("reg r0 = 0\nreg r1 = 0\nreg r2 = 0\n"), small_config(**overrides))
 
 
 def alloc(eng, size):
@@ -27,8 +28,15 @@ def free(eng, payload):
     eng.quarantine.on_free(eng.allocator.object_bounds(payload), 0)
 
 
-def scan(eng, registers, dangling=False):
-    eng.leaks.mark(registers)
+def set_registers(eng, *values):
+    """Set registers 0, 1, ... to values, as reg events would."""
+    for ordinal, value in enumerate(values):
+        eng.image.write_register(ordinal, value)
+
+
+def scan(eng, *registers, dangling=False):
+    set_registers(eng, *registers)
+    eng.leaks.mark()
     return eng.leaks.sweep(dangling)
 
 
@@ -48,7 +56,7 @@ def test_two_hop_reachability_marks_both():
     a = alloc(eng, 32)
     b = alloc(eng, 32)
     eng.image.write_word(a, b)  # a holds a pointer to b
-    found = scan(eng, {"r0": a})
+    found = scan(eng, a)
     assert leaked(found) == []
 
 
@@ -56,7 +64,7 @@ def test_interior_global_reference_resolves_to_owner():
     eng = harness()
     a = alloc(eng, 32)
     eng.image.write_word(eng.config.globals_base + 8 * 3, a + 17)
-    found = scan(eng, {})
+    found = scan(eng)
     assert leaked(found) == []
 
 
@@ -66,20 +74,20 @@ def test_cycle_terminates_and_marks_both():
     b = alloc(eng, 32)
     eng.image.write_word(a, b)
     eng.image.write_word(b, a)
-    found = scan(eng, {"r0": a})
+    found = scan(eng, a)
     assert leaked(found) == []
 
 
 def test_unreferenced_object_is_leaked():
     eng = harness()
     a = alloc(eng, 24)
-    found = scan(eng, {})
+    found = scan(eng)
     assert leaked(found) == [(a, 24)]
 
 
 def test_empty_heap_has_no_findings():
     eng = harness()
-    assert not scan(eng, {"r0": 12345})
+    assert not scan(eng, 12345)
 
 
 def test_object_referenced_only_from_freed_object_is_leaked():
@@ -89,7 +97,7 @@ def test_object_referenced_only_from_freed_object_is_leaked():
     target = alloc(eng, 32)
     eng.image.write_word(holder + 132, target)  # beyond the 128-byte refill
     free(eng, holder)
-    found = scan(eng, {"r0": holder})
+    found = scan(eng, holder)
     assert (target, 32) in leaked(found)
 
 
@@ -97,8 +105,8 @@ def test_reachable_freed_object_reported_only_with_option():
     eng = harness()
     a = alloc(eng, 64)
     free(eng, a)
-    assert not scan(eng, {"r0": a}, dangling=False)
-    found = scan(eng, {"r0": a}, dangling=True)
+    assert not scan(eng, a, dangling=False)
+    found = scan(eng, a, dangling=True)
     assert reachable_freed(found) == [a]
     assert leaked(found) == []
 
@@ -108,8 +116,8 @@ def test_mark_sweep_is_idempotent():
     a = alloc(eng, 24)
     b = alloc(eng, 24)
     eng.image.write_word(eng.config.globals_base, b)
-    first = scan(eng, {})
-    second = scan(eng, {})
+    first = scan(eng)
+    second = scan(eng)
     assert leaked(first) == leaked(second) == [(a, 24)]
 
 
@@ -117,18 +125,19 @@ def test_integer_that_looks_like_a_pointer_suppresses_leak():
     # conservative false negative, by design
     eng = harness()
     a = alloc(eng, 24)
-    found = scan(eng, {"r0": a + 4})  # not even a real pointer, still in range
+    found = scan(eng, a + 4)  # not even a real pointer, still in range
     assert leaked(found) == []
 
 
 def test_marks_cleared_after_sweep():
     eng = harness()
     a = alloc(eng, 24)
-    eng.leaks.mark({"r0": a})
+    set_registers(eng, a)
+    eng.leaks.mark()
     assert eng.leaks.marked.sum() == 1
     assert leaked(eng.leaks.sweep(False)) == []
     assert not eng.leaks.marked.any()
-    assert leaked(scan(eng, {})) == [(a, 24)]
+    assert leaked(scan(eng, 0)) == [(a, 24)]  # r0 no longer points at a
 
 
 def test_mark_and_sweep_write_no_heap_page():
@@ -142,7 +151,7 @@ def test_mark_and_sweep_write_no_heap_page():
     eng.image.write_word(eng.config.globals_base, a)
     digest = eng.image.heap_pages.digest()
     heap_log, _, shadow_log, slot_log = eng.image.snapshot()
-    found = scan(eng, {"r0": freed}, dangling=True)
+    found = scan(eng, freed, dangling=True)
     assert leaked(found) == [(lost, 100)]
     assert reachable_freed(found) == [freed]
     assert heap_log == {}
@@ -182,12 +191,12 @@ def test_random_heaps_match_reachability_closure():
                 eng.image.write_word(payload + 8 * word, value())
         for payload in rng.sample(payloads, rng.randint(0, len(payloads) // 3)):
             free(eng, payload)
-        eng.registers.update((f"r{i}", value()) for i in range(rng.randint(0, 3)))
+        set_registers(eng, *(value() for _ in range(rng.randint(0, 3))))
         for i in range(rng.randint(0, 3)):
             eng.image.write_word(eng.config.globals_base + 8 * i, value())
         expected = reachability_closure(eng)
         quarantined = reachable_quarantined(eng)
-        found = scan(eng, eng.registers, dangling)
+        found = scan(eng, dangling=dangling)
         assert leaked(found) == sorted((p, sizes[p]) for p in expected)
         if dangling:
             assert reachable_freed(found) == sorted(quarantined)
@@ -241,24 +250,36 @@ def test_leak_from_prior_epoch_names_its_malloc_without_a_replay():
     assert eng.replay_summaries == []
 
 
+def test_with_the_heap_at_zero_only_registers_set_hold_the_value_zero():
+    # value 0 points into the guard of the first slot when the heap starts
+    # at 0; a register word not yet set reads 0 too, but is no root
+    config = tw.EngineConfig(heap_base=0, globals_base=256 * 1024 * 1024, globals_words=1)
+    unset = "global 0 = 0x20000000\nmalloc a 16\nend\n"
+    (leak,) = tw.run_text(unset, config).reports
+    assert (leak.kind, leak.object_addr) == ("leak", 32)
+    # first set in the second epoch: the mark there cannot resume from the
+    # first, which no register held, without reading the new register
+    assert tw.run_text("global 0 = 0x20000000\ncall fork\nmalloc a 16\nreg r0 = 0\nend\n", config).reports == ()
+
+
 def test_a_mark_runs_in_full_unless_one_snapshot_separates_it_from_the_last():
     eng = harness()
     a = alloc(eng, 32)
     b = alloc(eng, 32)
     eng.image.snapshot()
     eng.image.write_word(a, b)
-    assert leaked(scan(eng, {"r0": a})) == []
+    assert leaked(scan(eng, a)) == []
     eng.image.write_word(a, 0)  # no snapshot since: the undo log predates the mark
-    assert leaked(scan(eng, {"r0": a})) == [(b, 32)]
+    assert leaked(scan(eng, a)) == [(b, 32)]
     eng.image.snapshot()
     eng.image.write_word(a, b)
     eng.image.snapshot()  # two snapshots since: the first one's log is gone
-    assert leaked(scan(eng, {"r0": a})) == []
+    assert leaked(scan(eng, a)) == []
 
 
-def marks_and_sweeps(scanner, registers):
+def marks_and_sweeps(scanner):
     """A mark's marks, then its sweeps without and with dangling."""
-    scanner.mark(registers)
+    scanner.mark()
     table, marked = scanner.table, scanner.marked.copy()
     plain = scanner.sweep(False)
     scanner.table, scanner.marked = table, marked
@@ -303,14 +324,14 @@ def random_epochs(rng, eng, epochs):
             elif op == "clear":
                 eng.image.write_word(payload_word(), rng.choice((0, 12345)))
             elif op == "reg":
-                name = f"r{rng.randrange(3)}"
+                ordinal = rng.randrange(3)
                 choice = rng.random()
                 if choice < 0.5:
-                    eng.registers[name] = pointer()
+                    eng.image.write_register(ordinal, pointer())
                 elif choice < 0.8:
-                    eng.registers[name] = rng.randrange(1 << 16)
-                else:
-                    eng.registers.pop(name, None)
+                    eng.image.write_register(ordinal, rng.randrange(1 << 16))
+                else:  # cleared: a trace cannot unset a register
+                    eng.image.write_register(ordinal, 0)
             else:
                 value = pointer() if rng.random() < 0.6 else 0
                 eng.image.write_word(config.globals_base + 8 * rng.randrange(6), value)
@@ -321,9 +342,9 @@ def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
     full = []
     roots = LeakScanner._roots
 
-    def counted_roots(scanner, pointers):
+    def counted_roots(scanner):
         full.append(scanner)
-        return roots(scanner, pointers)
+        return roots(scanner)
 
     monkeypatch.setattr(LeakScanner, "_roots", counted_roots)
     scanners, boundaries = set(), 0
@@ -333,8 +354,8 @@ def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
         scanners.add(eng.leaks)
         eng.image.snapshot()
         for _ in random_epochs(rng, eng, rng.randint(2, 8)):
-            got = marks_and_sweeps(eng.leaks, eng.registers)
-            want = marks_and_sweeps(LeakScanner(eng.image, eng.allocator), eng.registers)
+            got = marks_and_sweeps(eng.leaks)
+            want = marks_and_sweeps(LeakScanner(eng.image, eng.allocator))
             assert np.array_equal(got[0], want[0]), seed
             assert got[1:] == want[1:], seed
             eng.image.snapshot()

@@ -71,13 +71,13 @@ def test_canary_region_checks_a_partial_edge_word_bytewise():
     assert bitmap_masks(eng) == guard(a) | {a: 0xF0, a + 40: 0x0F} | full(a + 8, a + 16, a + 32)
     assert det.corrupted(a + 4, a + 24) == det.corrupted(a + 32, a + 44) == []
     # bytes of the edge words outside the regions are not canaries
-    eng.image.write_fill(a, 4, 0x00, internal=False)
-    eng.image.write_fill(a + 44, 4, 0x00, internal=False)
+    eng.image.write_fill(a, 4, 0x00)
+    eng.image.write_fill(a + 44, 4, 0x00)
     assert det.corrupted(a + 4, a + 24) == det.corrupted(a + 32, a + 44) == []
     assert eng.overflow.epoch_scan() == []
-    eng.image.write_fill(a + 5, 1, 0x00, internal=False)
-    eng.image.write_fill(a + 16, 1, 0x00, internal=False)
-    eng.image.write_fill(a + 43, 1, 0x00, internal=False)
+    eng.image.write_fill(a + 5, 1, 0x00)
+    eng.image.write_fill(a + 16, 1, 0x00)
+    eng.image.write_fill(a + 43, 1, 0x00)
     assert det.corrupted(a + 4, a + 24) == [a, a + 16]
     assert det.corrupted(a + 32, a + 44) == [a + 40]
     assert eng.overflow.epoch_scan() == [a, a + 16, a + 40]  # the scan sees edge words too
@@ -101,10 +101,10 @@ def test_a_region_check_reads_only_its_own_bytes_of_a_shared_edge_word():
     det.plant(a + 32, a + 44)
     det.plant(a + 44, a + 56)
     assert det.bitmap.mask(a + 40) == 0xFF
-    eng.image.write_fill(a + 45, 1, 0x00, internal=False)
+    eng.image.write_fill(a + 45, 1, 0x00)
     assert det.corrupted(a + 32, a + 44) == []
     assert det.corrupted(a + 44, a + 56) == [a + 40]
-    eng.image.write_fill(a + 33, 1, 0x00, internal=False)  # past the one-comparison check
+    eng.image.write_fill(a + 33, 1, 0x00)  # past the one-comparison check
     assert det.corrupted(a + 32, a + 44) == [a + 32]
 
 
@@ -179,7 +179,7 @@ def test_free_of_untouched_object_yields_no_evidence():
 def test_free_after_interior_write_flags_that_word():
     eng = harness()
     a = alloc(eng, 24)
-    eng.image.write_fill(a + 24, 4, 0x41, internal=False)
+    eng.image.write_fill(a + 24, 4, 0x41)
     assert naive_corrupted_scan(eng) == {a + 24}
     found, _ = free(eng, a)
     assert found == [a + 24]
@@ -190,7 +190,7 @@ def test_power_of_two_guard_corruption_caught_at_free():
     a = alloc(eng, 32)
     b = alloc(eng, 32)
     assert b == a + 32 + 32  # adjacent slot; writing past a's payload hits b's guard
-    eng.image.write_fill(a + 32, 8, 0x00, internal=False)
+    eng.image.write_fill(a + 32, 8, 0x00)
     found, _ = free(eng, b)  # the request fills the class: no tail, the guard still checked
     assert found == [b - 32]
 
@@ -198,10 +198,10 @@ def test_power_of_two_guard_corruption_caught_at_free():
 def test_edge_word_overflow_is_found_by_the_scan_and_at_free():
     eng = harness()
     a = alloc(eng, 20)
-    eng.image.write_fill(a + 16, 4, 0x00, internal=False)  # the requested bytes of word 16..23
+    eng.image.write_fill(a + 16, 4, 0x00)  # the requested bytes of word 16..23
     assert eng.overflow.epoch_scan() == [] and free(eng, a)[0] == []
     b = alloc(eng, 20)
-    eng.image.write_fill(b + 21, 1, 0x00, internal=False)  # one byte past the request
+    eng.image.write_fill(b + 21, 1, 0x00)  # one byte past the request
     assert eng.overflow.epoch_scan() == [b + 16]  # a live object's edge word is tracked
     found, _ = free(eng, b)
     assert found == [b + 16]
@@ -218,8 +218,8 @@ def test_epoch_scan_reports_two_distinct_corruptions():
     eng = harness()
     a = alloc(eng, 24)
     b = alloc(eng, 100)
-    eng.image.write_fill(a + 24, 1, 0x01, internal=False)
-    eng.image.write_fill(b + 104, 8, 0x02, internal=False)
+    eng.image.write_fill(a + 24, 1, 0x01)
+    eng.image.write_fill(b + 104, 8, 0x02)
     assert eng.overflow.epoch_scan() == sorted([a + 24, b + 104])
     assert naive_corrupted_scan(eng) == {a + 24, b + 104}
 
@@ -243,7 +243,7 @@ def test_scan_owner_resolution_names_the_neighbor():
 def test_monotonicity_evidence_survives_unrelated_operations():
     eng = harness()
     a = alloc(eng, 24)
-    eng.image.write_fill(a + 24, 8, 0x00, internal=False)
+    eng.image.write_fill(a + 24, 8, 0x00)
     for _ in range(5):
         t = alloc(eng, 24)
         free(eng, t)
@@ -255,7 +255,7 @@ def test_write_of_canary_byte_itself_is_a_false_negative():
     # documented: a write of the canary value leaves no evidence
     eng = harness()
     a = alloc(eng, 24)
-    eng.image.write_fill(a + 24, 8, CANARY, internal=False)
+    eng.image.write_fill(a + 24, 8, CANARY)
     assert eng.overflow.epoch_scan() == []
 
 
@@ -265,7 +265,7 @@ def test_non_contiguous_overflow_that_skips_canaries_is_missed():
     eng = harness()
     a = alloc(eng, 32)
     b = alloc(eng, 32)
-    eng.image.write_fill(b + 8, 8, 0x00, internal=False)
+    eng.image.write_fill(b + 8, 8, 0x00)
     assert eng.overflow.epoch_scan() == []
     assert naive_corrupted_scan(eng) == set()
     del a
@@ -314,7 +314,7 @@ def test_scan_word_comparisons_bounded_by_set_bits():
 def test_retire_words_keeps_refilled_canaries_tracked():
     eng = harness()
     a = alloc(eng, 24)
-    eng.image.write_fill(a + 24, 8, 0x00, internal=False)
+    eng.image.write_fill(a + 24, 8, 0x00)
     guard = a - 32
     eng.overflow.retire_words([a + 24, guard])
     assert eng.overflow.bitmap.mask(a + 24) == 0  # corrupted: untracked now
@@ -324,10 +324,10 @@ def test_retire_words_keeps_refilled_canaries_tracked():
 def test_retire_words_applies_the_masked_test():
     eng = harness()
     a = alloc(eng, 20)
-    eng.image.write_fill(a + 16, 4, 0x00, internal=False)  # requested bytes only
+    eng.image.write_fill(a + 16, 4, 0x00)  # requested bytes only
     eng.overflow.retire_words([a + 16])
     assert eng.overflow.bitmap.mask(a + 16) == 0xF0  # its canary bytes hold: still tracked
-    eng.image.write_fill(a + 23, 1, 0x00, internal=False)
+    eng.image.write_fill(a + 23, 1, 0x00)
     eng.overflow.retire_words([a + 16])
     assert eng.overflow.bitmap.mask(a + 16) == 0
 
@@ -389,7 +389,7 @@ def test_epoch_scan_matches_per_bit_and_heap_walk_oracles(geometry, data):
             layout_known &= not evicted
         elif op == "w":
             start, length = region()
-            eng.image.write_fill(start, length, data.draw(st.integers(0, 255)), internal=False)
+            eng.image.write_fill(start, length, data.draw(st.integers(0, 255)))
         elif op == "p":
             start, length = region()
             eng.overflow.plant(start, start + length)
@@ -402,8 +402,8 @@ def test_epoch_scan_matches_per_bit_and_heap_walk_oracles(geometry, data):
     # leave bytes of its edge words untracked, one of them overwritten
     end = base + eng.image.heap_prefix
     eng.overflow.plant(end - 61, end - 3)
-    eng.image.write_fill(end - 8, 1, canary[0] ^ 0xFF, internal=False)
-    eng.image.write_fill(end - 2, 1, canary[0] ^ 0xFF, internal=False)
+    eng.image.write_fill(end - 8, 1, canary[0] ^ 0xFF)
+    eng.image.write_fill(end - 2, 1, canary[0] ^ 0xFF)
     layout_known = False
     check()
     # growth adds shadow bytes past the old end, which the scan must
@@ -427,7 +427,7 @@ def test_in_bounds_writes_never_create_evidence(data):
         off = data.draw(st.integers(min_value=0, max_value=size - 1))
         length = data.draw(st.integers(min_value=1, max_value=size - off))
         fill = data.draw(st.integers(min_value=0, max_value=255))
-        eng.image.write_fill(payload + off, length, fill, internal=False)
+        eng.image.write_fill(payload + off, length, fill)
     assert eng.overflow.epoch_scan() == []
 
 
@@ -466,12 +466,12 @@ def test_shadow_undo_log_holds_only_the_pages_bitmap_writes_touched():
     eng.overflow.plant(far, far + 64)
     a = alloc(eng, 24)
     heap_log, _, shadow_log, _ = image.snapshot()
-    image.write_fill(a, 24, 0x11, internal=False)  # a program write: heap pages only
+    image.write_fill(a, 24, 0x11)  # a program write: heap pages only
     assert heap_log and shadow_log == {}
     eng.overflow.plant(far + 128, far + 192)
     eng.overflow.retire_words([a + 24])  # intact: no shadow write
     assert set(shadow_log) == {3}
-    image.write_fill(a + 24, 1, 0x00, internal=False)
+    image.write_fill(a + 24, 1, 0x00)
     eng.overflow.retire_words([a + 24])
     assert set(shadow_log) == {0, 3}
 
@@ -519,7 +519,7 @@ def test_shadow_store_restores_like_a_full_bitmap_copy(steps):
             touched |= {b >> 15 for b in span}  # mask byte b >> 3, its page >> 12
         elif op == "retire":
             addr = at(*arg[:2]) & ~7
-            image.write_fill(addr, arg[2], arg[3], internal=False)
+            image.write_fill(addr, arg[2], arg[3])
             word = range(addr - base, addr - base + 8)
             if any(image.read(base + b, 1)[0] != canary for b in word if b in tracked):
                 tracked -= set(word)

@@ -44,7 +44,7 @@ def test_small_object_fully_canaried():
 def test_large_object_only_first_128_bytes_canaried():
     eng = harness()
     a = alloc(eng, 256)
-    eng.image.write_fill(a, 256, 0x11, internal=False)
+    eng.image.write_fill(a, 256, 0x11)
     free(eng, a)
     assert eng.image.read(a, 128) == bytes([CANARY]) * 128
     assert eng.image.read(a + 128, 128) == bytes([0x11]) * 128
@@ -87,7 +87,7 @@ def test_corrupted_eviction_returns_evidence_and_withholds_slot():
     eng = harness(quarantine_max_count=1)
     a = alloc(eng, 64)
     free(eng, a, event=3)
-    eng.image.write_fill(a, 4, 0x00, internal=False)  # dangling write
+    eng.image.write_fill(a, 4, 0x00)  # dangling write
     b = alloc(eng, 64)
     reports = free(eng, b)  # evicts a, finds the corruption
     assert [(r.kind, r.corrupted_addr, r.object_addr) for r in reports] == [("use-after-free", a, a)]
@@ -128,7 +128,7 @@ def test_write_beyond_fill_prefix_goes_undetected():
     eng = harness(quarantine_max_count=1)
     a = alloc(eng, 256)
     free(eng, a)
-    eng.image.write_fill(a + 200, 4, 0x00, internal=False)
+    eng.image.write_fill(a + 200, 4, 0x00)
     b = alloc(eng, 256)
     assert free(eng, b) == []  # eviction of a saw nothing
     assert free_listed(eng, a)
@@ -139,8 +139,8 @@ def test_epoch_scan_attribution_uaf_vs_overflow():
     a = alloc(eng, 64)
     live = alloc(eng, 24)
     free(eng, a, event=5)
-    eng.image.write_fill(a, 8, 0x00, internal=False)  # dangling write
-    eng.image.write_fill(live + 24, 8, 0x00, internal=False)  # overflow
+    eng.image.write_fill(a, 8, 0x00)  # dangling write
+    eng.image.write_fill(live + 24, 8, 0x00)  # overflow
     words = eng.overflow.epoch_scan()
     uaf, rest = eng.quarantine.split_scan_words(words)
     assert [(r.kind, r.corrupted_addr, r.object_addr) for r in uaf] == [("use-after-free", a, a)]
@@ -266,11 +266,11 @@ def test_eviction_checks_the_fill_prefix_to_its_last_byte():
     eng = harness(quarantine_max_count=1, uaf_fill_prefix=100)
     a = alloc(eng, 128)
     free(eng, a)
-    eng.image.write_fill(a + 100, 4, 0x00, internal=False)  # past the prefix: no canaries
+    eng.image.write_fill(a + 100, 4, 0x00)  # past the prefix: no canaries
     b = alloc(eng, 128)
     assert free(eng, b) == []  # evicts a, clean
     assert free_listed(eng, a)
-    eng.image.write_fill(b + 99, 1, 0x00, internal=False)  # the prefix's last byte
+    eng.image.write_fill(b + 99, 1, 0x00)  # the prefix's last byte
     reports = free(eng, alloc(eng, 128))  # evicts b
     assert [(r.kind, r.corrupted_addr) for r in reports] == [("use-after-free", b + 96)]
 
@@ -286,8 +286,8 @@ class SlotModel:
     LIFO free lists, and a FIFO with count and byte thresholds whose
     evictions go to the free lists unless dangling writes left them
     corrupted, in which case they are reported and withheld, or a
-    retirement cleared the masks of a whole word of their prefix, in
-    which case they are withheld unreported."""
+    retirement cleared the masks of a word of their prefix, whole or at
+    its edge, in which case they are withheld unreported."""
 
     def __init__(self, config):
         self.config = config
@@ -336,9 +336,9 @@ class SlotModel:
             oldest = self.queue.pop(0)
             bad, retired = self.bad.pop(oldest), self.retired.pop(oldest)
             # a retired word has no mask left, so its bytes are not checked;
-            # the masks compared are those of the prefix's whole words
+            # the masks compared are those of every word the prefix covers
             words = sorted({off & ~7 for off in bad} - retired)
-            if words or any(word + 8 <= self.prefix(oldest) for word in retired):
+            if words or any(word < self.prefix(oldest) for word in retired):
                 self.state[oldest] = "withheld"
                 reports += [(oldest, oldest + word) for word in words]
             else:
@@ -384,8 +384,8 @@ _model_steps = st.lists(
 # the queue's old tail, in another chunk, is linked to a slot freed after
 # the snapshot; the restore must unlink it
 @example(3, 1 << 20, 128, [("malloc", 5000), ("malloc", 40), ("free", 0), ("snapshot",), ("free", 0), ("restore",)])
-# a 20-byte prefix: a retired whole word withholds its slot, and a
-# retired edge word (bytes 16..19), outside the masks compared, does not
+# a 20-byte prefix: a retired whole word withholds its slot, and so does
+# a retired edge word (bytes 16..19), whose prefix bits are compared
 @example(1, 1 << 20, 20, [("malloc", 40)] * 3 + [("free", 0), ("dangle", 0, 9), ("retire", 0, 0), ("heal", 0, 0),
                           ("free", 0), ("dangle", 0, 17), ("retire", 0, 0), ("free", 0)])
 # a healed byte leaves its slot clean
@@ -409,7 +409,7 @@ def test_allocator_and_queue_match_a_reference_model(max_count, max_bytes, prefi
         elif step[0] == "dangle" and model.queue:
             payload = model.queue[step[1] % len(model.queue)]
             off = step[2] % model.prefix(payload)
-            eng.image.write_fill(payload + off, 1, 0x00, internal=False)
+            eng.image.write_fill(payload + off, 1, 0x00)
             model.bad[payload].add(off)
         elif step[0] in ("heal", "retire") and model.queue:
             payload = model.queue[step[1] % len(model.queue)]
@@ -418,7 +418,7 @@ def test_allocator_and_queue_match_a_reference_model(max_count, max_bytes, prefi
                 continue
             off = bad[step[2] % len(bad)]
             if step[0] == "heal":  # the canary byte written back
-                eng.image.write_fill(payload + off, 1, CANARY, internal=False)
+                eng.image.write_fill(payload + off, 1, CANARY)
                 model.bad[payload].discard(off)
             else:  # a scan reported the word, and the replay retired it
                 eng.overflow.retire_words([payload + (off & ~7)])

@@ -219,7 +219,7 @@ BIG = "malloc big 16000\nglobal 0 = big\ncall fork\nwrite big 0 8 11\nend\n"
 
 
 def run_with_stray_write(fill: int) -> None:
-    # replay of epoch 1 also makes an internal write two pages further
+    # replay of epoch 1 also makes a stray write two pages further
     # into big, which the recorded epoch never wrote
     eng = Engine(parse_trace(BIG), small_config(), force_rollback_epochs={1})
     stray_in_replay(eng, lambda: eng.image.write_fill(eng.alloc_sequence[eng.events[0].alloc] + 8192, 8, fill))
@@ -244,7 +244,7 @@ def test_write_of_the_same_bytes_to_a_page_the_epoch_never_wrote_is_a_divergence
 )
 def test_replay_that_leaves_a_register_different_is_a_divergence(text, force):
     eng = Engine(parse_trace(text), small_config(), force_rollback_epochs=force)
-    stray_in_replay(eng, lambda: eng.registers.__setitem__("r0", 1))
+    stray_in_replay(eng, lambda: eng.image.write_register(0, 1))
     with pytest.raises(ReplayDivergence, match="replayed state differs"):
         eng.run()
 

@@ -180,7 +180,7 @@ def test_header_pow2_relation_holds_for_every_carved_slot():
 def test_image_store_load_identity_and_zero_tail():
     config, image, heap = make_heap()
     a = heap.allocate(64)
-    image.write_fill(a, 8, 0x41, internal=False)
+    image.write_fill(a, 8, 0x41)
     assert image.read(a, 8) == b"\x41" * 8
     # reads beyond the materialized prefix are zeros, not errors
     far = config.heap_base + config.heap_size - 64
