@@ -74,6 +74,8 @@ class LeakScanner:
         self.table: SlotTable | None = None
         self.marked = np.zeros(0, dtype=np.bool_)
         self._last: _Mark | None = None
+        # _distinct's scratch, by flat slot id; only the entries it reads are written
+        self._scratch = np.zeros(0, dtype=np.int64)
 
     def _in_heap(self, values: np.ndarray) -> np.ndarray:
         return values[(values >= self.heap_base) & (values < self.heap_end)]
@@ -143,7 +145,7 @@ class LeakScanner:
         while values.size:
             ids = table.slot_ids(values)
             found = ids >= 0
-            wave = np.unique(ids[found])
+            wave = self._distinct(ids[found], len(table))
             wave = wave[~marked[wave]]
             alive = table.allocated[wave]
             marked[wave[alive | table.held[wave]]] = True
@@ -154,6 +156,19 @@ class LeakScanner:
             misses.append(values[missed])
             values = table.payload_pointers(live)
         return np.concatenate(misses) if misses else np.zeros(0, dtype=np.uint64)
+
+    def _distinct(self, ids: np.ndarray, slots: int) -> np.ndarray:
+        """The distinct ids among ids, sorted, for a table of slots slots.
+
+        Each id writes its position into a scratch array and keeps the
+        positions that survive: work in proportion to ids, with no pass
+        over the table.
+        """
+        if len(self._scratch) < slots:
+            self._scratch = np.empty(2 * slots, dtype=np.int64)
+        at = np.arange(len(ids))
+        self._scratch[ids] = at
+        return np.sort(ids[self._scratch[ids] == at])
 
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> list[ErrorReport]:
         """Report allocated-but-unmarked slots, then clear all marks.

@@ -450,8 +450,8 @@ class SlotTable:
         return self.slot_words[self.record[chunk] + RECORD_WORDS * index + REQUESTED].tolist()
 
     def payload_pointers(self, ids: np.ndarray) -> np.ndarray:
-        """The payload words of the given slots that point into the heap
-        region, as uint64.
+        """The payload words of the given slots, sorted flat ids, that
+        point into the heap region, as uint64.
 
         Words are gathered and filtered one chunk at a time, so only one
         chunk's share of the payloads is ever copied at once.
@@ -459,11 +459,14 @@ class SlotTable:
         chunk, index = self._locate(ids)
         skip = GUARD_BYTES // WORD
         parts = []
-        for c in np.unique(chunk).tolist():
+        # ids are sorted, so each chunk's ids are one run of them
+        runs = np.bincount(chunk)
+        ends = np.cumsum(runs).tolist()
+        for c in np.flatnonzero(runs).tolist():
             width = int(self.stride[c]) // WORD
             first = int(self.base[c]) // WORD
             rows = self.heap_words[first : first + int(self.carved[c]) * width].reshape(-1, width)
-            parts.append(self._in_heap(rows[index[chunk == c], skip:].ravel()))
+            parts.append(self._in_heap(rows[index[ends[c] - int(runs[c]) : ends[c]], skip:].ravel()))
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 
 
