@@ -53,15 +53,18 @@ from .vheap import WORD, Allocator, MemoryImage, SlotTable
 
 
 class _Mark:
-    """What a mark keeps for the next one to start from: its table (with
-    a copy of the slot states) and marks, the heap-range values it saw
-    but did not mark, and the image's snapshot count when it ran; the
-    globals store's undo log keeps its roots' old values."""
+    """What a mark keeps for the next one to start from: its table's
+    chunk strides, carved counts, first flat ids and slot states, its
+    marks, the heap-range values it saw but did not mark, and the image's
+    snapshot count when it ran; the globals store's undo log keeps its
+    roots' old values."""
 
-    __slots__ = ("table", "marked", "misses", "snapshots")
+    __slots__ = ("stride", "carved", "first", "state", "marked", "misses", "snapshots")
 
     def __init__(self, table: SlotTable, marked: np.ndarray, misses: np.ndarray, snapshots: int):
-        self.table, self.marked, self.misses, self.snapshots = table, marked, misses, snapshots
+        # the table's arrays, which its refreshes replace but never write
+        self.stride, self.carved, self.first, self.state = table.stride, table.carved, table.first, table.state
+        self.marked, self.misses, self.snapshots = marked, misses, snapshots
 
 
 class LeakScanner:
@@ -77,14 +80,11 @@ class LeakScanner:
         # _distinct's scratch, by flat slot id; only the entries it reads are written
         self._scratch = np.zeros(0, dtype=np.int64)
 
-    def _in_heap(self, values: np.ndarray) -> np.ndarray:
-        return values[(values >= self.heap_base) & (values < self.heap_end)]
-
     def _roots(self) -> np.ndarray:
         """The full mark's roots: the heap-range words of the globals
         store below its length, the globals then the registers set."""
         store = self.image.globals_pages
-        return self._in_heap(np.frombuffer(store.data, dtype="<u8", count=store.length // WORD))
+        return self.table.in_heap(np.frombuffer(store.data, dtype="<u8", count=store.length // WORD))
 
     def mark(self) -> None:
         """Mark from the conservative root set, or incrementally from the
@@ -94,11 +94,11 @@ class LeakScanner:
         allocation or free; sweep uses both, so it expects no allocation
         or free in between.
         """
-        table = self.allocator.slot_table()
+        self.table = table = self.allocator.slot_table()
         start = self._resume(table)
         marked, values = (np.zeros(len(table), dtype=np.bool_), self._roots()) if start is None else start
         misses = self._waves(table, marked, values)
-        self.table, self.marked = table, marked
+        self.marked = marked
         self._last = _Mark(table, marked, misses, self.image.snapshots)
 
     def _resume(self, table: SlotTable) -> tuple[np.ndarray, np.ndarray] | None:
@@ -107,12 +107,12 @@ class LeakScanner:
         last = self._last
         if last is None or self.image.snapshots != last.snapshots + 1:
             return None
-        old = last.table
+        old = last
         n = len(old.carved)
         if n > len(table.carved) or (table.stride[:n] != old.stride).any() or (table.carved[:n] < old.carved).any():
             return None
         was = np.flatnonzero(last.marked)
-        if len(table) == len(old):
+        if len(table) == len(old.state):
             ids = was
         else:  # slots carved since shift the flat ids of later chunks
             chunk = np.searchsorted(old.first, was, side="right") - 1
@@ -126,10 +126,10 @@ class LeakScanner:
         owners = table.slot_ids(self.heap_base + WORD * words.astype(np.uint64), payload=True)
         scanned = owners >= 0  # the words in payloads of marked live slots
         scanned[scanned] = marked[owners[scanned]] & table.allocated[owners[scanned]]
-        if self._in_heap(globals_old).size or self._in_heap(heap_old[scanned]).size:
+        if table.in_heap(globals_old).size or table.in_heap(heap_old[scanned]).size:
             return None
         return marked, np.concatenate((
-            self._in_heap(globals_new), self._in_heap(heap_new[scanned]), last.misses,
+            table.in_heap(globals_new), table.in_heap(heap_new[scanned]), last.misses,
         ))
 
     def _waves(self, table: SlotTable, marked: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -186,11 +186,11 @@ class LeakScanner:
         leaked = np.flatnonzero(table.allocated & ~marked)
         found = [
             ErrorReport(KIND_LEAK, object_addr=payload, object_size=requested)
-            for payload, requested in zip(table.payloads(leaked), table.requested(leaked))
+            for payload, requested in zip(*table.payloads(leaked))
             if payload not in suppress
         ]
         if dangling:
-            for payload in table.payloads(np.flatnonzero(table.held & marked)):
+            for payload in table.payloads(np.flatnonzero(table.held & marked))[0]:
                 if payload not in suppress:
                     found.append(freed_report(self.allocator.object_bounds(payload)))
         return found

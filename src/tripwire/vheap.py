@@ -379,13 +379,22 @@ class SlotTable:
     """Every carved slot under a flat id, as numpy arrays.
 
     Flat ids number the slots chunk by chunk in chunk-acquisition order,
-    and by address within a chunk: the order of carved_slots. slot_ids()
-    resolves many addresses at once with the arithmetic of
-    object_bounds. The slots' states are a copy; build a new table after
-    any allocation, free or restore.
+    which is address order, and by address within a chunk: the order of
+    carved_slots. slot_ids() resolves many addresses at once with the
+    arithmetic of object_bounds.
+
+    The allocator keeps one table and refreshes it at each slot_table()
+    call. A chunk's geometry (its heap offset, stride, slot count and
+    first record) is read once, when a refresh first sees the chunk
+    acquired. A refresh re-reads only the carved count of each class's
+    current chunk, the one its bump moves, and every carved slot's
+    state. The flat id of a chunk's first slot moves when an earlier
+    chunk carves more. A refresh replaces the arrays that change and
+    never writes one in place, so an array kept from an earlier refresh
+    keeps its values.
     """
 
-    def __init__(self, config: EngineConfig, image: MemoryImage, chunks: list[_Chunk]):
+    def __init__(self, config: EngineConfig, image: MemoryImage):
         # the heap and the slot store are fixed mappings that never
         # resize, so views of them stay valid and cost nothing for pages
         # never touched
@@ -394,25 +403,56 @@ class SlotTable:
         self.heap_base = config.heap_base
         self.heap_end = config.heap_base + config.heap_size
         self.chunk_size = config.chunk_size
-        # per chunk: heap offset of its first slot, stride, carved count,
-        # the flat id of its first slot and the word of its first record
-        self.base = np.arange(len(chunks), dtype=np.int64) * config.chunk_size
-        self.stride = np.array([c.stride for c in chunks], dtype=np.int64)
-        self.carved = np.array([c.carved for c in chunks], dtype=np.int64)
-        self.first = np.concatenate(([0], np.cumsum(self.carved)))
-        self.record = _RECORDS + RECORD_WORDS + image.slot_region * np.arange(len(chunks), dtype=np.int64)
-        states = [
-            self.slot_words[r + STATE : r + RECORD_WORDS * c.carved : RECORD_WORDS]
-            for r, c in zip(self.record.tolist(), chunks)
-        ]
-        self.state = np.concatenate(states).astype(np.uint8) if states else np.zeros(0, dtype=np.uint8)
+        self._region = image.slot_region
+        self._geometry(0)
+
+    def _geometry(self, chunks: int) -> None:
+        """Read the geometry of the first chunks chunks; forget the rest."""
+        c = np.arange(chunks, dtype=np.int64)
+        self._heads = _RECORDS + self._region * c  # each chunk's head word: its class shift
+        self.shift = self.slot_words[self._heads].astype(np.int64)
+        # per chunk: heap offset of its first slot, stride, slots when
+        # full and the word of its first record
+        self.base = c * self.chunk_size
+        self.stride = GUARD_BYTES + (1 << self.shift)
+        self.slots = self.chunk_size // self.stride
+        self.record = self._heads + RECORD_WORDS
+        # the BUMP words of the classes that have a chunk; LIMIT follows each
+        self._bumps = np.array([_CLASS_WORDS + 3 * shift + BUMP for shift in sorted(set(self.shift.tolist()))],
+                               dtype=np.int64)
+        self.carved = np.zeros(chunks, dtype=np.int64)
+        self.first = np.zeros(chunks + 1, dtype=np.int64)  # the flat id of each chunk's first slot, then the count
+        self._state_at = np.zeros(0, dtype=np.int64)  # each slot's state word
+
+    def refresh(self) -> None:
+        """Catch up with the slot store: chunks acquired, slots carved and
+        states, as the class comment says. A chunk whose head no longer
+        names its class, as after a restore, drops the geometry from that
+        chunk on."""
+        words = self.slot_words
+        chunks = int(words[CHUNKS])
+        known = len(self.shift)
+        changed = np.flatnonzero(words[self._heads[:chunks]] != self.shift[:chunks])
+        if chunks != known or changed.size:
+            self._geometry(chunks)
+        bump, limit = words[self._bumps].astype(np.int64), words[self._bumps + LIMIT].astype(np.int64)
+        current = (limit - self.heap_base) // self.chunk_size - 1  # the chunk each class's limit ends
+        carved = self.slots.copy()
+        carved[current] = (bump - self.heap_base - self.base[current]) // self.stride[current]
+        if not np.array_equal(carved, self.carved):
+            self.carved = carved
+            self.first = np.concatenate(([0], np.cumsum(carved)))
+            self._state_at = (np.repeat(self.record + STATE - RECORD_WORDS * self.first[:-1], carved)
+                              + RECORD_WORDS * np.arange(self.first[-1]))
+        self.state = words[self._state_at]
         self.allocated = self.state == LIVE
         self.held = self.state == QUARANTINED
 
     def __len__(self) -> int:
         return len(self.state)
 
-    def _in_heap(self, values: np.ndarray) -> np.ndarray:
+    def in_heap(self, values: np.ndarray) -> np.ndarray:
+        """The values, uint64, that lie in the heap region."""
         return values[(values >= self.heap_base) & (values < self.heap_end)]
 
     def slot_ids(self, values: np.ndarray, payload: bool = False) -> np.ndarray:
@@ -440,14 +480,12 @@ class SlotTable:
         chunk = np.searchsorted(self.first, ids, side="right") - 1
         return chunk, ids - self.first[chunk]
 
-    def payloads(self, ids: np.ndarray) -> list[int]:
+    def payloads(self, ids: np.ndarray) -> tuple[list[int], list[int]]:
+        """The payload address and the requested size of each slot of ids."""
         chunk, index = self._locate(ids)
         offsets = self.base[chunk] + index * self.stride[chunk] + GUARD_BYTES
-        return [self.heap_base + off for off in offsets.tolist()]
-
-    def requested(self, ids: np.ndarray) -> list[int]:
-        chunk, index = self._locate(ids)
-        return self.slot_words[self.record[chunk] + RECORD_WORDS * index + REQUESTED].tolist()
+        requested = self.slot_words[self.record[chunk] + RECORD_WORDS * index + REQUESTED]
+        return [self.heap_base + off for off in offsets.tolist()], requested.tolist()
 
     def payload_pointers(self, ids: np.ndarray) -> np.ndarray:
         """The payload words of the given slots, sorted flat ids, that
@@ -466,7 +504,7 @@ class SlotTable:
             width = int(self.stride[c]) // WORD
             first = int(self.base[c]) // WORD
             rows = self.heap_words[first : first + int(self.carved[c]) * width].reshape(-1, width)
-            parts.append(self._in_heap(rows[index[ends[c] - int(runs[c]) : ends[c]], skip:].ravel()))
+            parts.append(self.in_heap(rows[index[ends[c] - int(runs[c]) : ends[c]], skip:].ravel()))
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
 
 
@@ -497,6 +535,7 @@ class Allocator:
         self._classes: list[_ClassState | None] = [None] * 64  # by shift, once allocated
         self._heap_base, self._heap_size = config.heap_base, config.heap_size
         self._chunk_size = config.chunk_size
+        self._table = SlotTable(config, image)
         self.last_capacity = 0  # the class capacity of the slot allocate() last returned
 
     # -- slot records -----------------------------------------------------
@@ -678,5 +717,7 @@ class Allocator:
                 yield self.object_bounds(slot)
 
     def slot_table(self) -> SlotTable:
-        """The carved slots as arrays, for passes over many addresses."""
-        return SlotTable(self.config, self.image, self.chunks)
+        """The carved slots as arrays, for passes over many addresses: the
+        allocator's one table, refreshed."""
+        self._table.refresh()
+        return self._table

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from tripwire.errors import (
     SegfaultModel,
 )
 from tripwire.engine import Engine
-from tripwire.vheap import PAGE, PAGE_SHIFT, WORD, Allocator, MemoryImage, next_pow2
+from tripwire.vheap import PAGE, PAGE_SHIFT, WORD, Allocator, MemoryImage, SlotTable, next_pow2
 
 from conftest import small_config
 
@@ -239,6 +241,33 @@ def test_allocator_snapshot_restore_resumes_identically():
     tail1_again = [h1.allocate(s) for s in (24, 100, 9)]
     tail2 = [h2.allocate(s) for s in (24, 100, 9)]
     assert tail1 == tail1_again == tail2
+
+
+def test_the_refreshed_slot_table_matches_a_new_one():
+    # restores drop chunks and carved slots, and a different history
+    # after one can give a chunk another class
+    rng = random.Random(7)
+    config, image, heap = make_heap()
+    snap, live = image.snapshot(), []
+    for _ in range(400):
+        op = rng.random()
+        if op < 0.6 or not live:
+            live.append(heap.allocate(rng.choice((16, 24, 100, 300, 2000, 9000))))
+        elif op < 0.9:
+            payload = live.pop(rng.randrange(len(live)))
+            heap.set_allocated(payload, False)
+            heap.release_slot(payload)
+        elif op < 0.95:
+            image.restore(snap)
+            live = [view.payload for view in heap.carved_slots() if view.allocated]
+        else:
+            snap = image.snapshot()
+        if rng.random() < 0.3:
+            table, fresh = heap.slot_table(), SlotTable(config, image)
+            fresh.refresh()
+            for name in ("base", "stride", "carved", "first", "state", "allocated", "held"):
+                assert np.array_equal(getattr(table, name), getattr(fresh, name)), name
+            assert table.carved.tolist() == [chunk.carved for chunk in heap.chunks]
 
 
 def page_digests(heap: bytes) -> bytes:
