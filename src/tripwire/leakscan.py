@@ -9,7 +9,7 @@ capacity to the next wave. Freed objects are never scanned, but a freed
 object still sitting in quarantine is marked when reached so the
 optional reachable-freed ("potential dangling pointer") report can
 pick it up. The sweep then returns an unattributed leak report for
-every allocated-but-unmarked slot and clears all marks.
+every allocated-but-unmarked slot.
 
 Both passes run over arrays: candidate values are resolved to slots a
 wave at a time through the allocator's SlotTable, and the marks are a
@@ -19,28 +19,47 @@ the allocator's slot store, copied into the table, so a mark and sweep
 write no page and no program write can change their result except
 through the pointers it stores.
 
-A mark is incremental when it can be. It keeps its marks, and the
-heap-range values it saw but did not mark: values into uncarved memory
-or into freed slots the quarantine no longer holds. The next mark
-starts from them, as in the mostly parallel marking of Boehm, Demers
-and Shenker (PLDI 1991), when all of these hold:
+Besides its marks, a mark keeps a reference count per carved slot: the
+number of heap-range words that resolve to the slot, guard region
+included, among the words the mark reads (the globals store's below its
+length and the payloads of its marked live slots). The heap-range
+values among those words that resolve to no carved slot are kept as
+misses, so that a slot carved later takes its count from them.
 
-- the heap and globals undo logs start at the state of the last mark:
-  the image took exactly one snapshot since, and nothing wrote between
-  that mark and the snapshot, as at an engine's epoch boundary;
-- no changed word held a heap-range value at the snapshot, among the
-  words the last mark read: the globals store's and the payloads of its
-  marked live slots, with old values from the undo logs (a register
-  first set since reads zero there);
-- every marked slot has the state it had then, live or quarantined.
+A mark resumes from the last one when the heap and globals undo logs
+start at the state of the last mark (the image took exactly one
+snapshot since, and nothing wrote between that mark and the snapshot,
+as at an engine's epoch boundary) and when it reads fewer words than a
+full mark would: each page of those undo logs, as saved and as now,
+against the roots and the payloads of the last mark's marked live
+slots. Otherwise, on a first mark, for a scanner used without
+snapshots, or after an epoch that wrote about as much as the heap
+holds, the full mark runs from the roots. A resumed mark works in three
+steps:
 
-Under these the last marks are all still reachable, so the waves start
-from them and from two sets of values: the new heap-range values of the
-changed words, and the last mark's unmarked values resolved again. The
-last set needs no write to matter: a stale pointer into a slot that is
-reused since, or into memory a later malloc carves, makes an object
-reachable. Otherwise, on a first mark, or for a scanner used without
-snapshots, the full mark runs from the roots.
+- It brings the counts up to date. Misses that fall in a slot carved
+  since count for it. Each changed word the last mark read takes back
+  its old value, from the undo logs, and counts its new one (a register
+  first set since was not read). A marked slot freed since takes back
+  its payload words, and a marked quarantined slot allocated again
+  since counts its payload. A marked slot that is neither live nor
+  quarantined now is unmarked.
+- It unmarks what lost its last reference. A marked slot whose count
+  fell to zero is unmarked and takes back its payload words, in
+  cascade. From the marked slots whose count fell but stays above zero,
+  trial deletion, as in the synchronous cycle collection of Bacon and
+  Rajan (ECOOP 2001), visits the marked slots they reach: those
+  referenced from outside that subgraph keep their marks and so does
+  all they reach; the rest are unmarked and take back their payload
+  words.
+- It marks forward, breadth first as the full mark does from the roots,
+  from the slots whose count rose and those whose state changed, as in
+  the mostly parallel marking of Boehm, Demers and Shenker (PLDI 1991).
+
+So a resumed mark costs what the epoch changed and the subgraph trial
+deletion visits, not what the heap holds. Flat ids move when an earlier
+chunk carves more slots, and the kept marks, counts and states move
+with them.
 """
 
 from __future__ import annotations
@@ -49,42 +68,62 @@ import numpy as np
 
 from .quarantine import freed_report
 from .reports import KIND_LEAK, ErrorReport
-from .vheap import WORD, Allocator, MemoryImage, SlotTable
+from .vheap import LIVE, PAGE, WORD, Allocator, MemoryImage, SlotTable
+
+_NONE = np.zeros(0, dtype=np.int64)
 
 
 class _Mark:
-    """What a mark keeps for the next one to start from: its table's
-    chunk strides, carved counts, first flat ids and slot states, its
-    marks, the heap-range values it saw but did not mark, and the image's
-    snapshot count when it ran; the globals store's undo log keeps its
-    roots' old values."""
+    """What the last mark leaves for the next one besides its marks and
+    counts: its table's chunk strides, carved counts, first flat ids and
+    slot states, the words a full mark of its state reads, and the
+    image's snapshot count when it ran; the undo logs keep the old values
+    of the words it read."""
 
-    __slots__ = ("stride", "carved", "first", "state", "marked", "misses", "snapshots")
+    __slots__ = ("stride", "carved", "first", "state", "reads", "snapshots")
 
-    def __init__(self, table: SlotTable, marked: np.ndarray, misses: np.ndarray, snapshots: int):
+    def __init__(self, table: SlotTable, reads: int, snapshots: int):
         # the table's arrays, which its refreshes replace but never write
         self.stride, self.carved, self.first, self.state = table.stride, table.carved, table.first, table.state
-        self.marked, self.misses, self.snapshots = marked, misses, snapshots
+        self.reads, self.snapshots = reads, snapshots
+
+
+def _without(values: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """values less drop, as multisets: one occurrence per value of drop."""
+    values, drop = np.sort(values), np.sort(drop)
+    # the i-th of equal values in drop takes the i-th of them in values
+    at = np.searchsorted(values, drop) + np.arange(len(drop)) - np.searchsorted(drop, drop)
+    keep = np.ones(len(values), dtype=np.bool_)
+    keep[at] = False
+    return values[keep]
 
 
 class LeakScanner:
     def __init__(self, image: MemoryImage, allocator: Allocator):
         self.image = image
         self.allocator = allocator
-        self.heap_base = image.heap_base
-        self.heap_end = image.heap_base + image.heap_size
         # the last mark's SlotTable and its marks by flat slot id, for the sweep
         self.table: SlotTable | None = None
         self.marked = np.zeros(0, dtype=np.bool_)
         self._last: _Mark | None = None
-        # _distinct's scratch, by flat slot id; only the entries it reads are written
+        # the marks, counts and misses the next mark starts from
+        self._marks = np.zeros(0, dtype=np.bool_)
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._misses = np.zeros(0, dtype=np.uint64)
+        self._added: list[np.ndarray] = []  # misses found and lost by the running mark
+        self._lost: list[np.ndarray] = []
+        # scratch by flat slot id: _distinct writes before it reads; the
+        # others are all zero between uses
         self._scratch = np.zeros(0, dtype=np.int64)
+        self._seen = np.zeros(0, dtype=np.bool_)
+        self._inner = np.zeros(0, dtype=np.int64)
 
     def _roots(self) -> np.ndarray:
         """The full mark's roots: the heap-range words of the globals
         store below its length, the globals then the registers set."""
         store = self.image.globals_pages
-        return self.table.in_heap(np.frombuffer(store.data, dtype="<u8", count=store.length // WORD))
+        values = np.frombuffer(store.data, dtype="<u8", count=store.length // WORD)
+        return values[self.table.in_heap(values)]
 
     def mark(self) -> None:
         """Mark from the conservative root set, or incrementally from the
@@ -95,83 +134,173 @@ class LeakScanner:
         or free in between.
         """
         self.table = table = self.allocator.slot_table()
-        start = self._resume(table)
-        marked, values = (np.zeros(len(table), dtype=np.bool_), self._roots()) if start is None else start
-        misses = self._waves(table, marked, values)
-        self.marked = marked
-        self._last = _Mark(table, marked, misses, self.image.snapshots)
+        slots = len(table)
+        if len(self._scratch) < slots:
+            self._scratch = np.empty(2 * slots, dtype=np.int64)
+            self._seen = np.zeros(2 * slots, dtype=np.bool_)
+            self._inner = np.zeros(2 * slots, dtype=np.int64)
+        self._added, self._lost = [], []
+        rises = self._resume(table)
+        if rises is None:
+            self._marks = np.zeros(slots, dtype=np.bool_)
+            self._counts = np.zeros(slots, dtype=np.int64)
+            self._misses = np.zeros(0, dtype=np.uint64)
+            rises = self._refer(self._roots(), 1)
+        self._spread(rises)
+        if self._added:
+            self._misses = np.concatenate([self._misses, *self._added])
+        if self._lost:
+            self._misses = _without(self._misses, np.concatenate(self._lost))
+        self.marked = self._marks
+        # a full mark reads the roots and the payloads of the marked live slots
+        reads = self.image.globals_pages.length // WORD + int(table.payload_words[self._marks & table.allocated].sum())
+        self._last = _Mark(table, reads, self.image.snapshots)
 
-    def _resume(self, table: SlotTable) -> tuple[np.ndarray, np.ndarray] | None:
-        """The marks and first wave of an incremental mark, or None when
-        the full mark has to run."""
-        last = self._last
+    def _resume(self, table: SlotTable) -> np.ndarray | None:
+        """Bring the last mark's counts and marks up to date and unmark
+        what lost its last reference; return the slots to mark forward
+        from, or None when the full mark has to run (see the module
+        docstring)."""
+        last, heap, store = self._last, self.image.heap_pages, self.image.globals_pages
         if last is None or self.image.snapshots != last.snapshots + 1:
             return None
-        old = last
-        n = len(old.carved)
-        if n > len(table.carved) or (table.stride[:n] != old.stride).any() or (table.carved[:n] < old.carved).any():
+        # each page in the undo logs is read as saved and as now
+        if 2 * (len(heap.log) + len(store.log)) * PAGE // WORD >= last.reads:
             return None
-        was = np.flatnonzero(last.marked)
-        if len(table) == len(old.state):
-            ids = was
-        else:  # slots carved since shift the flat ids of later chunks
-            chunk = np.searchsorted(old.first, was, side="right") - 1
-            ids = was + (table.first[chunk] - old.first[chunk])
-        if (table.state[ids] != old.state[was]).any():
-            return None
-        marked = np.zeros(len(table), dtype=np.bool_)
-        marked[ids] = True
-        _, globals_old, globals_new = self.image.globals_pages.changed_words()
-        words, heap_old, heap_new = self.image.heap_pages.changed_words()
-        owners = table.slot_ids(self.heap_base + WORD * words.astype(np.uint64), payload=True)
-        scanned = owners >= 0  # the words in payloads of marked live slots
-        scanned[scanned] = marked[owners[scanned]] & table.allocated[owners[scanned]]
-        if table.in_heap(globals_old).size or table.in_heap(heap_old[scanned]).size:
-            return None
-        return marked, np.concatenate((
-            table.in_heap(globals_new), table.in_heap(heap_new[scanned]), last.misses,
-        ))
+        state, marks = last.state, self._marks
+        gone, found, rises = [], [], []  # values the mark reads no more, values it reads now, slots to mark from
+        if table.carved is not last.carved:  # slots carved since
+            k = len(last.carved)
+            if (len(table.carved) < k or (table.stride[:k] != last.stride).any()
+                    or (table.carved[:k] < last.carved).any()):
+                return None
+            # carried slots move up by the slots carved since in earlier chunks;
+            # a slot not carved then had no state
+            at = np.arange(len(state)) + np.repeat(table.first[:k] - last.first[:k], last.carved)
+            marks, counts, state = (np.zeros(len(table), dtype=a.dtype) for a in (marks, self._counts, state))
+            marks[at], counts[at], state[at] = self._marks, self._counts, last.state
+            self._marks, self._counts = marks, counts
+            if self._misses.size:  # misses in slots carved since count for them
+                misses, self._misses = self._misses, np.zeros(0, dtype=np.uint64)
+                rises.append(self._refer(misses, 1))
+        # changed words the last mark read: the globals store's below its
+        # length then, and the payload words of its marked live slots
+        words, old, new = store.changed_words()
+        gone.append(old[table.in_heap(old) & (words < store.snap_length // WORD)])
+        found.append(new[table.in_heap(new)])
+        words, old, new = heap.changed_words()
+        was, now = table.in_heap(old), table.in_heap(new)
+        pointer = was | now
+        if pointer.any():
+            words, old, new, was, now = words[pointer], old[pointer], new[pointer], was[pointer], now[pointer]
+            owners = table.slot_ids(table.heap_base + WORD * words.astype(np.uint64), payload=True)
+            read = owners >= 0
+            read[read] = marks[owners[read]] & (state[owners[read]] == LIVE)
+            gone.append(old[read & was])
+            found.append(new[read & now])
+        moved = np.flatnonzero(table.state != state)
+        if moved.size:
+            was, now, marked = state[moved] == LIVE, table.allocated[moved], marks[moved]
+            gone.append(table.payload_pointers(moved[marked & was & ~now]))
+            found.append(table.payload_pointers(moved[marked & ~was & now]))
+            marks[moved[marked & ~now & ~table.held[moved]]] = False
+            rises.append(moved[~marked])
+        self._unmark(self._refer(np.concatenate(gone), -1))
+        rises.append(self._refer(np.concatenate(found), 1))
+        return np.concatenate(rises)
 
-    def _waves(self, table: SlotTable, marked: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Mark breadth-first from the heap-range values, a wave at a time;
-        return the values seen but not marked.
+    def _refer(self, values: np.ndarray, sign: int) -> np.ndarray:
+        """Count heap-range values as references (sign 1) or take them
+        back (sign -1); return the flat ids of the slots they resolve to.
+        The values that resolve to none are the misses found or lost."""
+        if not values.size:
+            return _NONE
+        ids = self.table.slot_ids(values)
+        hit = ids >= 0
+        if not hit.all():
+            (self._added if sign > 0 else self._lost).append(values[~hit])
+            ids = ids[hit]
+        (np.add if sign > 0 else np.subtract).at(self._counts, ids, 1)
+        return ids
 
-        Each wave resolves its values to slot ids, drops the slots
-        already marked, marks the allocated ones and the freed ones the
-        quarantine still holds, and takes the next wave from the payload
-        words of the allocated ones.
-        """
-        misses = []
-        while values.size:
-            ids = table.slot_ids(values)
-            found = ids >= 0
-            wave = self._distinct(ids[found], len(table))
-            wave = wave[~marked[wave]]
-            alive = table.allocated[wave]
-            marked[wave[alive | table.held[wave]]] = True
-            live = wave[alive]
-            # unmarked now: no slot, or a freed slot the quarantine does not hold
-            missed = ~found
-            missed[found] = ~marked[ids[found]]
-            misses.append(values[missed])
-            values = table.payload_pointers(live)
-        return np.concatenate(misses) if misses else np.zeros(0, dtype=np.uint64)
-
-    def _distinct(self, ids: np.ndarray, slots: int) -> np.ndarray:
-        """The distinct ids among ids, sorted, for a table of slots slots.
+    def _distinct(self, ids: np.ndarray) -> np.ndarray:
+        """The distinct ids among ids, sorted.
 
         Each id writes its position into a scratch array and keeps the
         positions that survive: work in proportion to ids, with no pass
         over the table.
         """
-        if len(self._scratch) < slots:
-            self._scratch = np.empty(2 * slots, dtype=np.int64)
         at = np.arange(len(ids))
         self._scratch[ids] = at
         return np.sort(ids[self._scratch[ids] == at])
 
+    def _spread(self, ids: np.ndarray) -> None:
+        """Mark forward from ids, breadth first. Each wave marks those of
+        its slots that are unmarked, referenced, and live or quarantined,
+        and takes the next wave from the payload words of the live ones."""
+        table, marks, counts = self.table, self._marks, self._counts
+        while ids.size:
+            ids = ids[~marks[ids] & (counts[ids] > 0)]
+            wave = self._distinct(ids[table.allocated[ids] | table.held[ids]])
+            marks[wave] = True
+            ids = self._refer(table.payload_pointers(wave[table.allocated[wave]]), 1)
+
+    def _targets(self, ids: np.ndarray) -> np.ndarray:
+        """The marked slots the payload words of the live slots among ids,
+        sorted, resolve to, once per word."""
+        table = self.table
+        values = table.payload_pointers(ids[table.allocated[ids]])
+        targets = table.slot_ids(values)
+        targets = targets[targets >= 0]
+        return targets[self._marks[targets]]
+
+    def _unmark(self, falls: np.ndarray) -> None:
+        """Unmark the slots no longer reachable, from falls, the slots whose
+        count fell: first those at zero, in cascade, then by trial deletion
+        from those still above it."""
+        table, marks, counts = self.table, self._marks, self._counts
+        held = []
+        while falls.size:
+            falls = falls[marks[falls]]
+            zero = counts[falls] == 0
+            held.append(falls[~zero])
+            gone = self._distinct(falls[zero])
+            if not gone.size:
+                break
+            marks[gone] = False
+            falls = self._refer(table.payload_pointers(gone[table.allocated[gone]]), -1)
+        roots = np.concatenate(held) if held else _NONE
+        roots = self._distinct(roots[marks[roots]])
+        if not roots.size:
+            return
+        # the marked slots the roots reach, and the references among them
+        seen, inner = self._seen, self._inner
+        seen[roots] = True
+        reached, frontier = [roots], roots
+        while frontier.size:
+            targets = self._targets(frontier)
+            np.add.at(inner, targets, 1)
+            frontier = self._distinct(targets[~seen[targets]])
+            seen[frontier] = True
+            reached.append(frontier)
+        reached = np.concatenate(reached)
+        outside = np.sort(reached[counts[reached] > inner[reached]])
+        inner[reached] = 0
+        seen[reached] = False
+        # what a slot referenced from outside reaches stays marked
+        seen[outside] = True
+        frontier = outside
+        while frontier.size:
+            targets = self._targets(frontier)
+            frontier = self._distinct(targets[~seen[targets]])
+            seen[frontier] = True
+        gone = np.sort(reached[~seen[reached]])
+        seen[reached] = False
+        marks[gone] = False
+        self._refer(table.payload_pointers(gone[table.allocated[gone]]), -1)
+
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> list[ErrorReport]:
-        """Report allocated-but-unmarked slots, then clear all marks.
+        """Report allocated-but-unmarked slots.
 
         The leaked slots are allocated & ~marked and, with dangling, the
         reachable quarantined ones held & marked, each as one array

@@ -36,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import mmap
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +106,7 @@ class PageStore:
         # below the snapshot length, empty for a page wholly past it; its
         # keys are the pages written since, restored ones included
         self.log: dict[int, bytes] = {}
-        self._snap_len = 0
+        self.snap_length = 0
         self._written: set[int] = set()  # every page ever written; the rest read zero
 
     def touch(self, off: int, length: int) -> None:
@@ -119,7 +120,7 @@ class PageStore:
             if page not in saved:  # the undo log's pages are already in _written
                 self._written.add(page)
                 start = page << PAGE_SHIFT
-                saved[page] = self.data[start : min(start + PAGE, self._snap_len)]
+                saved[page] = self.data[start : min(start + PAGE, self.snap_length)]
 
     def digest(self) -> bytes:
         """The sha256 digest of every page below the logical length, in
@@ -146,24 +147,31 @@ class PageStore:
         the written pages below the logical length that differs from its
         value at the snapshot or lay past the snapshot length, from the
         undo log; indexes count words from the store's start."""
-        saved = self.log
-        per_page = PAGE // WORD
-        pages = np.fromiter(saved, dtype=np.int64, count=len(saved))
-        words = (pages[:, None] * per_page + np.arange(per_page)).ravel()
-        # bytes past the snapshot length were zero at the snapshot
+        saved, data = self.log, self.data
+        if not saved:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype="<u8"), np.zeros(0, dtype="<u8")
+        # bytes past the snapshot length were zero at the snapshot, and
+        # bytes past the length read zero now
         old = np.frombuffer(b"".join(page.ljust(PAGE, b"\0") for page in saved.values()), dtype="<u8")
-        now = np.frombuffer(self.data, dtype="<u8", count=self.length // WORD)
-        inside = words < len(now)
-        words, old = words[inside], old[inside]
-        new = now[words]
-        changed = (old != new) | (words >= self._snap_len // WORD)
-        return words[changed], old[changed], new[changed]
+        new = np.frombuffer(b"".join(data[p << PAGE_SHIFT : (p + 1) << PAGE_SHIFT].ljust(PAGE, b"\0") for p in saved),
+                            dtype="<u8")
+        changed = old != new
+        pages = np.fromiter(saved, dtype=np.int64, count=len(saved))
+        if (max(saved) + 1) << PAGE_SHIFT > self.snap_length:  # some words lay past the snapshot length
+            words = (pages[:, None] << _PAGE_WORDS_SHIFT | _PAGE_WORDS).ravel()
+            changed |= (words >= self.snap_length // WORD) & (words < self.length // WORD)
+            at = np.flatnonzero(changed)
+            words = words[at]
+        else:
+            at = np.flatnonzero(changed)
+            words = pages[at >> _PAGE_WORDS_SHIFT] << _PAGE_WORDS_SHIFT | at & (PAGE // WORD - 1)
+        return words, old[at], new[at]
 
     def snapshot(self) -> dict[int, bytes]:
         """Start a new undo log and return it. The log fills as pages are
         touched and stays valid until the next snapshot."""
         self.log = {}
-        self._snap_len = self.length
+        self.snap_length = self.length
         return self.log
 
     def restore(self, saved: dict[int, bytes]) -> None:
@@ -179,7 +187,7 @@ class PageStore:
             start = page << PAGE_SHIFT
             end = min(start + PAGE, size)
             data[start:end] = old.ljust(end - start, b"\0")
-        self.length = self._snap_len
+        self.length = self.snap_length
 
 
 def _shadow_len(heap_len: int) -> int:  # one mask byte per heap word
@@ -201,6 +209,7 @@ _RECORDS = PAGE // WORD
 REQUESTED, STATE, LINK, FREE_EVENT = range(4)  # the words of a record
 RECORD_WORDS = 4
 _PAGE_WORDS_SHIFT = PAGE_SHIFT - 3  # word index -> page
+_PAGE_WORDS = np.arange(PAGE // WORD, dtype=np.int64)
 LIVE, QUARANTINED, FREE_LISTED, WITHHELD = 1, 2, 3, 4  # a record's state; withheld: freed, on no list
 
 
@@ -386,12 +395,13 @@ class SlotTable:
     The allocator keeps one table and refreshes it at each slot_table()
     call. A chunk's geometry (its heap offset, stride, slot count and
     first record) is read once, when a refresh first sees the chunk
-    acquired. A refresh re-reads only the carved count of each class's
-    current chunk, the one its bump moves, and every carved slot's
-    state. The flat id of a chunk's first slot moves when an earlier
-    chunk carves more. A refresh replaces the arrays that change and
-    never writes one in place, so an array kept from an earlier refresh
-    keeps its values.
+    acquired. A refresh re-reads only the bump and limit words of the
+    classes, recounting the carved slots of each class's current chunk
+    when they moved, and every carved slot's state. The flat id of a
+    chunk's first slot moves when an earlier chunk carves more. Per-slot
+    arrays are sized by the slots carved, never by the reservation. A
+    refresh replaces the arrays that change and never writes one in
+    place, so an array kept from an earlier refresh keeps its values.
     """
 
     def __init__(self, config: EngineConfig, image: MemoryImage):
@@ -404,46 +414,75 @@ class SlotTable:
         self.heap_end = config.heap_base + config.heap_size
         self.chunk_size = config.chunk_size
         self._region = image.slot_region
-        self._geometry(0)
+        # per chunk, as lists: class shift, stride, slots when full and
+        # payload words, a row per slot it can hold
+        self._shifts: list[int] = []
+        self._strides: list[int] = []
+        self._slots: list[int] = []
+        self._rows: list[np.ndarray] = []
+        self._geometry([])
 
-    def _geometry(self, chunks: int) -> None:
-        """Read the geometry of the first chunks chunks; forget the rest."""
-        c = np.arange(chunks, dtype=np.int64)
-        self._heads = _RECORDS + self._region * c  # each chunk's head word: its class shift
-        self.shift = self.slot_words[self._heads].astype(np.int64)
-        # per chunk: heap offset of its first slot, stride, slots when
-        # full and the word of its first record
-        self.base = c * self.chunk_size
-        self.stride = GUARD_BYTES + (1 << self.shift)
-        self.slots = self.chunk_size // self.stride
-        self.record = self._heads + RECORD_WORDS
-        # the BUMP words of the classes that have a chunk; LIMIT follows each
-        self._bumps = np.array([_CLASS_WORDS + 3 * shift + BUMP for shift in sorted(set(self.shift.tolist()))],
-                               dtype=np.int64)
-        self.carved = np.zeros(chunks, dtype=np.int64)
-        self.first = np.zeros(chunks + 1, dtype=np.int64)  # the flat id of each chunk's first slot, then the count
-        self._state_at = np.zeros(0, dtype=np.int64)  # each slot's state word
+    def _geometry(self, heads: list[int]) -> None:
+        """Take heads, each chunk's head word, as the chunks acquired: keep
+        the geometry of the chunks whose head still names their class and
+        read that of the rest."""
+        keep = 0
+        while keep < min(len(heads), len(self._shifts)) and heads[keep] == self._shifts[keep]:
+            keep += 1
+        for kept in (self._shifts, self._strides, self._slots, self._rows):
+            del kept[keep:]
+        for chunk in range(keep, len(heads)):
+            stride = GUARD_BYTES + (1 << heads[chunk])
+            slots, base = self.chunk_size // stride, chunk * self.chunk_size // WORD
+            self._shifts.append(heads[chunk])
+            self._strides.append(stride)
+            self._slots.append(slots)
+            rows = self.heap_words[base : base + slots * stride // WORD].reshape(slots, stride // WORD)
+            self._rows.append(rows[:, GUARD_BYTES // WORD :])
+        # per chunk: heap offset of its first slot, stride and the word of
+        # its first record; for slot_ids, an address past the last chunk
+        # falls in a sentinel chunk of stride 1 with no slots
+        chunks = np.arange(len(heads), dtype=np.int64)
+        self.base = chunks * self.chunk_size
+        self._stride1 = np.array(self._strides + [1], dtype=np.int64)
+        self.stride = self._stride1[:-1]
+        self.record = _RECORDS + RECORD_WORDS + self._region * chunks
+        # the BUMP and LIMIT words of each class that has a chunk, and its stride
+        classes = sorted(set(heads))
+        self._class_words = np.array([_CLASS_WORDS + 3 * s + w for s in classes for w in (BUMP, LIMIT)], dtype=np.int64)
+        self._class_strides = [GUARD_BYTES + (1 << s) for s in classes]
+        self._bumps: list[int] | None = None  # the words last read from _class_words
+        self._carve([0] * len(heads))
+
+    def _carve(self, carved: list[int]) -> None:
+        """Take carved as the chunks' carved counts, and number the slots."""
+        self._carved = carved
+        self._carved1 = np.array(carved + [0], dtype=np.int64)
+        self.carved = self._carved1[:-1]
+        self._firsts = list(accumulate(carved, initial=0))
+        self.first = np.array(self._firsts, dtype=np.int64)  # the flat id of each chunk's first slot, then the count
+        self._state_at = (np.repeat(self.record + STATE - RECORD_WORDS * self.first[:-1], self.carved)
+                          + RECORD_WORDS * np.arange(self._firsts[-1]))  # each slot's state word
+        self.payload_words = np.repeat((self.stride - GUARD_BYTES) // WORD, self.carved)
 
     def refresh(self) -> None:
         """Catch up with the slot store: chunks acquired, slots carved and
         states, as the class comment says. A chunk whose head no longer
-        names its class, as after a restore, drops the geometry from that
-        chunk on."""
+        names its class, as after a restore, is read again with the chunks
+        after it."""
         words = self.slot_words
-        chunks = int(words[CHUNKS])
-        known = len(self.shift)
-        changed = np.flatnonzero(words[self._heads[:chunks]] != self.shift[:chunks])
-        if chunks != known or changed.size:
-            self._geometry(chunks)
-        bump, limit = words[self._bumps].astype(np.int64), words[self._bumps + LIMIT].astype(np.int64)
-        current = (limit - self.heap_base) // self.chunk_size - 1  # the chunk each class's limit ends
-        carved = self.slots.copy()
-        carved[current] = (bump - self.heap_base - self.base[current]) // self.stride[current]
-        if not np.array_equal(carved, self.carved):
-            self.carved = carved
-            self.first = np.concatenate(([0], np.cumsum(carved)))
-            self._state_at = (np.repeat(self.record + STATE - RECORD_WORDS * self.first[:-1], carved)
-                              + RECORD_WORDS * np.arange(self.first[-1]))
+        heads = words[_RECORDS : _RECORDS + self._region * int(words[CHUNKS]) : self._region].tolist()
+        if heads != self._shifts:
+            self._geometry(heads)
+        bumps = words[self._class_words].tolist()
+        if bumps != self._bumps:
+            self._bumps = bumps
+            carved = self._slots.copy()
+            for stride, bump, limit in zip(self._class_strides, bumps[::2], bumps[1::2]):
+                chunk = (limit - self.heap_base) // self.chunk_size - 1  # the chunk the class's limit ends
+                carved[chunk] = (bump - self.heap_base - chunk * self.chunk_size) // stride
+            if carved != self._carved:
+                self._carve(carved)
         self.state = words[self._state_at]
         self.allocated = self.state == LIVE
         self.held = self.state == QUARANTINED
@@ -452,8 +491,8 @@ class SlotTable:
         return len(self.state)
 
     def in_heap(self, values: np.ndarray) -> np.ndarray:
-        """The values, uint64, that lie in the heap region."""
-        return values[(values >= self.heap_base) & (values < self.heap_end)]
+        """Which of the uint64 values lie in the heap region."""
+        return (values >= self.heap_base) & (values < self.heap_end)
 
     def slot_ids(self, values: np.ndarray, payload: bool = False) -> np.ndarray:
         """The flat id of the carved slot holding each uint64 value of
@@ -462,27 +501,18 @@ class SlotTable:
         A value anywhere in a slot, guard region included, resolves to
         it; with payload, a value in a guard region gives -1 too.
         """
-        off = (values - self.heap_base).astype(np.int64)
-        ids = np.full(len(off), -1, dtype=np.int64)
-        chunk = off // self.chunk_size
-        at = np.flatnonzero(chunk < len(self.base))
-        chunk = chunk[at]
-        off = off[at] - self.base[chunk]
-        index = off // self.stride[chunk]
-        inside = index < self.carved[chunk]
+        chunk, off = np.divmod((values - self.heap_base).astype(np.int64), self.chunk_size)
+        np.minimum(chunk, len(self.carved), out=chunk)
+        index, at = np.divmod(off, self._stride1[chunk])
+        inside = index < self._carved1[chunk]
         if payload:
-            inside &= off - index * self.stride[chunk] >= GUARD_BYTES
-        ids[at[inside]] = self.first[chunk[inside]] + index[inside]
-        return ids
-
-    def _locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(chunk, index within the chunk) of each flat id."""
-        chunk = np.searchsorted(self.first, ids, side="right") - 1
-        return chunk, ids - self.first[chunk]
+            inside &= at >= GUARD_BYTES
+        return np.where(inside, self.first[chunk] + index, -1)
 
     def payloads(self, ids: np.ndarray) -> tuple[list[int], list[int]]:
         """The payload address and the requested size of each slot of ids."""
-        chunk, index = self._locate(ids)
+        chunk = np.searchsorted(self.first, ids, side="right") - 1
+        index = ids - self.first[chunk]
         offsets = self.base[chunk] + index * self.stride[chunk] + GUARD_BYTES
         requested = self.slot_words[self.record[chunk] + RECORD_WORDS * index + REQUESTED]
         return [self.heap_base + off for off in offsets.tolist()], requested.tolist()
@@ -494,18 +524,15 @@ class SlotTable:
         Words are gathered and filtered one chunk at a time, so only one
         chunk's share of the payloads is ever copied at once.
         """
-        chunk, index = self._locate(ids)
-        skip = GUARD_BYTES // WORD
-        parts = []
-        # ids are sorted, so each chunk's ids are one run of them
-        runs = np.bincount(chunk)
-        ends = np.cumsum(runs).tolist()
-        for c in np.flatnonzero(runs).tolist():
-            width = int(self.stride[c]) // WORD
-            first = int(self.base[c]) // WORD
-            rows = self.heap_words[first : first + int(self.carved[c]) * width].reshape(-1, width)
-            parts.append(self.in_heap(rows[index[ends[c] - int(runs[c]) : ends[c]], skip:].ravel()))
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint64)
+        if not ids.size:
+            return np.zeros(0, dtype=np.uint64)
+        firsts, parts = self._firsts, []
+        ends = np.searchsorted(ids, firsts).tolist()  # chunk c's ids are ids[ends[c] : ends[c + 1]]
+        for c, rows in enumerate(self._rows):
+            if ends[c] < ends[c + 1]:
+                words = rows[ids[ends[c] : ends[c + 1]] - firsts[c]].ravel()
+                parts.append(words[self.in_heap(words)])
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class _ClassState:

@@ -286,12 +286,29 @@ def marks_and_sweeps(scanner):
     return marked, plain, scanner.sweep(True)
 
 
+# random_epochs writes globals 0 to 6; a ballast is rooted past them
+CYCLE_ROOT = 6
+BALLAST_ROOT = 7
+
+
+def with_ballast(eng, objects=24):
+    """Root objects 16 KiB objects, one per global from BALLAST_ROOT on:
+    a heap whose full mark reads more words than a resumed mark after any
+    epoch of random_epochs, so that every mark after the first resumes."""
+    for i in range(objects):
+        eng.image.write_word(eng.config.globals_base + 8 * (BALLAST_ROOT + i), alloc(eng, 16 * 1024))
+    return eng
+
+
 def random_epochs(rng, eng, epochs):
     """Yield after each of epochs random epochs of allocations, frees
-    through the quarantine, pointer and plain word writes, and register
-    and global changes; the caller ends each epoch at a boundary."""
+    through the quarantine, pointer and plain word writes, register and
+    global changes, and cycles of two objects linked both ways, rooted in
+    global CYCLE_ROOT and later unrooted; the caller ends each epoch at a
+    boundary."""
     live, freed = [], []
     config = eng.config
+    cycle_root = config.globals_base + 8 * CYCLE_ROOT
 
     def stray():
         if live and rng.random() < 0.5:  # the next slot of a class, not carved yet
@@ -306,13 +323,15 @@ def random_epochs(rng, eng, epochs):
         target = rng.choice(live + freed if freed and rng.random() < 0.3 else live)
         return target + rng.choice((0, 0, 8, 17, -GUARD_BYTES, -8))  # payload, interior or guard
 
-    def payload_word():
-        target = rng.choice(live)
+    def payload_word_of(target):
         return target + 8 * rng.randrange(eng.allocator.object_bounds(target).capacity // 8)
+
+    def payload_word():
+        return payload_word_of(rng.choice(live))
 
     for _ in range(epochs):
         for _ in range(rng.randint(0, 10)):
-            op = rng.choices(("alloc", "free", "store", "clear", "reg", "global"), (4, 2, 5, 2, 2, 3))[0]
+            op = rng.choices(("alloc", "free", "store", "clear", "reg", "global", "cycle"), (4, 2, 5, 2, 2, 3, 2))[0]
             if op == "alloc" or not live:
                 live.append(alloc(eng, rng.choice((16, 24, 40, 100, 300, 2000))))
             elif op == "free":
@@ -332,13 +351,21 @@ def random_epochs(rng, eng, epochs):
                     eng.image.write_register(ordinal, rng.randrange(1 << 16))
                 else:  # cleared: a trace cannot unset a register
                     eng.image.write_register(ordinal, 0)
-            else:
+            elif op == "global":
                 value = pointer() if rng.random() < 0.6 else 0
-                eng.image.write_word(config.globals_base + 8 * rng.randrange(6), value)
+                eng.image.write_word(config.globals_base + 8 * rng.randrange(CYCLE_ROOT), value)
+            elif int.from_bytes(eng.image.read(cycle_root, 8), "little"):
+                eng.image.write_word(cycle_root, 0)  # drop the cycle's root
+            elif len(live) >= 2:
+                a, b = rng.sample(live, 2)
+                eng.image.write_word(payload_word_of(a), b)
+                eng.image.write_word(payload_word_of(b), a)
+                eng.image.write_word(cycle_root, a)
         yield
 
 
-def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
+def full_marks(monkeypatch) -> list:
+    """The scanners that run a full mark from here on, once per mark."""
     full = []
     roots = LeakScanner._roots
 
@@ -347,11 +374,16 @@ def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
         return roots(scanner)
 
     monkeypatch.setattr(LeakScanner, "_roots", counted_roots)
-    scanners, boundaries = set(), 0
+    return full
+
+
+def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
+    full = full_marks(monkeypatch)
+    scanners = []
     for seed in range(150):
         rng = random.Random(seed)
-        eng = harness(quarantine_max_count=rng.choice((1, 2, 4, 1024)))
-        scanners.add(eng.leaks)
+        eng = with_ballast(harness(quarantine_max_count=rng.choice((1, 2, 4, 1024))))
+        scanners.append(eng.leaks)
         eng.image.snapshot()
         for _ in random_epochs(rng, eng, rng.randint(2, 8)):
             got = marks_and_sweeps(eng.leaks)
@@ -359,6 +391,103 @@ def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
             assert np.array_equal(got[0], want[0]), seed
             assert got[1:] == want[1:], seed
             eng.image.snapshot()
-            boundaries += 1
-    full_marks = sum(scanner in scanners for scanner in full)
-    assert 0 < full_marks < boundaries  # both paths ran
+    assert [full.count(scanner) for scanner in scanners] == [1] * len(scanners)  # each engine's first mark
+
+
+def first_mark(eng, monkeypatch) -> list:
+    """Mark, then start an epoch as a boundary does; return the list
+    full_marks() keeps from then on."""
+    eng.leaks.mark()
+    eng.image.snapshot()
+    return full_marks(monkeypatch)
+
+
+def resumed_mark(eng, full):
+    """Mark at the end of an epoch that first_mark or the last call
+    started, and start the next: assert that the mark resumed and that
+    its marks and both sweeps equal a fresh scanner's full mark; return
+    them."""
+    got = marks_and_sweeps(eng.leaks)
+    want = marks_and_sweeps(LeakScanner(eng.image, eng.allocator))
+    assert eng.leaks not in full
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    eng.image.snapshot()
+    return got
+
+
+def linked(eng, *payloads):
+    """Each payload's first word points at the next payload."""
+    for holder, target in zip(payloads, payloads[1:]):
+        eng.image.write_word(holder, target)
+
+
+def test_a_mark_resumes_after_a_marked_slot_is_freed(monkeypatch):
+    for evicted in (False, True):  # the slot stays in the quarantine, or goes to its free list
+        eng = with_ballast(harness(quarantine_max_count=1, dangling=True), objects=4)
+        a, b, c = alloc(eng, 32), alloc(eng, 32), alloc(eng, 32)
+        linked(eng, a, b)
+        eng.image.write_word(eng.config.globals_base, a)
+        full = first_mark(eng, monkeypatch)
+        free(eng, a)  # global 0 still points at it
+        if evicted:
+            free(eng, c)  # the quarantine holds one slot
+        _, plain, dangling = resumed_mark(eng, full)
+        assert leaked(plain) == [(b, 32)] + ([] if evicted else [(c, 32)])
+        assert reachable_freed(dangling) == ([] if evicted else [a])
+
+
+def test_a_mark_resumes_after_a_global_or_register_drops_a_heap_value(monkeypatch):
+    for ordinal, root in ((None, 3), (1, None)):
+        eng = with_ballast(harness(), objects=4)
+        a, b = alloc(eng, 32), alloc(eng, 32)
+        linked(eng, a, b)
+        set_registers(eng, 0, 0)
+        if root is not None:
+            eng.image.write_word(eng.config.globals_base + 8 * root, a)
+        else:
+            eng.image.write_register(ordinal, a)
+        full = first_mark(eng, monkeypatch)
+        if root is not None:
+            eng.image.write_word(eng.config.globals_base + 8 * root, 12345)
+        else:
+            eng.image.write_register(ordinal, 0)
+        _, plain, _ = resumed_mark(eng, full)
+        assert leaked(plain) == [(a, 32), (b, 32)]
+
+
+def test_a_mark_resumes_after_a_heap_pointer_is_overwritten(monkeypatch):
+    eng = with_ballast(harness(), objects=4)
+    a, b, c = alloc(eng, 64), alloc(eng, 32), alloc(eng, 32)
+    linked(eng, a, b, c)
+    eng.image.write_word(eng.config.globals_base, a)
+    full = first_mark(eng, monkeypatch)
+    eng.image.write_word(a, c)  # b is lost; c is held by a now
+    _, plain, _ = resumed_mark(eng, full)
+    assert leaked(plain) == [(b, 32)]
+
+
+def test_a_mark_resumes_after_a_cycle_loses_its_roots(monkeypatch):
+    eng = with_ballast(harness(), objects=4)
+    a, b, c = alloc(eng, 32), alloc(eng, 32), alloc(eng, 32)
+    linked(eng, a, b, a)  # a and b point at each other
+    linked(eng, c, a)
+    eng.image.write_word(eng.config.globals_base, a)
+    eng.image.write_word(eng.config.globals_base + 8, c)
+    full = first_mark(eng, monkeypatch)
+    eng.image.write_word(eng.config.globals_base, 0)  # c still holds the cycle
+    _, plain, _ = resumed_mark(eng, full)
+    assert leaked(plain) == []
+    eng.image.write_word(eng.config.globals_base + 8, 0)  # nothing does now
+    _, plain, _ = resumed_mark(eng, full)
+    assert leaked(plain) == [(a, 32), (b, 32), (c, 32)]
+
+
+def test_a_mark_runs_in_full_after_an_epoch_that_wrote_more_than_a_full_mark_reads(monkeypatch):
+    eng = harness()
+    a = alloc(eng, 32)
+    eng.image.write_word(eng.config.globals_base, a)
+    full = first_mark(eng, monkeypatch)
+    eng.image.write_word(eng.config.globals_base, 0)  # one globals page: more words than the roots and a
+    assert leaked(scan(eng)) == [(a, 32)]
+    assert full == [eng.leaks]
