@@ -68,7 +68,7 @@ import numpy as np
 
 from .quarantine import freed_report
 from .reports import KIND_LEAK, ErrorReport
-from .vheap import LIVE, PAGE, WORD, Allocator, MemoryImage, SlotTable
+from .vheap import LIVE, PAGE, QUARANTINED, WORD, Allocator, MemoryImage, SlotTable
 
 _NONE = np.zeros(0, dtype=np.int64)
 
@@ -110,6 +110,7 @@ class LeakScanner:
         self._marks = np.zeros(0, dtype=np.bool_)
         self._counts = np.zeros(0, dtype=np.int64)
         self._misses = np.zeros(0, dtype=np.uint64)
+        self._payloads = 0  # the payload words of the marked live slots
         self._added: list[np.ndarray] = []  # misses found and lost by the running mark
         self._lost: list[np.ndarray] = []
         # scratch by flat slot id: _distinct writes before it reads; the
@@ -145,6 +146,7 @@ class LeakScanner:
             self._marks = np.zeros(slots, dtype=np.bool_)
             self._counts = np.zeros(slots, dtype=np.int64)
             self._misses = np.zeros(0, dtype=np.uint64)
+            self._payloads = 0
             rises = self._refer(self._roots(), 1)
         self._spread(rises)
         if self._added:
@@ -153,8 +155,7 @@ class LeakScanner:
             self._misses = _without(self._misses, np.concatenate(self._lost))
         self.marked = self._marks
         # a full mark reads the roots and the payloads of the marked live slots
-        reads = self.image.globals_pages.length // WORD + int(table.payload_words[self._marks & table.allocated].sum())
-        self._last = _Mark(table, reads, self.image.snapshots)
+        self._last = _Mark(table, self.image.globals_pages.length // WORD + self._payloads, self.image.snapshots)
 
     def _resume(self, table: SlotTable) -> np.ndarray | None:
         """Bring the last mark's counts and marks up to date and unmark
@@ -201,9 +202,11 @@ class LeakScanner:
         moved = np.flatnonzero(table.state != state)
         if moved.size:
             was, now, marked = state[moved] == LIVE, table.allocated[moved], marks[moved]
-            gone.append(table.payload_pointers(moved[marked & was & ~now]))
-            found.append(table.payload_pointers(moved[marked & ~was & now]))
-            marks[moved[marked & ~now & ~table.held[moved]]] = False
+            freed, revived = moved[marked & was & ~now], moved[marked & ~was & now]
+            gone.append(table.payload_pointers(freed))
+            found.append(table.payload_pointers(revived))
+            self._payloads += table.payload_words(revived) - table.payload_words(freed)
+            marks[moved[marked & ~now & (table.state[moved] != QUARANTINED)]] = False
             rises.append(moved[~marked])
         self._unmark(self._refer(np.concatenate(gone), -1))
         rises.append(self._refer(np.concatenate(found), 1))
@@ -223,6 +226,13 @@ class LeakScanner:
         (np.add if sign > 0 else np.subtract).at(self._counts, ids, 1)
         return ids
 
+    def _scan(self, ids: np.ndarray, sign: int) -> np.ndarray:
+        """Count the payload words of the live slots of ids, sorted, as
+        references (sign 1), or take them back (sign -1) as they unmark;
+        return the flat ids the words resolve to."""
+        self._payloads += sign * self.table.payload_words(ids)
+        return self._refer(self.table.payload_pointers(ids), sign)
+
     def _distinct(self, ids: np.ndarray) -> np.ndarray:
         """The distinct ids among ids, sorted.
 
@@ -241,9 +251,10 @@ class LeakScanner:
         table, marks, counts = self.table, self._marks, self._counts
         while ids.size:
             ids = ids[~marks[ids] & (counts[ids] > 0)]
-            wave = self._distinct(ids[table.allocated[ids] | table.held[ids]])
+            state = table.state[ids]
+            wave = self._distinct(ids[(state == LIVE) | (state == QUARANTINED)])
             marks[wave] = True
-            ids = self._refer(table.payload_pointers(wave[table.allocated[wave]]), 1)
+            ids = self._scan(wave[table.allocated[wave]], 1)
 
     def _targets(self, ids: np.ndarray) -> np.ndarray:
         """The marked slots the payload words of the live slots among ids,
@@ -268,7 +279,7 @@ class LeakScanner:
             if not gone.size:
                 break
             marks[gone] = False
-            falls = self._refer(table.payload_pointers(gone[table.allocated[gone]]), -1)
+            falls = self._scan(gone[table.allocated[gone]], -1)
         roots = np.concatenate(held) if held else _NONE
         roots = self._distinct(roots[marks[roots]])
         if not roots.size:
@@ -297,7 +308,7 @@ class LeakScanner:
         gone = np.sort(reached[~seen[reached]])
         seen[reached] = False
         marks[gone] = False
-        self._refer(table.payload_pointers(gone[table.allocated[gone]]), -1)
+        self._scan(gone[table.allocated[gone]], -1)
 
     def sweep(self, dangling: bool, suppress: set[int] = frozenset()) -> list[ErrorReport]:
         """Report allocated-but-unmarked slots.
@@ -319,7 +330,7 @@ class LeakScanner:
             if payload not in suppress
         ]
         if dangling:
-            for payload in table.payloads(np.flatnonzero(table.held & marked))[0]:
+            for payload in table.payloads(np.flatnonzero((table.state == QUARANTINED) & marked))[0]:
                 if payload not in suppress:
                     found.append(freed_report(self.allocator.object_bounds(payload)))
         return found

@@ -461,9 +461,12 @@ class SlotTable:
         self.carved = self._carved1[:-1]
         self._firsts = list(accumulate(carved, initial=0))
         self.first = np.array(self._firsts, dtype=np.int64)  # the flat id of each chunk's first slot, then the count
-        self._state_at = (np.repeat(self.record + STATE - RECORD_WORDS * self.first[:-1], self.carved)
-                          + RECORD_WORDS * np.arange(self._firsts[-1]))  # each slot's state word
-        self.payload_words = np.repeat((self.stride - GUARD_BYTES) // WORD, self.carved)
+        # per chunk with slots: its first state word and its flat ids
+        self._states = [
+            (record + STATE, start, end)
+            for record, start, end in zip(self.record.tolist(), self._firsts, self._firsts[1:])
+            if start < end
+        ]
 
     def refresh(self) -> None:
         """Catch up with the slot store: chunks acquired, slots carved and
@@ -483,9 +486,15 @@ class SlotTable:
                 carved[chunk] = (bump - self.heap_base - chunk * self.chunk_size) // stride
             if carved != self._carved:
                 self._carve(carved)
-        self.state = words[self._state_at]
+        self.state = np.empty(self._firsts[-1], dtype=np.uint8)
+        for word, start, end in self._states:
+            self.state[start:end] = words[word : word + RECORD_WORDS * (end - start) : RECORD_WORDS]
         self.allocated = self.state == LIVE
-        self.held = self.state == QUARANTINED
+
+    @property
+    def held(self) -> np.ndarray:
+        """Which slots the quarantine holds."""
+        return self.state == QUARANTINED
 
     def __len__(self) -> int:
         return len(self.state)
@@ -516,6 +525,11 @@ class SlotTable:
         offsets = self.base[chunk] + index * self.stride[chunk] + GUARD_BYTES
         requested = self.slot_words[self.record[chunk] + RECORD_WORDS * index + REQUESTED]
         return [self.heap_base + off for off in offsets.tolist()], requested.tolist()
+
+    def payload_words(self, ids: np.ndarray) -> int:
+        """The payload words of the slots of ids, in all."""
+        chunk = np.searchsorted(self.first, ids, side="right") - 1
+        return int((self.stride[chunk] - GUARD_BYTES).sum()) // WORD
 
     def payload_pointers(self, ids: np.ndarray) -> np.ndarray:
         """The payload words of the given slots, sorted flat ids, that

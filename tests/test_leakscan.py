@@ -386,10 +386,11 @@ def test_incremental_marks_match_a_fresh_full_mark(monkeypatch):
         scanners.append(eng.leaks)
         eng.image.snapshot()
         for _ in random_epochs(rng, eng, rng.randint(2, 8)):
-            got = marks_and_sweeps(eng.leaks)
-            want = marks_and_sweeps(LeakScanner(eng.image, eng.allocator))
+            fresh = LeakScanner(eng.image, eng.allocator)
+            got, want = marks_and_sweeps(eng.leaks), marks_and_sweeps(fresh)
             assert np.array_equal(got[0], want[0]), seed
             assert got[1:] == want[1:], seed
+            assert eng.leaks._last.reads == fresh._last.reads, seed  # the words a full mark would read
             eng.image.snapshot()
     assert [full.count(scanner) for scanner in scanners] == [1] * len(scanners)  # each engine's first mark
 
