@@ -160,12 +160,8 @@ class PageStore:
         if (max(saved) + 1) << PAGE_SHIFT > self.snap_length:  # some words lay past the snapshot length
             words = (pages[:, None] << _PAGE_WORDS_SHIFT | _PAGE_WORDS).ravel()
             changed |= (words >= self.snap_length // WORD) & (words < self.length // WORD)
-            at = np.flatnonzero(changed)
-            words = words[at]
-        else:
-            at = np.flatnonzero(changed)
-            words = pages[at >> _PAGE_WORDS_SHIFT] << _PAGE_WORDS_SHIFT | at & (PAGE // WORD - 1)
-        return words, old[at], new[at]
+        at = np.flatnonzero(changed)
+        return pages[at >> _PAGE_WORDS_SHIFT] << _PAGE_WORDS_SHIFT | at & _PAGE_WORDS[-1], old[at], new[at]
 
     def snapshot(self) -> dict[int, bytes]:
         """Start a new undo log and return it. The log fills as pages are

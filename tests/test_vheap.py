@@ -270,6 +270,29 @@ def test_the_refreshed_slot_table_matches_a_new_one():
             assert table.carved.tolist() == [chunk.carved for chunk in heap.chunks]
 
 
+def test_changed_words_are_the_logged_words_that_differ_from_the_snapshot():
+    # registers first set since the snapshot lie past its length: changed
+    # even when set to zero
+    rng = random.Random(11)
+    config = small_config(globals_words=600)
+    image = MemoryImage(config, registers=700)
+    store = image.globals_pages
+    for _ in range(60):
+        then, then_words = bytes(store.data[: store.length]), store.length // WORD
+        image.snapshot()
+        for _ in range(rng.randint(0, 6)):
+            value = rng.choice((0, 5, rng.randrange(1 << 64)))
+            if rng.random() < 0.3:
+                image.write_register(rng.randrange(700), value)
+            else:
+                image.write_word(config.globals_base + WORD * rng.randrange(600), value)
+        now = np.frombuffer(store.data, dtype="<u8", count=store.length // WORD)
+        old = np.frombuffer(then.ljust(store.length, b"\0"), dtype="<u8")
+        expected = [w for w in range(len(now)) if w * WORD >> PAGE_SHIFT in store.log and (old[w] != now[w] or w >= then_words)]
+        got = sorted(zip(*(a.tolist() for a in store.changed_words())))  # in the undo log's page order
+        assert got == list(zip(expected, old[expected].tolist(), now[expected].tolist()))
+
+
 def page_digests(heap: bytes) -> bytes:
     return b"".join(hashlib.sha256(heap[i : i + PAGE]).digest() for i in range(0, len(heap), PAGE))
 
