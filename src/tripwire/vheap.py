@@ -487,11 +487,6 @@ class SlotTable:
             self.state[start:end] = words[word : word + RECORD_WORDS * (end - start) : RECORD_WORDS]
         self.allocated = self.state == LIVE
 
-    @property
-    def held(self) -> np.ndarray:
-        """Which slots the quarantine holds."""
-        return self.state == QUARANTINED
-
     def __len__(self) -> int:
         return len(self.state)
 
