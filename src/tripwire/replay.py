@@ -17,8 +17,6 @@ call stacks and allocation sites. Evidence with no corrupted word
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import reports as rp
 from .trace import AllocSites, CallStacks
 from .vheap import WORD
@@ -67,14 +65,21 @@ def build_reports(epoch: int, evidence: list[rp.ErrorReport], traps: dict[int, l
         else:  # a leaked object's allocation is its offending event
             events = () if report.reachable_freed else (site,)
         out.append(
-            replace(
-                report,
+            rp.ErrorReport(
+                report.kind,
                 epoch=epoch,
+                corrupted_addr=word,
+                object_addr=report.object_addr,
+                object_size=report.object_size,
                 offending_events=tuple((eid, stacks.at(eid)) for eid in events),
                 alloc_stack=stacks.at(site) if site is not None else None,
                 alloc_event=site,
                 free_stack=None if report.free_event is None else stacks.at(report.free_event),
+                free_event=report.free_event,
+                prior_free_stack=report.prior_free_stack,
+                prior_free_event=report.prior_free_event,
                 unattributed=word is not None and not events,
+                reachable_freed=report.reachable_freed,
             )
         )
     return out

@@ -1,9 +1,16 @@
-"""Findings: the report record, stable text rendering, and JSON output."""
+"""Findings: the report record, stable text rendering, and JSON output.
+
+The JSON report is rendered directly from the fields, as the text
+json.dumps(doc, indent=2, sort_keys=True) writes, whose pure-Python
+encoder (the C one does not indent) cost more than the replays behind
+the reports. test_reports.test_json_layout_is_the_canonical_encoders
+pins the layout to json.dumps; the golden digests pin the content.
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _str  # a str as json.dumps writes it
 
 KIND_OVERFLOW = "overflow"
 KIND_UAF = "use-after-free"
@@ -25,6 +32,13 @@ _KIND_TITLE = {
     KIND_LEAK: "memory leak",
     KIND_DOUBLE_FREE: "double free",
     KIND_SEGFAULT: "segmentation fault",
+}
+
+# what an offending event did, in the text report; a write otherwise
+_KIND_VERB = {
+    KIND_DOUBLE_FREE: "freed again by",
+    KIND_SEGFAULT: "faulted at",
+    KIND_LEAK: "allocated by",
 }
 
 
@@ -80,12 +94,8 @@ def _render_one(r: ErrorReport) -> list[str]:
     if r.object_addr is not None:
         size = f" ({r.object_size} bytes requested)" if r.object_size is not None else ""
         lines.append(f"  object: 0x{r.object_addr:016x}{size}")
+    verb = _KIND_VERB.get(r.kind, "written by")
     for event_id, stack in r.offending_events:
-        verb = {
-            KIND_DOUBLE_FREE: "freed again by",
-            KIND_SEGFAULT: "faulted at",
-            KIND_LEAK: "allocated by",
-        }.get(r.kind, "written by")
         lines.append(f"  {verb} event {event_id}:")
         lines.extend(_stack_lines(stack))
     if r.unattributed:
@@ -109,34 +119,69 @@ def emit_text(reports) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _site(stack: tuple[str, ...] | None, event_id: int | None) -> dict | None:
-    return None if stack is None else {"stack": list(stack), "event_id": event_id}
+_PAD4, _PAD6, _PAD8, _PAD10 = " " * 4, " " * 6, " " * 8, " " * 10
 
 
-def report_to_dict(r: ErrorReport) -> dict:
-    return {
-        "kind": r.kind,
-        "epoch": r.epoch,
-        "corrupted_addr": r.corrupted_addr,
-        "object_addr": r.object_addr,
-        "object_size": r.object_size,
-        "offending_events": [
-            {"event_id": event_id, "stack": list(stack)} for event_id, stack in r.offending_events
-        ],
-        "alloc_site": _site(r.alloc_stack, r.alloc_event),
-        "free_site": _site(r.free_stack, r.free_event),
-        "prior_free_site": _site(r.prior_free_stack, r.prior_free_event),
-        "unattributed": r.unattributed,
-        "reachable_freed": r.reachable_freed,
-    }
+def _int(v: int | None) -> str:
+    return "null" if v is None else int.__repr__(v)
+
+
+def _list(items: list[str], pad: str) -> str:
+    """A JSON list of rendered items, closing at pad, items two spaces in."""
+    if not items:
+        return "[]"
+    sep = f",\n{pad}  "
+    return f"[\n{pad}  {sep.join(items)}\n{pad}]"
+
+
+def _stack_json(stack: tuple[str, ...], pad: str, memo: dict) -> str:
+    text = memo.get((stack, pad))
+    if text is None:
+        text = memo[stack, pad] = _list([_str(frame) for frame in stack], pad)
+    return text
+
+
+def _site_json(stack: tuple[str, ...] | None, event_id: int | None, memo: dict) -> str:
+    if stack is None:
+        return "null"
+    return f'{{\n        "event_id": {_int(event_id)},\n        "stack": {_stack_json(stack, _PAD8, memo)}\n      }}'
+
+
+def _report_json(r: ErrorReport, memo: dict) -> str:
+    events = [
+        f'{{\n          "event_id": {_int(event_id)},\n          "stack": {_stack_json(stack, _PAD10, memo)}\n        }}'
+        for event_id, stack in r.offending_events
+    ]
+    return (
+        f'{{\n      "alloc_site": {_site_json(r.alloc_stack, r.alloc_event, memo)},'
+        f'\n      "corrupted_addr": {_int(r.corrupted_addr)},'
+        f'\n      "epoch": {_int(r.epoch)},'
+        f'\n      "free_site": {_site_json(r.free_stack, r.free_event, memo)},'
+        f'\n      "kind": {_str(r.kind)},'
+        f'\n      "object_addr": {_int(r.object_addr)},'
+        f'\n      "object_size": {_int(r.object_size)},'
+        f'\n      "offending_events": {_list(events, _PAD6)},'
+        f'\n      "prior_free_site": {_site_json(r.prior_free_stack, r.prior_free_event, memo)},'
+        f'\n      "reachable_freed": {"true" if r.reachable_freed else "false"},'
+        f'\n      "unattributed": {"true" if r.unattributed else "false"}'
+        "\n    }"
+    )
+
+
+def _setting_json(value: bool | int | list[str]) -> str:
+    if isinstance(value, list):
+        return _list([_str(item) for item in value], _PAD4)
+    return ("true" if value else "false") if isinstance(value, bool) else int.__repr__(value)
 
 
 def emit_json(reports, *, epochs: int, final_state_hash: str, events: int, config) -> str:
-    doc = {
-        "reports": [report_to_dict(r) for r in sort_reports(reports)],
-        "epochs": epochs,
-        "final_state_hash": final_state_hash,
-        "events": events,
-        "config": config.to_dict(),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The report document: the configuration, the epoch and event counts,
+    the final state hash and the sorted reports, every object's keys sorted."""
+    memo: dict = {}  # (stack, pad) -> its text, for this call only
+    body = _list([_report_json(r, memo) for r in sort_reports(reports)], "  ")
+    # the settings too: with an indent, json.dumps runs its pure-Python encoder
+    settings = ",".join(f"\n    {_str(name)}: {_setting_json(value)}" for name, value in sorted(config.to_dict().items()))
+    return (
+        f'{{\n  "config": {{{settings}\n  }},\n  "epochs": {_int(epochs)},\n  "events": {_int(events)},'
+        f'\n  "final_state_hash": {_str(final_state_hash)},\n  "reports": {body}\n}}\n'
+    )

@@ -19,7 +19,9 @@ end-to-end metric of `BENCHMARK.json`, each side's quartiles
 (inclusive method), the pairs the change wins and ties, the ratio of
 the medians, and whether the change's median is within the metric's
 bound of the parent's; every run's final JSON line is kept under
-"runs". With --claim, "claim_met" says whether the change won at least
+"runs". Unknown workloads, and a --claim that does not name one of the
+workloads run and an end-to-end metric, are rejected before anything
+runs. With --claim, "claim_met" says whether the change won at least
 nine pairs in ten on that metric and its median moved the better way
 by more than the parent's interquartile range.
 
@@ -153,6 +155,14 @@ def main() -> None:
         ap.error("--pairs must be at least 2 for quartiles")
     workloads = args.workloads.split(",")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    unknown = [w for w in workloads if w not in WORKLOADS]
+    if unknown:
+        ap.error(f"unknown workloads {unknown}; choose from {list(WORKLOADS)}")
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        if workload not in workloads or metric not in {m["name"] for m in metrics}:
+            ap.error(f"--claim {args.claim!r} is not WORKLOAD:METRIC with WORKLOAD among --workloads "
+                     f"and METRIC among {[m['name'] for m in metrics]}")
     checkout, short = export(args.parent)
     sides = {"parent": checkout, "change": ROOT}
 
@@ -180,7 +190,7 @@ def main() -> None:
         "claim": "none",
     }
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, _, metric = args.claim.partition(":")
         doc["claim"] = f"{metric} on {workload} improves"
         rows = [r for r in runs if r["workload"] == workload]
         doc["claim_met"] = claim_met(

@@ -90,7 +90,7 @@ import tripwire as tw
 from tripwire.config import parse_detectors
 from tripwire.engine import Engine
 from tripwire.errors import NotAHeapObject
-from tripwire.reports import KIND_UAF, report_to_dict
+from tripwire.reports import KIND_UAF, emit_json
 from tripwire.trace import EventKind, parse_trace
 from tripwire.vheap import FREE_LISTED
 
@@ -281,7 +281,8 @@ def run_one(text: str, config: tw.EngineConfig, run_id: str = "") -> dict:
         record["error"] = f"{type(err).__name__}: {err}"
     else:
         record.update(
-            reports=[report_to_dict(r) for r in out.reports],
+            reports=json.loads(emit_json(out.reports, epochs=out.epochs, final_state_hash=out.final_state_hash,
+                                         events=out.events_total, config=config))["reports"],
             final_state_hash=out.final_state_hash,
             scan_records=[list(r) for r in out.scan_records],
             alloc_sequence=list(out.alloc_sequence),

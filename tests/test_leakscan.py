@@ -11,6 +11,7 @@ from tripwire.vheap import GUARD_BYTES, next_pow2
 
 from conftest import small_config
 from oracles import reachability_closure, reachable_quarantined
+from test_replay_fuzz import error_trace
 
 
 def harness(**overrides):
@@ -492,3 +493,30 @@ def test_a_mark_runs_in_full_after_an_epoch_that_wrote_more_than_a_full_mark_rea
     eng.image.write_word(eng.config.globals_base, 0)  # one globals page: more words than the roots and a
     assert leaked(scan(eng)) == [(a, 32)]
     assert full == [eng.leaks]
+
+
+def test_nothing_writes_heap_or_globals_between_a_mark_and_the_next_snapshot():
+    # a resumed mark reads only the pages written since the last one, so
+    # the heap and globals must not change between a mark and the undo
+    # logs that the next epoch's snapshot starts
+    checked = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        config = small_config(quarantine_max_count=rng.choice((1, 2, 4, 8)), dangling=seed % 2 == 1)
+        engine = Engine(tw.parse_trace(error_trace(rng, 40, stores=seed % 4 >= 2, frames=seed % 3 == 0)), config)
+        mark, snapshot, marked = engine.leaks.mark, engine.image.snapshot, []
+
+        def mark_noting():
+            mark()
+            marked.append(engine.image.epoch_writes()[:2])  # heap and globals
+
+        def snapshot_checking():
+            nonlocal checked
+            if marked:
+                assert engine.image.epoch_writes()[:2] == marked.pop(), seed
+                checked += 1
+            return snapshot()
+
+        engine.leaks.mark, engine.image.snapshot = mark_noting, snapshot_checking
+        engine.run()
+    assert checked > 100

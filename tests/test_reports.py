@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
+import random
+from contextlib import redirect_stdout
 
 import jsonschema
 import pytest
@@ -8,9 +11,11 @@ import pytest
 import tripwire as tw
 from tripwire import cli
 from tripwire.cli import main
-from tripwire.reports import ErrorReport, emit_json, emit_text, sort_reports
+from tripwire.reports import KIND_OVERFLOW, KIND_SEGFAULT, KIND_UAF, ErrorReport, emit_json, emit_text, sort_reports
 
 from conftest import small_config
+from corpus import ALL_CASES, GOLDEN_FLAGS, TRACES_DIR
+from test_replay_fuzz import error_trace
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -139,6 +144,57 @@ def test_empty_run_json_shape():
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["reports"] == []
     assert doc["epochs"] == 1
+
+
+def assert_canonical(text: str) -> dict:
+    """The report text is what json.dumps writes for its document."""
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
+
+
+def test_json_layout_is_the_canonical_encoders():
+    for flags in {flags for flags in GOLDEN_FLAGS.values() if "json" in flags}:
+        for case in ALL_CASES:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                main(["run", str(TRACES_DIR / f"{case.name}.trace"), *flags])
+            jsonschema.validate(assert_canonical(buf.getvalue()), REPORT_SCHEMA)
+    reported = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        config = small_config(dangling=True, quarantine_max_count=2, max_watchpoints=1) if seed % 2 else small_config()
+        out = tw.run_text(error_trace(rng, 40, stores=seed % 4 >= 2, frames=seed % 3 == 0), config)
+        text = emit_json(out.reports, epochs=out.epochs, final_state_hash=out.final_state_hash,
+                         events=out.events_total, config=config)
+        reported += len(assert_canonical(text)["reports"])
+    assert reported > 1000
+
+
+def test_json_layout_of_reports_the_corpus_never_gives():
+    reports = [
+        ErrorReport(KIND_SEGFAULT, epoch=0, corrupted_addr=0x8, offending_events=((9, ("main", "f")),)),
+        ErrorReport(KIND_OVERFLOW, epoch=1, corrupted_addr=0x10008, unattributed=True),  # in no heap object
+        ErrorReport(KIND_UAF, epoch=2, corrupted_addr=0x1_0000_0040, object_addr=0x1_0000_0040, object_size=24,
+                    offending_events=((5, ()),), alloc_stack=(), alloc_event=0, free_stack=(), free_event=2,
+                    prior_free_stack=(), prior_free_event=1),
+        ErrorReport('odd "kind" \\ \u00e9', epoch=3, object_addr=0x1_0000_0100,
+                    offending_events=((4, ('quote"d', "back\\slash", "na\u00efve \u2603", "tab\tline\n")),)),
+    ]
+    config = small_config()
+    doc = assert_canonical(emit_json(reports, epochs=4, final_state_hash="0" * 64, events=10, config=config))
+    segfault, stray, uaf, odd = doc["reports"]
+    assert (segfault["kind"], segfault["object_addr"], segfault["object_size"], segfault["alloc_site"]) == (
+        "segfault", None, None, None)
+    assert segfault["offending_events"] == [{"event_id": 9, "stack": ["main", "f"]}]
+    assert (stray["object_addr"], stray["offending_events"], stray["unattributed"]) == (None, [], True)
+    assert uaf["offending_events"] == [{"event_id": 5, "stack": []}]
+    assert [uaf[site] for site in ("alloc_site", "free_site", "prior_free_site")] == [
+        {"event_id": 0, "stack": []}, {"event_id": 2, "stack": []}, {"event_id": 1, "stack": []}]
+    assert odd["kind"] == reports[3].kind
+    assert odd["offending_events"][0]["stack"] == list(reports[3].offending_events[0][1])
+    empty = assert_canonical(emit_json([], epochs=1, final_state_hash="", events=0, config=config))
+    assert empty["reports"] == [] and empty["config"] == json.loads(json.dumps(config.to_dict()))
 
 
 # -- CLI ---------------------------------------------------------------------
